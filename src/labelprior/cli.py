@@ -104,11 +104,8 @@ def _predict_dists(
     params: model.ModelParams, features: Sequence[np.ndarray], eps2: float
 ) -> list[CategoricalDist]:
     """Predictive distributions for a batch of feature vectors."""
-    dists = []
-    for x in features:
-        z = np.clip(model.forward(params, x), -LOGIT_CLAMP, LOGIT_CLAMP)
-        dists.append(predictive_mean(from_logits(z, eps2)))
-    return dists
+    logits = np.clip(model.forward(params, np.stack(features)), -LOGIT_CLAMP, LOGIT_CLAMP)
+    return [predictive_mean(from_logits(z, eps2)) for z in logits]
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -79,28 +79,41 @@ def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]
 
 
 def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
+    """Manifest and records; a malformed line raises ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+        lines = [(no, line) for no, line in enumerate(fh.read().splitlines(), 1)
+                 if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    manifest = json.loads(lines[0])
-    if manifest.get("kind") != "dataset":
+    manifest = json.loads(lines[0][1])
+    if not isinstance(manifest, dict) or manifest.get("kind") != "dataset":
         raise ValueError(f"{path}: not a dataset file")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version")
-    space = ClassSpace(tuple(manifest["classes"]))
-    d = int(manifest["feature_dim"])
+    try:
+        space = ClassSpace(tuple(manifest["classes"]))
+        d = int(manifest["feature_dim"])
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"{path}: bad manifest: {err!r}") from err
     records = []
-    for line in lines[1:]:
-        raw = json.loads(line)
-        features = np.asarray(raw["features"], dtype=np.float64)
-        if features.shape[0] != d:
-            raise ValueError(f"{path}: feature length {features.shape[0]} != manifest dim {d}")
-        evaluations = tuple(
-            Evaluation(tuple(space.index(name) for name in tags))
-            for tags in raw["evaluations"]
-        )
-        records.append(DatasetRecord(int(raw["id"]), str(raw["split"]), features, evaluations))
+    for no, line in lines[1:]:
+        try:
+            raw = json.loads(line)
+            features = np.asarray(raw["features"], dtype=np.float64)
+            if not all(isinstance(tags, list) for tags in raw["evaluations"]):
+                raise TypeError("each evaluation must be a list of class names")
+            evaluations = tuple(
+                Evaluation(tuple(space.index(name) for name in tags))
+                for tags in raw["evaluations"]
+            )
+            record = DatasetRecord(int(raw["id"]), str(raw["split"]), features, evaluations)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"{path}: line {no}: bad record: {err!r}") from err
+        if features.shape != (d,):
+            raise ValueError(f"{path}: line {no}: feature shape {features.shape} != ({d},)")
+        if not np.isfinite(features).all():
+            raise ValueError(f"{path}: line {no}: non-finite feature")
+        records.append(record)
     return space, records
 
 
@@ -154,31 +167,35 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
+    """Params, classes and settings; a missing key raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("kind") != "checkpoint":
+    if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version")
-    space = ClassSpace(tuple(doc["classes"]))
-    raw = doc["train_config"]
-    config = TrainConfig(
-        loss=LossConfig(
-            kind=LossKind(raw["loss"]),
-            eps1=float(raw["eps1"]),
-            eps2=float(raw["eps2"]),
-            lam=float(raw["lambda"]),
-        ),
-        learning_rate=float(raw["learning_rate"]),
-        batch_size=int(raw["batch_size"]),
-        epochs=int(raw["epochs"]),
-        seed=int(raw["seed"]),
-        hidden=tuple(int(v) for v in raw["hidden"]),
-    )
-    params = ModelParams(
-        [np.asarray(layer["weights"], dtype=np.float64) for layer in doc["layers"]],
-        [np.asarray(layer["bias"], dtype=np.float64) for layer in doc["layers"]],
-    )
+    try:
+        space = ClassSpace(tuple(doc["classes"]))
+        raw = doc["train_config"]
+        config = TrainConfig(
+            loss=LossConfig(
+                kind=LossKind(raw["loss"]),
+                eps1=float(raw["eps1"]),
+                eps2=float(raw["eps2"]),
+                lam=float(raw["lambda"]),
+            ),
+            learning_rate=float(raw["learning_rate"]),
+            batch_size=int(raw["batch_size"]),
+            epochs=int(raw["epochs"]),
+            seed=int(raw["seed"]),
+            hidden=tuple(int(v) for v in raw["hidden"]),
+        )
+        params = ModelParams(
+            [np.asarray(layer["weights"], dtype=np.float64) for layer in doc["layers"]],
+            [np.asarray(layer["bias"], dtype=np.float64) for layer in doc["layers"]],
+        )
+    except (KeyError, TypeError, IndexError) as err:
+        raise ValueError(f"{path}: missing or mistyped field: {err!r}") from err
     return params, space, config
 
 

@@ -53,6 +53,12 @@ class LossConfig:
             raise ValueError("eps2 must be non-negative")
         if self.lam < 0.0:
             raise ValueError("lambda must be non-negative")
+        # A constant the objective ignores would still reach eval (eps2
+        # shifts the predictive mean), so train and eval would disagree.
+        if self.kind != LossKind.DPN and (self.eps1 or self.eps2):
+            raise ValueError(f"eps1 and eps2 apply only to the dpn loss, not {self.kind.value}")
+        if self.kind != LossKind.DPN_KL and self.lam:
+            raise ValueError(f"lambda applies only to the dpn-kl loss, not {self.kind.value}")
 
     @classmethod
     def default_for(cls, kind: LossKind) -> "LossConfig":
@@ -136,7 +142,7 @@ def dpn_loss(
 
     # Shared normaliser plus the per-label (alpha - 1) . ln mu terms.
     lg = log_gamma(np.concatenate([alpha, [params.alpha0]]))
-    log_norm = lg[-1] - float(np.sum(lg[:-1]))
+    log_norm = float(lg[-1]) - float(np.sum(lg[:-1]))
     mean_log_mu = log_mu.mean(axis=0)
     value = -(log_norm + float(np.dot(alpha - 1.0, mean_log_mu)))
 
@@ -171,7 +177,7 @@ def label_count_nll(labels: Sequence[np.ndarray], z: np.ndarray) -> LossValue:
 
     lg = log_gamma(np.concatenate([alpha, alpha + counts, [alpha0, alpha0 + m]]))
     k = alpha.shape[0]
-    value = -(lg[2 * k] - lg[2 * k + 1] + float(np.sum(lg[k : 2 * k] - lg[:k]))) / m
+    value = -float(lg[2 * k] - lg[2 * k + 1] + np.sum(lg[k : 2 * k] - lg[:k])) / m
     dg = digamma(np.concatenate([alpha, alpha + counts, [alpha0, alpha0 + m]]))
     grad_alpha = -(dg[2 * k] - dg[2 * k + 1] + dg[k : 2 * k] - dg[:k]) / m
     unclamped = np.abs(z) < LOGIT_CLAMP

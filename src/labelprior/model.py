@@ -1,8 +1,11 @@
 """Small feed-forward classifier trained by mini-batch gradient descent.
 
 The network is an MLP with ReLU hidden layers and linear output logits.
-Training is deterministic given the seed: initialisation, the per-epoch
-Fisher-Yates shuffle and the in-batch accumulation order are all fixed.
+Each mini-batch takes one forward and one backward pass over its (B, d)
+feature matrix.  Training is deterministic given the seed: initialisation
+and the per-epoch Fisher-Yates shuffle are fixed, so reruns on the same
+machine are byte-identical (the BLAS summation order may differ between
+machines in the last digit).
 """
 
 from __future__ import annotations
@@ -48,9 +51,6 @@ class ModelParams:
     @property
     def dims(self) -> tuple[int, ...]:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 @dataclass(frozen=True)
@@ -114,25 +114,29 @@ def _forward_cached(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, lis
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Logits for one feature vector."""
+    """Logits for one feature vector (d,) or for each row of a (B, d) batch."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.dims[0],):
-        raise ValueError(f"expected feature vector of length {params.dims[0]}")
+    if x.ndim not in (1, 2) or x.shape[-1] != params.dims[0]:
+        raise ValueError(f"expected feature vectors of length {params.dims[0]}")
     return _forward_cached(params, x)[0]
 
 
 def backward(
     params: ModelParams, x: np.ndarray, grad_z: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact parameter gradients given the loss gradient at the logits."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.asarray(grad_z, dtype=np.float64)
+    """Exact parameter gradients given the loss gradient at the logits.
+
+    ``x`` and ``grad_z`` are one row each or (B, d) and (B, K) batches; the
+    gradients are summed over the rows.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    grad = np.atleast_2d(np.asarray(grad_z, dtype=np.float64))
     _, inputs = _forward_cached(params, x)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.weights)  # type: ignore[list-item]
     for i in range(len(params.weights) - 1, -1, -1):
-        grads[i] = (np.outer(inputs[i], grad), grad.copy())
+        grads[i] = (inputs[i].T @ grad, grad.sum(axis=0))
         if i > 0:
-            grad = params.weights[i] @ grad
+            grad = grad @ params.weights[i].T
             grad[inputs[i] <= 0.0] = 0.0  # ReLU gate
     return grads
 
@@ -153,9 +157,8 @@ def train(
         if len(examples) == 0:
             raise ValueError("hard loss needs at least one utterance with a majority label")
 
-    d_in = examples[0].features.shape[0]
-    k_out = examples[0].soft.k
-    params = init(d_in, config.hidden, k_out, config.seed)
+    features = np.stack([e.features for e in examples])
+    params = init(features.shape[1], config.hidden, examples[0].soft.k, config.seed)
 
     n = len(examples)
     epoch_losses: list[float] = []
@@ -164,25 +167,23 @@ def train(
         total = 0.0
         for start in range(0, n, config.batch_size):
             batch = sorted(order[start : start + config.batch_size])
-            acc_w = [np.zeros_like(w) for w in params.weights]
-            acc_b = [np.zeros_like(b) for b in params.biases]
-            for idx in batch:
+            x = features[batch]
+            z = forward(params, x)
+            grad_z = np.empty_like(z)
+            for row, idx in enumerate(batch):
                 ex = examples[idx]
-                z = forward(params, ex.features)
                 try:
-                    loss = example_loss(config.loss, z, ex.labels, ex.soft, ex.majority)
+                    loss = example_loss(config.loss, z[row], ex.labels, ex.soft, ex.majority)
                 except SingularityError as err:
                     raise SingularityError(
                         f"epoch {epoch}, batch {start // config.batch_size}, "
                         f"utterance {ex.uid}: {err}"
                     ) from err
                 total += loss.value
-                for i, (gw, gb) in enumerate(backward(params, ex.features, loss.grad_z)):
-                    acc_w[i] += gw
-                    acc_b[i] += gb
+                grad_z[row] = loss.grad_z
             scale = config.learning_rate / len(batch)
-            for i in range(len(params.weights)):
-                params.weights[i] -= scale * acc_w[i]
-                params.biases[i] -= scale * acc_b[i]
+            for i, (gw, gb) in enumerate(backward(params, x, grad_z)):
+                params.weights[i] -= scale * gw
+                params.biases[i] -= scale * gb
         epoch_losses.append(total / n)
     return params, epoch_losses

@@ -65,6 +65,17 @@ class TestStats:
         assert run("stats", "--data", tmp_path / "nope.jsonl") == 1
 
 
+def rewrite_record(path, tmp_path, index, edit):
+    """Copy of a dataset with ``edit`` applied to record ``index`` (0-based)."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[index + 1])
+    edit(rec)
+    lines[index + 1] = json.dumps(rec)
+    out = tmp_path / "bad.jsonl"
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
 class TestTrain:
     @pytest.mark.parametrize("loss", ["hard", "soft", "dpn", "dpn-kl"])
     def test_all_losses_run(self, small_dataset, tmp_path, loss):
@@ -84,12 +95,56 @@ class TestTrain:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json.log").read_bytes() == (tmp_path / "b.json.log").read_bytes()
 
-    def test_log_has_one_line_per_epoch(self, small_dataset, tmp_path):
+    @pytest.mark.parametrize("loss", ["hard", "soft", "dpn", "dpn-kl"])
+    def test_log_has_one_line_per_epoch(self, small_dataset, tmp_path, loss):
         ckpt = tmp_path / "m.json"
-        run("train", "--data", small_dataset, "--loss", "soft",
+        run("train", "--data", small_dataset, "--loss", loss,
             "--epochs", 4, "--out", ckpt)
         lines = (tmp_path / "m.json.log").read_text().splitlines()
         assert len(lines) == 5  # header + 4 epochs
+        for line in lines[1:]:
+            value = line.split(",", 1)[1]
+            assert "np." not in value
+            assert math.isfinite(float(value))
+
+    @pytest.mark.parametrize("flag, loss", [("--lambda", "hard"), ("--lambda", "soft"),
+                                            ("--lambda", "dpn"), ("--eps1", "dpn-kl"),
+                                            ("--eps2", "dpn-kl"), ("--eps2", "soft")])
+    def test_constant_the_loss_ignores_is_usage_error(
+        self, small_dataset, tmp_path, capsys, flag, loss
+    ):
+        value = 5 if flag == "--lambda" else 1e-3
+        code = run("train", "--data", small_dataset, "--loss", loss, flag, value,
+                   "--epochs", 1, "--out", tmp_path / "m.json")
+        assert code == 1
+        assert "only to the" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: rec.pop("features"), "features"),
+        (lambda rec: rec.pop("id"), "id"),
+        (lambda rec: rec.update(features="0.5"), "feature shape"),
+        (lambda rec: rec.update(evaluations=["A", "B"]), "list of class names"),
+    ])
+    def test_malformed_record_is_data_error(self, small_dataset, tmp_path, capsys,
+                                            edit, message):
+        bad = rewrite_record(small_dataset, tmp_path, 3, edit)
+        code = run("train", "--data", bad, "--loss", "soft", "--epochs", 1,
+                   "--out", tmp_path / "m.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 5" in err and message in err
+
+    @pytest.mark.parametrize("nan", [float("nan"), "nan", float("inf")])
+    def test_non_finite_features_are_data_error(self, small_dataset, tmp_path, capsys, nan):
+        def poison(rec):
+            rec["features"][2] = nan
+
+        bad = rewrite_record(small_dataset, tmp_path, 5, poison)
+        code = run("train", "--data", bad, "--loss", "soft", "--epochs", 1,
+                   "--out", tmp_path / "m.json")
+        assert code == 1
+        assert "line 7: non-finite feature" in capsys.readouterr().err
 
     def test_unknown_loss_is_usage_error(self, small_dataset, tmp_path):
         assert run("train", "--data", small_dataset, "--loss", "mse",
@@ -181,6 +236,22 @@ class TestEval:
         run("train", "--data", data, "--loss", "soft", "--epochs", 1, "--out", ckpt)
         assert run("eval", "--data", data, "--ckpt", ckpt,
                    "--out", tmp_path / "r.json") == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("train_config"), "train_config"),
+        (lambda doc: doc["layers"][0].pop("bias"), "bias"),
+        (lambda doc: doc["train_config"].update({"loss": "hard", "lambda": 5.0}),
+         "applies only to"),
+    ])
+    def test_bad_checkpoint_is_data_error(self, small_dataset, tmp_path, capsys, edit, message):
+        ckpt = tmp_path / "m.json"
+        run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 1, "--out", ckpt)
+        doc = json.loads(ckpt.read_text())
+        edit(doc)
+        ckpt.write_text(json.dumps(doc))
+        assert run("eval", "--data", small_dataset, "--ckpt", ckpt,
+                   "--out", tmp_path / "r.json") == 1
+        assert message in capsys.readouterr().err
 
 
 class TestDetect:

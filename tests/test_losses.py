@@ -293,6 +293,17 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             LossConfig(LossKind.DPN_KL, lam=-1.0)
 
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_rejects_constants_the_kind_ignores(self, kind):
+        for field in ("eps1", "eps2", "lam"):
+            used = kind == LossKind.DPN_KL if field == "lam" else kind == LossKind.DPN
+            if used:
+                LossConfig(kind, **{field: 1e-3})
+            else:
+                with pytest.raises(ValueError, match="only to the"):
+                    LossConfig(kind, **{field: 1e-3})
+        LossConfig.default_for(kind)
+
 
 class TestExampleLoss:
     def test_hard_requires_majority(self):

@@ -17,6 +17,7 @@ from labelprior.model import (
     init,
     train,
 )
+from labelprior.rng import DOMAIN_SHUFFLE, fisher_yates, stream
 
 
 def one_hot(index, k):
@@ -87,6 +88,15 @@ class TestForward:
         params = init(5, [7], 3, seed=4)
         with pytest.raises(ValueError):
             forward(params, np.zeros(4))
+        with pytest.raises(ValueError):
+            forward(params, np.zeros((2, 4)))
+
+    def test_batch_equals_stacked_rows(self):
+        rng = np.random.default_rng(6)
+        params = init(5, [7, 4], 3, seed=4)
+        rows = rng.normal(size=(9, 5))
+        stacked = np.stack([forward(params, x) for x in rows])
+        np.testing.assert_allclose(forward(params, rows), stacked, rtol=0, atol=1e-12)
 
 
 class TestBackward:
@@ -135,6 +145,19 @@ class TestBackward:
             np.testing.assert_allclose(gw2, 2.0 * gw1, atol=1e-12)
             np.testing.assert_allclose(gb2, 2.0 * gb1, atol=1e-12)
 
+    def test_batch_equals_sum_of_rows(self):
+        rng = np.random.default_rng(9)
+        params = init(4, [6, 5], 3, seed=2)
+        rows = rng.normal(size=(7, 4))
+        grads_z = rng.normal(size=(7, 3))
+        batched = backward(params, rows, grads_z)
+        per_row = [backward(params, x, g) for x, g in zip(rows, grads_z)]
+        for layer, (gw, gb) in enumerate(batched):
+            np.testing.assert_allclose(
+                gw, sum(r[layer][0] for r in per_row), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                gb, sum(r[layer][1] for r in per_row), rtol=0, atol=1e-12)
+
 
 def separable_dataset(rng, n=80):
     examples = []
@@ -143,6 +166,18 @@ def separable_dataset(rng, n=80):
         center = np.array([2.0, 2.0]) if cls == 0 else np.array([-2.0, -2.0])
         x = center + 0.3 * rng.normal(size=2)
         examples.append(make_example(rng, 2, x, [cls, cls, cls], uid=i))
+    return examples
+
+
+def three_class_examples(rng, n=40):
+    examples = []
+    for i in range(n):
+        cls = int(rng.integers(0, 3))
+        x = np.zeros(4)
+        x[cls] = 1.0
+        x += 0.1 * rng.normal(size=4)
+        classes = [cls, cls, int(rng.integers(0, 3))]
+        examples.append(make_example(rng, 3, x, classes, uid=i))
     return examples
 
 
@@ -213,16 +248,46 @@ class TestTrain:
             train([], config)
 
     @pytest.mark.parametrize("kind", list(LossKind))
+    def test_one_epoch_matches_per_example_reference(self, kind):
+        # Plain SGD, one example at a time, in the batch order train uses.
+        examples = three_class_examples(np.random.default_rng(12))
+        config = TrainConfig(
+            loss=LossConfig.default_for(kind),
+            learning_rate=5e-2,
+            batch_size=8,
+            epochs=1,
+            seed=19,
+            hidden=(6,),
+        )
+        params, losses = train(examples, config)
+
+        kept = [e for e in examples if kind != LossKind.HARD or e.group != AgreementGroup.NONE]
+        ref = init(4, (6,), 3, seed=19)
+        order = fisher_yates(len(kept), stream(19, DOMAIN_SHUFFLE, 0))
+        total = 0.0
+        for start in range(0, len(kept), 8):
+            batch = sorted(order[start : start + 8])
+            acc = [(np.zeros_like(w), np.zeros_like(b))
+                   for w, b in zip(ref.weights, ref.biases)]
+            for idx in batch:
+                ex = kept[idx]
+                loss = example_loss(config.loss, forward(ref, ex.features),
+                                    ex.labels, ex.soft, ex.majority)
+                total += loss.value
+                for (aw, ab), (gw, gb) in zip(acc, backward(ref, ex.features, loss.grad_z)):
+                    aw += gw
+                    ab += gb
+            for i, (aw, ab) in enumerate(acc):
+                ref.weights[i] -= 5e-2 / len(batch) * aw
+                ref.biases[i] -= 5e-2 / len(batch) * ab
+
+        assert losses[0] == pytest.approx(total / len(kept), rel=0, abs=1e-12)
+        for got, want in zip(params.weights + params.biases, ref.weights + ref.biases):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
     def test_epoch_losses_finite_for_every_objective(self, kind):
-        rng = np.random.default_rng(5)
-        examples = []
-        for i in range(40):
-            cls = int(rng.integers(0, 3))
-            x = np.zeros(4)
-            x[cls] = 1.0
-            x += 0.1 * rng.normal(size=4)
-            classes = [cls, cls, int(rng.integers(0, 3))]
-            examples.append(make_example(rng, 3, x, classes, uid=i))
+        examples = three_class_examples(np.random.default_rng(5))
         config = TrainConfig(
             loss=LossConfig.default_for(kind),
             learning_rate=1e-2,
