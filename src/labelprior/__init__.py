@@ -30,6 +30,7 @@ from .losses import (
     LossConfig,
     LossKind,
     LossValue,
+    batch_loss,
     dpn_kl_loss,
     dpn_loss,
     hard_loss,

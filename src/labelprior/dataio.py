@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import AnnotationSet, ClassSpace, Evaluation, soft_label
+from .annotations import ClassSpace, Evaluation, classify_agreement, expand, soft_label
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
 from .model import LabelledExample, ModelParams, TrainConfig
@@ -79,7 +79,10 @@ def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]
 
 
 def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
-    """Manifest and records; a malformed line raises ValueError naming it."""
+    """Manifest and records; a malformed line raises ValueError naming it.
+
+    Every split must be "train" or "test" and every id unique.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, line) for no, line in enumerate(fh.read().splitlines(), 1)
                  if line.strip()]
@@ -96,6 +99,7 @@ def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
     except (KeyError, TypeError) as err:
         raise ValueError(f"{path}: bad manifest: {err!r}") from err
     records = []
+    id_lines: dict[int, int] = {}
     for no, line in lines[1:]:
         try:
             raw = json.loads(line)
@@ -113,20 +117,27 @@ def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
             raise ValueError(f"{path}: line {no}: feature shape {features.shape} != ({d},)")
         if not np.isfinite(features).all():
             raise ValueError(f"{path}: line {no}: non-finite feature")
+        if record.split not in ("train", "test"):
+            raise ValueError(
+                f"{path}: line {no}: split {record.split!r} is not 'train' or 'test'")
+        if record.uid in id_lines:
+            raise ValueError(f"{path}: line {no}: id {record.uid} repeats "
+                             f"the id on line {id_lines[record.uid]}")
+        id_lines[record.uid] = no
         records.append(record)
     return space, records
 
 
 def record_to_example(record: DatasetRecord, space: ClassSpace) -> LabelledExample:
     """Derive the training view (labels, soft label, group) of a record."""
-    ann = AnnotationSet(record.evaluations, space)
-    labels = tuple(ann.labels)
+    group, majority = classify_agreement(record.evaluations, space)
+    labels = tuple(expand(record.evaluations, space))
     return LabelledExample(
         features=record.features,
         labels=labels,
         soft=soft_label(labels),
-        group=ann.group,
-        majority=ann.majority,
+        group=group,
+        majority=majority,
         uid=record.uid,
     )
 

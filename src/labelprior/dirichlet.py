@@ -4,6 +4,7 @@ logits, log-density and predictive mean."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +21,14 @@ __all__ = [
 
 
 class SingularityError(ArithmeticError):
-    """The Dirichlet density is unbounded at the requested point."""
+    """The Dirichlet density is unbounded at the requested point.
+
+    ``row`` is the index of the offending row when a batch kernel raised it.
+    """
+
+    def __init__(self, message: str, row: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True, eq=False)

