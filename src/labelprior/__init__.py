@@ -11,12 +11,14 @@ from .annotations import (
     AnnotationSet,
     ClassSpace,
     Evaluation,
+    agreement,
     classify_agreement,
     expand,
     smooth_label,
     soft_label,
     vote_and_replace,
     vote_counts,
+    vote_matrix,
 )
 from .dirichlet import (
     CategoricalDist,

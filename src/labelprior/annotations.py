@@ -17,7 +17,9 @@ __all__ = [
     "Evaluation",
     "AnnotationSet",
     "expand",
+    "vote_matrix",
     "vote_counts",
+    "agreement",
     "classify_agreement",
     "soft_label",
     "smooth_label",
@@ -82,49 +84,61 @@ def _check_evaluations(evaluations: Sequence[Evaluation], space: ClassSpace) -> 
                 raise ValueError(f"tag index {tag} outside class space of size {space.k}")
 
 
-def _one_hot(index: int, k: int) -> np.ndarray:
-    label = np.zeros(k)
-    label[index] = 1.0
-    return label
-
-
 def expand(evaluations: Sequence[Evaluation], space: ClassSpace) -> list[np.ndarray]:
     """One one-hot label per tag, in annotator order then tag-index order."""
     _check_evaluations(evaluations, space)
-    labels = []
-    for ev in evaluations:
-        for tag in ev.tags:
-            labels.append(_one_hot(tag, space.k))
-    return labels
+    return list(np.eye(space.k)[[tag for ev in evaluations for tag in ev.tags]])
+
+
+def vote_matrix(
+    evaluation_sets: Sequence[Sequence[Evaluation]], space: ClassSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, K) vote counts and (n,) annotator counts of n utterances.
+
+    Tags are unique within an evaluation, so a class's vote count is also
+    its number of one-hot labels.
+    """
+    for evaluations in evaluation_sets:
+        _check_evaluations(evaluations, space)
+    n = len(evaluation_sets)
+    annotators = np.array([len(evs) for evs in evaluation_sets], dtype=np.int64)
+    tags_per_eval = [len(ev.tags) for evs in evaluation_sets for ev in evs]
+    tags = np.array([t for evs in evaluation_sets for ev in evs for t in ev.tags], dtype=np.int64)
+    rows = np.repeat(np.repeat(np.arange(n), annotators), tags_per_eval)
+    counts = np.bincount(rows * space.k + tags, minlength=n * space.k).reshape(n, space.k)
+    return counts, annotators
 
 
 def vote_counts(evaluations: Sequence[Evaluation], space: ClassSpace) -> np.ndarray:
     """Per-class number of annotators whose tag set contains the class."""
-    _check_evaluations(evaluations, space)
-    counts = np.zeros(space.k, dtype=np.int64)
-    for ev in evaluations:
-        for tag in ev.tags:
-            counts[tag] += 1
-    return counts
+    return vote_matrix([evaluations], space)[0][0]
+
+
+_GROUPS = np.array(list(AgreementGroup), dtype=object)  # FULL, MAJORITY, NONE
+
+
+def agreement(counts: np.ndarray, annotators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Agreement groups (n,) and majority classes (n,), -1 where there is none.
+
+    FULL requires exactly one class voted by every annotator; MAJORITY a
+    unique plurality with at least two votes; anything else is NONE.
+    """
+    counts = np.asarray(counts)
+    top = counts.max(axis=1)
+    unique = np.count_nonzero(counts == top[:, None], axis=1) == 1
+    full = unique & (top == np.asarray(annotators))
+    has_majority = full | (unique & (top >= 2))
+    groups = _GROUPS[np.where(full, 0, np.where(has_majority, 1, 2))]
+    return groups, np.where(has_majority, counts.argmax(axis=1), -1)
 
 
 def classify_agreement(
     evaluations: Sequence[Evaluation], space: ClassSpace
 ) -> tuple[AgreementGroup, Optional[int]]:
-    """Agreement group plus the majority class (None for the NONE group).
-
-    FULL requires exactly one class voted by every annotator; MAJORITY a
-    unique plurality with at least two votes; anything else is NONE.
-    """
-    counts = vote_counts(evaluations, space)
-    n_annotators = len(evaluations)
-    top = int(counts.max())
-    leaders = np.flatnonzero(counts == top)
-    if top == n_annotators and len(leaders) == 1:
-        return AgreementGroup.FULL, int(leaders[0])
-    if top >= 2 and len(leaders) == 1:
-        return AgreementGroup.MAJORITY, int(leaders[0])
-    return AgreementGroup.NONE, None
+    """Agreement group plus the majority class (None for the NONE group):
+    :func:`agreement` on a batch of one."""
+    groups, majority = agreement(*vote_matrix([evaluations], space))
+    return groups[0], None if majority[0] < 0 else int(majority[0])
 
 
 @dataclass(frozen=True)
@@ -187,4 +201,4 @@ def vote_and_replace(
     if group == AgreementGroup.NONE:
         return [np.asarray(lab, dtype=np.float64).copy() for lab in labels]
     k = np.asarray(labels[0]).shape[0]
-    return [_one_hot(majority, k) for _ in labels]
+    return [np.eye(k)[majority] for _ in labels]

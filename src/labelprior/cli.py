@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dataio, metrics, model, synth
-from .annotations import AgreementGroup, AnnotationSet, Evaluation, classify_agreement
+from .annotations import AgreementGroup, AnnotationSet, Evaluation, agreement, vote_matrix
 from .dirichlet import CategoricalDist, SingularityError, from_logits, predictive_mean
 from .losses import LOGIT_CLAMP, LossConfig, LossKind
 
@@ -22,18 +22,15 @@ __all__ = ["main"]
 _LOSS_NAMES = {kind.value: kind for kind in LossKind}
 
 
-def _comma_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-
-
-def _comma_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _comma(kind: type):
+    """argparse type: a comma-separated tuple of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__}s, got {text!r}")
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--annotators", type=int, default=3)
     gen.add_argument("--multi-tag-prob", type=float, default=0.04)
     gen.add_argument("--noise-sigma", type=float, default=0.1)
-    gen.add_argument("--group-mix", type=_comma_floats, default=(0.237, 0.513, 0.250))
-    gen.add_argument("--precisions", type=_comma_floats, default=(120.0, 12.0, 5.0))
+    gen.add_argument("--group-mix", type=_comma(float), default=(0.237, 0.513, 0.250))
+    gen.add_argument("--precisions", type=_comma(float), default=(120.0, 12.0, 5.0))
     gen.add_argument("--test-frac", type=float, default=0.2)
     gen.add_argument("--out", required=True)
 
@@ -68,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epochs", type=int, default=30)
     tr.add_argument("--lr", type=float, default=1e-2)
     tr.add_argument("--batch", type=int, default=32)
-    tr.add_argument("--hidden", type=_comma_ints, default=(64,))
+    tr.add_argument("--hidden", type=_comma(int), default=(64,))
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True)
     tr.add_argument("--log", default=None, help="training log path (default: <out>.log)")
@@ -102,10 +99,10 @@ def _loss_config(args: argparse.Namespace) -> LossConfig:
 
 def _predict_dists(
     params: model.ModelParams, features: Sequence[np.ndarray], eps2: float
-) -> list[CategoricalDist]:
-    """Predictive distributions for a batch of feature vectors."""
-    logits = np.clip(model.forward(params, np.stack(features)), -LOGIT_CLAMP, LOGIT_CLAMP)
-    return [predictive_mean(from_logits(z, eps2)) for z in logits]
+) -> CategoricalDist:
+    """Predictive distributions, one (N, K) batch for N feature vectors."""
+    logits = np.clip(model.forward(params, features), -LOGIT_CLAMP, LOGIT_CLAMP)
+    return predictive_mean(from_logits(logits, eps2))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -151,7 +148,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train_records = [rec for rec in records if rec.split == "train"]
     if not train_records:
         raise ValueError(f"{args.data}: no 'train' split records")
-    examples = [dataio.record_to_example(rec, space) for rec in train_records]
+    examples = dataio.record_to_example(train_records, space)
     config = model.TrainConfig(
         loss=_loss_config(args),
         learning_rate=args.lr,
@@ -169,6 +166,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _test_views(args: argparse.Namespace):
+    """Label counts, agreement groups, majorities (-1 for none) and
+    predictions of the test split."""
     space, records = dataio.read_dataset(args.data)
     test_records = [rec for rec in records if rec.split == "test"]
     if not test_records:
@@ -176,29 +175,27 @@ def _test_views(args: argparse.Namespace):
     params, ckpt_space, config = dataio.read_checkpoint(args.ckpt)
     if ckpt_space.names != space.names:
         raise ValueError("checkpoint and dataset class names differ")
-    examples = [dataio.record_to_example(rec, space) for rec in test_records]
-    preds = _predict_dists(params, [e.features for e in examples], config.loss.eps2)
-    return space, examples, preds
+    counts, annotators = vote_matrix([rec.evaluations for rec in test_records], space)
+    preds = _predict_dists(params, [rec.features for rec in test_records], config.loss.eps2)
+    return (counts, *agreement(counts, annotators), preds)
+
+
+_fmt = dataio._fmt_json_6dp  # six decimals, or null for a missing value
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    _, examples, preds = _test_views(args)
-    report = metrics.build_report(
-        [e.group for e in examples],
-        [e.majority for e in examples],
-        [e.soft for e in examples],
-        preds,
-    )
+    counts, groups, majority, preds = _test_views(args)
+    soft = CategoricalDist(counts / counts.sum(axis=1, keepdims=True))
+    report = metrics.build_report(groups, majority, soft, preds)
     dataio.write_report(args.out, report)
-    print(f"wa {report.wa:.6f}  ua {report.ua:.6f}  mean_kl {report.mean_kl:.6f}  "
+    print(f"wa {_fmt(report.wa)}  ua {_fmt(report.ua)}  mean_kl {report.mean_kl:.6f}  "
           f"mean_entropy {report.mean_entropy:.6f}")
-    print(f"aupr_maxp {report.aupr_maxp:.6f}  aupr_ent {report.aupr_ent:.6f}")
+    print(f"aupr_maxp {_fmt(report.aupr_maxp)}  aupr_ent {_fmt(report.aupr_ent)}")
     return 0
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    _, examples, preds = _test_views(args)
-    groups = [e.group for e in examples]
+    _, groups, _, preds = _test_views(args)
     maxp_curve, ent_curve, aupr_maxp, aupr_ent = metrics.detect_report(groups, preds)
     dataio.write_curve(f"{args.out_prefix}_maxp.csv", maxp_curve)
     dataio.write_curve(f"{args.out_prefix}_ent.csv", ent_curve)
@@ -209,17 +206,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     space, records = dataio.read_dataset(args.data)
-    out_records = []
-    for rec in records:
-        group, majority = classify_agreement(rec.evaluations, space)
-        if group == AgreementGroup.NONE:
-            out_records.append(rec)
-            continue
-        n_labels = sum(len(ev.tags) for ev in rec.evaluations)
-        evaluations = tuple(Evaluation((majority,)) for _ in range(n_labels))
-        out_records.append(
-            dataio.DatasetRecord(rec.uid, rec.split, rec.features, evaluations)
-        )
+    counts, annotators = vote_matrix([rec.evaluations for rec in records], space)
+    groups, majority = agreement(counts, annotators)
+    # Every label of a record with a majority becomes a single-tag evaluation of it.
+    single = [Evaluation((c,)) for c in range(space.k)]
+    out_records = [
+        rec if group == AgreementGroup.NONE else dataio.DatasetRecord(
+            rec.uid, rec.split, rec.features, (single[major],) * int(n_labels))
+        for rec, group, major, n_labels in zip(records, groups, majority, counts.sum(axis=1))
+    ]
     dataio.write_dataset(args.out, space, out_records)
     print(f"wrote {len(out_records)} records to {args.out}")
     return 0

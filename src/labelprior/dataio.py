@@ -7,6 +7,7 @@ produces byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -14,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import ClassSpace, Evaluation, classify_agreement, expand, soft_label
+from .annotations import ClassSpace, Evaluation, agreement, expand, vote_matrix
+from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
 from .model import LabelledExample, ModelParams, TrainConfig
@@ -47,6 +49,20 @@ class DatasetRecord:
 
 def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _parse(path: str, text: str, kind: str) -> dict:
+    """A JSON document of ``kind`` at this format version; anything else
+    raises ValueError naming the file."""
+    try:
+        doc = json.loads(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: not JSON: {err}") from err
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} file")
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version")
+    return doc
 
 
 def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
@@ -88,16 +104,16 @@ def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
                  if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    manifest = json.loads(lines[0][1])
-    if not isinstance(manifest, dict) or manifest.get("kind") != "dataset":
-        raise ValueError(f"{path}: not a dataset file")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version")
+    manifest = _parse(path, lines[0][1], "dataset")
+    classes, d = manifest.get("classes"), manifest.get("feature_dim")
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
+        raise ValueError(f"{path}: manifest classes must be a list of strings, got {classes!r}")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise ValueError(f"{path}: manifest feature_dim must be an integer >= 0, got {d!r}")
     try:
-        space = ClassSpace(tuple(manifest["classes"]))
-        d = int(manifest["feature_dim"])
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"{path}: bad manifest: {err!r}") from err
+        space = ClassSpace(tuple(classes))
+    except ValueError as err:
+        raise ValueError(f"{path}: bad manifest classes: {err}") from err
     records = []
     id_lines: dict[int, int] = {}
     for no, line in lines[1:]:
@@ -128,18 +144,25 @@ def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
     return space, records
 
 
-def record_to_example(record: DatasetRecord, space: ClassSpace) -> LabelledExample:
-    """Derive the training view (labels, soft label, group) of a record."""
-    group, majority = classify_agreement(record.evaluations, space)
-    labels = tuple(expand(record.evaluations, space))
-    return LabelledExample(
-        features=record.features,
-        labels=labels,
-        soft=soft_label(labels),
-        group=group,
-        majority=majority,
-        uid=record.uid,
-    )
+def record_to_example(
+    records: Sequence[DatasetRecord], space: ClassSpace
+) -> list[LabelledExample]:
+    """Derive the training view (labels, soft label, group) of every record
+    of a split, classifying agreement over the whole split at once."""
+    counts, annotators = vote_matrix([rec.evaluations for rec in records], space)
+    groups, majority = agreement(counts, annotators)
+    soft = counts / counts.sum(axis=1, keepdims=True)
+    return [
+        LabelledExample(
+            features=rec.features,
+            labels=tuple(expand(rec.evaluations, space)),
+            soft=CategoricalDist(row),
+            group=group,
+            majority=None if major < 0 else int(major),
+            uid=rec.uid,
+        )
+        for rec, row, group, major in zip(records, soft, groups, majority)
+    ]
 
 
 def write_checkpoint(
@@ -180,11 +203,7 @@ def write_checkpoint(
 def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
     """Params, classes and settings; a missing key raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
-        raise ValueError(f"{path}: not a checkpoint file")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version")
+        doc = _parse(path, fh.read(), "checkpoint")
     try:
         space = ClassSpace(tuple(doc["classes"]))
         raw = doc["train_config"]
@@ -236,37 +255,16 @@ def _fmt_json_6dp(obj, indent: int = 0) -> str:
 
 def write_report(path: str, report: MetricsReport) -> None:
     """Evaluation report as JSON with every value at 6 decimal places."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "report",
-        "wa": report.wa,
-        "ua": report.ua,
-        "mean_kl": report.mean_kl,
-        "mean_entropy": report.mean_entropy,
-        "aupr_maxp": report.aupr_maxp,
-        "aupr_ent": report.aupr_ent,
-        "per_group": {
-            group.value: {
-                "count": gm.count,
-                "mean_maxp": gm.mean_maxp,
-                "mean_entropy": gm.mean_entropy,
-                "mean_kl": gm.mean_kl,
-                "wa": gm.wa,
-                "ua": gm.ua,
-            }
-            for group, gm in report.per_group.items()
-        },
-    }
+    # The report's fields, in their declared order, are the file's schema.
+    doc = {"format_version": FORMAT_VERSION, "kind": "report", **dataclasses.asdict(report)}
+    doc["per_group"] = {group.value: gm for group, gm in doc["per_group"].items()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_fmt_json_6dp(doc) + "\n")
 
 
 def read_report(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "report":
-        raise ValueError(f"{path}: not a report file")
-    return doc
+        return _parse(path, fh.read(), "report")
 
 
 def write_curve(path: str, curve: PRCurve) -> None:

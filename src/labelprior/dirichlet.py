@@ -31,94 +31,115 @@ class SingularityError(ArithmeticError):
         self.row = row
 
 
+def _row(index: np.ndarray, batch: bool) -> str:
+    # " in row i" for an (N, K) batch, nothing for a single (K,) row.
+    return f" in row {int(index)}" if batch else ""
+
+
 @dataclass(frozen=True, eq=False)
 class CategoricalDist:
-    """Probability vector over K classes (soft label, prediction or mean)."""
+    """Probability vector over K classes (soft label, prediction or mean),
+    or an (N, K) batch of them with every row checked.
+
+    It is array-like: ``np.asarray`` of a dist, or of a list of dists,
+    gives its probabilities.
+    """
 
     p: np.ndarray
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=np.float64)
-        if p.ndim != 1 or p.shape[0] < 1:
-            raise ValueError("a categorical distribution must be a 1-d vector")
+        if p.ndim not in (1, 2) or p.shape[-1] < 1:
+            raise ValueError("a categorical distribution must be a (K,) vector or (N, K) batch")
         if not np.all(np.isfinite(p)) or np.any(p < 0.0):
             raise ValueError("probabilities must be finite and non-negative")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1")
+        total = p.sum(axis=-1)
+        off = np.flatnonzero(np.abs(total - 1.0) > 1e-9)
+        if off.size:
+            raise ValueError(f"probabilities sum to {float(np.ravel(total)[off[0]])!r}, "
+                             f"not 1{_row(off[0], p.ndim == 2)}")
         object.__setattr__(self, "p", p)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.p, dtype=dtype, copy=copy)
 
     @property
     def k(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class DirichletParams:
-    """Concentration vector alpha with its precision alpha0 = sum(alpha)."""
+    """Concentration vector alpha with its precision alpha0 = sum(alpha),
+    or an (N, K) batch of them with an (N,) alpha0."""
 
     alpha: np.ndarray
     alpha0: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         alpha = np.asarray(self.alpha, dtype=np.float64)
-        if alpha.ndim != 1 or alpha.shape[0] < 2:
-            raise ValueError("alpha must be a 1-d vector of length >= 2")
+        if alpha.ndim not in (1, 2) or alpha.shape[-1] < 2:
+            raise ValueError("alpha must be a (K,) vector or (N, K) batch with K >= 2")
         if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
             raise ValueError("every concentration parameter must be finite and > 0")
         object.__setattr__(self, "alpha", alpha)
-        total = float(alpha.sum())
+        total = alpha.sum(axis=-1)[()]
         if self.alpha0 is None:
             object.__setattr__(self, "alpha0", total)
-        elif abs(self.alpha0 - total) > 1e-12 * max(1.0, total):
+        elif np.any(np.abs(self.alpha0 - total) > 1e-12 * np.maximum(1.0, total)):
             raise ValueError("alpha0 is inconsistent with sum(alpha)")
 
     @property
     def k(self) -> int:
-        return self.alpha.shape[0]
+        return self.alpha.shape[-1]
 
 
 def from_logits(z: np.ndarray, eps2: float = 0.0) -> DirichletParams:
-    """alpha_k = exp(z_k) + eps2 under the exponential output function."""
+    """alpha_k = exp(z_k) + eps2 under the exponential output function, for
+    a (K,) logit row or an (N, K) batch."""
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     if eps2 < 0.0:
         raise ValueError("eps2 must be non-negative")
-    too_big = np.flatnonzero(z > 700.0)
+    too_big = np.argwhere(z > 700.0)
     if too_big.size:
-        raise OverflowError(
-            f"logit {z[too_big[0]]!r} at index {int(too_big[0])} overflows exp()"
-        )
+        at = tuple(too_big[0])
+        raise OverflowError(f"logit {float(z[at])!r} at index {int(at[-1])}"
+                            f"{_row(at[0], z.ndim == 2)} overflows exp()")
     return DirichletParams(np.exp(z) + eps2)
 
 
-def log_pdf(params: DirichletParams, mu: CategoricalDist) -> float:
-    """ln Dir(mu | alpha).
+def log_pdf(params: DirichletParams, mu: CategoricalDist) -> float | np.ndarray:
+    """ln Dir(mu | alpha), a float for one row and an (N,) array for a batch.
 
-    Zero components of ``mu`` are allowed only where the density stays
-    defined: the term is dropped when alpha_k == 1, the limit -inf is
-    returned when alpha_k > 1, and a SingularityError is raised when
-    alpha_k < 1 (the density diverges there).
+    ``params`` and ``mu`` are (K,) rows or (N, K) batches; a single row
+    pairs with every row of the other.  Zero components of ``mu`` are
+    allowed only where the density stays defined: the term is dropped when
+    alpha_k == 1, the limit -inf is returned when alpha_k > 1, and a
+    SingularityError naming the first such row in its ``row`` attribute
+    (None for a single row) is raised when alpha_k < 1 (the density
+    diverges there).
     """
     alpha = params.alpha
-    p = mu.p
-    if p.shape[0] != alpha.shape[0]:
+    p = np.asarray(mu, dtype=np.float64)
+    if p.shape[-1] != alpha.shape[-1]:
         raise ValueError("dimension mismatch between mu and alpha")
     zero = p == 0.0
-    if np.any(zero):
-        bad = zero & (alpha < 1.0)
-        if np.any(bad):
-            idx = int(np.flatnonzero(bad)[0])
-            raise SingularityError(
-                f"mu[{idx}] = 0 with alpha[{idx}] = {float(alpha[idx])!r} < 1"
-            )
-        if np.any(zero & (alpha > 1.0)):
-            return float("-inf")
-    active = ~zero
-    log_norm = log_gamma(params.alpha0) - float(np.sum(log_gamma(alpha)))
-    return log_norm + float(np.sum((alpha[active] - 1.0) * np.log(p[active])))
+    singular = zero & (alpha < 1.0)
+    bad = np.argwhere(singular)
+    if bad.size:
+        *row, idx = bad[0]
+        a = float(np.broadcast_to(alpha, singular.shape)[tuple(bad[0])])
+        raise SingularityError(f"mu[{idx}] = 0 with alpha[{idx}] = {a!r} < 1"
+                               f"{_row(row[0], True) if row else ''}",
+                               row=int(row[0]) if row else None)
+    log_p = np.log(p, where=~zero, out=np.zeros(p.shape))
+    log_norm = log_gamma(params.alpha0) - np.sum(log_gamma(alpha), axis=-1)
+    value = log_norm + np.sum((alpha - 1.0) * log_p, axis=-1)
+    return np.where(np.any(zero & (alpha > 1.0), axis=-1), -np.inf, value)[()]
 
 
 def predictive_mean(params: DirichletParams) -> CategoricalDist:
-    """Expected categorical distribution alpha / alpha0."""
-    return CategoricalDist(params.alpha / params.alpha0)
+    """Expected categorical distribution alpha / alpha0, row by row."""
+    return CategoricalDist(params.alpha / np.expand_dims(params.alpha0, -1))

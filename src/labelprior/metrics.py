@@ -9,7 +9,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .annotations import AgreementGroup
-from .dirichlet import CategoricalDist
 
 __all__ = [
     "PRCurve",
@@ -49,12 +48,14 @@ class GroupMetrics:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    wa: float
-    ua: float
+    """The evaluation report; a field is None where its utterances are missing."""
+
+    wa: Optional[float]
+    ua: Optional[float]
     mean_kl: float
     mean_entropy: float
-    aupr_maxp: float
-    aupr_ent: float
+    aupr_maxp: Optional[float]
+    aupr_ent: Optional[float]
     per_group: dict[AgreementGroup, GroupMetrics]
 
 
@@ -64,45 +65,51 @@ def wa_ua(refs: Sequence[int], preds: Sequence[int], k: int) -> tuple[float, flo
     preds = np.asarray(preds, dtype=np.int64)
     if refs.shape[0] == 0 or refs.shape != preds.shape:
         raise ValueError("refs and preds must be equal-length and non-empty")
-    wa = float(np.mean(refs == preds))
-    recalls = []
-    for c in range(k):
-        mask = refs == c
-        if np.any(mask):
-            recalls.append(float(np.mean(preds[mask] == c)))
-    return wa, float(np.mean(recalls))
+    totals = np.bincount(refs, minlength=k)
+    hits = np.bincount(refs[refs == preds], minlength=k)
+    present = totals > 0
+    return float(np.mean(refs == preds)), float(np.mean(hits[present] / totals[present]))
 
 
-def max_p(dist: CategoricalDist) -> float:
+# Every score below takes one distribution or a batch: a CategoricalDist, a
+# list of them or an array, reduced along the last (class) axis.
+
+
+def max_p(dist) -> float | np.ndarray:
     """Probability of the predicted class."""
-    return float(dist.p.max())
+    return np.asarray(dist, dtype=np.float64).max(axis=-1)
 
 
-def entropy(dist: CategoricalDist) -> float:
+def entropy(dist) -> float | np.ndarray:
     """Shannon entropy in nats, with 0*ln(0) = 0."""
-    p = dist.p
-    pos = p > 0.0
-    return float(-np.sum(p[pos] * np.log(p[pos])))
+    p = np.asarray(dist, dtype=np.float64)
+    return -np.sum(p * np.log(p, where=p > 0.0, out=np.zeros(p.shape)), axis=-1)
 
 
-def kl_divergence(target: CategoricalDist, pred: CategoricalDist) -> float:
+def kl_divergence(target, pred) -> float | np.ndarray:
     """KL(target || pred); +inf where pred is 0 on target support."""
-    t, q = target.p, pred.p
+    t = np.asarray(target, dtype=np.float64)
+    q = np.asarray(pred, dtype=np.float64)
     if t.shape != q.shape:
         raise ValueError("dimension mismatch")
     pos = t > 0.0
-    if np.any(q[pos] == 0.0):
-        return float("inf")
-    return float(np.sum(t[pos] * (np.log(t[pos]) - np.log(q[pos]))))
+    log_t = np.log(t, where=pos, out=np.zeros(t.shape))
+    log_q = np.log(q, where=pos & (q > 0.0), out=np.zeros(q.shape))
+    miss = np.any(pos & (q == 0.0), axis=-1)
+    return np.where(miss, np.inf, np.sum(t * (log_t - log_q), axis=-1))[()]
 
 
-def mean_kl(
-    targets: Sequence[CategoricalDist], preds: Sequence[CategoricalDist]
-) -> float:
+def mean_kl(targets, preds) -> float:
     """Mean KL(target || pred) over a batch."""
-    if len(targets) != len(preds) or len(targets) == 0:
+    kls = kl_divergence(targets, preds)
+    if np.ndim(kls) != 1 or kls.size == 0:
         raise ValueError("targets and preds must be equal-length and non-empty")
-    return float(np.mean([kl_divergence(t, q) for t, q in zip(targets, preds)]))
+    return float(np.mean(kls))
+
+
+def predicted_class(dist) -> int | np.ndarray:
+    """Argmax with ties broken towards the lowest class index."""
+    return np.argmax(np.asarray(dist, dtype=np.float64), axis=-1)
 
 
 def pr_curve(
@@ -124,114 +131,82 @@ def pr_curve(
     if n_pos == 0 or n_pos == scores.shape[0]:
         raise ValueError("need at least one positive and one negative item")
 
-    keys = -scores if higher_is_positive else scores
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(-scores if higher_is_positive else scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_pos = positive[order]
-
-    points = []
-    tp = fp = 0
-    i = 0
-    n = scores.shape[0]
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_pos[i:j].sum())
-        fp += (j - i) - int(sorted_pos[i:j].sum())
-        precision = tp / (tp + fp)
-        recall = tp / n_pos
-        points.append((float(sorted_scores[i]), float(precision), float(recall)))
-        i = j
+    # One point per tie group, at its first score, counting the whole group.
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    seen = np.r_[starts[1:], scores.shape[0]]
+    tp = np.cumsum(positive[order])[seen - 1]
+    points = zip(sorted_scores[starts].tolist(), (tp / seen).tolist(), (tp / n_pos).tolist())
     return PRCurve(tuple(points), measure=measure, higher_is_positive=higher_is_positive)
 
 
 def aupr(curve: PRCurve) -> float:
     """Average precision: sum of precision times recall increments."""
-    area = 0.0
-    prev_recall = 0.0
-    for _, precision, recall in curve.points:
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(area)
+    _, precision, recall = np.asarray(curve.points, dtype=np.float64).reshape(-1, 3).T
+    # cumsum adds in order from 0, as a running total does.
+    return float(np.cumsum(np.r_[0.0, np.diff(recall, prepend=0.0) * precision])[-1])
 
 
 def detect_report(
-    groups: Sequence[AgreementGroup], preds: Sequence[CategoricalDist]
+    groups: Sequence[AgreementGroup], preds
 ) -> tuple[PRCurve, PRCurve, float, float]:
     """PR analysis for detecting confidently-labelled utterances.
 
     Utterances with a majority label (FULL or MAJORITY agreement) form the
     positive class; max probability scores positives high, entropy scores
-    them low.
+    them low.  ``preds`` is a list of dists or an (N, K) array.
     """
-    if len(groups) != len(preds) or len(groups) == 0:
+    positive = np.asarray(groups, dtype=object) != AgreementGroup.NONE
+    probs = np.asarray(preds, dtype=np.float64)
+    if probs.ndim != 2 or len(positive) != len(probs) or len(probs) == 0:
         raise ValueError("groups and preds must be equal-length and non-empty")
-    positive = [g != AgreementGroup.NONE for g in groups]
-    maxp_curve = pr_curve(
-        [max_p(p) for p in preds], positive, higher_is_positive=True, measure="maxp"
-    )
-    ent_curve = pr_curve(
-        [entropy(p) for p in preds], positive, higher_is_positive=False, measure="ent"
-    )
+    if positive.all() or not positive.any():
+        missing = "without" if positive.all() else "with"
+        raise ValueError(f"cannot detect no-majority utterances: no utterance {missing} "
+                         "a majority label")
+    maxp_curve = pr_curve(max_p(probs), positive, higher_is_positive=True, measure="maxp")
+    ent_curve = pr_curve(entropy(probs), positive, higher_is_positive=False, measure="ent")
     return maxp_curve, ent_curve, aupr(maxp_curve), aupr(ent_curve)
-
-
-def predicted_class(dist: CategoricalDist) -> int:
-    """Argmax with ties broken towards the lowest class index."""
-    return int(np.argmax(dist.p))
 
 
 def build_report(
     groups: Sequence[AgreementGroup],
     majorities: Sequence[Optional[int]],
-    soft_targets: Sequence[CategoricalDist],
-    preds: Sequence[CategoricalDist],
+    soft_targets,
+    preds,
 ) -> MetricsReport:
     """Assemble the full evaluation report.
 
     WA/UA cover only utterances with a majority label; KL, entropy and the
-    detection AUPRs cover the whole set.
+    detection AUPRs cover the whole set.  WA/UA are None when no utterance
+    has a majority label, and the AUPRs when the set lacks either kind.
+    Majorities are read only where the group has one (None or -1 elsewhere).
     """
+    groups = np.asarray(groups, dtype=object)
+    majorities = np.asarray(majorities, dtype=np.float64)  # None becomes nan
+    targets = np.asarray(soft_targets, dtype=np.float64)
+    probs = np.asarray(preds, dtype=np.float64)
     n = len(groups)
-    if not (n and n == len(majorities) == len(soft_targets) == len(preds)):
+    if not (n and n == len(majorities) == len(targets) == len(probs)):
         raise ValueError("all inputs must be equal-length and non-empty")
-    k = soft_targets[0].k
-    pred_idx = [predicted_class(p) for p in preds]
+    k = probs.shape[-1]
+    positive = groups != AgreementGroup.NONE
+    pred_idx = predicted_class(probs)
+    kls, ents, maxps = kl_divergence(targets, probs), entropy(probs), max_p(probs)
 
-    scored = [i for i in range(n) if groups[i] != AgreementGroup.NONE]
-    if not scored:
-        raise ValueError("no utterance with a majority label to score WA/UA on")
-    wa, ua = wa_ua([majorities[i] for i in scored], [pred_idx[i] for i in scored], k)
+    def summary(mask: np.ndarray) -> GroupMetrics:
+        if not mask.any():
+            return GroupMetrics(0, float("nan"), float("nan"), float("nan"), None, None)
+        scored = mask & positive
+        wa, ua = (wa_ua(majorities[scored].astype(np.int64), pred_idx[scored], k)
+                  if scored.any() else (None, None))
+        return GroupMetrics(int(mask.sum()), float(np.mean(maxps[mask])),
+                            float(np.mean(ents[mask])), float(np.mean(kls[mask])), wa, ua)
 
-    kls = [kl_divergence(soft_targets[i], preds[i]) for i in range(n)]
-    ents = [entropy(p) for p in preds]
-    maxps = [max_p(p) for p in preds]
-    _, _, aupr_maxp, aupr_ent = detect_report(groups, preds)
-
-    per_group: dict[AgreementGroup, GroupMetrics] = {}
-    for group in AgreementGroup:
-        idx = [i for i in range(n) if groups[i] == group]
-        if not idx:
-            per_group[group] = GroupMetrics(0, float("nan"), float("nan"), float("nan"), None, None)
-            continue
-        g_wa = g_ua = None
-        if group != AgreementGroup.NONE:
-            g_wa, g_ua = wa_ua([majorities[i] for i in idx], [pred_idx[i] for i in idx], k)
-        per_group[group] = GroupMetrics(
-            count=len(idx),
-            mean_maxp=float(np.mean([maxps[i] for i in idx])),
-            mean_entropy=float(np.mean([ents[i] for i in idx])),
-            mean_kl=float(np.mean([kls[i] for i in idx])),
-            wa=g_wa,
-            ua=g_ua,
-        )
-    return MetricsReport(
-        wa=wa,
-        ua=ua,
-        mean_kl=float(np.mean(kls)),
-        mean_entropy=float(np.mean(ents)),
-        aupr_maxp=aupr_maxp,
-        aupr_ent=aupr_ent,
-        per_group=per_group,
-    )
+    aupr_maxp = aupr_ent = None
+    if positive.any() and not positive.all():
+        _, _, aupr_maxp, aupr_ent = detect_report(groups, probs)
+    whole = summary(np.ones(n, dtype=bool))
+    return MetricsReport(whole.wa, whole.ua, whole.mean_kl, whole.mean_entropy, aupr_maxp,
+                         aupr_ent, {group: summary(groups == group) for group in AgreementGroup})

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import rng
-from .annotations import AgreementGroup, AnnotationSet, ClassSpace, Evaluation
+from .annotations import (
+    AgreementGroup, AnnotationSet, ClassSpace, Evaluation, agreement, vote_matrix,
+)
 from .dirichlet import CategoricalDist
 
 __all__ = ["SynthConfig", "SynthUtterance", "CorpusStats", "default_class_names", "generate", "stats"]
@@ -77,14 +79,6 @@ class SynthUtterance:
     features: np.ndarray
     evaluations: tuple[Evaluation, ...]
     annotations: AnnotationSet
-
-    @property
-    def group(self) -> AgreementGroup:
-        return self.annotations.group
-
-    @property
-    def majority(self) -> Optional[int]:
-        return self.annotations.majority
 
 
 def default_class_names(k: int) -> tuple[str, ...]:
@@ -171,20 +165,16 @@ def stats(annotation_sets: Sequence[AnnotationSet]) -> CorpusStats:
     """Corpus-level label statistics in the usual table schema."""
     if len(annotation_sets) == 0:
         raise ValueError("stats requires a non-empty corpus")
-    n_eval = sum(len(a.evaluations) for a in annotation_sets)
-    n_multi = sum(
-        1 for a in annotation_sets for ev in a.evaluations if len(ev.tags) > 1
-    )
-    n_extra = sum(1 for a in annotation_sets if a.num_labels > len(a.evaluations))
-    total_labels = sum(a.num_labels for a in annotation_sets)
-    counts = {g: 0 for g in AgreementGroup}
-    for a in annotation_sets:
-        counts[a.group] += 1
+    counts, annotators = vote_matrix(
+        [a.evaluations for a in annotation_sets], annotation_sets[0].space)
+    groups = agreement(counts, annotators)[0]
+    n_labels = counts.sum(axis=1)
     return CorpusStats(
         n_utterances=len(annotation_sets),
-        n_evaluations=n_eval,
-        n_multi_tag_evaluations=n_multi,
-        n_utterances_extra_labels=n_extra,
-        avg_labels_per_utterance=total_labels / len(annotation_sets),
-        group_counts=counts,
+        n_evaluations=int(annotators.sum()),
+        n_multi_tag_evaluations=sum(
+            1 for a in annotation_sets for ev in a.evaluations if len(ev.tags) > 1),
+        n_utterances_extra_labels=int(np.count_nonzero(n_labels > annotators)),
+        avg_labels_per_utterance=int(n_labels.sum()) / len(annotation_sets),
+        group_counts={g: int(np.count_nonzero(groups == g)) for g in AgreementGroup},
     )

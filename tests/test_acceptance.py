@@ -20,11 +20,13 @@ from labelprior.annotations import (
     AgreementGroup,
     ClassSpace,
     Evaluation,
+    agreement,
     classify_agreement,
     expand,
     soft_label,
     vote_and_replace,
     vote_counts,
+    vote_matrix,
 )
 from labelprior.dirichlet import CategoricalDist, DirichletParams, log_pdf
 from labelprior.losses import (
@@ -194,6 +196,10 @@ def test_criterion_4_label_logic():
     ]
     ok = all(classify_agreement(evals, space) == (group, majority)
              for evals, group, majority in rows)
+    # The batch rule classifies the whole table in one call, row for row.
+    groups, majorities = agreement(*vote_matrix([evals for evals, _, _ in rows], space))
+    ok &= list(groups) == [group for _, group, _ in rows]
+    ok &= list(majorities) == [-1 if m is None else m for _, _, m in rows]
     # Tied two-vote counts from multi-tags stay without a majority.
     ok &= classify_agreement([ev(A), ev(A, B), ev(B, C)], space)[0] == AgreementGroup.NONE
     ok &= list(vote_counts([ev(A), ev(A, B), ev(B, C)], space)) == [2, 2, 1]

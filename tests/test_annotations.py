@@ -9,12 +9,14 @@ from labelprior.annotations import (
     AnnotationSet,
     ClassSpace,
     Evaluation,
+    agreement,
     classify_agreement,
     expand,
     smooth_label,
     soft_label,
     vote_and_replace,
     vote_counts,
+    vote_matrix,
 )
 
 ABC = ClassSpace(("A", "B", "C"))
@@ -128,6 +130,50 @@ class TestClassifyAgreement:
     def test_full_with_extra_tags(self):
         # A is in every tag set, B only in one.
         assert classify_agreement([ev(A), ev(A), ev(A, B)], ABC) == (AgreementGroup.FULL, A)
+
+
+def reference_rule(counts, n_annotators):
+    """The agreement rule written out for one utterance."""
+    top = max(counts)
+    leaders = [c for c, v in enumerate(counts) if v == top]
+    if len(leaders) == 1 and top == n_annotators:
+        return AgreementGroup.FULL, leaders[0]
+    if len(leaders) == 1 and top >= 2:
+        return AgreementGroup.MAJORITY, leaders[0]
+    return AgreementGroup.NONE, None
+
+
+class TestBatchAgreement:
+    def test_random_corpora_match_row_by_row(self):
+        # Multi-tags make tied vote counts common.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            k = int(rng.integers(2, 6))
+            space = ClassSpace(tuple(f"c{i}" for i in range(k)))
+            sets = [
+                [Evaluation(tuple(int(t) for t in rng.choice(k, size=int(rng.integers(1, k + 1)),
+                                                              replace=False)))
+                 for _ in range(int(rng.integers(1, 6)))]
+                for _ in range(50)
+            ]
+            counts, annotators = vote_matrix(sets, space)
+            groups, majority = agreement(counts, annotators)
+            for i, evals in enumerate(sets):
+                np.testing.assert_array_equal(counts[i], vote_counts(evals, space))
+                expected = reference_rule(list(counts[i]), len(evals))
+                assert classify_agreement(evals, space) == expected
+                assert (groups[i], None if majority[i] < 0 else majority[i]) == expected
+
+    def test_empty_corpus(self):
+        counts, annotators = vote_matrix([], ABC)
+        assert counts.shape == (0, 3) and annotators.shape == (0,)
+        assert [a.shape for a in agreement(counts, annotators)] == [(0,), (0,)]
+
+    def test_bad_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one evaluation"):
+            vote_matrix([[ev(A)], []], ABC)
+        with pytest.raises(ValueError, match="outside class space"):
+            vote_matrix([[ev(A)], [ev(3)]], ABC)
 
 
 class TestSoftLabel:

@@ -220,7 +220,8 @@ class TestEval:
             [r.features for r in dataio.read_dataset(small_dataset)[1] if r.split == "test"],
             0.0,
         )
-        assert all(dist_entropy(p) == math.log(4) for p in preds)
+        assert preds.p.shape == (30, 4)
+        assert (dist_entropy(preds) == math.log(4)).all()
 
     def test_group_counts_match_dataset(self, small_dataset, tmp_path):
         # With every record in the test split, the per-group counts of the
@@ -259,6 +260,36 @@ class TestEval:
         run("train", "--data", data, "--loss", "soft", "--epochs", 1, "--out", ckpt)
         assert run("eval", "--data", data, "--ckpt", ckpt,
                    "--out", tmp_path / "r.json") == 1
+
+    @pytest.mark.parametrize("test_votes, null_fields, missing", [
+        # One single-tag annotator: every utterance has full agreement.
+        (None, ("aupr_maxp", "aupr_ent"), "without a majority label"),
+        # Three annotators, three classes: no test utterance has a majority.
+        (((0,), (1,), (2,)), ("wa", "ua", "aupr_maxp", "aupr_ent"), "with a majority label"),
+    ])
+    def test_missing_detection_class_writes_null(self, tmp_path, capsys, test_votes,
+                                                 null_fields, missing):
+        data = tmp_path / "data.jsonl"
+        run("gen", "--n", 200, "--seed", 3, "--annotators", 1, "--multi-tag-prob", 0,
+            "--out", data)
+        if test_votes:
+            space, records = dataio.read_dataset(data)
+            tie = tuple(Evaluation(tags) for tags in test_votes)
+            dataio.write_dataset(data, space, [
+                r if r.split == "train" else dataio.DatasetRecord(r.uid, r.split, r.features, tie)
+                for r in records])
+        ckpt = tmp_path / "m.json"
+        assert run("train", "--data", data, "--loss", "soft", "--epochs", 1, "--out", ckpt) == 0
+        report_path = tmp_path / "report.json"
+        assert run("eval", "--data", data, "--ckpt", ckpt, "--out", report_path) == 0
+        doc = dataio.read_report(report_path)
+        for field in ("wa", "ua", "mean_kl", "mean_entropy", "aupr_maxp", "aupr_ent"):
+            assert (doc[field] is None) == (field in null_fields), field
+        assert sum(g["count"] for g in doc["per_group"].values()) == 40
+        capsys.readouterr()
+        assert run("detect", "--data", data, "--ckpt", ckpt, "--out-prefix", tmp_path / "c") == 1
+        assert f"no utterance {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "c_maxp.csv").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("train_config"), "train_config"),

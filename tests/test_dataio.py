@@ -89,23 +89,44 @@ class TestDatasetRoundTrip:
             dataio.read_dataset(path)
 
 
+    @pytest.mark.parametrize("manifest", [
+        '{"format_version":1,"kind":"dataset","classes":"ABCDE","feature_dim":1}',
+        '{"format_version":1,"kind":"dataset","classes":["A",2],"feature_dim":1}',
+        '{"format_version":1,"kind":"dataset","classes":["A","A"],"feature_dim":1}',
+        '{"format_version":1,"kind":"dataset","classes":["A","B"],"feature_dim":1.9}',
+        '{"format_version":1,"kind":"dataset","classes":["A","B"],"feature_dim":"x"}',
+        '{"format_version":1,"kind":"dataset","classes":["A","B"],"feature_dim":true}',
+        '{"format_version":1,"kind":"dataset","classes":["A","B"]}',
+        '{"format_version":1,"kind":"dataset","classes":["A","B"],"feature_dim":1',
+        "not json",
+    ])
+    def test_bad_manifest_rejected_naming_the_file(self, tmp_path, manifest):
+        path = tmp_path / "bad.jsonl"
+        record = '{"id":0,"split":"train","features":[0.0],"evaluations":[["A"]]}'
+        path.write_text(manifest + "\n" + record + "\n")
+        with pytest.raises(ValueError) as err:
+            dataio.read_dataset(path)
+        assert str(path) in str(err.value)
+
+
 class TestRecordToExample:
     def test_derived_views(self):
-        record = sample_records()[0]
-        example = dataio.record_to_example(record, SPACE)
+        example, single = dataio.record_to_example(sample_records(), SPACE)
         assert example.uid == 0
         assert example.group == AgreementGroup.MAJORITY
         assert example.majority == 0
         assert len(example.labels) == 4
         np.testing.assert_allclose(example.soft.p, [0.5, 0.25, 0.25], atol=1e-15)
-
+        assert (single.uid, single.group, single.majority) == (1, AgreementGroup.FULL, 1)
+        np.testing.assert_array_equal(single.soft.p, [0.0, 1.0, 0.0])
 
     def test_classifies_agreement_once(self, monkeypatch):
+        # One call of the batch rule for the whole split, none per record.
         calls = []
-        classify = dataio.classify_agreement
-        monkeypatch.setattr(dataio, "classify_agreement",
-                            lambda *args: calls.append(1) or classify(*args))
-        dataio.record_to_example(sample_records()[0], SPACE)
+        rule = dataio.agreement
+        monkeypatch.setattr(dataio, "agreement",
+                            lambda *args: calls.append(1) or rule(*args))
+        assert len(dataio.record_to_example(sample_records(), SPACE)) == 2
         assert len(calls) == 1
 
 

@@ -139,10 +139,8 @@ class TestLogPdf:
         params = DirichletParams(np.array([1.2, 0.9, 1.5]))
         samples = rng.dirichlet(np.ones(3), size=100_000)
         samples = np.clip(samples, 1e-300, None)
-        values = [
-            math.exp(log_pdf(params, CategoricalDist(s / s.sum()))) for s in samples
-        ]
-        integral = float(np.mean(values)) * 0.5
+        mu = CategoricalDist(samples / samples.sum(axis=1, keepdims=True))
+        integral = float(np.mean(np.exp(log_pdf(params, mu)))) * 0.5
         assert integral == pytest.approx(1.0, rel=0.05)
 
 
@@ -173,3 +171,54 @@ class TestPredictiveMean:
             mean = predictive_mean(from_logits(z, 0.0)).p
             e = np.exp(z - z.max())
             np.testing.assert_allclose(mean, e / e.sum(), atol=1e-12)
+
+
+class TestBatches:
+    """Row i of a batched call equals the single-row call on row i."""
+
+    Z = np.array([[0.0, 1.0, -2.0], [3.0, -1.0, 0.5], [-60.0, 60.0, 0.0]])
+
+    def test_from_logits_and_predictive_mean_rows(self):
+        params = from_logits(self.Z, 1e-8)
+        mean = predictive_mean(params)
+        assert params.alpha0.shape == (3,) and mean.p.shape == (3, 3)
+        for i, z in enumerate(self.Z):
+            row = from_logits(z, 1e-8)
+            np.testing.assert_array_equal(params.alpha[i], row.alpha)
+            assert params.alpha0[i] == row.alpha0
+            np.testing.assert_array_equal(mean.p[i], predictive_mean(row).p)
+
+    def test_log_pdf_rows_with_minus_inf_and_dropped_term(self):
+        alpha = np.array([[1.2, 0.9, 1.5], [2.0, 1.5, 3.0], [1.0, 2.0, 0.5]])
+        mu = np.array([[0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [0.0, 0.5, 0.5]])
+        values = log_pdf(DirichletParams(alpha), CategoricalDist(mu))
+        expected = [log_pdf(DirichletParams(a), CategoricalDist(m)) for a, m in zip(alpha, mu)]
+        np.testing.assert_array_equal(values, expected)
+        assert values[1] == float("-inf") and np.isfinite(values[2])
+        # One parameter row pairs with every point of a batch.
+        np.testing.assert_array_equal(
+            log_pdf(DirichletParams(alpha[0]), CategoricalDist(mu[:1].repeat(2, axis=0))),
+            [expected[0]] * 2)
+
+    def test_log_pdf_names_the_singular_row(self):
+        alpha = np.array([[2.0, 2.0], [1.5, 1.5], [1.5, 0.5]])
+        mu = CategoricalDist(np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(SingularityError, match="in row 2") as err:
+            log_pdf(DirichletParams(alpha), mu)
+        assert err.value.row == 2
+        with pytest.raises(SingularityError) as err:
+            log_pdf(DirichletParams(alpha[2]), CategoricalDist(mu.p[2]))
+        assert err.value.row is None
+
+    def test_bad_rows_are_named(self):
+        with pytest.raises(ValueError, match="row 1"):
+            CategoricalDist(np.array([[0.5, 0.5], [0.5, 0.4]]))
+        with pytest.raises(ValueError):
+            DirichletParams(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(OverflowError, match="index 1 in row 2"):
+            from_logits(np.vstack([self.Z[:2], [0.0, 701.0, 0.0]]))
+
+    def test_dists_are_array_like(self):
+        rows = [CategoricalDist(p) for p in predictive_mean(from_logits(self.Z)).p]
+        np.testing.assert_array_equal(np.asarray(rows), predictive_mean(from_logits(self.Z)))
+        assert CategoricalDist(np.asarray(rows)).k == 3

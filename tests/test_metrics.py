@@ -101,6 +101,21 @@ class TestScores:
         assert (max_p(one_hot), entropy(one_hot)) == (1.0, 0.0)
 
 
+    def test_batch_rows_match_single_rows(self):
+        rng = np.random.default_rng(1)
+        probs = rng.dirichlet(np.ones(4), size=30)
+        targets = rng.dirichlet(np.ones(4), size=30)
+        probs[:3] = [[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.25] * 4]
+        targets[:2] = [[0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]  # KL +inf, then finite
+        for fn in (max_p, entropy, predicted_class):
+            np.testing.assert_array_equal(fn(probs), [fn(dist(*p)) for p in probs])
+            np.testing.assert_array_equal(fn([dist(*p) for p in probs]), fn(probs))
+        np.testing.assert_array_equal(
+            kl_divergence(targets, probs),
+            [kl_divergence(dist(*t), dist(*q)) for t, q in zip(targets, probs)])
+        assert kl_divergence(targets, probs)[0] == float("inf")
+
+
 class TestMeanKl:
     def test_identical_is_zero(self):
         ds = [dist(0.2, 0.8), dist(0.7, 0.3)]
@@ -273,6 +288,35 @@ class TestBuildReport:
         assert report.per_group[AgreementGroup.NONE].mean_entropy == pytest.approx(
             none_entropy
         )
+
+    @pytest.mark.parametrize("batch", [np.asarray, CategoricalDist])
+    def test_list_and_batch_inputs_agree(self, batch):
+        rng = np.random.default_rng(4)
+        n = 200
+        groups = [list(AgreementGroup)[i] for i in rng.integers(0, 3, size=n)]
+        majorities = [None if g == AgreementGroup.NONE else int(rng.integers(0, 3))
+                      for g in groups]
+        softs = [dist(*p) for p in rng.dirichlet(np.ones(3), size=n)]
+        preds = [dist(*p) for p in rng.dirichlet(np.ones(3) * 2, size=n)]
+        stacked_preds = batch(np.stack([p.p for p in preds]))
+        batched = build_report(np.array(groups, dtype=object),
+                               np.array([-1 if m is None else m for m in majorities]),
+                               batch(np.stack([s.p for s in softs])), stacked_preds)
+        assert batched == build_report(groups, majorities, softs, preds)
+        assert detect_report(groups, stacked_preds) == detect_report(groups, preds)
+
+    def test_missing_class_fields_are_none(self):
+        groups, majorities, softs, preds = self._inputs()
+        unanimous = build_report([AgreementGroup.FULL] * 4, [0, 1, 1, 0], softs, preds)
+        assert (unanimous.aupr_maxp, unanimous.aupr_ent) == (None, None)
+        assert unanimous.wa == pytest.approx(0.75)
+        split = build_report([AgreementGroup.NONE] * 4, [None] * 4, softs, preds)
+        assert (split.wa, split.ua, split.aupr_maxp, split.aupr_ent) == (None,) * 4
+        assert split.per_group[AgreementGroup.NONE].count == 4
+        with pytest.raises(ValueError, match="no utterance with a majority label"):
+            detect_report([AgreementGroup.NONE] * 4, preds)
+        with pytest.raises(ValueError, match="no utterance without a majority label"):
+            detect_report([AgreementGroup.FULL] * 4, preds)
 
     def test_predicted_class_tie_breaks_low(self):
         assert predicted_class(dist(0.4, 0.4, 0.2)) == 0

@@ -342,12 +342,10 @@ def test_epoch_losses_finite_on_default_corpus():
     from labelprior.synth import SynthConfig, generate
 
     utts, space = generate(SynthConfig(n=2000, k=5, d=16, seed=42))
-    examples = [
-        record_to_example(
-            DatasetRecord(u.uid, "train", u.features, u.evaluations), space
-        )
-        for u in utts[:1600]
-    ]
+    examples = record_to_example(
+        [DatasetRecord(u.uid, "train", u.features, u.evaluations) for u in utts[:1600]],
+        space,
+    )
     for kind in LossKind:
         config = TrainConfig(
             loss=LossConfig.default_for(kind), learning_rate=1e-2, epochs=2, seed=0
