@@ -22,15 +22,18 @@ __all__ = ["main"]
 _LOSS_NAMES = {kind.value: kind for kind in LossKind}
 
 
-def _comma(kind: type):
-    """argparse type: a comma-separated tuple of ``kind`` values."""
-    def parse(text: str) -> tuple:
-        try:
-            return tuple(kind(part) for part in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated {kind.__name__}s, got {text!r}")
-    return parse
+def _comma_floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+
+
+def _comma_ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--annotators", type=int, default=3)
     gen.add_argument("--multi-tag-prob", type=float, default=0.04)
     gen.add_argument("--noise-sigma", type=float, default=0.1)
-    gen.add_argument("--group-mix", type=_comma(float), default=(0.237, 0.513, 0.250))
-    gen.add_argument("--precisions", type=_comma(float), default=(120.0, 12.0, 5.0))
+    gen.add_argument("--group-mix", type=_comma_floats, default=(0.237, 0.513, 0.250))
+    gen.add_argument("--precisions", type=_comma_floats, default=(120.0, 12.0, 5.0))
     gen.add_argument("--test-frac", type=float, default=0.2)
     gen.add_argument("--out", required=True)
 
@@ -65,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epochs", type=int, default=30)
     tr.add_argument("--lr", type=float, default=1e-2)
     tr.add_argument("--batch", type=int, default=32)
-    tr.add_argument("--hidden", type=_comma(int), default=(64,))
+    tr.add_argument("--hidden", type=_comma_ints, default=(64,))
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True)
     tr.add_argument("--log", default=None, help="training log path (default: <out>.log)")
@@ -180,17 +183,16 @@ def _test_views(args: argparse.Namespace):
     return (counts, *agreement(counts, annotators), preds)
 
 
-_fmt = dataio._fmt_json_6dp  # six decimals, or null for a missing value
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     counts, groups, majority, preds = _test_views(args)
     soft = CategoricalDist(counts / counts.sum(axis=1, keepdims=True))
     report = metrics.build_report(groups, majority, soft, preds)
     dataio.write_report(args.out, report)
-    print(f"wa {_fmt(report.wa)}  ua {_fmt(report.ua)}  mean_kl {report.mean_kl:.6f}  "
+    wa, ua, aupr_maxp, aupr_ent = ("null" if v is None else f"{v:.6f}" for v in (
+        report.wa, report.ua, report.aupr_maxp, report.aupr_ent))
+    print(f"wa {wa}  ua {ua}  mean_kl {report.mean_kl:.6f}  "
           f"mean_entropy {report.mean_entropy:.6f}")
-    print(f"aupr_maxp {_fmt(report.aupr_maxp)}  aupr_ent {_fmt(report.aupr_ent)}")
+    print(f"aupr_maxp {aupr_maxp}  aupr_ent {aupr_ent}")
     return 0
 
 

@@ -7,7 +7,6 @@ produces byte-identical files.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -51,20 +50,6 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _parse(path: str, text: str, kind: str) -> dict:
-    """A JSON document of ``kind`` at this format version; anything else
-    raises ValueError naming the file."""
-    try:
-        doc = json.loads(text)
-    except ValueError as err:
-        raise ValueError(f"{path}: not JSON: {err}") from err
-    if not isinstance(doc, dict) or doc.get("kind") != kind:
-        raise ValueError(f"{path}: not a {kind} file")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version")
-    return doc
-
-
 def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
     """Manifest line followed by one JSON record per utterance."""
     lines = [
@@ -104,7 +89,14 @@ def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
                  if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    manifest = _parse(path, lines[0][1], "dataset")
+    try:
+        manifest = json.loads(lines[0][1])
+    except ValueError as err:
+        raise ValueError(f"{path}: manifest is not JSON: {err}") from err
+    if not isinstance(manifest, dict) or manifest.get("kind") != "dataset":
+        raise ValueError(f"{path}: not a dataset file")
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version")
     classes, d = manifest.get("classes"), manifest.get("feature_dim")
     if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
         raise ValueError(f"{path}: manifest classes must be a list of strings, got {classes!r}")
@@ -203,7 +195,11 @@ def write_checkpoint(
 def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
     """Params, classes and settings; a missing key raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = _parse(path, fh.read(), "checkpoint")
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
+        raise ValueError(f"{path}: not a checkpoint file")
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version")
     try:
         space = ClassSpace(tuple(doc["classes"]))
         raw = doc["train_config"]
@@ -255,16 +251,37 @@ def _fmt_json_6dp(obj, indent: int = 0) -> str:
 
 def write_report(path: str, report: MetricsReport) -> None:
     """Evaluation report as JSON with every value at 6 decimal places."""
-    # The report's fields, in their declared order, are the file's schema.
-    doc = {"format_version": FORMAT_VERSION, "kind": "report", **dataclasses.asdict(report)}
-    doc["per_group"] = {group.value: gm for group, gm in doc["per_group"].items()}
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "kind": "report",
+        "wa": report.wa,
+        "ua": report.ua,
+        "mean_kl": report.mean_kl,
+        "mean_entropy": report.mean_entropy,
+        "aupr_maxp": report.aupr_maxp,
+        "aupr_ent": report.aupr_ent,
+        "per_group": {
+            group.value: {
+                "count": gm.count,
+                "mean_maxp": gm.mean_maxp,
+                "mean_entropy": gm.mean_entropy,
+                "mean_kl": gm.mean_kl,
+                "wa": gm.wa,
+                "ua": gm.ua,
+            }
+            for group, gm in report.per_group.items()
+        },
+    }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_fmt_json_6dp(doc) + "\n")
 
 
 def read_report(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse(path, fh.read(), "report")
+        doc = json.load(fh)
+    if doc.get("kind") != "report":
+        raise ValueError(f"{path}: not a report file")
+    return doc
 
 
 def write_curve(path: str, curve: PRCurve) -> None:

@@ -61,7 +61,9 @@ class CategoricalDist:
         object.__setattr__(self, "p", p)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.p, dtype=dtype, copy=copy)
+        # NumPy 1.x passes no ``copy`` and its np.array rejects copy=None.
+        p = np.asarray(self.p, dtype=dtype)
+        return p.copy() if copy else p
 
     @property
     def k(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -79,6 +79,14 @@ class SynthUtterance:
     features: np.ndarray
     evaluations: tuple[Evaluation, ...]
     annotations: AnnotationSet
+
+    @property
+    def group(self) -> AgreementGroup:
+        return self.annotations.group
+
+    @property
+    def majority(self) -> Optional[int]:
+        return self.annotations.majority
 
 
 def default_class_names(k: int) -> tuple[str, ...]:

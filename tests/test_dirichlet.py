@@ -222,3 +222,11 @@ class TestBatches:
         rows = [CategoricalDist(p) for p in predictive_mean(from_logits(self.Z)).p]
         np.testing.assert_array_equal(np.asarray(rows), predictive_mean(from_logits(self.Z)))
         assert CategoricalDist(np.asarray(rows)).k == 3
+
+    def test_array_protocol_without_copy_argument(self):
+        # NumPy 1.x calls __array__(dtype) with no copy argument.
+        dist = predictive_mean(from_logits(self.Z))
+        assert dist.__array__(np.float32).dtype == np.float32
+        assert dist.__array__() is dist.p
+        copied = dist.__array__(None, True)
+        assert copied is not dist.p and np.array_equal(copied, dist.p)

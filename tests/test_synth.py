@@ -64,7 +64,7 @@ class TestGenerate:
             regime_precisions=(1e6, 1e6, 1e6), noise_sigma=0.0,
         )
         utts, _ = generate(cfg)
-        full = sum(1 for u in utts if u.annotations.group == AgreementGroup.FULL)
+        full = sum(1 for u in utts if u.group == AgreementGroup.FULL)
         assert full / len(utts) >= 0.95
 
     def test_flat_prior_regime_produces_no_agreement(self):
@@ -77,7 +77,7 @@ class TestGenerate:
             regime_precisions=(120.0, 12.0, 8.0),
         )
         utts, _ = generate(cfg)
-        none = sum(1 for u in utts if u.annotations.group == AgreementGroup.NONE)
+        none = sum(1 for u in utts if u.group == AgreementGroup.NONE)
         assert none / len(utts) >= 0.3
 
     def test_default_fractions_track_mix_implied_expectations(self):
