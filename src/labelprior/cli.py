@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dataio, metrics, model, synth
-from .annotations import AgreementGroup, AnnotationSet, Evaluation, agreement, vote_matrix
+from .annotations import AgreementGroup, Evaluation, agreement, vote_matrix
 from .dirichlet import CategoricalDist, SingularityError, from_logits, predictive_mean
 from .losses import LOGIT_CLAMP, LossConfig, LossKind
 
@@ -22,18 +22,14 @@ __all__ = ["main"]
 _LOSS_NAMES = {kind.value: kind for kind in LossKind}
 
 
-def _comma_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-
-
-def _comma_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _comma(kind: type, noun: str):
+    """argparse type for a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--annotators", type=int, default=3)
     gen.add_argument("--multi-tag-prob", type=float, default=0.04)
     gen.add_argument("--noise-sigma", type=float, default=0.1)
-    gen.add_argument("--group-mix", type=_comma_floats, default=(0.237, 0.513, 0.250))
-    gen.add_argument("--precisions", type=_comma_floats, default=(120.0, 12.0, 5.0))
+    gen.add_argument("--group-mix", type=_comma(float, "floats"), default=(0.237, 0.513, 0.250))
+    gen.add_argument("--precisions", type=_comma(float, "floats"), default=(120.0, 12.0, 5.0))
     gen.add_argument("--test-frac", type=float, default=0.2)
     gen.add_argument("--out", required=True)
 
@@ -68,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epochs", type=int, default=30)
     tr.add_argument("--lr", type=float, default=1e-2)
     tr.add_argument("--batch", type=int, default=32)
-    tr.add_argument("--hidden", type=_comma_ints, default=(64,))
+    tr.add_argument("--hidden", type=_comma(int, "integers"), default=(64,))
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", required=True)
     tr.add_argument("--log", default=None, help="training log path (default: <out>.log)")
@@ -134,15 +130,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         for u in utterances
     ]
     dataio.write_dataset(args.out, space, records)
-    print(synth.stats([u.annotations for u in utterances]).format_table())
+    print(synth.stats([u.evaluations for u in utterances], space).format_table())
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     space, records = dataio.read_dataset(args.data)
-    sets = [AnnotationSet(rec.evaluations, space) for rec in records]
-    print(synth.stats(sets).format_table())
+    print(synth.stats([rec.evaluations for rec in records], space).format_table())
     return 0
 
 
@@ -177,7 +172,8 @@ def _test_views(args: argparse.Namespace):
         raise ValueError(f"{args.data}: no 'test' split records")
     params, ckpt_space, config = dataio.read_checkpoint(args.ckpt)
     if ckpt_space.names != space.names:
-        raise ValueError("checkpoint and dataset class names differ")
+        raise ValueError(f"{args.ckpt}: classes {list(ckpt_space.names)} differ from "
+                         f"the dataset's {list(space.names)}")
     counts, annotators = vote_matrix([rec.evaluations for rec in test_records], space)
     preds = _predict_dists(params, [rec.features for rec in test_records], config.loss.eps2)
     return (counts, *agreement(counts, annotators), preds)

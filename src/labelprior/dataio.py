@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,52 +79,69 @@ def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse(path: str, text: str, kind: str) -> dict:
+    """The JSON object of a ``kind`` file at this format version."""
+    try:
+        doc = json.loads(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: not JSON: {err}") from err
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} file")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version {version!r}")
+    return doc
+
+
+def _class_space(path: str, classes) -> ClassSpace:
+    """A file's ``classes``: a JSON list of unique strings."""
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
+        raise ValueError(f"{path}: classes must be a list of strings, got {classes!r}")
+    try:
+        return ClassSpace(tuple(classes))
+    except ValueError as err:
+        raise ValueError(f"{path}: bad classes: {err}") from err
+
+
 def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
     """Manifest and records; a malformed line raises ValueError naming it.
 
-    Every split must be "train" or "test" and every id unique.
+    Every split must be "train" or "test", every id a unique integer and
+    every record's evaluations non-empty.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, line) for no, line in enumerate(fh.read().splitlines(), 1)
                  if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    try:
-        manifest = json.loads(lines[0][1])
-    except ValueError as err:
-        raise ValueError(f"{path}: manifest is not JSON: {err}") from err
-    if not isinstance(manifest, dict) or manifest.get("kind") != "dataset":
-        raise ValueError(f"{path}: not a dataset file")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version")
-    classes, d = manifest.get("classes"), manifest.get("feature_dim")
-    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
-        raise ValueError(f"{path}: manifest classes must be a list of strings, got {classes!r}")
+    manifest = _parse(path, lines[0][1], "dataset")
+    space, d = _class_space(path, manifest.get("classes")), manifest.get("feature_dim")
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise ValueError(f"{path}: manifest feature_dim must be an integer >= 0, got {d!r}")
-    try:
-        space = ClassSpace(tuple(classes))
-    except ValueError as err:
-        raise ValueError(f"{path}: bad manifest classes: {err}") from err
     records = []
     id_lines: dict[int, int] = {}
     for no, line in lines[1:]:
         try:
             raw = json.loads(line)
             features = np.asarray(raw["features"], dtype=np.float64)
-            if not all(isinstance(tags, list) for tags in raw["evaluations"]):
+            if not (isinstance(raw["evaluations"], list)
+                    and all(isinstance(tags, list) for tags in raw["evaluations"])):
                 raise TypeError("each evaluation must be a list of class names")
             evaluations = tuple(
                 Evaluation(tuple(space.index(name) for name in tags))
                 for tags in raw["evaluations"]
             )
-            record = DatasetRecord(int(raw["id"]), str(raw["split"]), features, evaluations)
+            if not isinstance(raw["id"], int) or isinstance(raw["id"], bool):
+                raise TypeError(f"id must be an integer, got {raw['id']!r}")
+            record = DatasetRecord(raw["id"], str(raw["split"]), features, evaluations)
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{path}: line {no}: bad record: {err!r}") from err
         if features.shape != (d,):
             raise ValueError(f"{path}: line {no}: feature shape {features.shape} != ({d},)")
         if not np.isfinite(features).all():
             raise ValueError(f"{path}: line {no}: non-finite feature")
+        if not evaluations:
+            raise ValueError(f"{path}: line {no}: at least one evaluation is required")
         if record.split not in ("train", "test"):
             raise ValueError(
                 f"{path}: line {no}: split {record.split!r} is not 'train' or 'test'")
@@ -157,6 +174,11 @@ def record_to_example(
     ]
 
 
+def _dims(params: ModelParams) -> dict:
+    d_in, *hidden, k = (int(v) for v in params.dims)
+    return {"input": d_in, "hidden": hidden, "output": k}
+
+
 def write_checkpoint(
     path: str, params: ModelParams, space: ClassSpace, config: TrainConfig
 ) -> None:
@@ -164,11 +186,7 @@ def write_checkpoint(
         "format_version": FORMAT_VERSION,
         "kind": "checkpoint",
         "classes": list(space.names),
-        "dims": {
-            "input": int(params.dims[0]),
-            "hidden": [int(v) for v in params.dims[1:-1]],
-            "output": int(params.dims[-1]),
-        },
+        "dims": _dims(params),
         "train_config": {
             "loss": config.loss.kind.value,
             "eps1": config.loss.eps1,
@@ -193,15 +211,12 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
-    """Params, classes and settings; a missing key raises ValueError."""
+    """Params, classes and settings; a malformed checkpoint raises ValueError naming
+    the file.  ``dims`` and ``hidden`` describe the layers, the last one per class."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
-        raise ValueError(f"{path}: not a checkpoint file")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version")
+        doc = _parse(path, fh.read(), "checkpoint")
+    space = _class_space(path, doc.get("classes"))
     try:
-        space = ClassSpace(tuple(doc["classes"]))
         raw = doc["train_config"]
         config = TrainConfig(
             loss=LossConfig(
@@ -220,8 +235,14 @@ def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
             [np.asarray(layer["weights"], dtype=np.float64) for layer in doc["layers"]],
             [np.asarray(layer["bias"], dtype=np.float64) for layer in doc["layers"]],
         )
-    except (KeyError, TypeError, IndexError) as err:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: missing or mistyped field: {err!r}") from err
+    if doc.get("dims") != _dims(params) or config.hidden != params.dims[1:-1]:
+        raise ValueError(f"{path}: dims or hidden do not match the layers {_dims(params)}")
+    if params.dims[-1] != space.k:
+        raise ValueError(f"{path}: last layer has {params.dims[-1]} units for {space.k} classes")
+    if not all(np.isfinite(a).all() for a in params.weights + params.biases):
+        raise ValueError(f"{path}: non-finite weight or bias")
     return params, space, config
 
 
@@ -238,50 +259,23 @@ def _fmt_json_6dp(obj, indent: int = 0) -> str:
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_fmt_json_6dp(v, indent) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        return f"{obj:.6f}"
+        return f"{obj:.6f}" if math.isfinite(obj) else "null"
     return json.dumps(obj)
 
 
 def write_report(path: str, report: MetricsReport) -> None:
-    """Evaluation report as JSON with every value at 6 decimal places."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "report",
-        "wa": report.wa,
-        "ua": report.ua,
-        "mean_kl": report.mean_kl,
-        "mean_entropy": report.mean_entropy,
-        "aupr_maxp": report.aupr_maxp,
-        "aupr_ent": report.aupr_ent,
-        "per_group": {
-            group.value: {
-                "count": gm.count,
-                "mean_maxp": gm.mean_maxp,
-                "mean_entropy": gm.mean_entropy,
-                "mean_kl": gm.mean_kl,
-                "wa": gm.wa,
-                "ua": gm.ua,
-            }
-            for group, gm in report.per_group.items()
-        },
-    }
+    """Evaluation report as JSON with every value at 6 decimal places; the
+    report's field order is the file's key order."""
+    doc = {"format_version": FORMAT_VERSION, "kind": "report", **asdict(report)}
+    doc["per_group"] = {group.value: gm for group, gm in doc["per_group"].items()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_fmt_json_6dp(doc) + "\n")
 
 
 def read_report(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "report":
-        raise ValueError(f"{path}: not a report file")
-    return doc
+        return _parse(path, fh.read(), "report")
 
 
 def write_curve(path: str, curve: PRCurve) -> None:

@@ -3,7 +3,7 @@ logits, log-density and predictive mean."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -76,7 +76,7 @@ class DirichletParams:
     or an (N, K) batch of them with an (N,) alpha0."""
 
     alpha: np.ndarray
-    alpha0: float = None  # type: ignore[assignment]
+    alpha0: float = field(init=False)
 
     def __post_init__(self) -> None:
         alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -85,11 +85,7 @@ class DirichletParams:
         if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
             raise ValueError("every concentration parameter must be finite and > 0")
         object.__setattr__(self, "alpha", alpha)
-        total = alpha.sum(axis=-1)[()]
-        if self.alpha0 is None:
-            object.__setattr__(self, "alpha0", total)
-        elif np.any(np.abs(self.alpha0 - total) > 1e-12 * np.maximum(1.0, total)):
-            raise ValueError("alpha0 is inconsistent with sum(alpha)")
+        object.__setattr__(self, "alpha0", alpha.sum(axis=-1)[()])
 
     @property
     def k(self) -> int:

@@ -67,12 +67,9 @@ class LossConfig:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.eps1 < 0.0:
-            raise ValueError("eps1 must be non-negative")
-        if self.eps2 < 0.0:
-            raise ValueError("eps2 must be non-negative")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be non-negative")
+        for name, value in (("eps1", self.eps1), ("eps2", self.eps2), ("lambda", self.lam)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         # A constant the objective ignores would still reach eval (eps2
         # shifts the predictive mean), so train and eval would disagree.
         if self.kind != LossKind.DPN and (self.eps1 or self.eps2):

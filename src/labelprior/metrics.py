@@ -32,8 +32,6 @@ class PRCurve:
     """Precision-recall points swept over every distinct score."""
 
     points: tuple[tuple[float, float, float], ...]  # (threshold, precision, recall)
-    measure: str = "score"
-    higher_is_positive: bool = True
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,6 @@ def pr_curve(
     scores: Sequence[float],
     is_positive: Sequence[bool],
     higher_is_positive: bool = True,
-    measure: str = "score",
 ) -> PRCurve:
     """Sweep a threshold over every distinct score, grouping ties.
 
@@ -138,7 +135,7 @@ def pr_curve(
     seen = np.r_[starts[1:], scores.shape[0]]
     tp = np.cumsum(positive[order])[seen - 1]
     points = zip(sorted_scores[starts].tolist(), (tp / seen).tolist(), (tp / n_pos).tolist())
-    return PRCurve(tuple(points), measure=measure, higher_is_positive=higher_is_positive)
+    return PRCurve(tuple(points))
 
 
 def aupr(curve: PRCurve) -> float:
@@ -165,8 +162,8 @@ def detect_report(
         missing = "without" if positive.all() else "with"
         raise ValueError(f"cannot detect no-majority utterances: no utterance {missing} "
                          "a majority label")
-    maxp_curve = pr_curve(max_p(probs), positive, higher_is_positive=True, measure="maxp")
-    ent_curve = pr_curve(entropy(probs), positive, higher_is_positive=False, measure="ent")
+    maxp_curve = pr_curve(max_p(probs), positive)
+    ent_curve = pr_curve(entropy(probs), positive, higher_is_positive=False)
     return maxp_curve, ent_curve, aupr(maxp_curve), aupr(ent_curve)
 
 

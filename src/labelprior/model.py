@@ -10,6 +10,7 @@ may differ between machines in the last digit).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -68,8 +69,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        if self.learning_rate < 0.0:
-            raise ValueError("learning rate must not be negative")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.epochs < 1:

@@ -10,17 +10,15 @@ reproducible and generation could run in parallel.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import rng
-from .annotations import (
-    AgreementGroup, AnnotationSet, ClassSpace, Evaluation, agreement, vote_matrix,
-)
-from .dirichlet import CategoricalDist
+from .annotations import AgreementGroup, ClassSpace, Evaluation, agreement, vote_matrix
 
 __all__ = ["SynthConfig", "SynthUtterance", "CorpusStats", "default_class_names", "generate", "stats"]
 
@@ -58,35 +56,28 @@ class SynthConfig:
             raise ValueError(f"k = {self.k} classes need d >= k feature dimensions, got d = {self.d}")
         if self.annotators < 1:
             raise ValueError("need at least one annotator")
-        if len(self.group_mix) != 3 or any(v < 0 for v in self.group_mix):
-            raise ValueError("group_mix must be three non-negative probabilities")
+        if len(self.group_mix) != 3 or not all(0.0 <= v < math.inf for v in self.group_mix):
+            raise ValueError(f"group_mix must be three finite probabilities >= 0: {self.group_mix}")
         if abs(sum(self.group_mix) - 1.0) > 1e-9:
             raise ValueError("group_mix must sum to 1")
         if len(self.regime_precisions) != 3:
             raise ValueError("regime_precisions must have three entries")
-        if any(a0 <= self.k - 1 for a0 in self.regime_precisions):
-            raise ValueError("each regime precision must exceed k - 1")
+        if not all(self.k - 1 < a0 < math.inf for a0 in self.regime_precisions):
+            raise ValueError(f"regime_precisions must be finite and > k - 1: {self.regime_precisions}")
         if not 0.0 <= self.multi_tag_prob < 1.0:
             raise ValueError("multi_tag_prob must lie in [0, 1)")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True, eq=False)
 class SynthUtterance:
+    """One generated utterance; ``true_mu`` is its (K,) true label distribution."""
+
     uid: int
-    true_mu: CategoricalDist
+    true_mu: np.ndarray
     features: np.ndarray
     evaluations: tuple[Evaluation, ...]
-    annotations: AnnotationSet
-
-    @property
-    def group(self) -> AgreementGroup:
-        return self.annotations.group
-
-    @property
-    def majority(self) -> Optional[int]:
-        return self.annotations.majority
 
 
 def default_class_names(k: int) -> tuple[str, ...]:
@@ -117,7 +108,6 @@ def _generate_one(config: SynthConfig, uid: int) -> SynthUtterance:
     regime = _sample_index(gen, np.asarray(config.group_mix))
     dominant = int(gen.integers(0, config.k))
     mu = gen.dirichlet(_regime_alpha(config, regime, dominant))
-    true_mu = CategoricalDist(mu / mu.sum())
 
     evaluations = []
     for _ in range(config.annotators):
@@ -133,10 +123,7 @@ def _generate_one(config: SynthConfig, uid: int) -> SynthUtterance:
     features[: config.k] = mu
     if config.noise_sigma > 0.0:
         features = features + config.noise_sigma * gen.standard_normal(config.d)
-
-    space = ClassSpace(default_class_names(config.k))
-    annotations = AnnotationSet(tuple(evaluations), space)
-    return SynthUtterance(uid, true_mu, features, tuple(evaluations), annotations)
+    return SynthUtterance(uid, mu / mu.sum(), features, tuple(evaluations))
 
 
 def generate(config: SynthConfig) -> tuple[list[SynthUtterance], ClassSpace]:
@@ -169,20 +156,22 @@ class CorpusStats:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def stats(annotation_sets: Sequence[AnnotationSet]) -> CorpusStats:
-    """Corpus-level label statistics in the usual table schema."""
-    if len(annotation_sets) == 0:
+def stats(
+    evaluation_sets: Sequence[Sequence[Evaluation]], space: ClassSpace
+) -> CorpusStats:
+    """Corpus-level label statistics, in the usual table schema, of each
+    utterance's evaluations."""
+    if len(evaluation_sets) == 0:
         raise ValueError("stats requires a non-empty corpus")
-    counts, annotators = vote_matrix(
-        [a.evaluations for a in annotation_sets], annotation_sets[0].space)
+    counts, annotators = vote_matrix(evaluation_sets, space)
     groups = agreement(counts, annotators)[0]
     n_labels = counts.sum(axis=1)
     return CorpusStats(
-        n_utterances=len(annotation_sets),
+        n_utterances=len(evaluation_sets),
         n_evaluations=int(annotators.sum()),
         n_multi_tag_evaluations=sum(
-            1 for a in annotation_sets for ev in a.evaluations if len(ev.tags) > 1),
+            1 for evs in evaluation_sets for ev in evs if len(ev.tags) > 1),
         n_utterances_extra_labels=int(np.count_nonzero(n_labels > annotators)),
-        avg_labels_per_utterance=int(n_labels.sum()) / len(annotation_sets),
+        avg_labels_per_utterance=int(n_labels.sum()) / len(evaluation_sets),
         group_counts={g: int(np.count_nonzero(groups == g)) for g in AgreementGroup},
     )

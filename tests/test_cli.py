@@ -125,6 +125,7 @@ class TestTrain:
         (lambda rec: rec.pop("id"), "id"),
         (lambda rec: rec.update(features="0.5"), "feature shape"),
         (lambda rec: rec.update(evaluations=["A", "B"]), "list of class names"),
+        (lambda rec: rec.update(evaluations=[]), "at least one evaluation is required"),
     ])
     def test_malformed_record_is_data_error(self, small_dataset, tmp_path, capsys,
                                             edit, message):
@@ -181,6 +182,15 @@ class TestTrain:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 6" in err and message in err
+
+
+def widen_last_layer(doc):
+    """One more output unit than the checkpoint has class names."""
+    last = doc["layers"][-1]
+    for row in last["weights"]:
+        row.append(0.0)
+    last["bias"].append(0.0)
+    doc["dims"]["output"] += 1
 
 
 class TestEval:
@@ -296,16 +306,23 @@ class TestEval:
         (lambda doc: doc["layers"][0].pop("bias"), "bias"),
         (lambda doc: doc["train_config"].update({"loss": "hard", "lambda": 5.0}),
          "applies only to"),
+        # The dataset's four class names as one string, not a list of them.
+        (lambda doc: doc.update(classes="ABCD"), "classes must be a list of strings"),
+        (lambda doc: '{"format_version": 1, "kind": "checkpoint",', "not JSON"),
+        (widen_last_layer, "last layer has 5 units for 4 classes"),
     ])
     def test_bad_checkpoint_is_data_error(self, small_dataset, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "m.json"
         run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 1, "--out", ckpt)
         doc = json.loads(ckpt.read_text())
-        edit(doc)
-        ckpt.write_text(json.dumps(doc))
-        assert run("eval", "--data", small_dataset, "--ckpt", ckpt,
-                   "--out", tmp_path / "r.json") == 1
-        assert message in capsys.readouterr().err
+        text = edit(doc)
+        ckpt.write_text(text if isinstance(text, str) else json.dumps(doc))
+        for command in (["eval", "--out", tmp_path / "r.json"],
+                        ["detect", "--out-prefix", tmp_path / "c"]):
+            assert run(*command, "--data", small_dataset, "--ckpt", ckpt) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {ckpt}: ") and message in err
+        assert not (tmp_path / "c_maxp.csv").exists()
 
 
 class TestDetect:
@@ -429,6 +446,28 @@ class TestTransform:
             assert a.uid == b.uid
             assert a.split == b.split
             np.testing.assert_array_equal(a.features, b.features)
+
+
+@pytest.mark.parametrize("args, field", [
+    (["gen", "--noise-sigma", "nan"], "noise_sigma"),
+    (["gen", "--noise-sigma", "inf"], "noise_sigma"),
+    (["gen", "--group-mix", "nan,0.5,0.5"], "group_mix"),
+    (["gen", "--precisions", "120,inf,5"], "regime_precisions"),
+    (["train", "--loss", "soft", "--lr", "nan"], "learning_rate"),
+    (["train", "--loss", "soft", "--lr", "inf"], "learning_rate"),
+    (["train", "--loss", "dpn-kl", "--lambda", "nan"], "lambda"),
+    (["train", "--loss", "dpn-kl", "--lambda", "inf"], "lambda"),
+    (["train", "--loss", "dpn", "--eps2", "nan"], "eps2"),
+    (["train", "--loss", "dpn", "--eps2", "inf"], "eps2"),
+    (["train", "--loss", "dpn", "--eps1", "nan"], "eps1"),
+])
+def test_non_finite_setting_is_usage_error(small_dataset, tmp_path, capsys, args, field):
+    out = tmp_path / "out"
+    extra = ["--n", 20] if args[0] == "gen" else ["--data", small_dataset, "--epochs", 1]
+    assert run(*args, *extra, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be") and "finite" in err
+    assert not out.exists()
 
 
 class TestUsage:

@@ -98,6 +98,8 @@ class TestDatasetRoundTrip:
         '{"format_version":1,"kind":"dataset","classes":["A","B"],"feature_dim":true}',
         '{"format_version":1,"kind":"dataset","classes":["A","B"]}',
         '{"format_version":1,"kind":"dataset","classes":["A","B"],"feature_dim":1',
+        '{"format_version":true,"kind":"dataset","classes":["A","B"],"feature_dim":1}',
+        '{"format_version":1.0,"kind":"dataset","classes":["A","B"],"feature_dim":1}',
         "not json",
     ])
     def test_bad_manifest_rejected_naming_the_file(self, tmp_path, manifest):
@@ -232,7 +234,7 @@ class TestReport:
 
 class TestCurveAndLog:
     def test_curve_header_and_rows(self, tmp_path):
-        curve = PRCurve(((0.9, 1.0, 0.5), (0.3, 0.75, 1.0)), measure="maxp")
+        curve = PRCurve(((0.9, 1.0, 0.5), (0.3, 0.75, 1.0)))
         path = tmp_path / "curve.csv"
         dataio.write_curve(path, curve)
         lines = path.read_text().splitlines()

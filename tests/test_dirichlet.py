@@ -53,10 +53,6 @@ class TestDirichletParams:
         with pytest.raises(ValueError):
             DirichletParams(np.array([1.0, 0.0]))
 
-    def test_rejects_inconsistent_alpha0(self):
-        with pytest.raises(ValueError):
-            DirichletParams(np.array([1.0, 1.0]), alpha0=3.0)
-
 
 class TestFromLogits:
     def test_zero_logits(self):

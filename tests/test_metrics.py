@@ -247,7 +247,9 @@ class TestDetectReport:
             brute_force_average_precision([entropy(p) for p in preds], positives, False),
             abs=1e-9,
         )
-        assert maxp_curve.measure == "maxp" and ent_curve.measure == "ent"
+        assert maxp_curve == pr_curve([max_p(p) for p in preds], positives)
+        assert ent_curve == pr_curve([entropy(p) for p in preds], positives,
+                                     higher_is_positive=False)
 
 
 class TestBuildReport:

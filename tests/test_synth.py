@@ -6,6 +6,7 @@ import pytest
 
 from labelprior.annotations import (
     AgreementGroup,
+    ClassSpace,
     classify_agreement,
     expand,
     soft_label,
@@ -48,7 +49,7 @@ class TestGenerate:
         for ua, ub in zip(a, b):
             assert ua.evaluations == ub.evaluations
             np.testing.assert_array_equal(ua.features, ub.features)
-            np.testing.assert_array_equal(ua.true_mu.p, ub.true_mu.p)
+            np.testing.assert_array_equal(ua.true_mu, ub.true_mu)
 
     def test_utterance_streams_independent_of_n(self):
         # Utterance i is the same whether the corpus has 10 or 50 records.
@@ -63,8 +64,8 @@ class TestGenerate:
             n=1000, k=5, d=16, seed=5,
             regime_precisions=(1e6, 1e6, 1e6), noise_sigma=0.0,
         )
-        utts, _ = generate(cfg)
-        full = sum(1 for u in utts if u.group == AgreementGroup.FULL)
+        utts, space = generate(cfg)
+        full = stats([u.evaluations for u in utts], space).group_counts[AgreementGroup.FULL]
         assert full / len(utts) >= 0.95
 
     def test_flat_prior_regime_produces_no_agreement(self):
@@ -76,14 +77,14 @@ class TestGenerate:
             group_mix=(0.0, 0.0, 1.0),
             regime_precisions=(120.0, 12.0, 8.0),
         )
-        utts, _ = generate(cfg)
-        none = sum(1 for u in utts if u.group == AgreementGroup.NONE)
+        utts, space = generate(cfg)
+        none = stats([u.evaluations for u in utts], space).group_counts[AgreementGroup.NONE]
         assert none / len(utts) >= 0.3
 
     def test_default_fractions_track_mix_implied_expectations(self):
         cfg = SynthConfig(n=2000, k=5, d=16, seed=42)
-        utts, _ = generate(cfg)
-        st = stats([u.annotations for u in utts])
+        utts, space = generate(cfg)
+        st = stats([u.evaluations for u in utts], space)
         for group, expected in EXPECTED_DEFAULT_FRACTIONS.items():
             got = st.group_counts[group] / cfg.n
             assert got == pytest.approx(expected, abs=0.08)
@@ -92,7 +93,7 @@ class TestGenerate:
         cfg = SynthConfig(n=20, k=4, d=10, seed=3, noise_sigma=0.0)
         utts, _ = generate(cfg)
         for u in utts:
-            np.testing.assert_allclose(u.features[:4], u.true_mu.p, atol=1e-12)
+            np.testing.assert_allclose(u.features[:4], u.true_mu, atol=1e-12)
             np.testing.assert_array_equal(u.features[4:], np.zeros(6))
 
     def test_annotator_order_exchangeable(self):
@@ -120,8 +121,8 @@ class TestGenerate:
 class TestStats:
     def test_single_utterance(self):
         cfg = SynthConfig(n=1, k=3, d=4, seed=2, multi_tag_prob=0.0)
-        utts, _ = generate(cfg)
-        st = stats([u.annotations for u in utts])
+        utts, space = generate(cfg)
+        st = stats([u.evaluations for u in utts], space)
         assert st.n_utterances == 1
         assert st.n_evaluations == 3
         assert st.n_multi_tag_evaluations == 0
@@ -129,34 +130,34 @@ class TestStats:
 
     def test_no_multi_tags_when_disabled(self):
         cfg = SynthConfig(n=300, k=5, d=8, seed=4, multi_tag_prob=0.0)
-        utts, _ = generate(cfg)
-        st = stats([u.annotations for u in utts])
+        utts, space = generate(cfg)
+        st = stats([u.evaluations for u in utts], space)
         assert st.n_multi_tag_evaluations == 0
         assert st.n_utterances_extra_labels == 0
 
     def test_average_labels_matches_annotators_and_tag_rate(self):
         cfg = SynthConfig(n=2000, k=5, d=16, seed=42)
-        utts, _ = generate(cfg)
-        st = stats([u.annotations for u in utts])
+        utts, space = generate(cfg)
+        st = stats([u.evaluations for u in utts], space)
         expected = cfg.annotators * (1.0 + cfg.multi_tag_prob)
         assert st.avg_labels_per_utterance == pytest.approx(expected, abs=0.05)
 
     def test_group_counts_partition(self):
         cfg = SynthConfig(n=400, k=5, d=8, seed=6)
-        utts, _ = generate(cfg)
-        st = stats([u.annotations for u in utts])
+        utts, space = generate(cfg)
+        st = stats([u.evaluations for u in utts], space)
         assert sum(st.group_counts.values()) == 400
 
     def test_table_formatting(self):
         cfg = SynthConfig(n=5, k=3, d=4, seed=1)
-        utts, _ = generate(cfg)
-        table = stats([u.annotations for u in utts]).format_table()
+        utts, space = generate(cfg)
+        table = stats([u.evaluations for u in utts], space).format_table()
         assert "Number of total utterances" in table
         assert "Average number of labels per utterance" in table
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            stats([])
+            stats([], ClassSpace(default_class_names(3)))
 
 
 def test_default_class_names():
