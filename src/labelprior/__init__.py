@@ -17,7 +17,6 @@ from .annotations import (
     smooth_label,
     soft_label,
     vote_and_replace,
-    vote_counts,
     vote_matrix,
 )
 from .dirichlet import (
@@ -33,11 +32,6 @@ from .losses import (
     LossKind,
     LossValue,
     batch_loss,
-    dpn_kl_loss,
-    dpn_loss,
-    hard_loss,
-    kl_loss,
-    label_count_nll,
 )
 from .metrics import (
     MetricsReport,

@@ -18,7 +18,6 @@ __all__ = [
     "AnnotationSet",
     "expand",
     "vote_matrix",
-    "vote_counts",
     "agreement",
     "classify_agreement",
     "soft_label",
@@ -109,11 +108,6 @@ def vote_matrix(
     return counts, annotators
 
 
-def vote_counts(evaluations: Sequence[Evaluation], space: ClassSpace) -> np.ndarray:
-    """Per-class number of annotators whose tag set contains the class."""
-    return vote_matrix([evaluations], space)[0][0]
-
-
 _GROUPS = np.array(list(AgreementGroup), dtype=object)  # FULL, MAJORITY, NONE
 
 
@@ -191,14 +185,15 @@ def smooth_label(label: np.ndarray, eps1: float) -> CategoricalDist:
 
 
 def vote_and_replace(
-    labels: Sequence[np.ndarray],
-    group: AgreementGroup,
-    majority: Optional[int],
-) -> list[np.ndarray]:
-    """Replace every label with the majority class when one exists."""
-    if (majority is None) != (group == AgreementGroup.NONE):
-        raise ValueError("majority class must be present iff the group is not NONE")
-    if group == AgreementGroup.NONE:
-        return [np.asarray(lab, dtype=np.float64).copy() for lab in labels]
-    k = np.asarray(labels[0]).shape[0]
-    return [np.eye(k)[majority] for _ in labels]
+    evaluation_sets: Sequence[Sequence[Evaluation]], space: ClassSpace
+) -> list[tuple[Evaluation, ...]]:
+    """The evaluations of n utterances after vote-and-replace.
+
+    An utterance with a majority class gets M single-tag evaluations of it,
+    M being its number of labels; any other keeps its evaluations.
+    """
+    counts, annotators = vote_matrix(evaluation_sets, space)
+    _, majority = agreement(counts, annotators)
+    single = [(Evaluation((c,)),) for c in range(space.k)]
+    return [tuple(evs) if major < 0 else single[major] * int(n_labels)
+            for evs, major, n_labels in zip(evaluation_sets, majority, counts.sum(axis=1))]

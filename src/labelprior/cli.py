@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dataio, metrics, model, synth
-from .annotations import AgreementGroup, Evaluation, agreement, vote_matrix
+from .annotations import agreement, vote_and_replace, vote_matrix
 from .dirichlet import CategoricalDist, SingularityError, from_logits, predictive_mean
 from .losses import LOGIT_CLAMP, LossConfig, LossKind
 
@@ -174,6 +174,10 @@ def _test_views(args: argparse.Namespace):
     if ckpt_space.names != space.names:
         raise ValueError(f"{args.ckpt}: classes {list(ckpt_space.names)} differ from "
                          f"the dataset's {list(space.names)}")
+    width = test_records[0].features.shape[0]
+    if params.dims[0] != width:
+        raise ValueError(f"{args.ckpt}: input width {params.dims[0]} differs from "
+                         f"the dataset's feature width {width}")
     counts, annotators = vote_matrix([rec.evaluations for rec in test_records], space)
     preds = _predict_dists(params, [rec.features for rec in test_records], config.loss.eps2)
     return (counts, *agreement(counts, annotators), preds)
@@ -204,15 +208,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     space, records = dataio.read_dataset(args.data)
-    counts, annotators = vote_matrix([rec.evaluations for rec in records], space)
-    groups, majority = agreement(counts, annotators)
-    # Every label of a record with a majority becomes a single-tag evaluation of it.
-    single = [Evaluation((c,)) for c in range(space.k)]
-    out_records = [
-        rec if group == AgreementGroup.NONE else dataio.DatasetRecord(
-            rec.uid, rec.split, rec.features, (single[major],) * int(n_labels))
-        for rec, group, major, n_labels in zip(records, groups, majority, counts.sum(axis=1))
-    ]
+    replaced = vote_and_replace([rec.evaluations for rec in records], space)
+    out_records = [dataio.DatasetRecord(rec.uid, rec.split, rec.features, evaluations)
+                   for rec, evaluations in zip(records, replaced)]
     dataio.write_dataset(args.out, space, out_records)
     print(f"wrote {len(out_records)} records to {args.out}")
     return 0

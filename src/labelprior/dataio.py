@@ -140,6 +140,8 @@ def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
             raise ValueError(f"{path}: line {no}: feature shape {features.shape} != ({d},)")
         if not np.isfinite(features).all():
             raise ValueError(f"{path}: line {no}: non-finite feature")
+        if not {int, float}.issuperset(map(type, raw["features"])):
+            raise ValueError(f"{path}: line {no}: features must be JSON numbers")
         if not evaluations:
             raise ValueError(f"{path}: line {no}: at least one evaluation is required")
         if record.split not in ("train", "test"):
@@ -210,6 +212,19 @@ def write_checkpoint(
         fh.write(json.dumps(doc, indent=1) + "\n")
 
 
+def _json(value, *types):
+    """``value`` if its type is exactly one of ``types``: bool is an int subclass,
+    and int(), float() and np.asarray would also take numeric strings."""
+    if type(value) not in types:
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
+def _reals(value) -> np.ndarray:
+    items = np.asarray(value, dtype=object)
+    return np.array([float(_json(v, int, float)) for v in items.flat]).reshape(items.shape)
+
+
 def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
     """Params, classes and settings; a malformed checkpoint raises ValueError naming
     the file.  ``dims`` and ``hidden`` describe the layers, the last one per class."""
@@ -221,19 +236,19 @@ def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
         config = TrainConfig(
             loss=LossConfig(
                 kind=LossKind(raw["loss"]),
-                eps1=float(raw["eps1"]),
-                eps2=float(raw["eps2"]),
-                lam=float(raw["lambda"]),
+                eps1=float(_json(raw["eps1"], int, float)),
+                eps2=float(_json(raw["eps2"], int, float)),
+                lam=float(_json(raw["lambda"], int, float)),
             ),
-            learning_rate=float(raw["learning_rate"]),
-            batch_size=int(raw["batch_size"]),
-            epochs=int(raw["epochs"]),
-            seed=int(raw["seed"]),
-            hidden=tuple(int(v) for v in raw["hidden"]),
+            learning_rate=float(_json(raw["learning_rate"], int, float)),
+            batch_size=_json(raw["batch_size"], int),
+            epochs=_json(raw["epochs"], int),
+            seed=_json(raw["seed"], int),
+            hidden=tuple(_json(v, int) for v in raw["hidden"]),
         )
         params = ModelParams(
-            [np.asarray(layer["weights"], dtype=np.float64) for layer in doc["layers"]],
-            [np.asarray(layer["bias"], dtype=np.float64) for layer in doc["layers"]],
+            [_reals(layer["weights"]) for layer in doc["layers"]],
+            [_reals(layer["bias"]) for layer in doc["layers"]],
         )
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: missing or mistyped field: {err!r}") from err

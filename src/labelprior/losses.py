@@ -11,11 +11,14 @@ labels only through N, M and the majority:
 - dpn: mean negative Dirichlet log-density of the eps1-smoothed labels,
   whose mean log-label is (N/M) ln(1-(K-1)eps1) + (1-N/M) ln eps1 (one
   log-gamma and one digamma call per batch);
-- dpn-kl: the Polya (Dirichlet-multinomial) term as exact sums over
-  rising factorials, plus lambda times the soft KL (no special function).
-
-The per-example functions keep their label-list signatures and run the
-kernel on a batch of one, so there is one implementation per objective.
+- dpn-kl: the Polya (Dirichlet-multinomial) term plus lambda times the
+  soft KL.  Integrating the categorical likelihood of the labels over the
+  predicted Dirichlet gives the Polya probability of their count vector,
+  ln p = ln G(a0) - ln G(a0 + M) + sum_k [ln G(a_k + N_k) - ln G(a_k)],
+  taken per label.  Unlike the point-mass density it is finite and bounded
+  for one-hot labels with no smoothing constant.  The counts are integers,
+  so each log-gamma difference is a sum of logs over a rising factorial,
+  exact at any logit inside the clamp (no special function).
 """
 
 from __future__ import annotations
@@ -36,11 +39,6 @@ __all__ = [
     "LossValue",
     "LOGIT_CLAMP",
     "batch_loss",
-    "kl_loss",
-    "hard_loss",
-    "dpn_loss",
-    "label_count_nll",
-    "dpn_kl_loss",
     "example_loss",
 ]
 
@@ -210,103 +208,6 @@ def batch_loss(
     raise ValueError(f"unknown loss kind: {kind!r}")
 
 
-_HARD = LossConfig(LossKind.HARD)
-_SOFT = LossConfig(LossKind.SOFT_KL)
-_POLYA = LossConfig(LossKind.DPN_KL)  # lambda = 0: the Polya term alone
-
-
-def _one(
-    config: LossConfig, z: np.ndarray, counts: np.ndarray, majority: int = -1
-) -> LossValue:
-    # One example through the kernel as a batch of one.
-    values, grad = batch_loss(
-        config,
-        np.asarray(z, dtype=np.float64)[None],
-        np.asarray(counts, dtype=np.float64)[None],
-        np.array([majority]),
-    )
-    return LossValue(float(values[0]), grad[0])
-
-
-def _counts(
-    labels: Sequence[np.ndarray], soft: Optional[CategoricalDist] = None
-) -> np.ndarray:
-    # The count vector of a list of one-hot labels; a given soft label must
-    # be their mean, since the kernel derives the soft label from the counts.
-    if len(labels) == 0:
-        raise ValueError("at least one label is required")
-    counts = np.asarray(labels, dtype=np.float64).reshape(len(labels), -1).sum(axis=0)
-    if soft is not None and np.abs(soft.p - counts / len(labels)).max() > 1e-9:
-        raise ValueError("the soft label is not the mean of the labels")
-    return counts
-
-
-def kl_loss(target: CategoricalDist, z: np.ndarray) -> LossValue:
-    """KL(target || softmax(z)) with the usual y - target gradient."""
-    z = np.asarray(z, dtype=np.float64)
-    if target.p.shape != z.shape:
-        raise ValueError("target and logits have different dimensions")
-    return _one(_SOFT, z, target.p)
-
-
-def hard_loss(label: np.ndarray, z: np.ndarray) -> LossValue:
-    """kl_loss against a one-hot target (cross-entropy up to a constant)."""
-    p = CategoricalDist(np.asarray(label, dtype=np.float64)).p
-    if np.count_nonzero(p) != 1:
-        raise ValueError("hard_loss needs a one-hot label")
-    return _one(_HARD, z, p, int(np.argmax(p)))
-
-
-def dpn_loss(
-    labels: Sequence[np.ndarray],
-    z: np.ndarray,
-    eps1: float,
-    eps2: float,
-) -> LossValue:
-    """Mean negative Dirichlet log-likelihood of the smoothed labels.
-
-    The concentration parameters come from the clamped logits via the
-    exponential output function; each one-hot label is smoothed with eps1
-    before its log-density is taken.  With eps1 = 0 a zero label component
-    hitting alpha_k < 1 raises SingularityError (the density diverges
-    there); this is why the smoothing constant exists.
-    """
-    return _one(LossConfig(LossKind.DPN, eps1=eps1, eps2=eps2), z, _counts(labels))
-
-
-def label_count_nll(labels: Sequence[np.ndarray], z: np.ndarray) -> LossValue:
-    """Negative marginal log-likelihood of hard labels under the Dirichlet.
-
-    Integrating the categorical likelihood of the observed one-hot labels
-    over the predicted Dirichlet gives the Polya sequence probability of
-    their count vector N:
-
-        ln p = ln G(a0) - ln G(a0 + M) + sum_k [ln G(a_k + N_k) - ln G(a_k)]
-
-    normalised per label.  The counts are integers, so each log-gamma
-    difference is a sum of logs over a rising factorial, which stays exact
-    at any logit inside the clamp.  Unlike the point-mass density, this is
-    finite and bounded for one-hot labels with no smoothing constants, so
-    the interpolated objective can train on raw labels.
-    """
-    return _one(_POLYA, z, _counts(labels))
-
-
-def dpn_kl_loss(
-    labels: Sequence[np.ndarray],
-    z: np.ndarray,
-    config: LossConfig,
-    soft: Optional[CategoricalDist] = None,
-) -> LossValue:
-    """Marginal Dirichlet label likelihood plus lambda times the soft KL.
-
-    Both smoothing constants are zero here: the marginal form needs
-    neither, which is what makes the interpolated loss stable on raw
-    one-hot labels.  ``soft``, when given, must be the mean of ``labels``.
-    """
-    return _one(LossConfig(LossKind.DPN_KL, lam=config.lam), z, _counts(labels, soft))
-
-
 def example_loss(
     config: LossConfig,
     z: np.ndarray,
@@ -314,9 +215,17 @@ def example_loss(
     soft: CategoricalDist,
     majority: Optional[int],
 ) -> LossValue:
-    """One training example under the configured objective.
+    """One training example under the configured objective: :func:`batch_loss`
+    on a batch of one.
 
     ``soft`` must be the mean of ``labels``; ``majority`` is required by
     the hard loss only.
     """
-    return _one(config, z, _counts(labels, soft), -1 if majority is None else majority)
+    if len(labels) == 0:
+        raise ValueError("at least one label is required")
+    counts = np.asarray(labels, dtype=np.float64).reshape(len(labels), -1).sum(axis=0)
+    if np.abs(soft.p - counts / len(labels)).max() > 1e-9:
+        raise ValueError("the soft label is not the mean of the labels")
+    values, grad = batch_loss(config, np.asarray(z)[None], counts[None],
+                              np.array([-1 if majority is None else majority]))
+    return LossValue(float(values[0]), grad[0])

@@ -15,7 +15,6 @@ from labelprior.annotations import (
     smooth_label,
     soft_label,
     vote_and_replace,
-    vote_counts,
     vote_matrix,
 )
 
@@ -91,15 +90,15 @@ class TestExpand:
 
 class TestVoteCounts:
     def test_multi_tag_counts(self):
-        np.testing.assert_array_equal(vote_counts([ev(A), ev(A, B), ev(C)], ABC), [2, 1, 1])
+        np.testing.assert_array_equal(vote_matrix([[ev(A), ev(A, B), ev(C)]], ABC)[0], [[2, 1, 1]])
 
     def test_tied_counts(self):
         np.testing.assert_array_equal(
-            vote_counts([ev(A), ev(A, B), ev(B, C)], ABC), [2, 2, 1]
+            vote_matrix([[ev(A), ev(A, B), ev(B, C)]], ABC)[0], [[2, 2, 1]]
         )
 
     def test_unanimous(self):
-        np.testing.assert_array_equal(vote_counts([ev(A)] * 3, ABC), [3, 0, 0])
+        np.testing.assert_array_equal(vote_matrix([[ev(A)] * 3], ABC)[0], [[3, 0, 0]])
 
 
 class TestClassifyAgreement:
@@ -159,7 +158,7 @@ class TestBatchAgreement:
             counts, annotators = vote_matrix(sets, space)
             groups, majority = agreement(counts, annotators)
             for i, evals in enumerate(sets):
-                np.testing.assert_array_equal(counts[i], vote_counts(evals, space))
+                np.testing.assert_array_equal(counts[i], vote_matrix([evals], space)[0][0])
                 expected = reference_rule(list(counts[i]), len(evals))
                 assert classify_agreement(evals, space) == expected
                 assert (groups[i], None if majority[i] < 0 else majority[i]) == expected
@@ -230,23 +229,18 @@ class TestSmoothLabel:
 
 class TestVoteAndReplace:
     def test_replaces_with_majority(self):
-        labels = [one_hot(A)] * 3 + [one_hot(B), one_hot(C)]
-        replaced = vote_and_replace(labels, AgreementGroup.MAJORITY, A)
-        assert len(replaced) == 5
-        for lab in replaced:
-            np.testing.assert_array_equal(lab, one_hot(A))
+        # A A A B C has five labels; A, AB, C has four from three annotators.
+        evals = [ev(A)] * 3 + [ev(B), ev(C)]
+        replaced = vote_and_replace([evals, [ev(A), ev(A, B), ev(C)]], ABC)
+        assert replaced == [(ev(A),) * 5, (ev(A),) * 4]
 
     def test_none_group_unchanged(self):
-        labels = [one_hot(A), one_hot(B), one_hot(C)]
-        replaced = vote_and_replace(labels, AgreementGroup.NONE, None)
-        for got, want in zip(replaced, labels):
-            np.testing.assert_array_equal(got, want)
+        evals = [ev(A), ev(B), ev(C)]
+        assert vote_and_replace([evals], ABC) == [tuple(evals)]
 
     def test_fixed_point(self):
-        labels = [one_hot(A), one_hot(A)]
-        replaced = vote_and_replace(labels, AgreementGroup.FULL, A)
-        for got, want in zip(replaced, labels):
-            np.testing.assert_array_equal(got, want)
+        evals = [ev(A), ev(A)]
+        assert vote_and_replace([evals], ABC) == [tuple(evals)]
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
@@ -255,18 +249,8 @@ class TestVoteAndReplace:
                 Evaluation(tuple(int(t) for t in rng.choice(3, size=int(rng.integers(1, 3)), replace=False)))
                 for _ in range(3)
             ]
-            group, majority = classify_agreement(evals, ABC)
-            labels = expand(evals, ABC)
-            once = vote_and_replace(labels, group, majority)
-            twice = vote_and_replace(once, group, majority)
-            for got, want in zip(twice, once):
-                np.testing.assert_array_equal(got, want)
-
-    def test_majority_presence_contract(self):
-        with pytest.raises(ValueError):
-            vote_and_replace([one_hot(A)], AgreementGroup.FULL, None)
-        with pytest.raises(ValueError):
-            vote_and_replace([one_hot(A)], AgreementGroup.NONE, A)
+            once = vote_and_replace([evals], ABC)
+            assert vote_and_replace(once, ABC) == once
 
 
 class TestAnnotationSet:

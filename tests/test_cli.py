@@ -126,6 +126,8 @@ class TestTrain:
         (lambda rec: rec.update(features="0.5"), "feature shape"),
         (lambda rec: rec.update(evaluations=["A", "B"]), "list of class names"),
         (lambda rec: rec.update(evaluations=[]), "at least one evaluation is required"),
+        (lambda rec: rec["features"].__setitem__(0, True), "features must be JSON numbers"),
+        (lambda rec: rec["features"].__setitem__(1, "0.12"), "features must be JSON numbers"),
     ])
     def test_malformed_record_is_data_error(self, small_dataset, tmp_path, capsys,
                                             edit, message):
@@ -262,6 +264,18 @@ class TestEval:
         assert run("eval", "--data", small_dataset, "--ckpt", ckpt,
                    "--out", tmp_path / "r.json") == 1
 
+    def test_feature_width_mismatch_names_checkpoint(self, small_dataset, tmp_path, capsys):
+        wide = tmp_path / "wide.jsonl"
+        run("gen", "--n", 40, "--k", 4, "--d", 16, "--seed", 1, "--out", wide)
+        ckpt = tmp_path / "m.json"
+        run("train", "--data", wide, "--loss", "soft", "--epochs", 1, "--out", ckpt)
+        capsys.readouterr()
+        for command in (["eval", "--out", tmp_path / "r.json"],
+                        ["detect", "--out-prefix", tmp_path / "c"]):
+            assert run(*command, "--data", small_dataset, "--ckpt", ckpt) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: {ckpt}: input width 16 differs from the dataset's feature width 8")
+
     def test_missing_test_split_errors(self, tmp_path):
         data = tmp_path / "train_only.jsonl"
         run("gen", "--n", 20, "--k", 3, "--d", 4, "--seed", 1,
@@ -310,6 +324,13 @@ class TestEval:
         (lambda doc: doc.update(classes="ABCD"), "classes must be a list of strings"),
         (lambda doc: '{"format_version": 1, "kind": "checkpoint",', "not JSON"),
         (widen_last_layer, "last layer has 5 units for 4 classes"),
+        (lambda doc: doc["train_config"].update(batch_size=2.7), "expected int, got 2.7"),
+        (lambda doc: doc["train_config"].update(epochs=True), "expected int, got True"),
+        (lambda doc: doc["train_config"].update(seed=1.9), "expected int, got 1.9"),
+        (lambda doc: doc["train_config"].update(learning_rate="0.01"),
+         "expected int or float, got '0.01'"),
+        (lambda doc: doc["layers"][0]["bias"].__setitem__(0, "0.5"),
+         "expected int or float, got '0.5'"),
     ])
     def test_bad_checkpoint_is_data_error(self, small_dataset, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "m.json"

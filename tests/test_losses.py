@@ -1,7 +1,9 @@
 """Gradient and value tests for the four training objectives.
 
-Every analytic gradient is checked against central finite differences of
-the implemented value, with relative tolerance 1e-4 elementwise and the
+Every objective is :func:`batch_loss`; a single example is a batch of one,
+either through ``batch_loss`` directly or through ``example_loss``.  Every
+analytic gradient is checked against central finite differences of the
+implemented value, with relative tolerance 1e-4 elementwise and the
 denominator floored at 1e-8.
 """
 
@@ -10,6 +12,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from labelprior.annotations import smooth_label, soft_label
 from labelprior.dirichlet import CategoricalDist, SingularityError, from_logits, log_pdf
@@ -18,15 +23,14 @@ from labelprior.losses import (
     LossConfig,
     LossKind,
     batch_loss,
-    dpn_kl_loss,
-    dpn_loss,
     example_loss,
-    hard_loss,
-    kl_loss,
-    label_count_nll,
 )
 
 FD_STEP = 1e-5
+
+HARD = LossConfig(LossKind.HARD)
+SOFT = LossConfig(LossKind.SOFT_KL)
+POLYA = LossConfig(LossKind.DPN_KL)  # lambda = 0: the Polya term alone
 
 
 def one_hot(index, k):
@@ -35,14 +39,20 @@ def one_hot(index, k):
     return label
 
 
+def no_majority(b):
+    return np.full(b, -1)
+
+
 def fd_gradient(fn, z, step=FD_STEP):
+    """Central differences along the last axis; ``fn`` maps logits to values,
+    one per row for a (B, K) batch."""
     grad = np.zeros_like(z)
-    for i in range(z.shape[0]):
+    for i in range(z.shape[-1]):
         up = z.copy()
         dn = z.copy()
-        up[i] += step
-        dn[i] -= step
-        grad[i] = (fn(up) - fn(dn)) / (2.0 * step)
+        up[..., i] += step
+        dn[..., i] -= step
+        grad[..., i] = (fn(up) - fn(dn)) / (2.0 * step)
     return grad
 
 
@@ -55,87 +65,92 @@ def random_labels(rng, k, m):
     return [one_hot(int(rng.integers(0, k)), k) for m_ in range(m)]
 
 
+def counts_of(labels):
+    return np.sum(labels, axis=0)
+
+
 class TestKlLoss:
     def test_zero_at_matching_target(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=4)
         e = np.exp(z - z.max())
-        target = CategoricalDist(e / e.sum())
-        loss = kl_loss(target, z)
-        assert loss.value == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(loss.grad_z, 0.0, atol=1e-12)
+        values, grad = batch_loss(SOFT, z[None], (e / e.sum())[None], no_majority(1))
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(grad[0], 0.0, atol=1e-12)
 
     def test_one_hot_vs_uniform(self):
-        loss = kl_loss(CategoricalDist(np.array([1.0, 0.0])), np.zeros(2))
-        assert loss.value == pytest.approx(math.log(2.0), abs=1e-12)
-        np.testing.assert_allclose(loss.grad_z, [-0.5, 0.5], atol=1e-12)
+        values, grad = batch_loss(SOFT, np.zeros((1, 2)), np.array([[1.0, 0.0]]), no_majority(1))
+        assert values[0] == pytest.approx(math.log(2.0), abs=1e-12)
+        np.testing.assert_allclose(grad[0], [-0.5, 0.5], atol=1e-12)
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(42)
-        for _ in range(50):
-            k = 5
-            z = rng.normal(0.0, 2.0, size=k)
-            t = rng.dirichlet(np.ones(k))
-            target = CategoricalDist(t)
-            analytic = kl_loss(target, z).grad_z
-            numeric = fd_gradient(lambda v: kl_loss(target, v).value, z)
-            assert_grad_close(analytic, numeric, rel=1e-5)
+        k = 5
+        z, t = map(np.array, zip(*[(rng.normal(0.0, 2.0, size=k), rng.dirichlet(np.ones(k)))
+                                   for _ in range(50)]))
+        analytic = batch_loss(SOFT, z, t, no_majority(50))[1]
+        numeric = fd_gradient(lambda v: batch_loss(SOFT, v, t, no_majority(50))[0], z)
+        assert_grad_close(analytic, numeric, rel=1e-5)
 
     def test_value_non_negative(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             k = int(rng.integers(2, 6))
-            target = CategoricalDist(rng.dirichlet(np.ones(k)))
-            assert kl_loss(target, rng.normal(size=k)).value >= -1e-12
+            target = rng.dirichlet(np.ones(k))
+            z = rng.normal(size=k)
+            assert batch_loss(SOFT, z[None], target[None], no_majority(1))[0][0] >= -1e-12
 
 
 class TestHardLoss:
     def test_confident_correct_prediction(self):
-        z = np.array([30.0, 0.0, 0.0])
-        assert hard_loss(one_hot(0, 3), z).value == pytest.approx(0.0, abs=1e-9)
+        z = np.array([[30.0, 0.0, 0.0]])
+        values, _ = batch_loss(HARD, z, one_hot(0, 3)[None], np.array([0]))
+        assert values[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_two_way(self):
-        assert hard_loss(one_hot(0, 2), np.zeros(2)).value == pytest.approx(
-            math.log(2.0), abs=1e-12
-        )
+        values, _ = batch_loss(HARD, np.zeros((1, 2)), one_hot(0, 2)[None], np.array([0]))
+        assert values[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             k = int(rng.integers(2, 6))
             z = rng.normal(0.0, 2.0, size=k)
-            label = one_hot(int(rng.integers(0, k)), k)
-            analytic = hard_loss(label, z).grad_z
-            numeric = fd_gradient(lambda v: hard_loss(label, v).value, z)
+            c = int(rng.integers(0, k))
+            label, majority = one_hot(c, k)[None], np.array([c])
+            analytic = batch_loss(HARD, z[None], label, majority)[1][0]
+            numeric = fd_gradient(lambda v: batch_loss(HARD, v[None], label, majority)[0][0], z)
             assert_grad_close(analytic, numeric, rel=1e-5)
 
 
 class TestDpnLoss:
     def test_flat_dirichlet_gives_zero(self):
         # alpha = (1, 1): the density is 1 on the simplex for any label.
-        for labels in ([one_hot(0, 2)], [one_hot(0, 2), one_hot(1, 2)]):
-            loss = dpn_loss(labels, np.zeros(2), eps1=0.01, eps2=0.0)
-            assert loss.value == pytest.approx(0.0, abs=1e-12)
+        config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
+        counts = np.array([counts_of([one_hot(0, 2)]), counts_of([one_hot(0, 2), one_hot(1, 2)])])
+        values, _ = batch_loss(config, np.zeros((2, 2)), counts, no_majority(2))
+        np.testing.assert_allclose(values, 0.0, atol=1e-12)
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(42)
-        for _ in range(50):
-            k = 3
-            z = rng.normal(0.0, 1.5, size=k)
-            labels = [one_hot(0, k), one_hot(0, k), one_hot(1, k)]
-            analytic = dpn_loss(labels, z, eps1=0.01, eps2=0.0).grad_z
-            numeric = fd_gradient(lambda v: dpn_loss(labels, v, 0.01, 0.0).value, z)
-            assert_grad_close(analytic, numeric)
+        config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
+        k = 3
+        z = np.array([rng.normal(0.0, 1.5, size=k) for _ in range(50)])
+        counts = np.tile(counts_of([one_hot(0, k), one_hot(0, k), one_hot(1, k)]), (50, 1))
+        analytic = batch_loss(config, z, counts, no_majority(50))[1]
+        numeric = fd_gradient(lambda v: batch_loss(config, v, counts, no_majority(50))[0], z)
+        assert_grad_close(analytic, numeric)
 
     def test_gradient_with_eps2(self):
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            k = 5
-            z = rng.normal(0.0, 1.5, size=k)
-            labels = random_labels(rng, k, int(rng.integers(1, 6)))
-            analytic = dpn_loss(labels, z, eps1=1e-2, eps2=1e-8).grad_z
-            numeric = fd_gradient(lambda v: dpn_loss(labels, v, 1e-2, 1e-8).value, z)
-            assert_grad_close(analytic, numeric)
+        config = LossConfig(LossKind.DPN, eps1=1e-2, eps2=1e-8)
+        k = 5
+        z, counts = map(np.array, zip(*[
+            (rng.normal(0.0, 1.5, size=k), counts_of(random_labels(rng, k, int(rng.integers(1, 6)))))
+            for _ in range(20)]))
+        analytic = batch_loss(config, z, counts, no_majority(20))[1]
+        numeric = fd_gradient(lambda v: batch_loss(config, v, counts, no_majority(20))[0], z)
+        assert_grad_close(analytic, numeric)
 
     def test_matches_composition_of_density_and_smoothing(self):
         # The loss equals the mean negative log-density of the smoothed
@@ -151,52 +166,56 @@ class TestDpnLoss:
             expected = -np.mean(
                 [log_pdf(params, smooth_label(lab, eps1)) for lab in labels]
             )
-            got = dpn_loss(labels, z, eps1, eps2).value
+            config = LossConfig(LossKind.DPN, eps1=eps1, eps2=eps2)
+            got = example_loss(config, z, labels, soft_label(labels), None).value
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-10)
 
     def test_duplicating_labels_keeps_value(self):
         rng = np.random.default_rng(3)
         z = rng.normal(size=2)
-        once = dpn_loss([one_hot(0, 2), one_hot(1, 2)], z, 0.01, 0.0)
-        twice = dpn_loss([one_hot(0, 2)] * 2 + [one_hot(1, 2)] * 2, z, 0.01, 0.0)
-        assert twice.value == pytest.approx(once.value, abs=1e-12)
+        config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
+        once = counts_of([one_hot(0, 2), one_hot(1, 2)])
+        twice = counts_of([one_hot(0, 2)] * 2 + [one_hot(1, 2)] * 2)
+        values, _ = batch_loss(config, np.array([z, z]), np.array([once, twice]), no_majority(2))
+        assert values[1] == pytest.approx(values[0], abs=1e-12)
 
     def test_distinguishes_label_multiplicity(self):
         # One A label versus an A and a B: different unless the logits are
         # symmetric in the two classes.
         rng = np.random.default_rng(11)
-        differs = 0
-        for _ in range(100):
-            z = rng.normal(0.0, 1.0, size=3)
-            a_only = dpn_loss([one_hot(0, 3)], z, 0.01, 0.0).value
-            a_and_b = dpn_loss([one_hot(0, 3), one_hot(1, 3)], z, 0.01, 0.0).value
-            if abs(a_only - a_and_b) > 1e-9:
-                differs += 1
-        assert differs >= 95
+        config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
+        z = np.array([rng.normal(0.0, 1.0, size=3) for _ in range(100)])
+        a_only = batch_loss(config, z, np.tile([1, 0, 0], (100, 1)), no_majority(100))[0]
+        a_and_b = batch_loss(config, z, np.tile([1, 1, 0], (100, 1)), no_majority(100))[0]
+        assert np.count_nonzero(np.abs(a_only - a_and_b) > 1e-9) >= 95
 
     def test_singularity_without_smoothing(self):
-        z = np.array([-1.0, -1.0])  # alpha < 1 everywhere
+        z = np.array([[-1.0, -1.0]])  # alpha < 1 everywhere
         with pytest.raises(SingularityError):
-            dpn_loss([one_hot(0, 2)], z, eps1=0.0, eps2=0.0)
+            batch_loss(LossConfig(LossKind.DPN, eps1=0.0, eps2=0.0), z,
+                       one_hot(0, 2)[None], no_majority(1))
 
     def test_empty_labels_rejected(self):
+        config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
         with pytest.raises(ValueError):
-            dpn_loss([], np.zeros(2), 0.01, 0.0)
+            example_loss(config, np.zeros(2), [], CategoricalDist(np.array([0.5, 0.5])), None)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(19)
+        config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
         for _ in range(20):
             k = 4
             z = rng.normal(size=k)
             labels = random_labels(rng, k, 3)
             perm = rng.permutation(k)
-            loss = dpn_loss(labels, z, 0.01, 0.0)
-            perm_loss = dpn_loss([lab[perm] for lab in labels], z[perm], 0.01, 0.0)
+            perm_labels = [lab[perm] for lab in labels]
+            loss = example_loss(config, z, labels, soft_label(labels), None)
+            perm_loss = example_loss(config, z[perm], perm_labels, soft_label(perm_labels), None)
             assert perm_loss.value == pytest.approx(loss.value, abs=1e-12)
             np.testing.assert_allclose(perm_loss.grad_z, loss.grad_z[perm], atol=1e-12)
 
 
-class TestLabelCountNll:
+class TestPolyaTerm:
     def test_matches_sequential_predictive_product(self):
         # Polya urn: p(labels) = prod_m (alpha_cm + seen_cm) / (alpha0 + m).
         rng = np.random.default_rng(42)
@@ -213,7 +232,8 @@ class TestLabelCountNll:
                 log_p += math.log((alpha[c] + seen[c]) / (alpha0 + m_i))
                 seen[c] += 1
             expected = -log_p / len(classes)
-            assert label_count_nll(labels, z).value == pytest.approx(expected, abs=1e-10)
+            got = example_loss(POLYA, z, labels, soft_label(labels), None).value
+            assert got == pytest.approx(expected, abs=1e-10)
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -221,8 +241,9 @@ class TestLabelCountNll:
             k = int(rng.integers(2, 6))
             z = rng.normal(0.0, 1.5, size=k)
             labels = random_labels(rng, k, int(rng.integers(1, 7)))
-            analytic = label_count_nll(labels, z).grad_z
-            numeric = fd_gradient(lambda v: label_count_nll(labels, v).value, z)
+            soft = soft_label(labels)
+            analytic = example_loss(POLYA, z, labels, soft, None).grad_z
+            numeric = fd_gradient(lambda v: example_loss(POLYA, v, labels, soft, None).value, z)
             assert_grad_close(analytic, numeric)
 
     def test_bounded_below_by_sample_average(self):
@@ -232,7 +253,8 @@ class TestLabelCountNll:
         for _ in range(100):
             k = int(rng.integers(2, 6))
             labels = random_labels(rng, k, int(rng.integers(1, 8)))
-            assert label_count_nll(labels, rng.normal(size=k)).value >= 0.0
+            z = rng.normal(size=k)
+            assert example_loss(POLYA, z, labels, soft_label(labels), None).value >= 0.0
 
 
 class TestDpnKlLoss:
@@ -240,16 +262,13 @@ class TestDpnKlLoss:
 
     def test_is_sum_of_its_terms(self):
         rng = np.random.default_rng(42)
-        for _ in range(20):
-            k = 3
-            z = rng.normal(size=k)
-            labels = [one_hot(0, k), one_hot(0, k), one_hot(1, k)]
-            combined = dpn_kl_loss(labels, z, self.CONFIG)
-            manual = (
-                label_count_nll(labels, z).value
-                + 20.0 * kl_loss(soft_label(labels), z).value
-            )
-            assert combined.value == pytest.approx(manual, abs=1e-12)
+        k = 3
+        z = np.array([rng.normal(size=k) for _ in range(20)])
+        counts = np.tile(counts_of([one_hot(0, k), one_hot(0, k), one_hot(1, k)]), (20, 1))
+        combined = batch_loss(self.CONFIG, z, counts, no_majority(20))[0]
+        manual = (batch_loss(POLYA, z, counts, no_majority(20))[0]
+                  + 20.0 * batch_loss(SOFT, z, counts, no_majority(20))[0])
+        np.testing.assert_allclose(combined, manual, rtol=0, atol=1e-12)
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -257,24 +276,25 @@ class TestDpnKlLoss:
             k = int(rng.integers(2, 6))
             z = rng.normal(0.0, 1.5, size=k)
             labels = random_labels(rng, k, int(rng.integers(1, 6)))
-            analytic = dpn_kl_loss(labels, z, self.CONFIG).grad_z
-            numeric = fd_gradient(lambda v: dpn_kl_loss(labels, v, self.CONFIG).value, z)
+            soft = soft_label(labels)
+            analytic = example_loss(self.CONFIG, z, labels, soft, None).grad_z
+            numeric = fd_gradient(
+                lambda v: example_loss(self.CONFIG, v, labels, soft, None).value, z)
             assert_grad_close(analytic, numeric)
 
     def test_no_smoothing_needed_on_one_hot_labels(self):
         # Raw one-hot labels with sub-unit concentrations stay finite.
-        z = np.array([-2.0, -2.0, -2.0])
-        loss = dpn_kl_loss([one_hot(0, 3)], z, self.CONFIG)
-        assert math.isfinite(loss.value)
-        assert np.all(np.isfinite(loss.grad_z))
+        z = np.array([[-2.0, -2.0, -2.0]])
+        values, grad = batch_loss(self.CONFIG, z, one_hot(0, 3)[None], no_majority(1))
+        assert math.isfinite(values[0])
+        assert np.all(np.isfinite(grad))
 
     def test_lambda_zero_reduces_to_dirichlet_term(self):
         config = LossConfig(LossKind.DPN_KL, lam=0.0)
         z = np.array([0.5, -0.5])
-        labels = [one_hot(0, 2), one_hot(1, 2)]
-        assert dpn_kl_loss(labels, z, config).value == pytest.approx(
-            label_count_nll(labels, z).value, abs=1e-15
-        )
+        counts = counts_of([one_hot(0, 2), one_hot(1, 2)])
+        values, _ = batch_loss(config, z[None], counts[None], no_majority(1))
+        assert values[0] == pytest.approx(reference_polya([0, 1], list(z)), abs=1e-15)
 
 
 class TestLossConfig:
@@ -320,21 +340,12 @@ class TestExampleLoss:
         z = rng.normal(size=k)
         labels = [one_hot(0, k), one_hot(0, k), one_hot(2, k)]
         soft = soft_label(labels)
-        cases = [
-            (LossConfig(LossKind.HARD), hard_loss(one_hot(0, k), z).value),
-            (LossConfig(LossKind.SOFT_KL), kl_loss(soft, z).value),
-            (
-                LossConfig.default_for(LossKind.DPN),
-                dpn_loss(labels, z, 1e-2, 1e-8).value,
-            ),
-            (
-                LossConfig.default_for(LossKind.DPN_KL),
-                dpn_kl_loss(labels, z, LossConfig.default_for(LossKind.DPN_KL)).value,
-            ),
-        ]
-        for config, expected in cases:
+        for kind in LossKind:
+            config = LossConfig.default_for(kind)
+            values, grad = batch_loss(config, z[None], counts_of(labels)[None], np.array([0]))
             got = example_loss(config, z, labels, soft, majority=0)
-            assert got.value == pytest.approx(expected, abs=1e-12)
+            assert got.value == pytest.approx(values[0], abs=1e-12)
+            np.testing.assert_array_equal(got.grad_z, grad[0])
 
 
 def test_all_losses_permutation_equivariant():
@@ -347,18 +358,10 @@ def test_all_losses_permutation_equivariant():
         perm = rng.permutation(k)
         perm_labels = [lab[perm] for lab in labels]
         perm_soft = CategoricalDist(soft.p[perm])
-        pairs = [
-            (kl_loss(soft, z), kl_loss(perm_soft, z[perm])),
-            (
-                dpn_loss(labels, z, 0.01, 1e-8),
-                dpn_loss(perm_labels, z[perm], 0.01, 1e-8),
-            ),
-            (
-                dpn_kl_loss(labels, z, LossConfig.default_for(LossKind.DPN_KL)),
-                dpn_kl_loss(perm_labels, z[perm], LossConfig.default_for(LossKind.DPN_KL)),
-            ),
-        ]
-        for base, permuted in pairs:
+        for config in (SOFT, LossConfig(LossKind.DPN, eps1=0.01, eps2=1e-8),
+                       LossConfig.default_for(LossKind.DPN_KL)):
+            base = example_loss(config, z, labels, soft, None)
+            permuted = example_loss(config, z[perm], perm_labels, perm_soft, None)
             assert permuted.value == pytest.approx(base.value, abs=1e-12)
             np.testing.assert_allclose(permuted.grad_z, base.grad_z[perm], atol=1e-12)
 
@@ -481,6 +484,41 @@ class TestBatchLoss:
         config = LossConfig.default_for(LossKind.DPN_KL)
         with pytest.raises(ValueError, match="integer"):
             batch_loss(config, np.zeros((1, 2)), np.array([[0.5, 0.5]]), np.array([-1]))
+
+
+@st.composite
+def batches(draw, kind):
+    """(B, K) logits in the clamp range, integer counts with at least one
+    label per row, and the majorities (each row's argmax for hard)."""
+    b, k = draw(st.integers(1, 16)), draw(st.integers(2, 10))
+    z = draw(hnp.arrays(np.float64, (b, k), elements=st.floats(-LOGIT_CLAMP, LOGIT_CLAMP)))
+    counts = draw(hnp.arrays(np.int64, (b, k), elements=st.integers(0, 6)))
+    counts[np.arange(b), draw(hnp.arrays(np.int64, b, elements=st.integers(0, k - 1)))] += 1
+    majority = counts.argmax(axis=1) if kind == LossKind.HARD else no_majority(b)
+    return z, counts, majority, np.array(draw(st.permutations(range(b))), dtype=np.int64)
+
+
+def assert_relative(got, want, rel=1e-12):
+    np.testing.assert_array_less(np.abs(got - want), rel * np.abs(want) + 1e-300)
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batch_rows_are_independent(kind, data):
+    # Each row of a batch is that row's loss alone, and permuting the rows
+    # permutes values and gradients: one example is a batch of one.
+    config = LossConfig.default_for(kind)
+    z, counts, majority, perm = data.draw(batches(kind))
+    values, grad = batch_loss(config, z, counts, majority)
+    for row in range(z.shape[0]):
+        one_value, one_grad = batch_loss(config, z[row:row + 1], counts[row:row + 1],
+                                         majority[row:row + 1])
+        assert_relative(one_value[0], values[row])
+        assert_relative(one_grad[0], grad[row])
+    perm_values, perm_grad = batch_loss(config, z[perm], counts[perm], majority[perm])
+    assert_relative(perm_values, values[perm])
+    assert_relative(perm_grad, grad[perm])
 
 
 def mp_dpn_kl(z, counts, lam):

@@ -15,10 +15,13 @@ from labelprior import cli
 MISSING = "<missing>"
 
 # Values no field of either file admits: the letters x, y, z spell no
-# class, split, kind or loss name and no number.
+# class, split, kind or loss name and no number, and a boolean or a numeric
+# string is not a JSON number.
 BAD_VALUES = st.one_of(
     st.just(MISSING),
     st.none(),
+    st.booleans(),
+    st.sampled_from(["0", "1", "0.5"]),
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.text("xyz", min_size=1, max_size=3),
     st.lists(st.text("xyz", min_size=1, max_size=2), max_size=3),
