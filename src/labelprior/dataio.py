@@ -246,13 +246,16 @@ def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
             seed=_json(raw["seed"], int),
             hidden=tuple(_json(v, int) for v in raw["hidden"]),
         )
+        dims = doc["dims"]
+        for size in (dims["input"], *dims["hidden"], dims["output"]):
+            _json(size, int)
         params = ModelParams(
             [_reals(layer["weights"]) for layer in doc["layers"]],
             [_reals(layer["bias"]) for layer in doc["layers"]],
         )
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: missing or mistyped field: {err!r}") from err
-    if doc.get("dims") != _dims(params) or config.hidden != params.dims[1:-1]:
+    if dims != _dims(params) or config.hidden != params.dims[1:-1]:
         raise ValueError(f"{path}: dims or hidden do not match the layers {_dims(params)}")
     if params.dims[-1] != space.k:
         raise ValueError(f"{path}: last layer has {params.dims[-1]} units for {space.k} classes")

@@ -108,34 +108,36 @@ def from_logits(z: np.ndarray, eps2: float = 0.0) -> DirichletParams:
     return DirichletParams(np.exp(z) + eps2)
 
 
+def _log_density(alpha: np.ndarray, log_mu: np.ndarray, zero=False, name_row=False) -> np.ndarray:
+    """ln Dir(mu | alpha) along the last axis from ln mu, for log_pdf and the dpn loss.
+    Where the mask ``zero`` marks mu_k = 0 (``log_mu`` 0 there) the term drops out if
+    alpha_k == 1, the row is -inf if alpha_k > 1, and alpha_k < 1 raises a SingularityError
+    naming the first such row in ``row`` (and in the message if ``name_row``)."""
+    lg = log_gamma(np.concatenate([alpha, alpha.sum(axis=-1, keepdims=True)], axis=-1))
+    value = lg[..., -1] - lg[..., :-1].sum(axis=-1) + np.sum((alpha - 1.0) * log_mu, axis=-1)
+    bad = np.argwhere(zero & (alpha < 1.0))
+    if bad.size:
+        *row, idx = bad[0]
+        a = float(np.broadcast_arrays(alpha, zero)[0][tuple(bad[0])])
+        raise SingularityError(f"label component {idx} is 0 with alpha[{idx}] = {a!r} < 1"
+                               f"{_row(row[0], name_row) if row else ''}",
+                               row=int(row[0]) if row else None)
+    return np.where(np.any(zero & (alpha > 1.0), axis=-1), -np.inf, value)
+
+
 def log_pdf(params: DirichletParams, mu: CategoricalDist) -> float | np.ndarray:
     """ln Dir(mu | alpha), a float for one row and an (N,) array for a batch.
 
     ``params`` and ``mu`` are (K,) rows or (N, K) batches; a single row
-    pairs with every row of the other.  Zero components of ``mu`` are
-    allowed only where the density stays defined: the term is dropped when
-    alpha_k == 1, the limit -inf is returned when alpha_k > 1, and a
-    SingularityError naming the first such row in its ``row`` attribute
-    (None for a single row) is raised when alpha_k < 1 (the density
-    diverges there).
+    pairs with every row of the other.  Zero components of ``mu`` follow
+    the rules of :func:`_log_density` (``row`` is None for a single row).
     """
-    alpha = params.alpha
     p = np.asarray(mu, dtype=np.float64)
-    if p.shape[-1] != alpha.shape[-1]:
+    if p.shape[-1] != params.k:
         raise ValueError("dimension mismatch between mu and alpha")
     zero = p == 0.0
-    singular = zero & (alpha < 1.0)
-    bad = np.argwhere(singular)
-    if bad.size:
-        *row, idx = bad[0]
-        a = float(np.broadcast_to(alpha, singular.shape)[tuple(bad[0])])
-        raise SingularityError(f"mu[{idx}] = 0 with alpha[{idx}] = {a!r} < 1"
-                               f"{_row(row[0], True) if row else ''}",
-                               row=int(row[0]) if row else None)
     log_p = np.log(p, where=~zero, out=np.zeros(p.shape))
-    log_norm = log_gamma(params.alpha0) - np.sum(log_gamma(alpha), axis=-1)
-    value = log_norm + np.sum((alpha - 1.0) * log_p, axis=-1)
-    return np.where(np.any(zero & (alpha > 1.0), axis=-1), -np.inf, value)[()]
+    return _log_density(params.alpha, log_p, zero, name_row=True)[()]
 
 
 def predictive_mean(params: DirichletParams) -> CategoricalDist:

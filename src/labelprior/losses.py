@@ -9,8 +9,8 @@ labels only through N, M and the majority:
 - hard: KL to a one-hot target at the majority class;
 - soft: KL to the soft label N/M;
 - dpn: mean negative Dirichlet log-density of the eps1-smoothed labels,
-  whose mean log-label is (N/M) ln(1-(K-1)eps1) + (1-N/M) ln eps1 (one
-  log-gamma and one digamma call per batch);
+  which is minus the density of :mod:`dirichlet` at their mean log-label
+  (N/M) ln(1-(K-1)eps1) + (1-N/M) ln eps1;
 - dpn-kl: the Polya (Dirichlet-multinomial) term plus lambda times the
   soft KL.  Integrating the categorical likelihood of the labels over the
   predicted Dirichlet gives the Polya probability of their count vector,
@@ -30,8 +30,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dirichlet import CategoricalDist, SingularityError
-from .specfun import digamma, log_gamma
+from .dirichlet import CategoricalDist, _log_density
+from .specfun import digamma
+# Unused here, but bench/test_harness.py checks that tracing restores losses.log_gamma.
+from .specfun import log_gamma  # noqa: F401
 
 __all__ = [
     "LossKind",
@@ -102,54 +104,37 @@ def _kl(target: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(target * (log_t - log_y), axis=1), np.exp(log_y) - target
 
 
+def _head(z: np.ndarray, eps2: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    # alpha = exp(clip(z)) + eps2 and d alpha / dz, which is 0 where the clamp holds.
+    e = np.exp(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
+    return e + eps2, e * (np.abs(z) < LOGIT_CLAMP)
+
+
 def _dpn(
     z: np.ndarray, counts: np.ndarray, m: np.ndarray, eps1: float, eps2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     k = z.shape[1]
     if not 0.0 <= eps1 < 1.0 / (k - 1):
         raise ValueError(f"eps1 must lie in [0, 1/(K-1)) = [0, {1.0 / (k - 1):g})")
-    zc = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
-    e = np.exp(zc)
-    alpha = e + eps2
+    alpha, d_alpha = _head(z, eps2)
 
-    # Smoothing maps a one-hot label to eps1 + (1 - K*eps1)*label, so N_k/M
-    # of a row's labels have ln(1 - (K-1)*eps1) at class k and the rest ln eps1.
+    # Smoothing maps a one-hot label to eps1 + (1 - K*eps1)*label, so N_k/M of a row's
+    # labels have ln(1 - (K-1)*eps1) at class k and the rest ln eps1 (mu_k = 0, the zero
+    # mask, at eps1 = 0).  The density is linear in ln mu: their mean is one density.
     cold = (m[:, None] - counts) / m[:, None]  # share of labels that are 0 at k
     mean_log_mu = counts / m[:, None] * math.log(eps1 + (1.0 - k * eps1))
     if eps1 > 0.0:
         mean_log_mu += cold * math.log(eps1)
-        diverges = np.zeros(z.shape[0], dtype=bool)
-    else:
-        # A zero label component drops out where alpha_k == 1, is a
-        # singularity where alpha_k < 1 and sends the loss to +inf (density
-        # limit 0) where alpha_k > 1.
-        zero = cold > 0.0
-        singular = zero & (alpha < 1.0)
-        rows = np.flatnonzero(np.any(singular, axis=1))
-        if rows.size:
-            row = int(rows[0])
-            idx = int(np.flatnonzero(singular[row])[0])
-            a = float(alpha[row, idx])
-            raise SingularityError(
-                f"label component {idx} is 0 with alpha[{idx}] = {a!r} < 1", row=row)
-        diverges = np.any(zero & (alpha > 1.0), axis=1)
-
-    # Shared normaliser plus the (alpha - 1) . mean ln mu terms.
-    both = np.concatenate([alpha, alpha.sum(axis=1, keepdims=True)], axis=1)
-    lg = log_gamma(both)
-    value = -(lg[:, -1] - lg[:, :-1].sum(axis=1) + np.sum((alpha - 1.0) * mean_log_mu, axis=1))
-    dg = digamma(both)
-    grad_alpha = -(dg[:, -1:] - dg[:, :-1] + mean_log_mu)
-    unclamped = np.abs(z) < LOGIT_CLAMP
-    return np.where(diverges, np.inf, value), grad_alpha * e * unclamped
+    value = -_log_density(alpha, mean_log_mu, eps1 == 0.0 and cold > 0.0)
+    dg = digamma(np.concatenate([alpha, alpha.sum(axis=1, keepdims=True)], axis=1))
+    return value, (dg[:, :-1] - dg[:, -1:] - mean_log_mu) * d_alpha
 
 
 def _polya(
     z: np.ndarray, counts: np.ndarray, m: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     # ln p(N) = sum_k sum_{j<N_k} ln(a_k + j) - sum_{j<M} ln(a0 + j), per label.
-    zc = np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP)
-    alpha = np.exp(zc)  # clamped, so always positive and finite
+    alpha, d_alpha = _head(z)  # clamped, so always positive and finite
     alpha0 = alpha.sum(axis=1)
     steps = np.arange(int(m.max()))
     own = steps < counts[:, :, None]  # class k has a (j+1)-th label
@@ -162,8 +147,7 @@ def _polya(
     log_p = np.bincount(rows, weights=np.log(ratio), minlength=z.shape[0])
     grad_alpha = (np.sum(own / (alpha[:, :, None] + steps), axis=2)
                   - np.sum(pool / (alpha0[:, None] + steps), axis=1)[:, None])
-    unclamped = np.abs(z) < LOGIT_CLAMP
-    return -log_p / m, -grad_alpha / m[:, None] * alpha * unclamped
+    return -log_p / m, -grad_alpha / m[:, None] * d_alpha
 
 
 def batch_loss(

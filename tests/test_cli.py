@@ -331,6 +331,9 @@ class TestEval:
          "expected int or float, got '0.01'"),
         (lambda doc: doc["layers"][0]["bias"].__setitem__(0, "0.5"),
          "expected int or float, got '0.5'"),
+        # The checkpoint's own layer sizes written as JSON floats.
+        (lambda doc: doc.update(dims={"input": 8.0, "hidden": [64.0], "output": 4.0}),
+         "expected int, got 8.0"),
     ])
     def test_bad_checkpoint_is_data_error(self, small_dataset, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "m.json"

@@ -461,6 +461,12 @@ class TestBatchLoss:
         values, grad = batch_loss(config, z, counts, np.full(2, -1))
         assert values[0] == pytest.approx(0.0, abs=1e-12) and values[1] == math.inf
         assert np.all(np.isfinite(grad))
+        # alpha_k == 1 exactly at both zero components: their terms drop out,
+        # leaving -ln Dir((1, 0, 0) | 1, 1, 1) = -ln Gamma(3) = -ln 2.
+        values, grad = batch_loss(config, np.zeros((1, 3)), np.array([[3, 0, 0]]),
+                                  np.full(1, -1))
+        assert values[0] == pytest.approx(-math.log(2.0), abs=1e-12)
+        assert np.all(np.isfinite(grad))
 
     def test_hard_needs_a_majority_on_every_row(self):
         z = np.zeros((2, 3))
@@ -564,3 +570,45 @@ class TestDpnKlAgainstMpmath:
             counts = rng.integers(0, 8, size=k)
             counts[rng.integers(0, k)] += 1
             self.check([float(v) for v in z], [int(n) for n in counts])
+
+
+def mp_dpn(z, counts, eps1, eps2):
+    """dpn value and logit gradient at 60 digits, label by label from ln Gamma
+    and psi, for logits inside the clamp."""
+    with mp.workdps(60):
+        k, m = len(z), sum(counts)
+        e = [mp.exp(mp.mpf(float(v))) for v in z]
+        alpha = [v + mp.mpf(eps2) for v in e]
+        alpha0 = mp.fsum(alpha)
+        eps1 = mp.mpf(eps1)
+        value, d_alpha = mp.mpf(0), [mp.mpf(0)] * k
+        for c, n in enumerate(counts):
+            # n labels of class c, each smoothed to eps1 + (1 - K*eps1)*one_hot(c).
+            log_mu = [mp.log(eps1 + (1 - k * eps1) * (j == c)) for j in range(k)]
+            log_pdf = mp.loggamma(alpha0) - mp.fsum(mp.loggamma(a) for a in alpha) + mp.fsum(
+                (a - 1) * lm for a, lm in zip(alpha, log_mu))
+            value -= n * log_pdf / m
+            d_alpha = [d - n * (mp.digamma(alpha0) - mp.digamma(a) + lm) / m
+                       for d, a, lm in zip(d_alpha, alpha, log_mu)]
+        return float(value), [float(d * v) for d, v in zip(d_alpha, e)]
+
+
+class TestDpnAgainstMpmath:
+    # The dpn value and gradient come from the shared Dirichlet density at the
+    # mean log-label; this oracle takes the mean of per-label densities instead.
+    def test_random_cases_over_the_clamp_range(self):
+        rng = np.random.default_rng(505)
+        for _ in range(100):
+            k = int(rng.integers(2, 11))
+            eps1 = float(10 ** rng.uniform(-4.0, math.log10(0.9 / (k - 1))))
+            eps2 = float(10 ** rng.uniform(-10.0, -6.0))
+            centre = rng.uniform(-55.0, 55.0)
+            z = np.clip(centre + rng.normal(0.0, 3.0, size=k), -59.99, 59.99)
+            counts = rng.integers(0, 8, size=k)
+            counts[rng.integers(0, k)] += 1
+            config = LossConfig(LossKind.DPN, eps1=eps1, eps2=eps2)
+            values, grad = batch_loss(config, z[None], counts[None], no_majority(1))
+            value, expected_grad = mp_dpn(z, [int(n) for n in counts], eps1, eps2)
+            case = (list(z), list(counts), eps1, eps2)
+            assert abs(values[0] - value) <= 1e-11 * abs(value), case
+            np.testing.assert_allclose(grad[0], expected_grad, rtol=1e-11, atol=0, err_msg=str(case))
