@@ -1,7 +1,8 @@
 """Command-line entry points: gen, stats, train, eval, detect, transform.
 
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 on
-numerical failure (Dirichlet singularity or overflow).
+numerical failure (a Dirichlet singularity or a non-finite logit, loss or
+weight).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import dataio, metrics, model, synth
 from .annotations import agreement, vote_and_replace, vote_matrix
 from .dirichlet import CategoricalDist, SingularityError, from_logits, predictive_mean
-from .losses import LOGIT_CLAMP, LossConfig, LossKind
+from .losses import LossConfig, LossKind
 
 __all__ = ["main"]
 
@@ -99,8 +100,12 @@ def _loss_config(args: argparse.Namespace) -> LossConfig:
 def _predict_dists(
     params: model.ModelParams, features: Sequence[np.ndarray], eps2: float
 ) -> CategoricalDist:
-    """Predictive distributions, one (N, K) batch for N feature vectors."""
-    logits = np.clip(model.forward(params, features), -LOGIT_CLAMP, LOGIT_CLAMP)
+    """Predictive distributions, one (N, K) batch for N feature vectors.  A
+    non-finite logit raises FloatingPointError("non-finite logits", its row)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        logits = model.forward(params, features)
+    if (row := model._first_nonfinite(logits)) is not None:
+        raise FloatingPointError("non-finite logits", row)
     return predictive_mean(from_logits(logits, eps2))
 
 
@@ -179,7 +184,11 @@ def _test_views(args: argparse.Namespace):
         raise ValueError(f"{args.ckpt}: input width {params.dims[0]} differs from "
                          f"the dataset's feature width {width}")
     counts, annotators = vote_matrix([rec.evaluations for rec in test_records], space)
-    preds = _predict_dists(params, [rec.features for rec in test_records], config.loss.eps2)
+    try:
+        preds = _predict_dists(params, [rec.features for rec in test_records], config.loss.eps2)
+    except FloatingPointError as err:
+        raise FloatingPointError(f"{args.ckpt}: utterance {test_records[err.args[1]].uid}: "
+                                 f"{err.args[0]}") from err
     return (counts, *agreement(counts, annotators), preds)
 
 

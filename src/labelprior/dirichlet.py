@@ -20,6 +20,12 @@ __all__ = [
 ]
 
 
+# Training and prediction clamp logits to this range before exponentiation.  It
+# keeps dpn's concentration parameters in a digamma-friendly range; the dpn-kl
+# Polya term is exact across the whole clamp range.
+LOGIT_CLAMP = 60.0
+
+
 class SingularityError(ArithmeticError):
     """The Dirichlet density is unbounded at the requested point.
 
@@ -92,20 +98,21 @@ class DirichletParams:
         return self.alpha.shape[-1]
 
 
+def _head(z: np.ndarray, eps2: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    # alpha = exp(clip(z)) + eps2 and d alpha / dz, which is 0 where the clamp holds.
+    e = np.exp(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
+    return e + eps2, e * (np.abs(z) < LOGIT_CLAMP)
+
+
 def from_logits(z: np.ndarray, eps2: float = 0.0) -> DirichletParams:
-    """alpha_k = exp(z_k) + eps2 under the exponential output function, for
-    a (K,) logit row or an (N, K) batch."""
+    """alpha_k = exp(clip(z_k, +-LOGIT_CLAMP)) + eps2, the exponential output
+    function of training, for a (K,) logit row or an (N, K) batch."""
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     if eps2 < 0.0:
         raise ValueError("eps2 must be non-negative")
-    too_big = np.argwhere(z > 700.0)
-    if too_big.size:
-        at = tuple(too_big[0])
-        raise OverflowError(f"logit {float(z[at])!r} at index {int(at[-1])}"
-                            f"{_row(at[0], z.ndim == 2)} overflows exp()")
-    return DirichletParams(np.exp(z) + eps2)
+    return DirichletParams(_head(z, eps2)[0])
 
 
 def _log_density(alpha: np.ndarray, log_mu: np.ndarray, zero=False, name_row=False) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dirichlet import CategoricalDist, _log_density
+from .dirichlet import LOGIT_CLAMP, CategoricalDist, _head, _log_density
 from .specfun import digamma
 # Unused here, but bench/test_harness.py checks that tracing restores losses.log_gamma.
 from .specfun import log_gamma  # noqa: F401
@@ -43,11 +43,6 @@ __all__ = [
     "batch_loss",
     "example_loss",
 ]
-
-# Logits are clamped to this symmetric range before exponentiation.  It keeps
-# dpn's concentration parameters in a digamma-friendly range; the dpn-kl
-# Polya term is exact across the whole clamp range.
-LOGIT_CLAMP = 60.0
 
 
 class LossKind(Enum):
@@ -102,12 +97,6 @@ def _kl(target: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_t = np.zeros_like(target)
     np.log(target, where=target > 0.0, out=log_t)
     return np.sum(target * (log_t - log_y), axis=1), np.exp(log_y) - target
-
-
-def _head(z: np.ndarray, eps2: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    # alpha = exp(clip(z)) + eps2 and d alpha / dz, which is 0 where the clamp holds.
-    e = np.exp(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
-    return e + eps2, e * (np.abs(z) < LOGIT_CLAMP)
 
 
 def _dpn(

@@ -45,8 +45,8 @@ class ModelParams:
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must be non-empty and parallel")
         for w, b in zip(self.weights, self.biases):
-            if w.shape[1] != b.shape[0]:
-                raise ValueError("bias dimension does not match weight matrix")
+            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
+                raise ValueError("a layer needs a weight matrix and a matching bias vector")
         for prev, nxt in zip(self.weights, self.weights[1:]):
             if prev.shape[1] != nxt.shape[0]:
                 raise ValueError("consecutive layer dimensions do not chain")

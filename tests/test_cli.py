@@ -334,6 +334,12 @@ class TestEval:
         # The checkpoint's own layer sizes written as JSON floats.
         (lambda doc: doc.update(dims={"input": 8.0, "hidden": [64.0], "output": 4.0}),
          "expected int, got 8.0"),
+        # Last-layer weights of shape (64, 4, 1), and a bias written as a (4, 1) column.
+        (lambda doc: doc["layers"][-1].update(
+            weights=[[[v] for v in row] for row in doc["layers"][-1]["weights"]]),
+         "a layer needs a weight matrix and a matching bias vector"),
+        (lambda doc: doc["layers"][-1].update(bias=[[v] for v in doc["layers"][-1]["bias"]]),
+         "a layer needs a weight matrix and a matching bias vector"),
     ])
     def test_bad_checkpoint_is_data_error(self, small_dataset, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "m.json"
@@ -347,6 +353,23 @@ class TestEval:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {ckpt}: ") and message in err
         assert not (tmp_path / "c_maxp.csv").exists()
+
+    @pytest.mark.parametrize("command, out", [("eval", "--out"), ("detect", "--out-prefix")])
+    def test_non_finite_logits_are_numerical_failure(self, small_dataset, tmp_path, capsys,
+                                                     command, out):
+        # Weights of 1e200 overflow the logits of the test utterances.
+        ckpt = tmp_path / "m.json"
+        run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 1, "--out", ckpt)
+        doc = json.loads(ckpt.read_text())
+        for layer in doc["layers"]:
+            layer["weights"] = [[1e200] * len(row) for row in layer["weights"]]
+        ckpt.write_text(json.dumps(doc))
+        first = next(r.uid for r in dataio.read_dataset(small_dataset)[1] if r.split == "test")
+        capsys.readouterr()
+        assert run(command, "--data", small_dataset, "--ckpt", ckpt, out, tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {ckpt}: utterance {first}: non-finite logits")
+        assert not (tmp_path / "r").exists() and not (tmp_path / "r_maxp.csv").exists()
 
 
 class TestDetect:

@@ -69,9 +69,10 @@ class TestFromLogits:
         params = from_logits(np.zeros(2), 1e-8)
         np.testing.assert_allclose(params.alpha, [1.0 + 1e-8] * 2, atol=0)
 
-    def test_overflow_reports_index(self):
-        with pytest.raises(OverflowError, match="index 1"):
-            from_logits(np.array([0.0, 701.0, 0.0]), 0.0)
+    def test_clamps_like_training(self):
+        # Beyond exp()'s range, the logits take training's clamp at +-60.
+        params = from_logits(np.array([0.0, 701.0, -701.0]), 1e-8)
+        np.testing.assert_array_equal(params.alpha, np.exp([0.0, 60.0, -60.0]) + 1e-8)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -211,8 +212,9 @@ class TestBatches:
             CategoricalDist(np.array([[0.5, 0.5], [0.5, 0.4]]))
         with pytest.raises(ValueError):
             DirichletParams(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(OverflowError, match="index 1 in row 2"):
-            from_logits(np.vstack([self.Z[:2], [0.0, 701.0, 0.0]]))
+        # Not a bad row: from_logits clamps it as in training.
+        params = from_logits(np.vstack([self.Z[:2], [0.0, 701.0, -701.0]]), 1e-8)
+        np.testing.assert_array_equal(params.alpha[2], np.exp([0.0, 60.0, -60.0]) + 1e-8)
 
     def test_dists_are_array_like(self):
         rows = [CategoricalDist(p) for p in predictive_mean(from_logits(self.Z)).p]

@@ -157,12 +157,15 @@ class TestDpnLoss:
         # labels under the clamped-logit Dirichlet, computed term by term
         # through the public pieces.
         rng = np.random.default_rng(47)
-        for _ in range(30):
-            k = int(rng.integers(2, 6))
-            z = rng.normal(0.0, 20.0, size=k)  # occasionally beyond the clamp
+        # The seeded draws stay inside the clamp; two fixed rows go beyond it,
+        # the second also beyond exp()'s range.
+        beyond = [np.array([80.0, -80.0, 0.0]), np.array([800.0, 0.0, -800.0])]
+        for i in range(30 + len(beyond)):
+            z = rng.normal(0.0, 20.0, size=int(rng.integers(2, 6))) if i < 30 else beyond[i - 30]
+            k = z.size
             labels = random_labels(rng, k, int(rng.integers(1, 6)))
             eps1, eps2 = 10 ** rng.uniform(-4, -1), 10 ** rng.uniform(-9, -6)
-            params = from_logits(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP), eps2)
+            params = from_logits(z, eps2)
             expected = -np.mean(
                 [log_pdf(params, smooth_label(lab, eps1)) for lab in labels]
             )
@@ -406,7 +409,7 @@ def reference_value(config, z, labels, majority):
     if config.kind == LossKind.SOFT_KL:
         return reference_kl(soft, zs)
     if config.kind == LossKind.DPN:
-        params = from_logits(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP), config.eps2)
+        params = from_logits(z, config.eps2)
         return -np.mean([log_pdf(params, smooth_label(lab, config.eps1)) for lab in labels])
     classes = [int(np.argmax(lab)) for lab in labels]
     return reference_polya(classes, zs) + config.lam * reference_kl(soft, zs)
