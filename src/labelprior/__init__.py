@@ -12,9 +12,6 @@ from .annotations import (
     ClassSpace,
     Evaluation,
     agreement,
-    classify_agreement,
-    expand,
-    smooth_label,
     soft_label,
     vote_and_replace,
     vote_matrix,
@@ -30,7 +27,6 @@ from .dirichlet import (
 from .losses import (
     LossConfig,
     LossKind,
-    LossValue,
     batch_loss,
 )
 from .metrics import (
@@ -41,7 +37,6 @@ from .metrics import (
     detect_report,
     entropy,
     max_p,
-    mean_kl,
     pr_curve,
     wa_ua,
 )

@@ -1,5 +1,5 @@
-"""Multi-annotator evaluations: expansion to one-hot labels, agreement
-groups, majority votes, soft labels, label smoothing and vote-and-replace."""
+"""Multi-annotator evaluations: vote counts, agreement groups, majority
+votes, soft labels and vote-and-replace."""
 
 from __future__ import annotations
 
@@ -16,12 +16,9 @@ __all__ = [
     "ClassSpace",
     "Evaluation",
     "AnnotationSet",
-    "expand",
     "vote_matrix",
     "agreement",
-    "classify_agreement",
     "soft_label",
-    "smooth_label",
     "vote_and_replace",
 ]
 
@@ -83,12 +80,6 @@ def _check_evaluations(evaluations: Sequence[Evaluation], space: ClassSpace) -> 
                 raise ValueError(f"tag index {tag} outside class space of size {space.k}")
 
 
-def expand(evaluations: Sequence[Evaluation], space: ClassSpace) -> list[np.ndarray]:
-    """One one-hot label per tag, in annotator order then tag-index order."""
-    _check_evaluations(evaluations, space)
-    return list(np.eye(space.k)[[tag for ev in evaluations for tag in ev.tags]])
-
-
 def vote_matrix(
     evaluation_sets: Sequence[Sequence[Evaluation]], space: ClassSpace
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,15 +117,6 @@ def agreement(counts: np.ndarray, annotators: np.ndarray) -> tuple[np.ndarray, n
     return groups, np.where(has_majority, counts.argmax(axis=1), -1)
 
 
-def classify_agreement(
-    evaluations: Sequence[Evaluation], space: ClassSpace
-) -> tuple[AgreementGroup, Optional[int]]:
-    """Agreement group plus the majority class (None for the NONE group):
-    :func:`agreement` on a batch of one."""
-    groups, majority = agreement(*vote_matrix([evaluations], space))
-    return groups[0], None if majority[0] < 0 else int(majority[0])
-
-
 @dataclass(frozen=True)
 class AnnotationSet:
     """All evaluations of one utterance together with derived views."""
@@ -148,19 +130,18 @@ class AnnotationSet:
 
     @property
     def labels(self) -> list[np.ndarray]:
-        return expand(self.evaluations, self.space)
-
-    @property
-    def num_labels(self) -> int:
-        return sum(len(ev.tags) for ev in self.evaluations)
+        """One one-hot label per tag, grouped by class."""
+        counts = vote_matrix([self.evaluations], self.space)[0][0]
+        return list(np.repeat(np.eye(self.space.k), counts, axis=0))
 
     @property
     def group(self) -> AgreementGroup:
-        return classify_agreement(self.evaluations, self.space)[0]
+        return agreement(*vote_matrix([self.evaluations], self.space))[0][0]
 
     @property
     def majority(self) -> Optional[int]:
-        return classify_agreement(self.evaluations, self.space)[1]
+        major = agreement(*vote_matrix([self.evaluations], self.space))[1][0]
+        return None if major < 0 else int(major)
 
 
 def soft_label(labels: Sequence[np.ndarray]) -> CategoricalDist:
@@ -168,20 +149,6 @@ def soft_label(labels: Sequence[np.ndarray]) -> CategoricalDist:
     if len(labels) == 0:
         raise ValueError("soft_label requires at least one label")
     return CategoricalDist(np.mean(np.asarray(labels, dtype=np.float64), axis=0))
-
-
-def smooth_label(label: np.ndarray, eps1: float) -> CategoricalDist:
-    """Smooth a one-hot label: target class 1-(K-1)*eps1, others eps1."""
-    label = np.asarray(label, dtype=np.float64)
-    k = label.shape[0]
-    if not 0.0 <= eps1 < 1.0 / (k - 1):
-        raise ValueError(f"eps1 must lie in [0, 1/(K-1)) = [0, {1.0 / (k - 1):g})")
-    if eps1 == 0.0:
-        return CategoricalDist(label.copy())
-    target = int(np.argmax(label))
-    smoothed = np.full(k, eps1)
-    smoothed[target] = 1.0 - (k - 1) * eps1
-    return CategoricalDist(smoothed)
 
 
 def vote_and_replace(

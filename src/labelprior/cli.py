@@ -98,15 +98,20 @@ def _loss_config(args: argparse.Namespace) -> LossConfig:
 
 
 def _predict_dists(
-    params: model.ModelParams, features: Sequence[np.ndarray], eps2: float
+    params: model.ModelParams, features: Sequence[np.ndarray], loss: LossConfig
 ) -> CategoricalDist:
-    """Predictive distributions, one (N, K) batch for N feature vectors.  A
-    non-finite logit raises FloatingPointError("non-finite logits", its row)."""
+    """Predictive distributions, one (N, K) batch for N feature vectors, through
+    the head ``loss`` trained: softmax for hard and soft, the Dirichlet mean of
+    the clamped exponential head for dpn and dpn-kl.  A non-finite logit
+    raises FloatingPointError("non-finite logits", its row)."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         logits = model.forward(params, features)
     if (row := model._first_nonfinite(logits)) is not None:
         raise FloatingPointError("non-finite logits", row)
-    return predictive_mean(from_logits(logits, eps2))
+    if loss.kind in (LossKind.HARD, LossKind.SOFT_KL):
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return CategoricalDist(e / e.sum(axis=1, keepdims=True))
+    return predictive_mean(from_logits(logits, loss.eps2))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -185,7 +190,7 @@ def _test_views(args: argparse.Namespace):
                          f"the dataset's feature width {width}")
     counts, annotators = vote_matrix([rec.evaluations for rec in test_records], space)
     try:
-        preds = _predict_dists(params, [rec.features for rec in test_records], config.loss.eps2)
+        preds = _predict_dists(params, [rec.features for rec in test_records], config.loss)
     except FloatingPointError as err:
         raise FloatingPointError(f"{args.ckpt}: utterance {test_records[err.args[1]].uid}: "
                                  f"{err.args[0]}") from err

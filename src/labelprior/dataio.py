@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import ClassSpace, Evaluation, agreement, expand, vote_matrix
+from .annotations import ClassSpace, Evaluation, agreement, vote_matrix
 from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
@@ -79,11 +79,22 @@ def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]
         fh.write("\n".join(lines) + "\n")
 
 
+def _text(path: str) -> str:
+    """The file's text; a byte that is not UTF-8 raises ValueError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8: {err}") from err
+
+
 def _parse(path: str, text: str, kind: str) -> dict:
     """The JSON object of a ``kind`` file at this format version."""
     try:
         doc = json.loads(text)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise ValueError(f"{path}: not JSON: {err}") from err
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ValueError(f"{path}: not a {kind} file")
@@ -109,9 +120,8 @@ def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
     Every split must be "train" or "test", every id a unique integer and
     every record's evaluations non-empty.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(no, line) for no, line in enumerate(fh.read().splitlines(), 1)
-                 if line.strip()]
+    lines = [(no, line) for no, line in enumerate(_text(path).splitlines(), 1)
+             if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     manifest = _parse(path, lines[0][1], "dataset")
@@ -134,7 +144,7 @@ def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
             if not isinstance(raw["id"], int) or isinstance(raw["id"], bool):
                 raise TypeError(f"id must be an integer, got {raw['id']!r}")
             record = DatasetRecord(raw["id"], str(raw["split"]), features, evaluations)
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as err:
             raise ValueError(f"{path}: line {no}: bad record: {err!r}") from err
         if features.shape != (d,):
             raise ValueError(f"{path}: line {no}: feature shape {features.shape} != ({d},)")
@@ -159,20 +169,22 @@ def record_to_example(
     records: Sequence[DatasetRecord], space: ClassSpace
 ) -> list[LabelledExample]:
     """Derive the training view (labels, soft label, group) of every record
-    of a split, classifying agreement over the whole split at once."""
+    of a split from its vote counts, classifying agreement over the whole
+    split at once.  Each record's one-hot labels are grouped by class."""
     counts, annotators = vote_matrix([rec.evaluations for rec in records], space)
     groups, majority = agreement(counts, annotators)
     soft = counts / counts.sum(axis=1, keepdims=True)
+    eye = np.eye(space.k)
     return [
         LabelledExample(
             features=rec.features,
-            labels=tuple(expand(rec.evaluations, space)),
+            labels=tuple(np.repeat(eye, row_counts, axis=0)),
             soft=CategoricalDist(row),
             group=group,
             majority=None if major < 0 else int(major),
             uid=rec.uid,
         )
-        for rec, row, group, major in zip(records, soft, groups, majority)
+        for rec, row_counts, row, group, major in zip(records, counts, soft, groups, majority)
     ]
 
 
@@ -228,8 +240,7 @@ def _reals(value) -> np.ndarray:
 def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
     """Params, classes and settings; a malformed checkpoint raises ValueError naming
     the file.  ``dims`` and ``hidden`` describe the layers, the last one per class."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _parse(path, fh.read(), "checkpoint")
+    doc = _parse(path, _text(path), "checkpoint")
     space = _class_space(path, doc.get("classes"))
     try:
         raw = doc["train_config"]
@@ -292,8 +303,7 @@ def write_report(path: str, report: MetricsReport) -> None:
 
 
 def read_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse(path, fh.read(), "report")
+    return _parse(path, _text(path), "report")
 
 
 def write_curve(path: str, curve: PRCurve) -> None:

@@ -38,7 +38,6 @@ from .specfun import log_gamma  # noqa: F401
 __all__ = [
     "LossKind",
     "LossConfig",
-    "LossValue",
     "LOGIT_CLAMP",
     "batch_loss",
     "example_loss",
@@ -80,14 +79,6 @@ class LossConfig:
         if kind == LossKind.DPN_KL:
             return cls(kind, eps1=0.0, eps2=0.0, lam=20.0)
         return cls(kind)
-
-
-
-
-@dataclass(frozen=True, eq=False)
-class LossValue:
-    value: float
-    grad_z: np.ndarray
 
 
 def _kl(target: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,9 +178,9 @@ def example_loss(
     labels: Sequence[np.ndarray],
     soft: CategoricalDist,
     majority: Optional[int],
-) -> LossValue:
-    """One training example under the configured objective: :func:`batch_loss`
-    on a batch of one.
+) -> tuple[float, np.ndarray]:
+    """Value and (K,) logit gradient of one training example under the
+    configured objective: :func:`batch_loss` on a batch of one.
 
     ``soft`` must be the mean of ``labels``; ``majority`` is required by
     the hard loss only.
@@ -201,4 +192,4 @@ def example_loss(
         raise ValueError("the soft label is not the mean of the labels")
     values, grad = batch_loss(config, np.asarray(z)[None], counts[None],
                               np.array([-1 if majority is None else majority]))
-    return LossValue(float(values[0]), grad[0])
+    return float(values[0]), grad[0]

@@ -18,7 +18,6 @@ __all__ = [
     "max_p",
     "entropy",
     "kl_divergence",
-    "mean_kl",
     "pr_curve",
     "aupr",
     "detect_report",
@@ -95,14 +94,6 @@ def kl_divergence(target, pred) -> float | np.ndarray:
     log_q = np.log(q, where=pos & (q > 0.0), out=np.zeros(q.shape))
     miss = np.any(pos & (q == 0.0), axis=-1)
     return np.where(miss, np.inf, np.sum(t * (log_t - log_q), axis=-1))[()]
-
-
-def mean_kl(targets, preds) -> float:
-    """Mean KL(target || pred) over a batch."""
-    kls = kl_divergence(targets, preds)
-    if np.ndim(kls) != 1 or kls.size == 0:
-        raise ValueError("targets and preds must be equal-length and non-empty")
-    return float(np.mean(kls))
 
 
 def predicted_class(dist) -> int | np.ndarray:

@@ -20,15 +20,14 @@ from labelprior.annotations import (
     AgreementGroup,
     ClassSpace,
     Evaluation,
+    AnnotationSet,
     agreement,
-    classify_agreement,
-    expand,
     soft_label,
     vote_and_replace,
     vote_matrix,
 )
 from labelprior.dirichlet import CategoricalDist, DirichletParams, log_pdf
-from labelprior.losses import LossConfig, LossKind, example_loss
+from labelprior.losses import LossConfig, LossKind, batch_loss, example_loss
 from labelprior.model import backward, forward, init
 from labelprior.specfun import digamma, log_gamma
 
@@ -98,10 +97,10 @@ def _loss_value_fn(kind, labels, soft, majority):
     config = LossConfig.default_for(kind)
 
     def fn(z):
-        return example_loss(config, z, labels, soft, majority).value
+        return example_loss(config, z, labels, soft, majority)[0]
 
     def grad(z):
-        return example_loss(config, z, labels, soft, majority).grad_z
+        return example_loss(config, z, labels, soft, majority)[1]
 
     return fn, grad
 
@@ -152,7 +151,7 @@ def test_criterion_3_gradient_suite():
                 z = forward(params, x)
                 return example_loss(config, z, labels, soft, majority)
 
-            grads = backward(params, x, net_loss().grad_z)
+            grads = backward(params, x, net_loss()[1])
             layer = int(rng.integers(0, len(params.weights)))
             arr = params.weights[layer] if rng.random() < 0.8 else params.biases[layer]
             g = grads[layer][0] if arr is params.weights[layer] else grads[layer][1]
@@ -161,9 +160,9 @@ def test_criterion_3_gradient_suite():
             orig = arr[idx]
             step = 1e-5
             arr[idx] = orig + step
-            up = net_loss().value
+            up = net_loss()[0]
             arr[idx] = orig - step
-            down = net_loss().value
+            down = net_loss()[0]
             arr[idx] = orig
             numeric = (up - down) / (2 * step)
             rel = abs(g[idx] - numeric) / max(abs(numeric), 1e-8)
@@ -186,14 +185,15 @@ def test_criterion_4_label_logic():
         ([ev(A), ev(A, B), ev(B, C)], AgreementGroup.NONE, None),
         ([ev(A), ev(A), ev(B), ev(C)], AgreementGroup.MAJORITY, A),
     ]
-    ok = all(classify_agreement(evals, space) == (group, majority)
-             for evals, group, majority in rows)
+    annotation_sets = [AnnotationSet(evals, space) for evals, _, _ in rows]
+    ok = all((ann.group, ann.majority) == (group, majority)
+             for ann, (_, group, majority) in zip(annotation_sets, rows))
     # The batch rule classifies the whole table in one call, row for row.
     groups, majorities = agreement(*vote_matrix([evals for evals, _, _ in rows], space))
     ok &= list(groups) == [group for _, group, _ in rows]
     ok &= list(majorities) == [-1 if m is None else m for _, _, m in rows]
     # Tied two-vote counts from multi-tags stay without a majority.
-    ok &= classify_agreement([ev(A), ev(A, B), ev(B, C)], space)[0] == AgreementGroup.NONE
+    ok &= AnnotationSet([ev(A), ev(A, B), ev(B, C)], space).group == AgreementGroup.NONE
     ok &= vote_matrix([[ev(A), ev(A, B), ev(B, C)]], space)[0].tolist() == [[2, 2, 1]]
 
     # Vote-and-replace rows: A A A B C collapses to the majority, A B C stays.
@@ -248,8 +248,8 @@ def test_criterion_6_multitag_pair_discrimination():
     """The Dirichlet label likelihood separates a multi-tag pair that the
     soft label collapses.
 
-    The tag sets {A},{B},{C} expand to the labels [A, B, C] and the sets
-    {A,B,C},{A,B,C},{A,B,C} expand to [A, B, C, A, B, C, A, B, C].  Over
+    The tag sets {A},{B},{C} give the label counts (1, 1, 1), one label
+    per class, and the sets {A,B,C},{A,B,C},{A,B,C} give (3, 3, 3).  Over
     100 logit draws z ~ N(0, 1.5^2) three checks must hold:
 
     1. The soft-label KL is identical in both cases: both soft labels are
@@ -259,22 +259,21 @@ def test_criterion_6_multitag_pair_discrimination():
        whose count vector (1, 1, 1) versus (3, 3, 3) records how many
        labels were seen.
     3. The dpn loss (eps1 = 1e-2, eps2 = 1e-8) is identical in both cases.
-       The second label list is an exact threefold replication of the
-       first, and any mean of per-label terms is invariant under such
+       The second case's labels are an exact threefold replication of the
+       first's, and any mean of per-label terms is invariant under such
        replication, so no logit vector or smoothing constant can separate
        them.  This boundary is asserted rather than hidden.
     """
     space = ClassSpace(("A", "B", "C"))
     single = [Evaluation((i,)) for i in range(3)]
     triple = [Evaluation((0, 1, 2)) for _ in range(3)]
-    labels_single = expand(single, space)
-    labels_triple = expand(triple, space)
-    soft_single, soft_triple = soft_label(labels_single), soft_label(labels_triple)
+    counts, _ = vote_matrix([single, triple], space)
 
     def pair(kind, z):
-        config = LossConfig.default_for(kind)
-        return (example_loss(config, z, labels_single, soft_single, None).value,
-                example_loss(config, z, labels_triple, soft_triple, None).value)
+        # Both cases as one batch of two rows with the same logits.
+        values, _ = batch_loss(LossConfig.default_for(kind), np.array([z, z]), counts,
+                               np.full(2, -1))
+        return values
 
     rng = np.random.default_rng(42)
     kl_identical = 0

@@ -1,4 +1,4 @@
-"""Tests for label expansion, agreement grouping, soft labels, smoothing
+"""Tests for vote counts, agreement grouping, one-hot labels, soft labels
 and the vote-and-replace transform."""
 
 import numpy as np
@@ -10,9 +10,6 @@ from labelprior.annotations import (
     ClassSpace,
     Evaluation,
     agreement,
-    classify_agreement,
-    expand,
-    smooth_label,
     soft_label,
     vote_and_replace,
     vote_matrix,
@@ -24,6 +21,13 @@ A, B, C = 0, 1, 2
 
 def ev(*tags):
     return Evaluation(tuple(tags))
+
+
+def classify(evaluations, space=ABC):
+    """Agreement group and majority class (None for the NONE group) of one
+    utterance."""
+    ann = AnnotationSet(tuple(evaluations), space)
+    return ann.group, ann.majority
 
 
 def one_hot(index, k=3):
@@ -60,32 +64,33 @@ class TestEvaluation:
             Evaluation((1, 1))
 
 
-class TestExpand:
+class TestLabels:
+    # An utterance's one-hot labels come from its vote counts, grouped by class.
     def test_multi_tag_expansion(self):
-        labels = expand([ev(A), ev(A, B), ev(C)], ABC)
+        labels = AnnotationSet((ev(A), ev(A, B), ev(C)), ABC).labels
         expected = [one_hot(A), one_hot(A), one_hot(B), one_hot(C)]
         assert len(labels) == 4
         for got, want in zip(labels, expected):
             np.testing.assert_array_equal(got, want)
 
     def test_single_annotator_single_tag(self):
-        labels = expand([ev(A)], ABC)
+        labels = AnnotationSet((ev(A),), ABC).labels
         assert len(labels) == 1
         np.testing.assert_array_equal(labels[0], one_hot(A))
 
     def test_both_classes_of_k2(self):
         space = ClassSpace(("A", "B"))
-        labels = expand([ev(0, 1)], space)
+        labels = AnnotationSet((ev(0, 1),), space).labels
         np.testing.assert_array_equal(labels[0], [1.0, 0.0])
         np.testing.assert_array_equal(labels[1], [0.0, 1.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            expand([], ABC)
+            AnnotationSet((), ABC)
 
     def test_out_of_range_tag_rejected(self):
         with pytest.raises(ValueError):
-            expand([ev(3)], ABC)
+            AnnotationSet((ev(3),), ABC)
 
 
 class TestVoteCounts:
@@ -114,21 +119,21 @@ class TestClassifyAgreement:
         ],
     )
     def test_canonical_rows(self, evals, group, majority):
-        assert classify_agreement(evals, ABC) == (group, majority)
+        assert classify(evals) == (group, majority)
 
     def test_single_annotator_single_tag_is_full(self):
-        assert classify_agreement([ev(A)], ABC) == (AgreementGroup.FULL, A)
+        assert classify([ev(A)]) == (AgreementGroup.FULL, A)
 
     def test_single_annotator_multi_tag_is_none(self):
-        assert classify_agreement([ev(A, B)], ABC) == (AgreementGroup.NONE, None)
+        assert classify([ev(A, B)]) == (AgreementGroup.NONE, None)
 
     def test_all_annotators_share_two_classes(self):
         # Both classes voted by everyone: no unique class at full count.
-        assert classify_agreement([ev(A, B)] * 3, ABC) == (AgreementGroup.NONE, None)
+        assert classify([ev(A, B)] * 3) == (AgreementGroup.NONE, None)
 
     def test_full_with_extra_tags(self):
         # A is in every tag set, B only in one.
-        assert classify_agreement([ev(A), ev(A), ev(A, B)], ABC) == (AgreementGroup.FULL, A)
+        assert classify([ev(A), ev(A), ev(A, B)]) == (AgreementGroup.FULL, A)
 
 
 def reference_rule(counts, n_annotators):
@@ -160,7 +165,7 @@ class TestBatchAgreement:
             for i, evals in enumerate(sets):
                 np.testing.assert_array_equal(counts[i], vote_matrix([evals], space)[0][0])
                 expected = reference_rule(list(counts[i]), len(evals))
-                assert classify_agreement(evals, space) == expected
+                assert classify(evals, space) == expected
                 assert (groups[i], None if majority[i] < 0 else majority[i]) == expected
 
     def test_empty_corpus(self):
@@ -202,29 +207,9 @@ class TestSoftLabel:
                 n_tags = int(rng.integers(1, k + 1))
                 tags = rng.choice(k, size=n_tags, replace=False)
                 evals.append(Evaluation(tuple(int(t) for t in tags)))
-            dist = soft_label(expand(evals, space))
+            dist = soft_label(AnnotationSet(tuple(evals), space).labels)
             assert np.all(dist.p >= 0.0)
             assert abs(dist.p.sum() - 1.0) <= 1e-12
-
-
-class TestSmoothLabel:
-    def test_five_way(self):
-        dist = smooth_label(one_hot(0, k=5), 0.01)
-        np.testing.assert_allclose(dist.p, [0.96, 0.01, 0.01, 0.01, 0.01], atol=1e-15)
-
-    def test_two_way(self):
-        dist = smooth_label(one_hot(0, k=2), 0.01)
-        np.testing.assert_allclose(dist.p, [0.99, 0.01], atol=1e-15)
-
-    def test_zero_eps_is_identity(self):
-        dist = smooth_label(one_hot(1), 0.0)
-        np.testing.assert_array_equal(dist.p, one_hot(1))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            smooth_label(one_hot(0), -0.01)
-        with pytest.raises(ValueError):
-            smooth_label(one_hot(0), 0.5)  # 1/(K-1) = 0.5 for K=3
 
 
 class TestVoteAndReplace:
@@ -256,7 +241,6 @@ class TestVoteAndReplace:
 class TestAnnotationSet:
     def test_derived_views(self):
         ann = AnnotationSet((ev(A), ev(A, B), ev(C)), ABC)
-        assert ann.num_labels == 4
         assert ann.group == AgreementGroup.MAJORITY
         assert ann.majority == A
         assert len(ann.labels) == 4

@@ -3,10 +3,15 @@ codes, and the transform pipeline."""
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import labelprior
 from labelprior import cli, dataio
 from labelprior.annotations import AgreementGroup, AnnotationSet, ClassSpace, Evaluation
 from labelprior.dirichlet import CategoricalDist
@@ -162,6 +167,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "epoch 0" in err and "utterance" in err
 
+    def test_eps1_beyond_its_bound_is_usage_error(self, tmp_path, capsys):
+        # dpn smooths a one-hot label to eps1 + (1 - K*eps1)*label, which needs
+        # eps1 < 1/(K-1): 0.25 for K = 5.
+        data = tmp_path / "k5.jsonl"
+        assert run("gen", "--n", 40, "--k", 5, "--d", 8, "--seed", 3, "--out", data) == 0
+        capsys.readouterr()
+        code = run("train", "--data", data, "--loss", "dpn", "--eps1", 0.3, "--epochs", 1,
+                   "--out", tmp_path / "m.json")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: eps1 must lie in [0, 1/(K-1)) = [0, 0.25)\n")
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("loss", ["soft", "dpn-kl"])
     def test_divergence_is_numerical_failure(self, small_dataset, tmp_path, capsys, loss):
@@ -227,10 +244,11 @@ class TestEval:
         doc = dataio.read_report(report_path)
         # Report values carry six decimals; the underlying mean is ln 4.
         assert doc["mean_entropy"] == pytest.approx(math.log(4), abs=1e-6)
+        params, _, config = dataio.read_checkpoint(ckpt)
         preds = cli._predict_dists(
-            dataio.read_checkpoint(ckpt)[0],
+            params,
             [r.features for r in dataio.read_dataset(small_dataset)[1] if r.split == "test"],
-            0.0,
+            config.loss,
         )
         assert preds.p.shape == (30, 4)
         assert (dist_entropy(preds) == math.log(4)).all()
@@ -403,7 +421,7 @@ class TestDetect:
         test_records = [r for r in records if r.split == "test"]
         groups = [AnnotationSet(r.evaluations, space).group for r in test_records]
 
-        def oracle(params, features, eps2):
+        def oracle(params, features, loss):
             dists = []
             for g in groups:
                 if g == AgreementGroup.NONE:
@@ -419,6 +437,55 @@ class TestDetect:
         out = capsys.readouterr().out
         assert "aupr_maxp 1.000000" in out
         assert "aupr_ent 1.000000" in out
+
+
+def shift_output_bias(ckpt, c):
+    """Copy of a checkpoint with ``c`` added to every logit."""
+    doc = json.loads(ckpt.read_text())
+    doc["layers"][-1]["bias"] = [b + c for b in doc["layers"][-1]["bias"]]
+    out = ckpt.with_name(f"shift{c:+g}.json")
+    out.write_text(json.dumps(doc))
+    return out
+
+
+def scores(data, ckpt):
+    """The eval report's values (nan for null) and the two detect curves."""
+    report, prefix = ckpt.with_suffix(".report.json"), ckpt.with_suffix("")
+    assert run("eval", "--data", data, "--ckpt", ckpt, "--out", report) == 0
+    assert run("detect", "--data", data, "--ckpt", ckpt, "--out-prefix", prefix) == 0
+    doc = dataio.read_report(report)
+    values = [doc[key] for key in ("wa", "ua", "mean_kl", "mean_entropy", "aupr_maxp",
+                                   "aupr_ent")]
+    values += [v for group in doc["per_group"].values() for v in group.values()]
+    curves = [np.loadtxt(f"{prefix}_{name}.csv", delimiter=",", skiprows=1, ndmin=2)
+              for name in ("maxp", "ent")]
+    return np.array(values, dtype=np.float64), curves
+
+
+class TestScoringHead:
+    # eval and detect score a checkpoint through the head it trained with:
+    # a softmax for hard and soft, which no shift of every logit changes,
+    # and the clamped exponential head for dpn and dpn-kl, which it does.
+    @pytest.mark.parametrize("loss", ["hard", "soft"])
+    def test_softmax_objectives_ignore_a_logit_shift(self, small_dataset, tmp_path, loss):
+        ckpt = tmp_path / "m.json"
+        assert run("train", "--data", small_dataset, "--loss", loss, "--epochs", 3,
+                   "--out", ckpt) == 0
+        base_values, base_curves = scores(small_dataset, ckpt)
+        for c in (-1000.0, -100.0, 100.0):
+            values, curves = scores(small_dataset, shift_output_bias(ckpt, c))
+            np.testing.assert_allclose(values, base_values, rtol=0, atol=1e-9)
+            for got, want in zip(curves, base_curves):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_dirichlet_objective_sees_a_logit_shift(self, small_dataset, tmp_path):
+        ckpt = tmp_path / "m.json"
+        assert run("train", "--data", small_dataset, "--loss", "dpn", "--epochs", 3,
+                   "--out", ckpt) == 0
+        base_values, _ = scores(small_dataset, ckpt)
+        values, _ = scores(small_dataset, shift_output_bias(ckpt, -100.0))
+        assert not np.allclose(values, base_values, rtol=0, atol=1e-9, equal_nan=True)
 
 
 class TestTransform:
@@ -526,3 +593,25 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert run("frobnicate") == 1
+
+
+def run_module(*args, cwd):
+    """``python -m labelprior`` in a fresh interpreter, importing this package."""
+    src = str(pathlib.Path(labelprior.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "labelprior", *map(str, args)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestModuleEntryPoint:
+    def test_help_exits_cleanly(self, tmp_path):
+        proc = run_module("--help", cwd=tmp_path)
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: labelprior")
+
+    def test_missing_file_is_usage_error(self, tmp_path):
+        proc = run_module("stats", "--data", tmp_path / "nope.jsonl", cwd=tmp_path)
+        assert proc.returncode == 1 and proc.stderr.startswith("error: ")
+
+    def test_no_command_is_usage_error(self, tmp_path):
+        assert run_module(cwd=tmp_path).returncode == 1

@@ -1,7 +1,8 @@
 """Gradient and value tests for the four training objectives.
 
 Every objective is :func:`batch_loss`; a single example is a batch of one,
-either through ``batch_loss`` directly or through ``example_loss``.  Every
+either through ``batch_loss`` directly or through ``example_loss``, which
+returns the same (value, gradient) pair for that one row.  Every
 analytic gradient is checked against central finite differences of the
 implemented value, with relative tolerance 1e-4 elementwise and the
 denominator floored at 1e-8.
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from labelprior.annotations import smooth_label, soft_label
+from labelprior.annotations import soft_label
 from labelprior.dirichlet import CategoricalDist, SingularityError, from_logits, log_pdf
 from labelprior.losses import (
     LOGIT_CLAMP,
@@ -67,6 +68,11 @@ def random_labels(rng, k, m):
 
 def counts_of(labels):
     return np.sum(labels, axis=0)
+
+
+def smoothed(label, eps1):
+    """A one-hot label smoothed as dpn smooths it: eps1 + (1 - K*eps1)*label."""
+    return CategoricalDist(eps1 + (1 - label.size * eps1) * label)
 
 
 class TestKlLoss:
@@ -166,11 +172,9 @@ class TestDpnLoss:
             labels = random_labels(rng, k, int(rng.integers(1, 6)))
             eps1, eps2 = 10 ** rng.uniform(-4, -1), 10 ** rng.uniform(-9, -6)
             params = from_logits(z, eps2)
-            expected = -np.mean(
-                [log_pdf(params, smooth_label(lab, eps1)) for lab in labels]
-            )
+            expected = -np.mean([log_pdf(params, smoothed(lab, eps1)) for lab in labels])
             config = LossConfig(LossKind.DPN, eps1=eps1, eps2=eps2)
-            got = example_loss(config, z, labels, soft_label(labels), None).value
+            got, _ = example_loss(config, z, labels, soft_label(labels), None)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-10)
 
     def test_duplicating_labels_keeps_value(self):
@@ -198,6 +202,13 @@ class TestDpnLoss:
             batch_loss(LossConfig(LossKind.DPN, eps1=0.0, eps2=0.0), z,
                        one_hot(0, 2)[None], no_majority(1))
 
+    def test_eps1_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            LossConfig(LossKind.DPN, eps1=-0.01)
+        config = LossConfig(LossKind.DPN, eps1=0.5)  # 1/(K-1) = 0.5 for K=3
+        with pytest.raises(ValueError, match=r"eps1 must lie in \[0, 1/\(K-1\)\)"):
+            batch_loss(config, np.zeros((1, 3)), one_hot(0, 3)[None], no_majority(1))
+
     def test_empty_labels_rejected(self):
         config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
         with pytest.raises(ValueError):
@@ -212,10 +223,11 @@ class TestDpnLoss:
             labels = random_labels(rng, k, 3)
             perm = rng.permutation(k)
             perm_labels = [lab[perm] for lab in labels]
-            loss = example_loss(config, z, labels, soft_label(labels), None)
-            perm_loss = example_loss(config, z[perm], perm_labels, soft_label(perm_labels), None)
-            assert perm_loss.value == pytest.approx(loss.value, abs=1e-12)
-            np.testing.assert_allclose(perm_loss.grad_z, loss.grad_z[perm], atol=1e-12)
+            value, grad = example_loss(config, z, labels, soft_label(labels), None)
+            perm_value, perm_grad = example_loss(config, z[perm], perm_labels,
+                                                 soft_label(perm_labels), None)
+            assert perm_value == pytest.approx(value, abs=1e-12)
+            np.testing.assert_allclose(perm_grad, grad[perm], atol=1e-12)
 
 
 class TestPolyaTerm:
@@ -235,7 +247,7 @@ class TestPolyaTerm:
                 log_p += math.log((alpha[c] + seen[c]) / (alpha0 + m_i))
                 seen[c] += 1
             expected = -log_p / len(classes)
-            got = example_loss(POLYA, z, labels, soft_label(labels), None).value
+            got, _ = example_loss(POLYA, z, labels, soft_label(labels), None)
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_gradient_against_finite_differences(self):
@@ -245,8 +257,8 @@ class TestPolyaTerm:
             z = rng.normal(0.0, 1.5, size=k)
             labels = random_labels(rng, k, int(rng.integers(1, 7)))
             soft = soft_label(labels)
-            analytic = example_loss(POLYA, z, labels, soft, None).grad_z
-            numeric = fd_gradient(lambda v: example_loss(POLYA, v, labels, soft, None).value, z)
+            analytic = example_loss(POLYA, z, labels, soft, None)[1]
+            numeric = fd_gradient(lambda v: example_loss(POLYA, v, labels, soft, None)[0], z)
             assert_grad_close(analytic, numeric)
 
     def test_bounded_below_by_sample_average(self):
@@ -257,7 +269,7 @@ class TestPolyaTerm:
             k = int(rng.integers(2, 6))
             labels = random_labels(rng, k, int(rng.integers(1, 8)))
             z = rng.normal(size=k)
-            assert example_loss(POLYA, z, labels, soft_label(labels), None).value >= 0.0
+            assert example_loss(POLYA, z, labels, soft_label(labels), None)[0] >= 0.0
 
 
 class TestDpnKlLoss:
@@ -280,9 +292,9 @@ class TestDpnKlLoss:
             z = rng.normal(0.0, 1.5, size=k)
             labels = random_labels(rng, k, int(rng.integers(1, 6)))
             soft = soft_label(labels)
-            analytic = example_loss(self.CONFIG, z, labels, soft, None).grad_z
+            analytic = example_loss(self.CONFIG, z, labels, soft, None)[1]
             numeric = fd_gradient(
-                lambda v: example_loss(self.CONFIG, v, labels, soft, None).value, z)
+                lambda v: example_loss(self.CONFIG, v, labels, soft, None)[0], z)
             assert_grad_close(analytic, numeric)
 
     def test_no_smoothing_needed_on_one_hot_labels(self):
@@ -346,9 +358,9 @@ class TestExampleLoss:
         for kind in LossKind:
             config = LossConfig.default_for(kind)
             values, grad = batch_loss(config, z[None], counts_of(labels)[None], np.array([0]))
-            got = example_loss(config, z, labels, soft, majority=0)
-            assert got.value == pytest.approx(values[0], abs=1e-12)
-            np.testing.assert_array_equal(got.grad_z, grad[0])
+            got_value, got_grad = example_loss(config, z, labels, soft, majority=0)
+            assert got_value == pytest.approx(values[0], abs=1e-12)
+            np.testing.assert_array_equal(got_grad, grad[0])
 
 
 def test_all_losses_permutation_equivariant():
@@ -363,10 +375,10 @@ def test_all_losses_permutation_equivariant():
         perm_soft = CategoricalDist(soft.p[perm])
         for config in (SOFT, LossConfig(LossKind.DPN, eps1=0.01, eps2=1e-8),
                        LossConfig.default_for(LossKind.DPN_KL)):
-            base = example_loss(config, z, labels, soft, None)
-            permuted = example_loss(config, z[perm], perm_labels, perm_soft, None)
-            assert permuted.value == pytest.approx(base.value, abs=1e-12)
-            np.testing.assert_allclose(permuted.grad_z, base.grad_z[perm], atol=1e-12)
+            value, grad = example_loss(config, z, labels, soft, None)
+            perm_value, perm_grad = example_loss(config, z[perm], perm_labels, perm_soft, None)
+            assert perm_value == pytest.approx(value, abs=1e-12)
+            np.testing.assert_allclose(perm_grad, grad[perm], atol=1e-12)
 
 
 def random_batch(rng, b, k, max_labels):
@@ -410,7 +422,7 @@ def reference_value(config, z, labels, majority):
         return reference_kl(soft, zs)
     if config.kind == LossKind.DPN:
         params = from_logits(z, config.eps2)
-        return -np.mean([log_pdf(params, smooth_label(lab, config.eps1)) for lab in labels])
+        return -np.mean([log_pdf(params, smoothed(lab, config.eps1)) for lab in labels])
     classes = [int(np.argmax(lab)) for lab in labels]
     return reference_polya(classes, zs) + config.lam * reference_kl(soft, zs)
 

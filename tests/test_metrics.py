@@ -19,7 +19,6 @@ from labelprior.metrics import (
     entropy,
     kl_divergence,
     max_p,
-    mean_kl,
     pr_curve,
     predicted_class,
     wa_ua,
@@ -117,12 +116,13 @@ class TestScores:
 
 
 class TestMeanKl:
+    # The report's mean KL is the mean of one batched kl_divergence call.
     def test_identical_is_zero(self):
         ds = [dist(0.2, 0.8), dist(0.7, 0.3)]
-        assert mean_kl(ds, ds) == pytest.approx(0.0, abs=1e-15)
+        assert np.mean(kl_divergence(ds, ds)) == pytest.approx(0.0, abs=1e-15)
 
     def test_one_hot_vs_uniform(self):
-        assert mean_kl([dist(1.0, 0.0)], [dist(0.5, 0.5)]) == pytest.approx(
+        assert np.mean(kl_divergence([dist(1.0, 0.0)], [dist(0.5, 0.5)])) == pytest.approx(
             math.log(2.0), abs=1e-15
         )
 
@@ -131,7 +131,7 @@ class TestMeanKl:
         targets = [dist(*rng.dirichlet(np.ones(4))) for _ in range(50)]
         preds = [dist(*rng.dirichlet(np.ones(4) * 5)) for _ in range(50)]
         direct = sum(kl_divergence(t, q) for t, q in zip(targets, preds)) / 50
-        assert mean_kl(targets, preds) == pytest.approx(direct, abs=1e-12)
+        assert np.mean(kl_divergence(targets, preds)) == pytest.approx(direct, abs=1e-12)
 
     def test_infinite_when_pred_misses_support(self):
         assert kl_divergence(dist(0.5, 0.5), dist(1.0, 0.0)) == float("inf")

@@ -271,10 +271,10 @@ class TestTrain:
                    for w, b in zip(ref.weights, ref.biases)]
             for idx in batch:
                 ex = kept[idx]
-                loss = example_loss(config.loss, forward(ref, ex.features),
-                                    ex.labels, ex.soft, ex.majority)
-                total += loss.value
-                for (aw, ab), (gw, gb) in zip(acc, backward(ref, ex.features, loss.grad_z)):
+                value, grad_z = example_loss(config.loss, forward(ref, ex.features),
+                                             ex.labels, ex.soft, ex.majority)
+                total += value
+                for (aw, ab), (gw, gb) in zip(acc, backward(ref, ex.features, grad_z)):
                     aw += gw
                     ab += gb
             for i, (aw, ab) in enumerate(acc):
@@ -369,11 +369,10 @@ def test_end_to_end_gradient_through_network():
 
         def scalar_loss(p):
             z = forward(p, x)
-            return example_loss(config, z, labels, soft, majority=0).value
+            return example_loss(config, z, labels, soft, majority=0)[0]
 
         z = forward(params, x)
-        loss = example_loss(config, z, labels, soft, majority=0)
-        grads = backward(params, x, loss.grad_z)
+        grads = backward(params, x, example_loss(config, z, labels, soft, majority=0)[1])
         step = 1e-5
         for layer, (gw, gb) in enumerate(grads):
             for arr, g in ((params.weights[layer], gw), (params.biases[layer], gb)):

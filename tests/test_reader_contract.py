@@ -1,10 +1,12 @@
 """Property test of the file contract: any single-field corruption of a
-dataset or checkpoint exits 1 with an error that names the file."""
+dataset or checkpoint exits 1 with an error that names the file.  Huge
+integers, deep nesting and bytes that are not UTF-8 do the same."""
 
 import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -107,3 +109,64 @@ def test_corrupt_checkpoint_field_is_data_error(files, site, value):
     with open(bad, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     assert_rejected(*run_eval(root, data, bad), bad)
+
+
+HUGE = b"1" + b"0" * 400  # a 401-digit JSON integer, beyond any float
+NESTED = b"[" * 100_000
+
+
+def huge_feature(lines):
+    lines[1] = re.sub(rb'"features":\[[^,]*', b'"features":[' + HUGE, lines[1], count=1)
+
+
+def nested_line(index):
+    def edit(lines):
+        lines[index] = NESTED
+    return edit
+
+
+def bad_byte(index, key):
+    def edit(lines):
+        lines[index] = lines[index].replace(key, key[:3] + b"\xff" + key[3:], 1)
+    return edit
+
+
+# (file, edit of its lines of bytes, the line an error names or None)
+BYTE_CASES = {
+    "record-huge-integer": ("data", huge_feature, 2),
+    "record-nested": ("data", nested_line(1), 2),
+    "record-not-utf8": ("data", bad_byte(1, b'"split"'), 2),
+    "manifest-nested": ("data", nested_line(0), None),
+    "manifest-not-utf8": ("data", bad_byte(0, b'"kind"'), 1),
+    "checkpoint-nested": ("ckpt", nested_line(0), None),
+    "checkpoint-not-utf8": ("ckpt", bad_byte(2, b'"kind"'), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_CASES))
+def test_unreadable_bytes_are_data_errors(files, case):
+    root, data, ckpt = files
+    which, edit, line = BYTE_CASES[case]
+    source = data if which == "data" else ckpt
+    with open(source, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    edit(lines)
+    bad = str(root / f"bad-{case}")
+    with open(bad, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    code, err = run_eval(root, bad, ckpt) if which == "data" else run_eval(root, data, bad)
+    assert_rejected(code, err, bad)
+    prefix = f"error: {bad}: " + ("" if line is None else f"line {line}: ")
+    assert err.startswith(prefix), err
+
+
+def test_huge_integer_id_is_valid(files):
+    # An id is any JSON integer, however many digits it has.
+    root, data, ckpt = files
+    with open(data, encoding="utf-8") as fh:
+        docs = [json.loads(line) for line in fh]
+    docs[1]["id"] = int(HUGE)
+    big = str(root / "big-id.jsonl")
+    with open(big, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(json.dumps(doc) for doc in docs) + "\n")
+    assert run_eval(root, big, ckpt) == (0, "")

@@ -6,10 +6,11 @@ import pytest
 
 from labelprior.annotations import (
     AgreementGroup,
+    AnnotationSet,
     ClassSpace,
-    classify_agreement,
-    expand,
+    agreement,
     soft_label,
+    vote_matrix,
 )
 from labelprior.synth import SynthConfig, default_class_names, generate, stats
 
@@ -103,9 +104,8 @@ class TestGenerate:
         for u in utts:
             perm = rng.permutation(len(u.evaluations))
             shuffled = tuple(u.evaluations[i] for i in perm)
-            assert classify_agreement(shuffled, space) == classify_agreement(
-                u.evaluations, space
-            )
+            groups, majority = agreement(*vote_matrix([shuffled, u.evaluations], space))
+            assert groups[0] == groups[1] and majority[0] == majority[1]
 
     def test_second_tags_distinct(self):
         cfg = SynthConfig(n=500, k=3, d=4, seed=21, multi_tag_prob=0.5)
@@ -174,6 +174,6 @@ def test_soft_labels_exchangeable_in_annotator_order():
     for u in utts:
         perm = rng.permutation(len(u.evaluations))
         shuffled = tuple(u.evaluations[i] for i in perm)
-        base = soft_label(expand(u.evaluations, space)).p
-        moved = soft_label(expand(shuffled, space)).p
+        base = soft_label(AnnotationSet(u.evaluations, space).labels).p
+        moved = soft_label(AnnotationSet(shuffled, space).labels).p
         np.testing.assert_allclose(moved, base, atol=1e-15)
