@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from itertools import compress
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -17,9 +18,11 @@ __all__ = [
     "Evaluation",
     "AnnotationSet",
     "vote_matrix",
+    "tag_counts",
     "agreement",
     "soft_label",
     "vote_and_replace",
+    "replace_majorities",
 ]
 
 
@@ -90,13 +93,19 @@ def vote_matrix(
     """
     for evaluations in evaluation_sets:
         _check_evaluations(evaluations, space)
-    n = len(evaluation_sets)
     annotators = np.array([len(evs) for evs in evaluation_sets], dtype=np.int64)
     tags_per_eval = [len(ev.tags) for evs in evaluation_sets for ev in evs]
     tags = np.array([t for evs in evaluation_sets for ev in evs for t in ev.tags], dtype=np.int64)
+    return tag_counts(tags, tags_per_eval, annotators, space.k), annotators
+
+
+def tag_counts(tags: np.ndarray, tags_per_eval, annotators, k: int) -> np.ndarray:
+    """(n, K) vote counts from the flat tag layout: the class index of every
+    tag, the number of tags of every evaluation and the number of
+    evaluations of every utterance."""
+    n = len(annotators)
     rows = np.repeat(np.repeat(np.arange(n), annotators), tags_per_eval)
-    counts = np.bincount(rows * space.k + tags, minlength=n * space.k).reshape(n, space.k)
-    return counts, annotators
+    return np.bincount(rows * k + tags, minlength=n * k).reshape(n, k)
 
 
 _GROUPS = np.array(list(AgreementGroup), dtype=object)  # FULL, MAJORITY, NONE
@@ -160,7 +169,23 @@ def vote_and_replace(
     M being its number of labels; any other keeps its evaluations.
     """
     counts, annotators = vote_matrix(evaluation_sets, space)
+    return replace_majorities(counts, annotators,
+                              lambda rows: list(compress(evaluation_sets, rows)))
+
+
+def replace_majorities(
+    counts: np.ndarray,
+    annotators: np.ndarray,
+    evaluations_of: Callable[[np.ndarray], Sequence[Sequence[Evaluation]]],
+) -> list[tuple[Evaluation, ...]]:
+    """Vote-and-replace from the (n, K) vote counts and (n,) annotator counts.
+
+    ``evaluations_of(rows)`` gives, in order, the evaluations of the
+    utterances that a boolean (n,) mask selects; it is called once, for
+    the utterances without a majority.
+    """
     _, majority = agreement(counts, annotators)
-    single = [(Evaluation((c,)),) for c in range(space.k)]
-    return [tuple(evs) if major < 0 else single[major] * int(n_labels)
-            for evs, major, n_labels in zip(evaluation_sets, majority, counts.sum(axis=1))]
+    kept = iter(evaluations_of(majority < 0))
+    single = [(Evaluation((c,)),) for c in range(counts.shape[1])]
+    return [tuple(next(kept)) if major < 0 else single[major] * n_labels
+            for major, n_labels in zip(majority.tolist(), counts.sum(axis=1).tolist())]

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dataio, metrics, model, synth
-from .annotations import agreement, vote_and_replace, vote_matrix
+from .annotations import agreement, replace_majorities
 from .dirichlet import CategoricalDist, SingularityError, from_logits, predictive_mean
 from .losses import LossConfig, LossKind
 
@@ -146,17 +146,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    space, records = dataio.read_dataset(args.data)
-    print(synth.stats([rec.evaluations for rec in records], space).format_table())
+    _, corpus = dataio.read_dataset(args.data)
+    table = synth.count_stats(corpus.counts, corpus.annotators, corpus.tags_per_eval)
+    print(table.format_table())
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    space, records = dataio.read_dataset(args.data)
-    train_records = [rec for rec in records if rec.split == "train"]
-    if not train_records:
+    space, corpus = dataio.read_dataset(args.data)
+    if not corpus.train.any():
         raise ValueError(f"{args.data}: no 'train' split records")
-    examples = dataio.record_to_example(train_records, space)
+    examples = dataio.record_to_example(corpus)
     config = model.TrainConfig(
         loss=_loss_config(args),
         learning_rate=args.lr,
@@ -176,25 +176,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _test_views(args: argparse.Namespace):
     """Label counts, agreement groups, majorities (-1 for none) and
     predictions of the test split."""
-    space, records = dataio.read_dataset(args.data)
-    test_records = [rec for rec in records if rec.split == "test"]
-    if not test_records:
+    space, corpus = dataio.read_dataset(args.data)
+    rows = np.flatnonzero(~corpus.train)
+    if not rows.size:
         raise ValueError(f"{args.data}: no 'test' split records")
     params, ckpt_space, config = dataio.read_checkpoint(args.ckpt)
     if ckpt_space.names != space.names:
         raise ValueError(f"{args.ckpt}: classes {list(ckpt_space.names)} differ from "
                          f"the dataset's {list(space.names)}")
-    width = test_records[0].features.shape[0]
+    width = corpus.features.shape[1]
     if params.dims[0] != width:
         raise ValueError(f"{args.ckpt}: input width {params.dims[0]} differs from "
                          f"the dataset's feature width {width}")
-    counts, annotators = vote_matrix([rec.evaluations for rec in test_records], space)
+    counts = corpus.counts[rows]
     try:
-        preds = _predict_dists(params, [rec.features for rec in test_records], config.loss)
+        preds = _predict_dists(params, corpus.features[rows], config.loss)
     except FloatingPointError as err:
-        raise FloatingPointError(f"{args.ckpt}: utterance {test_records[err.args[1]].uid}: "
+        raise FloatingPointError(f"{args.ckpt}: utterance {corpus.ids[rows[err.args[1]]]}: "
                                  f"{err.args[0]}") from err
-    return (counts, *agreement(counts, annotators), preds)
+    return (counts, *agreement(counts, corpus.annotators[rows]), preds)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -221,10 +221,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    space, records = dataio.read_dataset(args.data)
-    replaced = vote_and_replace([rec.evaluations for rec in records], space)
-    out_records = [dataio.DatasetRecord(rec.uid, rec.split, rec.features, evaluations)
-                   for rec, evaluations in zip(records, replaced)]
+    space, corpus = dataio.read_dataset(args.data)
+    replaced = replace_majorities(corpus.counts, corpus.annotators, corpus.evaluation_sets)
+    out_records = [dataio.DatasetRecord(uid, "train" if train else "test", features, evaluations)
+                   for uid, train, features, evaluations
+                   in zip(corpus.ids, corpus.train.tolist(), corpus.features, replaced)]
     dataio.write_dataset(args.out, space, out_records)
     print(f"wrote {len(out_records)} records to {args.out}")
     return 0

@@ -10,17 +10,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from itertools import chain, islice
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .annotations import ClassSpace, Evaluation, agreement, vote_matrix
+from .annotations import ClassSpace, Evaluation, agreement, tag_counts
 from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
 from .model import LabelledExample, ModelParams, TrainConfig
 
 __all__ = [
+    "Corpus",
     "DatasetRecord",
     "write_dataset",
     "read_dataset",
@@ -114,13 +116,63 @@ def _class_space(path: str, classes) -> ClassSpace:
         raise ValueError(f"{path}: bad classes: {err}") from err
 
 
-def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
+_NUMBERS = frozenset((int, float))
+_LISTS = frozenset((list,))
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A dataset's records as columns, one row per record in file order.
+
+    ``tags`` holds the class index of every tag in file order,
+    ``tags_per_eval`` the number of tags of every evaluation and
+    ``annotators`` the number of evaluations of every record.
+    """
+
+    ids: list[int]
+    train: np.ndarray          # (n,) bool, False for the test split
+    features: np.ndarray       # (n, d) float64
+    counts: np.ndarray         # (n, K) votes per class
+    annotators: np.ndarray     # (n,)
+    tags: np.ndarray
+    tags_per_eval: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def evaluation_sets(self, rows: Optional[np.ndarray] = None) -> list[tuple[Evaluation, ...]]:
+        """The evaluations of every record, or of the records a boolean (n,)
+        mask selects, rebuilt from the tag columns (each sorts its tags)."""
+        rows = np.ones(len(self), dtype=bool) if rows is None else rows
+        evals = np.repeat(rows, self.annotators)
+        tags = iter(self.tags[np.repeat(evals, self.tags_per_eval)].tolist())
+        evaluations = iter([Evaluation(tuple(islice(tags, m)))
+                            for m in self.tags_per_eval[evals].tolist()])
+        return [tuple(islice(evaluations, a)) for a in self.annotators[rows].tolist()]
+
+
+def _tag_fault(evaluations: list, index: dict) -> None:
+    """Raise the first fault of a record's evaluations, in file order."""
+    for names in evaluations:
+        for name in names:
+            if type(name) is not str or name not in index:
+                raise ValueError(f"unknown class name: {name!r}")
+        if not names:
+            raise ValueError("an evaluation must contain at least one tag")
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate tags in evaluation")
+
+
+def read_dataset(path: str) -> tuple[ClassSpace, Corpus]:
     """Manifest and records; a malformed line raises ValueError naming it.
 
-    Every split must be "train" or "test", every id a unique integer and
-    every record's evaluations non-empty.
+    Lines end at a line feed only; a carriage return before it is JSON
+    whitespace, so CRLF files read too.  Every split must be "train" or
+    "test", every id a unique integer and every record's evaluations
+    non-empty.  Each line is checked in full before the next, so the error
+    names the first bad line.
     """
-    lines = [(no, line) for no, line in enumerate(_text(path).splitlines(), 1)
+    lines = [(no, line) for no, line in enumerate(_text(path).split("\n"), 1)
              if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
@@ -128,63 +180,92 @@ def read_dataset(path: str) -> tuple[ClassSpace, list[DatasetRecord]]:
     space, d = _class_space(path, manifest.get("classes")), manifest.get("feature_dim")
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise ValueError(f"{path}: manifest feature_dim must be an integer >= 0, got {d!r}")
-    records = []
+    index = {name: i for i, name in enumerate(space.names)}
+    ids, train, rows, tags, tags_per_eval, annotators = [], [], [], [], [], []
     id_lines: dict[int, int] = {}
     for no, line in lines[1:]:
         try:
             raw = json.loads(line)
-            features = np.asarray(raw["features"], dtype=np.float64)
-            if not (isinstance(raw["evaluations"], list)
-                    and all(isinstance(tags, list) for tags in raw["evaluations"])):
+            features = raw["features"]
+            if type(features) is list and _NUMBERS.issuperset(map(type, features)):
+                # Every element is converted, so a huge integer overflows here.
+                finite = all(list(map(math.isfinite, features)))
+                shape, numbers = (len(features),), True
+            else:  # raises numpy's own error, or sets the first failing check below
+                array = np.asarray(features, dtype=np.float64)
+                shape, finite, numbers = array.shape, np.isfinite(array).all(), False
+            evaluations = raw["evaluations"]
+            if not (type(evaluations) is list and _LISTS.issuperset(map(type, evaluations))):
                 raise TypeError("each evaluation must be a list of class names")
-            evaluations = tuple(
-                Evaluation(tuple(space.index(name) for name in tags))
-                for tags in raw["evaluations"]
-            )
-            if not isinstance(raw["id"], int) or isinstance(raw["id"], bool):
-                raise TypeError(f"id must be an integer, got {raw['id']!r}")
-            record = DatasetRecord(raw["id"], str(raw["split"]), features, evaluations)
+            sizes = list(map(len, evaluations))
+            try:
+                classes = list(map(index.get, chain.from_iterable(evaluations)))
+            except TypeError:  # an unhashable name
+                classes = [None]
+            # Only an evaluation of two or more tags can repeat one.
+            if (None in classes or 0 in sizes or len(classes) > len(sizes)
+                    and sum(map(len, map(set, evaluations))) != len(classes)):
+                _tag_fault(evaluations, index)
+            uid = raw["id"]
+            if type(uid) is not int:
+                raise TypeError(f"id must be an integer, got {uid!r}")
+            split = raw["split"]
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as err:
             raise ValueError(f"{path}: line {no}: bad record: {err!r}") from err
-        if features.shape != (d,):
-            raise ValueError(f"{path}: line {no}: feature shape {features.shape} != ({d},)")
-        if not np.isfinite(features).all():
+        if shape != (d,):
+            raise ValueError(f"{path}: line {no}: feature shape {shape} != ({d},)")
+        if not finite:
             raise ValueError(f"{path}: line {no}: non-finite feature")
-        if not {int, float}.issuperset(map(type, raw["features"])):
+        if not numbers:
             raise ValueError(f"{path}: line {no}: features must be JSON numbers")
         if not evaluations:
             raise ValueError(f"{path}: line {no}: at least one evaluation is required")
-        if record.split not in ("train", "test"):
+        if split != "train" and split != "test":
             raise ValueError(
-                f"{path}: line {no}: split {record.split!r} is not 'train' or 'test'")
-        if record.uid in id_lines:
-            raise ValueError(f"{path}: line {no}: id {record.uid} repeats "
-                             f"the id on line {id_lines[record.uid]}")
-        id_lines[record.uid] = no
-        records.append(record)
-    return space, records
+                f"{path}: line {no}: split {str(split)!r} is not 'train' or 'test'")
+        if uid in id_lines:
+            raise ValueError(f"{path}: line {no}: id {uid} repeats the id on line {id_lines[uid]}")
+        id_lines[uid] = no
+        ids.append(uid)
+        train.append(split == "train")
+        rows.append(features)
+        tags += classes
+        tags_per_eval += sizes
+        annotators.append(len(sizes))
+    tags, tags_per_eval = np.array(tags, dtype=np.int64), np.array(tags_per_eval, dtype=np.int64)
+    annotators = np.array(annotators, dtype=np.int64)
+    return space, Corpus(
+        ids=ids,
+        train=np.array(train, dtype=bool),
+        features=np.array(rows, dtype=np.float64).reshape(len(ids), d),
+        counts=tag_counts(tags, tags_per_eval, annotators, space.k),
+        annotators=annotators,
+        tags=tags,
+        tags_per_eval=tags_per_eval,
+    )
 
 
-def record_to_example(
-    records: Sequence[DatasetRecord], space: ClassSpace
-) -> list[LabelledExample]:
-    """Derive the training view (labels, soft label, group) of every record
-    of a split from its vote counts, classifying agreement over the whole
-    split at once.  Each record's one-hot labels are grouped by class."""
-    counts, annotators = vote_matrix([rec.evaluations for rec in records], space)
-    groups, majority = agreement(counts, annotators)
+def record_to_example(corpus: Corpus) -> list[LabelledExample]:
+    """Derive the training view (labels, soft label, group) of every train
+    record of ``corpus`` from its vote counts, classifying agreement over
+    the whole split at once.  Each record's one-hot labels are grouped by
+    class."""
+    rows = np.flatnonzero(corpus.train)
+    counts = corpus.counts[rows]
+    groups, majority = agreement(counts, corpus.annotators[rows])
     soft = counts / counts.sum(axis=1, keepdims=True)
-    eye = np.eye(space.k)
+    eye = np.eye(counts.shape[1])
     return [
         LabelledExample(
-            features=rec.features,
+            features=corpus.features[row],
             labels=tuple(np.repeat(eye, row_counts, axis=0)),
-            soft=CategoricalDist(row),
+            soft=CategoricalDist(row_soft),
             group=group,
             majority=None if major < 0 else int(major),
-            uid=rec.uid,
+            uid=corpus.ids[row],
         )
-        for rec, row_counts, row, group, major in zip(records, counts, soft, groups, majority)
+        for row, row_counts, row_soft, group, major in zip(
+            rows.tolist(), counts, soft, groups, majority)
     ]
 
 

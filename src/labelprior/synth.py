@@ -10,9 +10,11 @@ reproducible and generation could run in parallel.
 
 from __future__ import annotations
 
+import bisect
 import math
 import string
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +22,8 @@ import numpy as np
 from . import rng
 from .annotations import AgreementGroup, ClassSpace, Evaluation, agreement, vote_matrix
 
-__all__ = ["SynthConfig", "SynthUtterance", "CorpusStats", "default_class_names", "generate", "stats"]
+__all__ = ["SynthConfig", "SynthUtterance", "CorpusStats", "default_class_names", "generate",
+           "stats", "count_stats"]
 
 
 @dataclass(frozen=True)
@@ -86,10 +89,10 @@ def default_class_names(k: int) -> tuple[str, ...]:
     return tuple(letters[i] if i < len(letters) else f"c{i}" for i in range(k))
 
 
-def _sample_index(gen: np.random.Generator, probs: np.ndarray) -> int:
+def _sample_index(gen: np.random.Generator, cum: list[float]) -> int:
+    # ``cum`` holds the running sums of the weights, added in np.cumsum's order.
     u = gen.random()
-    cum = np.cumsum(probs)
-    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), probs.shape[0] - 1)
+    return min(bisect.bisect_right(cum, u * cum[-1]), len(cum) - 1)
 
 
 def _regime_alpha(config: SynthConfig, regime: int, dominant: int) -> np.ndarray:
@@ -101,22 +104,24 @@ def _regime_alpha(config: SynthConfig, regime: int, dominant: int) -> np.ndarray
     return alpha
 
 
-def _generate_one(config: SynthConfig, uid: int) -> SynthUtterance:
+def _generate_one(config: SynthConfig, regime_cum: list[float], uid: int) -> SynthUtterance:
     gen = rng.stream(config.seed, rng.DOMAIN_UTTERANCE, uid)
     # Draw order is fixed: regime, dominant class, true distribution,
     # per-annotator tags, then feature noise.
-    regime = _sample_index(gen, np.asarray(config.group_mix))
+    regime = _sample_index(gen, regime_cum)
     dominant = int(gen.integers(0, config.k))
     mu = gen.dirichlet(_regime_alpha(config, regime, dominant))
 
+    weights = mu.tolist()
+    mu_cum = list(accumulate(weights))
     evaluations = []
     for _ in range(config.annotators):
-        first = _sample_index(gen, mu)
+        first = _sample_index(gen, mu_cum)
         tags = [first]
         if gen.random() < config.multi_tag_prob:
-            rest = mu.copy()
+            rest = weights.copy()
             rest[first] = 0.0
-            tags.append(_sample_index(gen, rest))
+            tags.append(_sample_index(gen, list(accumulate(rest))))
         evaluations.append(Evaluation(tuple(tags)))
 
     features = np.zeros(config.d)
@@ -129,7 +134,8 @@ def _generate_one(config: SynthConfig, uid: int) -> SynthUtterance:
 def generate(config: SynthConfig) -> tuple[list[SynthUtterance], ClassSpace]:
     """Generate the corpus; deterministic given the config."""
     space = ClassSpace(default_class_names(config.k))
-    return [_generate_one(config, uid) for uid in range(config.n)], space
+    regime_cum = list(accumulate(config.group_mix))
+    return [_generate_one(config, regime_cum, uid) for uid in range(config.n)], space
 
 
 @dataclass(frozen=True)
@@ -161,17 +167,22 @@ def stats(
 ) -> CorpusStats:
     """Corpus-level label statistics, in the usual table schema, of each
     utterance's evaluations."""
-    if len(evaluation_sets) == 0:
-        raise ValueError("stats requires a non-empty corpus")
     counts, annotators = vote_matrix(evaluation_sets, space)
+    return count_stats(counts, annotators, [len(ev.tags) for evs in evaluation_sets for ev in evs])
+
+
+def count_stats(counts: np.ndarray, annotators: np.ndarray, tags_per_eval) -> CorpusStats:
+    """The same statistics from the (n, K) vote counts, the (n,) annotator
+    counts and the number of tags of every evaluation."""
+    if len(counts) == 0:
+        raise ValueError("stats requires a non-empty corpus")
     groups = agreement(counts, annotators)[0]
     n_labels = counts.sum(axis=1)
     return CorpusStats(
-        n_utterances=len(evaluation_sets),
+        n_utterances=len(counts),
         n_evaluations=int(annotators.sum()),
-        n_multi_tag_evaluations=sum(
-            1 for evs in evaluation_sets for ev in evs if len(ev.tags) > 1),
+        n_multi_tag_evaluations=int(np.count_nonzero(np.asarray(tags_per_eval) > 1)),
         n_utterances_extra_labels=int(np.count_nonzero(n_labels > annotators)),
-        avg_labels_per_utterance=int(n_labels.sum()) / len(evaluation_sets),
+        avg_labels_per_utterance=int(n_labels.sum()) / len(counts),
         group_counts={g: int(np.count_nonzero(groups == g)) for g in AgreementGroup},
     )

@@ -10,6 +10,7 @@ from labelprior.annotations import (
     ClassSpace,
     Evaluation,
     agreement,
+    replace_majorities,
     soft_label,
     vote_and_replace,
     vote_matrix,
@@ -236,6 +237,21 @@ class TestVoteAndReplace:
             ]
             once = vote_and_replace([evals], ABC)
             assert vote_and_replace(once, ABC) == once
+
+    def test_from_counts_asks_only_for_rows_without_majority(self):
+        # Rows: A A A B C (majority), A B C (none), A AB C (majority), AB C (none).
+        sets = [[ev(A)] * 3 + [ev(B), ev(C)], [ev(A), ev(B), ev(C)],
+                [ev(A), ev(A, B), ev(C)], [ev(A, B), ev(C)]]
+        counts, annotators = vote_matrix(sets, ABC)
+        asked = []
+
+        def evaluations_of(rows):
+            asked.append(rows.tolist())
+            return [sets[1], sets[3]]
+
+        replaced = replace_majorities(counts, annotators, evaluations_of)
+        assert asked == [[False, True, False, True]]
+        assert replaced == [(ev(A),) * 5, tuple(sets[1]), (ev(A),) * 4, tuple(sets[3])]
 
 
 class TestAnnotationSet:

@@ -35,9 +35,9 @@ def small_dataset(tmp_path):
 
 class TestGen:
     def test_record_count(self, small_dataset):
-        _, records = dataio.read_dataset(small_dataset)
-        assert len(records) == 120
-        assert sum(1 for r in records if r.split == "test") == 30
+        _, corpus = dataio.read_dataset(small_dataset)
+        assert len(corpus) == 120
+        assert np.count_nonzero(~corpus.train) == 30
 
     def test_rerun_byte_identical(self, tmp_path):
         a = tmp_path / "a.jsonl"
@@ -245,11 +245,8 @@ class TestEval:
         # Report values carry six decimals; the underlying mean is ln 4.
         assert doc["mean_entropy"] == pytest.approx(math.log(4), abs=1e-6)
         params, _, config = dataio.read_checkpoint(ckpt)
-        preds = cli._predict_dists(
-            params,
-            [r.features for r in dataio.read_dataset(small_dataset)[1] if r.split == "test"],
-            config.loss,
-        )
+        corpus = dataio.read_dataset(small_dataset)[1]
+        preds = cli._predict_dists(params, corpus.features[~corpus.train], config.loss)
         assert preds.p.shape == (30, 4)
         assert (dist_entropy(preds) == math.log(4)).all()
 
@@ -257,10 +254,12 @@ class TestEval:
         # With every record in the test split, the per-group counts of the
         # report equal the corpus statistics.
         full_test = tmp_path / "all_test.jsonl"
-        space, records = dataio.read_dataset(small_dataset)
+        space, corpus = dataio.read_dataset(small_dataset)
+        evaluation_sets = corpus.evaluation_sets()
         dataio.write_dataset(
             full_test, space,
-            [dataio.DatasetRecord(r.uid, "test", r.features, r.evaluations) for r in records],
+            [dataio.DatasetRecord(uid, "test", x, evs)
+             for uid, x, evs in zip(corpus.ids, corpus.features, evaluation_sets)],
         )
         ckpt = tmp_path / "m.json"
         run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 2,
@@ -268,7 +267,7 @@ class TestEval:
         report_path = tmp_path / "report.json"
         run("eval", "--data", full_test, "--ckpt", ckpt, "--out", report_path)
         doc = dataio.read_report(report_path)
-        groups = [AnnotationSet(r.evaluations, space).group for r in records]
+        groups = [AnnotationSet(evs, space).group for evs in evaluation_sets]
         for name, group in (("full", AgreementGroup.FULL),
                             ("majority", AgreementGroup.MAJORITY),
                             ("none", AgreementGroup.NONE)):
@@ -315,11 +314,13 @@ class TestEval:
         run("gen", "--n", 200, "--seed", 3, "--annotators", 1, "--multi-tag-prob", 0,
             "--out", data)
         if test_votes:
-            space, records = dataio.read_dataset(data)
+            space, corpus = dataio.read_dataset(data)
             tie = tuple(Evaluation(tags) for tags in test_votes)
             dataio.write_dataset(data, space, [
-                r if r.split == "train" else dataio.DatasetRecord(r.uid, r.split, r.features, tie)
-                for r in records])
+                dataio.DatasetRecord(uid, "train", x, evs) if train
+                else dataio.DatasetRecord(uid, "test", x, tie)
+                for uid, train, x, evs in zip(corpus.ids, corpus.train, corpus.features,
+                                              corpus.evaluation_sets())])
         ckpt = tmp_path / "m.json"
         assert run("train", "--data", data, "--loss", "soft", "--epochs", 1, "--out", ckpt) == 0
         report_path = tmp_path / "report.json"
@@ -382,7 +383,8 @@ class TestEval:
         for layer in doc["layers"]:
             layer["weights"] = [[1e200] * len(row) for row in layer["weights"]]
         ckpt.write_text(json.dumps(doc))
-        first = next(r.uid for r in dataio.read_dataset(small_dataset)[1] if r.split == "test")
+        corpus = dataio.read_dataset(small_dataset)[1]
+        first = corpus.ids[np.flatnonzero(~corpus.train)[0]]
         capsys.readouterr()
         assert run(command, "--data", small_dataset, "--ckpt", ckpt, out, tmp_path / "r") == 2
         err = capsys.readouterr().err
@@ -417,9 +419,9 @@ class TestDetect:
         ckpt = tmp_path / "m.json"
         run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 1,
             "--out", ckpt)
-        space, records = dataio.read_dataset(small_dataset)
-        test_records = [r for r in records if r.split == "test"]
-        groups = [AnnotationSet(r.evaluations, space).group for r in test_records]
+        space, corpus = dataio.read_dataset(small_dataset)
+        groups = [AnnotationSet(evs, space).group
+                  for evs, train in zip(corpus.evaluation_sets(), corpus.train) if not train]
 
         def oracle(params, features, loss):
             dists = []
@@ -506,11 +508,11 @@ class TestTransform:
         dataio.write_dataset(data, space, records)
         out = tmp_path / "out.jsonl"
         assert run("transform", "--data", data, "--out", out) == 0
-        _, transformed = dataio.read_dataset(out)
+        transformed = dataio.read_dataset(out)[1].evaluation_sets()
         # A A A B C -> five copies of A.
-        assert transformed[0].evaluations == tuple(Evaluation((0,)) for _ in range(5))
+        assert transformed[0] == tuple(Evaluation((0,)) for _ in range(5))
         # A B C has no majority: unchanged.
-        assert transformed[1].evaluations == records[1].evaluations
+        assert transformed[1] == records[1].evaluations
 
     def test_multi_tag_majority_expansion(self, tmp_path):
         space = ClassSpace(("A", "B", "C"))
@@ -524,9 +526,9 @@ class TestTransform:
         dataio.write_dataset(data, space, records)
         out = tmp_path / "out.jsonl"
         run("transform", "--data", data, "--out", out)
-        _, transformed = dataio.read_dataset(out)
+        transformed = dataio.read_dataset(out)[1].evaluation_sets()
         # Four labels expand to four single-tag majority evaluations.
-        assert transformed[0].evaluations == tuple(Evaluation((0,)) for _ in range(4))
+        assert transformed[0] == tuple(Evaluation((0,)) for _ in range(4))
 
     def test_no_majority_multi_tags_survive(self, tmp_path):
         space = ClassSpace(("A", "B", "C"))
@@ -540,9 +542,9 @@ class TestTransform:
         dataio.write_dataset(data, space, records)
         out = tmp_path / "out.jsonl"
         run("transform", "--data", data, "--out", out)
-        _, transformed = dataio.read_dataset(out)
+        transformed = dataio.read_dataset(out)[1].evaluation_sets()
         # A, AB, BC ties at two votes: no majority, evaluations untouched.
-        assert transformed[0].evaluations == records[0].evaluations
+        assert transformed[0] == records[0].evaluations
 
     def test_idempotent_byte_identical(self, small_dataset, tmp_path):
         once = tmp_path / "once.jsonl"
@@ -556,10 +558,9 @@ class TestTransform:
         run("transform", "--data", small_dataset, "--out", out)
         _, before = dataio.read_dataset(small_dataset)
         _, after = dataio.read_dataset(out)
-        for a, b in zip(before, after):
-            assert a.uid == b.uid
-            assert a.split == b.split
-            np.testing.assert_array_equal(a.features, b.features)
+        assert before.ids == after.ids
+        np.testing.assert_array_equal(before.train, after.train)
+        np.testing.assert_array_equal(before.features, after.features)
 
 
 @pytest.mark.parametrize("args, field", [

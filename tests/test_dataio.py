@@ -33,25 +33,53 @@ def sample_records():
     ]
 
 
+def as_records(corpus):
+    """The writer's input for every row of a read corpus."""
+    return [
+        dataio.DatasetRecord(uid, "train" if train else "test", x, evs)
+        for uid, train, x, evs in zip(corpus.ids, corpus.train, corpus.features,
+                                      corpus.evaluation_sets())
+    ]
+
+
+def read_sample(tmp_path, records):
+    path = tmp_path / "sample.jsonl"
+    dataio.write_dataset(path, SPACE, records)
+    return dataio.read_dataset(path)[1]
+
+
 class TestDatasetRoundTrip:
     def test_structural_equality(self, tmp_path):
         path = tmp_path / "data.jsonl"
         dataio.write_dataset(path, SPACE, sample_records())
-        space, records = dataio.read_dataset(path)
+        space, corpus = dataio.read_dataset(path)
         assert space.names == SPACE.names
-        assert len(records) == 2
-        for got, want in zip(records, sample_records()):
+        assert len(corpus) == 2
+        for got, want in zip(as_records(corpus), sample_records(), strict=True):
             assert got.uid == want.uid
             assert got.split == want.split
             assert got.evaluations == want.evaluations
             np.testing.assert_array_equal(got.features, want.features)
 
+    def test_columns(self, tmp_path):
+        corpus = read_sample(tmp_path, sample_records())
+        assert corpus.ids == [0, 1]
+        assert all(type(uid) is int for uid in corpus.ids)
+        np.testing.assert_array_equal(corpus.train, [True, False])
+        assert corpus.features.dtype == np.float64
+        np.testing.assert_array_equal(corpus.features, [[0.25, -1.5, 3.125], [0.0, 0.5, 1.0]])
+        np.testing.assert_array_equal(corpus.counts, [[2, 1, 1], [0, 1, 0]])
+        np.testing.assert_array_equal(corpus.annotators, [3, 1])
+        np.testing.assert_array_equal(corpus.tags, [0, 0, 1, 2, 1])
+        np.testing.assert_array_equal(corpus.tags_per_eval, [1, 2, 1, 1])
+        assert corpus.evaluation_sets(np.array([False, True])) == [(Evaluation((1,)),)]
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
         dataio.write_dataset(first, SPACE, sample_records())
-        space, records = dataio.read_dataset(first)
-        dataio.write_dataset(second, space, records)
+        space, corpus = dataio.read_dataset(first)
+        dataio.write_dataset(second, space, as_records(corpus))
         assert first.read_bytes() == second.read_bytes()
 
     def test_manifest_first_line(self, tmp_path):
@@ -111,9 +139,14 @@ class TestDatasetRoundTrip:
         assert str(path) in str(err.value)
 
 
+def train_only(records):
+    return [dataio.DatasetRecord(r.uid, "train", r.features, r.evaluations) for r in records]
+
+
 class TestRecordToExample:
-    def test_derived_views(self):
-        example, single = dataio.record_to_example(sample_records(), SPACE)
+    def test_derived_views(self, tmp_path):
+        corpus = read_sample(tmp_path, train_only(sample_records()))
+        example, single = dataio.record_to_example(corpus)
         assert example.uid == 0
         assert example.group == AgreementGroup.MAJORITY
         assert example.majority == 0
@@ -122,13 +155,18 @@ class TestRecordToExample:
         assert (single.uid, single.group, single.majority) == (1, AgreementGroup.FULL, 1)
         np.testing.assert_array_equal(single.soft.p, [0.0, 1.0, 0.0])
 
-    def test_classifies_agreement_once(self, monkeypatch):
+    def test_only_train_rows(self, tmp_path):
+        examples = dataio.record_to_example(read_sample(tmp_path, sample_records()))
+        assert [e.uid for e in examples] == [0]
+
+    def test_classifies_agreement_once(self, tmp_path, monkeypatch):
         # One call of the batch rule for the whole split, none per record.
+        corpus = read_sample(tmp_path, train_only(sample_records()))
         calls = []
         rule = dataio.agreement
         monkeypatch.setattr(dataio, "agreement",
                             lambda *args: calls.append(1) or rule(*args))
-        assert len(dataio.record_to_example(sample_records(), SPACE)) == 2
+        assert len(dataio.record_to_example(corpus)) == 2
         assert len(calls) == 1
 
 
@@ -262,6 +300,6 @@ def test_synthetic_corpus_round_trip(tmp_path):
     dataio.write_dataset(path, space, records)
     space2, loaded = dataio.read_dataset(path)
     assert space2.names == space.names
-    for got, want in zip(loaded, records):
+    for got, want in zip(as_records(loaded), records, strict=True):
         assert got.evaluations == want.evaluations
         np.testing.assert_array_equal(got.features, want.features)

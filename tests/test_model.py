@@ -334,18 +334,18 @@ class TestTrainNumericalFailures:
             train(examples, config)
 
 
-def test_epoch_losses_finite_on_default_corpus():
+def test_epoch_losses_finite_on_default_corpus(tmp_path):
     # Every objective keeps a finite mean loss on the stock synthetic
     # corpus, including the Dirichlet ones whose terms involve log-gamma
     # of exponentiated logits.
-    from labelprior.dataio import DatasetRecord, record_to_example
+    from labelprior.dataio import DatasetRecord, read_dataset, record_to_example, write_dataset
     from labelprior.synth import SynthConfig, generate
 
     utts, space = generate(SynthConfig(n=2000, k=5, d=16, seed=42))
-    examples = record_to_example(
-        [DatasetRecord(u.uid, "train", u.features, u.evaluations) for u in utts[:1600]],
-        space,
-    )
+    path = tmp_path / "train.jsonl"
+    write_dataset(path, space,
+                  [DatasetRecord(u.uid, "train", u.features, u.evaluations) for u in utts[:1600]])
+    examples = record_to_example(read_dataset(path)[1])
     for kind in LossKind:
         config = TrainConfig(
             loss=LossConfig.default_for(kind), learning_rate=1e-2, epochs=2, seed=0

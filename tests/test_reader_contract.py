@@ -1,6 +1,8 @@
 """Property test of the file contract: any single-field corruption of a
-dataset or checkpoint exits 1 with an error that names the file.  Huge
-integers, deep nesting and bytes that are not UTF-8 do the same."""
+dataset or checkpoint exits 1 with an error that names the file, and the
+line for a dataset record.  Huge integers, deep nesting, bytes that are
+not UTF-8 and very long lines do the same, and of two bad lines the
+earlier one is named.  Lines end at a line feed only."""
 
 import contextlib
 import io
@@ -78,6 +80,24 @@ def run_eval(root, data, ckpt) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def run_stats(data) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["stats", "--data", data])
+    return code, out.getvalue(), err.getvalue()
+
+
+def read_docs(data):
+    with open(data, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def write_docs(path, docs, ensure_ascii=True) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(json.dumps(doc, ensure_ascii=ensure_ascii) for doc in docs) + "\n")
+    return str(path)
+
+
 def assert_rejected(code, err, path):
     assert code == 1, err
     assert err.startswith(f"error: {path}"), err
@@ -88,14 +108,14 @@ def assert_rejected(code, err, path):
 @given(site=st.sampled_from(DATASET_SITES), value=BAD_VALUES)
 def test_corrupt_dataset_field_is_data_error(files, site, value):
     root, data, ckpt = files
-    with open(data, encoding="utf-8") as fh:
-        docs = [json.loads(line) for line in fh]
+    docs = read_docs(data)
     line, path = site
     corrupt(docs[line], path, value)
-    bad = str(root / "bad.jsonl")
-    with open(bad, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(json.dumps(doc) for doc in docs) + "\n")
-    assert_rejected(*run_eval(root, bad, ckpt), bad)
+    bad = write_docs(root / "bad.jsonl", docs)
+    code, err = run_eval(root, bad, ckpt)
+    assert_rejected(code, err, bad)
+    if line != 0:  # a record names its line; the manifest is line 1 of the file
+        assert err.startswith(f"error: {bad}: line {line % len(docs) + 1}: "), err
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -163,10 +183,92 @@ def test_unreadable_bytes_are_data_errors(files, case):
 def test_huge_integer_id_is_valid(files):
     # An id is any JSON integer, however many digits it has.
     root, data, ckpt = files
-    with open(data, encoding="utf-8") as fh:
-        docs = [json.loads(line) for line in fh]
+    docs = read_docs(data)
     docs[1]["id"] = int(HUGE)
-    big = str(root / "big-id.jsonl")
-    with open(big, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(json.dumps(doc) for doc in docs) + "\n")
+    big = write_docs(root / "big-id.jsonl", docs)
     assert run_eval(root, big, ckpt) == (0, "")
+
+
+def non_finite_feature(doc):
+    doc["features"][0] = math.nan
+
+
+def bad_split(doc):
+    doc["split"] = "dev"
+
+
+@pytest.mark.parametrize("first, second", [(non_finite_feature, bad_split),
+                                           (bad_split, non_finite_feature)])
+def test_earlier_of_two_bad_lines_is_named(files, first, second):
+    # Lines 3 and 6 of the file: whichever fault comes first is reported.
+    root, data, ckpt = files
+    docs = read_docs(data)
+    first(docs[2])
+    second(docs[5])
+    bad = write_docs(root / "two-faults.jsonl", docs)
+    code, err = run_eval(root, bad, ckpt)
+    assert_rejected(code, err, bad)
+    message = ("non-finite feature" if first is non_finite_feature
+               else "split 'dev' is not 'train' or 'test'")
+    assert err.startswith(f"error: {bad}: line 3: {message}"), err
+
+
+def test_very_long_line_names_it(files):
+    root, data, ckpt = files
+    docs = read_docs(data)
+    docs[7]["features"] = [0.5] * 1_000_000
+    bad = write_docs(root / "long.jsonl", docs)
+    code, err = run_eval(root, bad, ckpt)
+    assert_rejected(code, err, bad)
+    assert err.startswith(f"error: {bad}: line 8: feature shape (1000000,) != (4,)"), err
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_unicode_line_separator_inside_a_string_is_valid(files, separator):
+    # JSON admits these raw inside a string; only a line feed ends a line.
+    root, data, ckpt = files
+    docs = read_docs(data)
+    docs[1]["note"] = f"x{separator}y"
+    noted = write_docs(root / "noted.jsonl", docs, ensure_ascii=False)
+    assert separator in open(noted, encoding="utf-8").read()
+    code, out, err = run_stats(noted)
+    assert (code, err) == (0, ""), err
+    assert "Number of total utterances" in out
+    assert run_eval(root, noted, ckpt) == (0, "")
+    # Every later line keeps its number.
+    docs[4]["split"] = "dev"
+    later = write_docs(root / "noted-bad.jsonl", docs, ensure_ascii=False)
+    code, _, err = run_stats(later)
+    assert code == 1
+    assert err.startswith(f"error: {later}: line 5: split 'dev'"), err
+
+
+def test_crlf_file_reads_like_lf(files):
+    root, data, ckpt = files
+    with open(data, "rb") as fh:
+        text = fh.read()
+    crlf = str(root / "crlf.jsonl")
+    with open(crlf, "wb") as fh:
+        fh.write(text.replace(b"\n", b"\r\n"))
+    assert run_stats(crlf) == run_stats(data)
+    assert run_eval(root, crlf, ckpt) == (0, "")
+
+
+@pytest.mark.parametrize("control", ["\x1c", "\x0b"])
+def test_raw_control_character_is_data_error(files, control):
+    # Neither is JSON whitespace, nor allowed raw inside a JSON string.
+    root, data, ckpt = files
+    with open(data, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    for where, edit in (("string", lambda line: line.replace('"test"', f'"te{control}st"', 1)
+                                    .replace('"train"', f'"tr{control}ain"', 1)),
+                        ("between tokens", lambda line: line.replace(",", "," + control, 1))):
+        edited = lines.copy()
+        edited[2] = edit(edited[2])
+        assert edited[2] != lines[2]
+        bad = str(root / "control.jsonl")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(edited))
+        code, _, err = run_stats(bad)
+        assert code == 1, where
+        assert err.startswith(f"error: {bad}: line 3: bad record: JSONDecodeError("), (where, err)
