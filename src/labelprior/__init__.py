@@ -40,7 +40,16 @@ from .metrics import (
     pr_curve,
     wa_ua,
 )
-from .model import LabelledExample, ModelParams, TrainConfig, backward, forward, init, train
+from .model import (
+    LabelledExample,
+    ModelParams,
+    TrainConfig,
+    TrainingSet,
+    backward,
+    forward,
+    init,
+    train,
+)
 from .specfun import digamma, log_gamma
 from .synth import SynthConfig, SynthUtterance, generate, stats
 

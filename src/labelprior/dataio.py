@@ -10,16 +10,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .annotations import ClassSpace, Evaluation, agreement, tag_counts
-from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
-from .model import LabelledExample, ModelParams, TrainConfig
+from .model import ModelParams, TrainConfig, TrainingSet
 
 __all__ = [
     "Corpus",
@@ -70,7 +69,7 @@ def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]
                 {
                     "id": rec.uid,
                     "split": rec.split,
-                    "features": [float(v) for v in rec.features],
+                    "features": np.asarray(rec.features, dtype=np.float64).tolist(),
                     "evaluations": [
                         [space.names[t] for t in ev.tags] for ev in rec.evaluations
                     ],
@@ -245,28 +244,16 @@ def read_dataset(path: str) -> tuple[ClassSpace, Corpus]:
     )
 
 
-def record_to_example(corpus: Corpus) -> list[LabelledExample]:
-    """Derive the training view (labels, soft label, group) of every train
-    record of ``corpus`` from its vote counts, classifying agreement over
-    the whole split at once.  Each record's one-hot labels are grouped by
-    class."""
-    rows = np.flatnonzero(corpus.train)
-    counts = corpus.counts[rows]
-    groups, majority = agreement(counts, corpus.annotators[rows])
-    soft = counts / counts.sum(axis=1, keepdims=True)
-    eye = np.eye(counts.shape[1])
-    return [
-        LabelledExample(
-            features=corpus.features[row],
-            labels=tuple(np.repeat(eye, row_counts, axis=0)),
-            soft=CategoricalDist(row_soft),
-            group=group,
-            majority=None if major < 0 else int(major),
-            uid=corpus.ids[row],
-        )
-        for row, row_counts, row_soft, group, major in zip(
-            rows.tolist(), counts, soft, groups, majority)
-    ]
+def record_to_example(corpus: Corpus) -> TrainingSet:
+    """The training view of the train records of ``corpus``: a
+    :class:`TrainingSet` of their features, vote counts, agreement groups,
+    majority classes and ids, in file order.  Agreement is classified over
+    the whole split in one call; no per-record object is built."""
+    train = corpus.train
+    counts = corpus.counts[train]
+    groups, majority = agreement(counts, corpus.annotators[train])
+    return TrainingSet(corpus.features[train], counts, groups, majority,
+                       list(compress(corpus.ids, train.tolist())))
 
 
 def _dims(params: ModelParams) -> dict:
@@ -295,8 +282,8 @@ def write_checkpoint(
         },
         "layers": [
             {
-                "weights": [[float(v) for v in row] for row in w],
-                "bias": [float(v) for v in b],
+                "weights": np.asarray(w, dtype=np.float64).tolist(),
+                "bias": np.asarray(b, dtype=np.float64).tolist(),
             }
             for w, b in zip(params.weights, params.biases)
         ],

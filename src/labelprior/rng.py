@@ -43,9 +43,14 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
 
 def fisher_yates(n: int, gen: np.random.Generator) -> np.ndarray:
-    """Fisher-Yates permutation of ``range(n)`` driven by ``gen``."""
-    order = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(gen.integers(0, i + 1))
+    """Fisher-Yates permutation of ``range(n)`` driven by ``gen``, as int64.
+
+    Swap ``i`` (from ``n - 1`` down to 1) takes ``j`` uniform in ``[0, i]``.
+    All the ``j`` come from one draw call with an array of bounds; numpy
+    draws them in order from the same 32-bit stream as one scalar
+    ``gen.integers(0, i + 1)`` call per swap, so the result is the same.
+    """
+    order = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), gen.integers(0, np.arange(n, 1, -1)).tolist()):
         order[i], order[j] = order[j], order[i]
-    return order
+    return np.array(order, dtype=np.int64)

@@ -10,7 +10,7 @@ from labelprior import dataio
 from labelprior.annotations import AgreementGroup, ClassSpace, Evaluation
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import GroupMetrics, MetricsReport, PRCurve
-from labelprior.model import TrainConfig, init
+from labelprior.model import TrainConfig, TrainingSet, init
 from labelprior.synth import SynthConfig, generate
 
 SPACE = ClassSpace(("A", "B", "C"))
@@ -168,6 +168,43 @@ class TestRecordToExample:
                             lambda *args: calls.append(1) or rule(*args))
         assert len(dataio.record_to_example(corpus)) == 2
         assert len(calls) == 1
+
+    def test_columns_of_the_train_rows(self, tmp_path):
+        corpus = read_sample(tmp_path, sample_records())
+        examples = dataio.record_to_example(corpus)
+        assert isinstance(examples, TrainingSet)
+        np.testing.assert_array_equal(examples.features, [[0.25, -1.5, 3.125]])
+        np.testing.assert_array_equal(examples.counts, [[2, 1, 1]])
+        assert examples.groups.tolist() == [AgreementGroup.MAJORITY]
+        assert examples.majority.tolist() == [0]
+        assert examples.uids == [0]
+
+    def test_rows_equal_the_per_record_view(self, tmp_path):
+        # Each indexed row equals the view built record by record from the
+        # evaluations: one one-hot label per tag grouped by class, their
+        # mean, and the agreement group and majority of the vote counts.
+        utts, space = generate(SynthConfig(n=120, k=4, d=4, annotators=5,
+                                           multi_tag_prob=0.3, seed=8))
+        path = tmp_path / "synth.jsonl"
+        records = [dataio.DatasetRecord(u.uid, "test" if u.uid % 4 == 0 else "train",
+                                        u.features, u.evaluations) for u in utts]
+        dataio.write_dataset(path, space, records)
+        examples = dataio.record_to_example(dataio.read_dataset(path)[1])
+        kept = [r for r in records if r.split == "train"]
+        assert len(examples) == len(kept) == 90
+        eye = np.eye(space.k)
+        for example, rec in zip(examples, kept, strict=True):
+            counts = np.bincount([t for ev in rec.evaluations for t in ev.tags],
+                                 minlength=space.k)
+            groups, majority = dataio.agreement(counts[None], [len(rec.evaluations)])
+            labels = np.repeat(eye, counts, axis=0)
+            assert example.uid == rec.uid
+            np.testing.assert_array_equal(example.features, rec.features)
+            np.testing.assert_array_equal(np.array(example.labels), labels)
+            np.testing.assert_array_equal(example.soft.p, counts / counts.sum())
+            assert example.group == groups[0]
+            assert example.majority == (None if majority[0] < 0 else majority[0])
+        assert {e.group for e in examples} == set(AgreementGroup)
 
 
 class TestCheckpointRoundTrip:

@@ -12,6 +12,7 @@ from labelprior.model import (
     LabelledExample,
     ModelParams,
     TrainConfig,
+    TrainingSet,
     backward,
     forward,
     init,
@@ -332,6 +333,69 @@ class TestTrainNumericalFailures:
                              batch_size=64, epochs=1, seed=2, hidden=(6,))
         with pytest.raises(FloatingPointError, match="non-finite weights"):
             train(examples, config)
+
+
+@pytest.fixture(scope="module")
+def corpus_set(tmp_path_factory):
+    from labelprior.dataio import DatasetRecord, read_dataset, record_to_example, write_dataset
+    from labelprior.synth import SynthConfig, generate
+
+    utts, space = generate(SynthConfig(n=150, k=4, d=6, multi_tag_prob=0.2, seed=3))
+    path = tmp_path_factory.mktemp("corpus") / "train.jsonl"
+    write_dataset(path, space,
+                  [DatasetRecord(1000 + u.uid, "train", u.features, u.evaluations)
+                   for u in utts])
+    return record_to_example(read_dataset(path)[1])
+
+
+class TestTrainingSet:
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_columns_and_rows_train_bit_equal(self, corpus_set, kind):
+        config = TrainConfig(loss=LossConfig.default_for(kind), learning_rate=5e-2,
+                             batch_size=16, epochs=2, seed=4, hidden=(5,))
+        params_a, losses_a = train(corpus_set, config)
+        params_b, losses_b = train(list(corpus_set), config)
+        assert losses_a == losses_b
+        for a, b in zip(params_a.weights + params_a.biases, params_b.weights + params_b.biases):
+            np.testing.assert_array_equal(a, b)
+
+    def test_of_keeps_a_training_set_and_stacks_rows(self, corpus_set):
+        assert TrainingSet.of(corpus_set) is corpus_set
+        stacked = TrainingSet.of(list(corpus_set))
+        np.testing.assert_array_equal(stacked.features, corpus_set.features)
+        np.testing.assert_array_equal(stacked.counts, corpus_set.counts)
+        np.testing.assert_array_equal(stacked.majority, corpus_set.majority)
+        assert stacked.groups.tolist() == corpus_set.groups.tolist()
+        assert stacked.uids == corpus_set.uids
+
+    def test_hard_drops_rows_without_majority(self, corpus_set):
+        keep = corpus_set.majority >= 0
+        assert 0 < keep.sum() < len(corpus_set)
+        assert all((e.group == AgreementGroup.NONE) == (e.majority is None) for e in corpus_set)
+        config = TrainConfig(loss=LossConfig(LossKind.HARD), learning_rate=5e-2,
+                             batch_size=16, epochs=2, seed=4, hidden=(5,))
+        params_a, losses_a = train(corpus_set, config)
+        params_b, losses_b = train(corpus_set.select(keep), config)
+        assert losses_a == losses_b
+        for a, b in zip(params_a.weights + params_a.biases, params_b.weights + params_b.biases):
+            np.testing.assert_array_equal(a, b)
+
+    def test_hard_without_any_majority_rejected(self, corpus_set):
+        only_none = corpus_set.select(corpus_set.majority < 0)
+        config = TrainConfig(loss=LossConfig(LossKind.HARD), epochs=1)
+        with pytest.raises(ValueError, match="hard loss needs at least one utterance "
+                                             "with a majority label"):
+            train(only_none, config)
+        train(only_none, TrainConfig(loss=LossConfig(LossKind.SOFT_KL), epochs=1))
+
+    def test_errors_name_the_uid(self, corpus_set):
+        # The uids start at 1000, so a row index in the message would show.
+        config = TrainConfig(loss=LossConfig.default_for(LossKind.DPN_KL), learning_rate=1e300,
+                             batch_size=4, epochs=2, seed=2, hidden=(6,))
+        with pytest.raises(FloatingPointError) as err:
+            train(corpus_set, config)
+        uid = int(str(err.value).split("utterance ")[1].split(":")[0])
+        assert uid in corpus_set.uids
 
 
 def test_epoch_losses_finite_on_default_corpus(tmp_path):
