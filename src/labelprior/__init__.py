@@ -44,7 +44,6 @@ from .model import (
     LabelledExample,
     ModelParams,
     TrainConfig,
-    TrainingSet,
     backward,
     forward,
     init,

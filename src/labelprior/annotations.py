@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -169,23 +169,20 @@ def vote_and_replace(
     M being its number of labels; any other keeps its evaluations.
     """
     counts, annotators = vote_matrix(evaluation_sets, space)
-    return replace_majorities(counts, annotators,
-                              lambda rows: list(compress(evaluation_sets, rows)))
+    _, majority = agreement(counts, annotators)
+    return replace_majorities(counts, majority, compress(evaluation_sets, (majority < 0).tolist()))
 
 
 def replace_majorities(
-    counts: np.ndarray,
-    annotators: np.ndarray,
-    evaluations_of: Callable[[np.ndarray], Sequence[Sequence[Evaluation]]],
+    counts: np.ndarray, majority: np.ndarray, kept: Iterable[Sequence[Evaluation]]
 ) -> list[tuple[Evaluation, ...]]:
-    """Vote-and-replace from the (n, K) vote counts and (n,) annotator counts.
+    """Vote-and-replace from the (n, K) vote counts and (n,) majority
+    classes (-1 for none).
 
-    ``evaluations_of(rows)`` gives, in order, the evaluations of the
-    utterances that a boolean (n,) mask selects; it is called once, for
-    the utterances without a majority.
+    ``kept`` gives, in order, the evaluations of the utterances without a
+    majority, which keep them.
     """
-    _, majority = agreement(counts, annotators)
-    kept = iter(evaluations_of(majority < 0))
+    kept = iter(kept)
     single = [(Evaluation((c,)),) for c in range(counts.shape[1])]
     return [tuple(next(kept)) if major < 0 else single[major] * n_labels
             for major, n_labels in zip(majority.tolist(), counts.sum(axis=1).tolist())]

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dataio, metrics, model, synth
-from .annotations import agreement, replace_majorities
+from .annotations import ClassSpace, replace_majorities
 from .dirichlet import CategoricalDist, SingularityError, from_logits, predictive_mean
 from .losses import LossConfig, LossKind
 
@@ -145,9 +145,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _records(path: str) -> tuple[ClassSpace, dataio.Corpus]:
+    """The class space and corpus of ``path``, which must hold a record."""
+    space, corpus = dataio.read_dataset(path)
+    if not len(corpus):
+        raise ValueError(f"{path}: no records")
+    return space, corpus
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
-    _, corpus = dataio.read_dataset(args.data)
-    table = synth.count_stats(corpus.counts, corpus.annotators, corpus.tags_per_eval)
+    _, corpus = _records(args.data)
+    table = synth.count_stats(corpus.counts, corpus.annotators, corpus.tags_per_eval,
+                              corpus.groups)
     print(table.format_table())
     return 0
 
@@ -156,7 +165,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     space, corpus = dataio.read_dataset(args.data)
     if not corpus.train.any():
         raise ValueError(f"{args.data}: no 'train' split records")
-    examples = dataio.record_to_example(corpus)
     config = model.TrainConfig(
         loss=_loss_config(args),
         learning_rate=args.lr,
@@ -165,7 +173,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         hidden=args.hidden,
     )
-    params, losses = model.train(examples, config)
+    params, losses = model.train(corpus.select(corpus.train), config)
     dataio.write_checkpoint(args.out, params, space, config)
     dataio.write_train_log(args.log if args.log else f"{args.out}.log", losses)
     print(f"trained {config.loss.kind.value} for {config.epochs} epochs; "
@@ -174,11 +182,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _test_views(args: argparse.Namespace):
-    """Label counts, agreement groups, majorities (-1 for none) and
-    predictions of the test split."""
+    """The test split's records and predictions."""
     space, corpus = dataio.read_dataset(args.data)
-    rows = np.flatnonzero(~corpus.train)
-    if not rows.size:
+    test = corpus.select(~corpus.train)
+    if not len(test):
         raise ValueError(f"{args.data}: no 'test' split records")
     params, ckpt_space, config = dataio.read_checkpoint(args.ckpt)
     if ckpt_space.names != space.names:
@@ -188,19 +195,18 @@ def _test_views(args: argparse.Namespace):
     if params.dims[0] != width:
         raise ValueError(f"{args.ckpt}: input width {params.dims[0]} differs from "
                          f"the dataset's feature width {width}")
-    counts = corpus.counts[rows]
     try:
-        preds = _predict_dists(params, corpus.features[rows], config.loss)
+        preds = _predict_dists(params, test.features, config.loss)
     except FloatingPointError as err:
-        raise FloatingPointError(f"{args.ckpt}: utterance {corpus.ids[rows[err.args[1]]]}: "
+        raise FloatingPointError(f"{args.ckpt}: utterance {test.ids[err.args[1]]}: "
                                  f"{err.args[0]}") from err
-    return (counts, *agreement(counts, corpus.annotators[rows]), preds)
+    return test, preds
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    counts, groups, majority, preds = _test_views(args)
-    soft = CategoricalDist(counts / counts.sum(axis=1, keepdims=True))
-    report = metrics.build_report(groups, majority, soft, preds)
+    test, preds = _test_views(args)
+    soft = CategoricalDist(test.counts / test.counts.sum(axis=1, keepdims=True))
+    report = metrics.build_report(test.groups, test.majority, soft, preds)
     dataio.write_report(args.out, report)
     wa, ua, aupr_maxp, aupr_ent = ("null" if v is None else f"{v:.6f}" for v in (
         report.wa, report.ua, report.aupr_maxp, report.aupr_ent))
@@ -211,8 +217,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    _, groups, _, preds = _test_views(args)
-    maxp_curve, ent_curve, aupr_maxp, aupr_ent = metrics.detect_report(groups, preds)
+    test, preds = _test_views(args)
+    maxp_curve, ent_curve, aupr_maxp, aupr_ent = metrics.detect_report(test.groups, preds)
     dataio.write_curve(f"{args.out_prefix}_maxp.csv", maxp_curve)
     dataio.write_curve(f"{args.out_prefix}_ent.csv", ent_curve)
     print(f"aupr_maxp {aupr_maxp:.6f}")
@@ -221,8 +227,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    space, corpus = dataio.read_dataset(args.data)
-    replaced = replace_majorities(corpus.counts, corpus.annotators, corpus.evaluation_sets)
+    space, corpus = _records(args.data)
+    replaced = replace_majorities(corpus.counts, corpus.majority,
+                                  corpus.select(corpus.majority < 0).evaluation_sets())
     out_records = [dataio.DatasetRecord(uid, "train" if train else "test", features, evaluations)
                    for uid, train, features, evaluations
                    in zip(corpus.ids, corpus.train.tolist(), corpus.features, replaced)]

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from itertools import chain, compress, islice
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .annotations import ClassSpace, Evaluation, agreement, tag_counts
+from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
-from .model import ModelParams, TrainConfig, TrainingSet
+from .model import LabelledExample, ModelParams, TrainConfig
 
 __all__ = [
     "Corpus",
@@ -31,7 +32,6 @@ __all__ = [
     "read_report",
     "write_curve",
     "write_train_log",
-    "record_to_example",
 ]
 
 FORMAT_VERSION = 1
@@ -120,9 +120,10 @@ _LISTS = frozenset((list,))
 
 
 @dataclass(frozen=True, eq=False)
-class Corpus:
+class Corpus(Sequence[LabelledExample]):
     """A dataset's records as columns, one row per record in file order.
 
+    ``groups`` and ``majority`` are the agreement of each row's vote counts.
     ``tags`` holds the class index of every tag in file order,
     ``tags_per_eval`` the number of tags of every evaluation and
     ``annotators`` the number of evaluations of every record.
@@ -133,21 +134,50 @@ class Corpus:
     features: np.ndarray       # (n, d) float64
     counts: np.ndarray         # (n, K) votes per class
     annotators: np.ndarray     # (n,)
+    groups: np.ndarray         # (n,) AgreementGroup
+    majority: np.ndarray       # (n,) class index, -1 where there is none
     tags: np.ndarray
     tags_per_eval: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def evaluation_sets(self, rows: Optional[np.ndarray] = None) -> list[tuple[Evaluation, ...]]:
-        """The evaluations of every record, or of the records a boolean (n,)
-        mask selects, rebuilt from the tag columns (each sorts its tags)."""
-        rows = np.ones(len(self), dtype=bool) if rows is None else rows
+    # Indexing builds one row on demand for per-row callers; model.train
+    # reads the columns.
+    def __getitem__(self, i: int) -> LabelledExample:
+        counts = self.counts[i]
+        major = int(self.majority[i])
+        return LabelledExample(
+            features=self.features[i],
+            labels=tuple(np.repeat(np.eye(len(counts)), counts, axis=0)),
+            soft=CategoricalDist(counts / counts.sum()),
+            group=self.groups[i],
+            majority=None if major < 0 else major,
+            uid=self.ids[i],
+        )
+
+    def select(self, rows: np.ndarray) -> Corpus:
+        """The records a boolean (n,) mask selects, in order."""
         evals = np.repeat(rows, self.annotators)
-        tags = iter(self.tags[np.repeat(evals, self.tags_per_eval)].tolist())
+        return Corpus(
+            ids=list(compress(self.ids, rows.tolist())),
+            train=self.train[rows],
+            features=self.features[rows],
+            counts=self.counts[rows],
+            annotators=self.annotators[rows],
+            groups=self.groups[rows],
+            majority=self.majority[rows],
+            tags=self.tags[np.repeat(evals, self.tags_per_eval)],
+            tags_per_eval=self.tags_per_eval[evals],
+        )
+
+    def evaluation_sets(self) -> list[tuple[Evaluation, ...]]:
+        """The evaluations of every record, rebuilt from the tag columns
+        (each sorts its tags)."""
+        tags = iter(self.tags.tolist())
         evaluations = iter([Evaluation(tuple(islice(tags, m)))
-                            for m in self.tags_per_eval[evals].tolist()])
-        return [tuple(islice(evaluations, a)) for a in self.annotators[rows].tolist()]
+                            for m in self.tags_per_eval.tolist()])
+        return [tuple(islice(evaluations, a)) for a in self.annotators.tolist()]
 
 
 def _tag_fault(evaluations: list, index: dict) -> None:
@@ -233,27 +263,19 @@ def read_dataset(path: str) -> tuple[ClassSpace, Corpus]:
         annotators.append(len(sizes))
     tags, tags_per_eval = np.array(tags, dtype=np.int64), np.array(tags_per_eval, dtype=np.int64)
     annotators = np.array(annotators, dtype=np.int64)
+    counts = tag_counts(tags, tags_per_eval, annotators, space.k)
+    groups, majority = agreement(counts, annotators)
     return space, Corpus(
         ids=ids,
         train=np.array(train, dtype=bool),
         features=np.array(rows, dtype=np.float64).reshape(len(ids), d),
-        counts=tag_counts(tags, tags_per_eval, annotators, space.k),
+        counts=counts,
         annotators=annotators,
+        groups=groups,
+        majority=majority,
         tags=tags,
         tags_per_eval=tags_per_eval,
     )
-
-
-def record_to_example(corpus: Corpus) -> TrainingSet:
-    """The training view of the train records of ``corpus``: a
-    :class:`TrainingSet` of their features, vote counts, agreement groups,
-    majority classes and ids, in file order.  Agreement is classified over
-    the whole split in one call; no per-record object is built."""
-    train = corpus.train
-    counts = corpus.counts[train]
-    groups, majority = agreement(counts, corpus.annotators[train])
-    return TrainingSet(corpus.features[train], counts, groups, majority,
-                       list(compress(corpus.ids, train.tolist())))
 
 
 def _dims(params: ModelParams) -> dict:

@@ -1,14 +1,14 @@
 """Small feed-forward classifier trained by mini-batch gradient descent.
 
 The network is an MLP with ReLU hidden layers and linear output logits.
-:func:`train` reads its utterances as columns (a :class:`TrainingSet`):
-features, vote counts and majority classes, the only label views the
-objectives need.  Each mini-batch takes one forward pass over its (B, d)
-feature matrix, one batched loss call and one backward pass.  Training is
-deterministic given the seed: initialisation and the per-epoch
-Fisher-Yates shuffle are fixed, so reruns on the same machine are
-byte-identical (the BLAS summation order may differ between machines in
-the last digit).
+:func:`train` reads its utterances as the columns of a
+:class:`~labelprior.dataio.Corpus`: features, vote counts and majority
+classes, the only label views the objectives need.  Each mini-batch takes
+one forward pass over its (B, d) feature matrix, one batched loss call and
+one backward pass.  Training is deterministic given the seed:
+initialisation and the per-epoch Fisher-Yates shuffle are fixed, so reruns
+on the same machine are byte-identical (the BLAS summation order may differ
+between machines in the last digit).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -28,11 +27,13 @@ from .losses import LossConfig, LossKind, batch_loss
 # Unused here, but bench/test_harness.py checks that tracing wraps model.example_loss.
 from .losses import example_loss  # noqa: F401
 
+if TYPE_CHECKING:
+    from .dataio import Corpus
+
 __all__ = [
     "ModelParams",
     "TrainConfig",
     "LabelledExample",
-    "TrainingSet",
     "init",
     "forward",
     "backward",
@@ -93,59 +94,6 @@ class LabelledExample:
     group: AgreementGroup
     majority: Optional[int]
     uid: int = -1
-
-
-@dataclass(frozen=True, eq=False)
-class TrainingSet(Sequence[LabelledExample]):
-    """Training utterances as columns, one row per utterance.
-
-    Every objective reads an utterance's labels only through its vote
-    counts (and the hard loss through its majority class), so the set keeps
-    the (n, K) counts rather than one-hot labels per tag.
-    """
-
-    features: np.ndarray   # (n, d) float64
-    counts: np.ndarray     # (n, K) votes per class
-    groups: np.ndarray     # (n,) AgreementGroup
-    majority: np.ndarray   # (n,) class index, -1 where there is none
-    uids: list[int]
-
-    def __len__(self) -> int:
-        return len(self.uids)
-
-    # Indexing builds one row on demand for per-row callers, such as
-    # bench/tracer.py counting the rows the hard loss keeps by iterating over
-    # their majorities; train reads the columns.
-    def __getitem__(self, i: int) -> LabelledExample:
-        counts = self.counts[i]
-        major = int(self.majority[i])
-        return LabelledExample(
-            features=self.features[i],
-            labels=tuple(np.repeat(np.eye(len(counts)), counts.astype(np.int64), axis=0)),
-            soft=CategoricalDist(counts / counts.sum()),
-            group=self.groups[i],
-            majority=None if major < 0 else major,
-            uid=self.uids[i],
-        )
-
-    @classmethod
-    def of(cls, examples: Sequence[LabelledExample]) -> "TrainingSet":
-        """``examples`` as columns: a TrainingSet as it is, a sequence of
-        :class:`LabelledExample` stacked row by row."""
-        if isinstance(examples, cls):
-            return examples
-        return cls(
-            features=np.stack([e.features for e in examples]),
-            counts=np.stack([np.sum(e.labels, axis=0) for e in examples]),
-            groups=np.array([e.group for e in examples], dtype=object),
-            majority=np.array([-1 if e.majority is None else e.majority for e in examples]),
-            uids=[e.uid for e in examples],
-        )
-
-    def select(self, mask: np.ndarray) -> "TrainingSet":
-        """The rows a boolean (n,) mask selects."""
-        return TrainingSet(self.features[mask], self.counts[mask], self.groups[mask],
-                           self.majority[mask], list(compress(self.uids, mask.tolist())))
 
 
 def init(d_in: int, hidden: Sequence[int], k_out: int, seed: int) -> ModelParams:
@@ -209,12 +157,10 @@ def _first_nonfinite(rows: np.ndarray) -> Optional[int]:
     return int(bad[0]) if bad.size else None
 
 
-def train(
-    examples: Sequence[LabelledExample], config: TrainConfig
-) -> tuple[ModelParams, list[float]]:
-    """Mini-batch gradient descent; returns params and per-epoch mean loss.
+def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]]:
+    """Mini-batch gradient descent on every row of ``corpus``; returns params
+    and per-epoch mean loss.
 
-    ``examples`` is turned into columns once (:meth:`TrainingSet.of`).
     The hard loss only sees utterances with a majority label; the other
     objectives train on everything.  Each mini-batch makes one forward
     pass, one :func:`batch_loss` call and one backward pass.  A
@@ -222,18 +168,17 @@ def train(
     epoch/batch/utterance context, and so is a non-finite logit or loss, as
     a FloatingPointError.
     """
-    if len(examples) == 0:
+    if len(corpus) == 0:
         raise ValueError("training set is empty")
-    data = TrainingSet.of(examples)
     if config.loss.kind == LossKind.HARD:
-        data = data.select(data.majority >= 0)
-        if len(data) == 0:
+        corpus = corpus.select(corpus.majority >= 0)
+        if len(corpus) == 0:
             raise ValueError("hard loss needs at least one utterance with a majority label")
 
-    features, counts, majority, uids = data.features, data.counts, data.majority, data.uids
+    features, counts, majority, uids = corpus.features, corpus.counts, corpus.majority, corpus.ids
     params = init(features.shape[1], config.hidden, counts.shape[1], config.seed)
 
-    n = len(data)
+    n = len(corpus)
     epoch_losses: list[float] = []
     # Divergence shows up as non-finite logits or losses, reported below with
     # the utterance; numpy's overflow warnings would only precede that.

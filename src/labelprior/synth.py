@@ -121,7 +121,10 @@ def _generate_one(config: SynthConfig, regime_cum: list[float], uid: int) -> Syn
         if gen.random() < config.multi_tag_prob:
             rest = weights.copy()
             rest[first] = 0.0
-            tags.append(_sample_index(gen, list(accumulate(rest))))
+            # When no other class has mass the draw can land on ``first``.
+            second = _sample_index(gen, list(accumulate(rest)))
+            if second != first:
+                tags.append(second)
         evaluations.append(Evaluation(tuple(tags)))
 
     features = np.zeros(config.d)
@@ -168,15 +171,17 @@ def stats(
     """Corpus-level label statistics, in the usual table schema, of each
     utterance's evaluations."""
     counts, annotators = vote_matrix(evaluation_sets, space)
-    return count_stats(counts, annotators, [len(ev.tags) for evs in evaluation_sets for ev in evs])
+    return count_stats(counts, annotators, [len(ev.tags) for evs in evaluation_sets for ev in evs],
+                       agreement(counts, annotators)[0])
 
 
-def count_stats(counts: np.ndarray, annotators: np.ndarray, tags_per_eval) -> CorpusStats:
+def count_stats(counts: np.ndarray, annotators: np.ndarray, tags_per_eval,
+                groups: np.ndarray) -> CorpusStats:
     """The same statistics from the (n, K) vote counts, the (n,) annotator
-    counts and the number of tags of every evaluation."""
+    counts, the number of tags of every evaluation and the (n,) agreement
+    groups."""
     if len(counts) == 0:
         raise ValueError("stats requires a non-empty corpus")
-    groups = agreement(counts, annotators)[0]
     n_labels = counts.sum(axis=1)
     return CorpusStats(
         n_utterances=len(counts),

@@ -238,19 +238,14 @@ class TestVoteAndReplace:
             once = vote_and_replace([evals], ABC)
             assert vote_and_replace(once, ABC) == once
 
-    def test_from_counts_asks_only_for_rows_without_majority(self):
+    def test_from_counts_keeps_the_given_rows_without_majority(self):
         # Rows: A A A B C (majority), A B C (none), A AB C (majority), AB C (none).
         sets = [[ev(A)] * 3 + [ev(B), ev(C)], [ev(A), ev(B), ev(C)],
                 [ev(A), ev(A, B), ev(C)], [ev(A, B), ev(C)]]
         counts, annotators = vote_matrix(sets, ABC)
-        asked = []
-
-        def evaluations_of(rows):
-            asked.append(rows.tolist())
-            return [sets[1], sets[3]]
-
-        replaced = replace_majorities(counts, annotators, evaluations_of)
-        assert asked == [[False, True, False, True]]
+        _, majority = agreement(counts, annotators)
+        assert (majority < 0).tolist() == [False, True, False, True]
+        replaced = replace_majorities(counts, majority, [sets[1], sets[3]])
         assert replaced == [(ev(A),) * 5, tuple(sets[1]), (ev(A),) * 4, tuple(sets[3])]
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import labelprior
-from labelprior import cli, dataio
+from labelprior import annotations, cli, dataio, synth
 from labelprior.annotations import AgreementGroup, AnnotationSet, ClassSpace, Evaluation
 from labelprior.dirichlet import CategoricalDist
 from labelprior.losses import LossConfig, LossKind
@@ -561,6 +561,55 @@ class TestTransform:
         assert before.ids == after.ids
         np.testing.assert_array_equal(before.train, after.train)
         np.testing.assert_array_equal(before.features, after.features)
+
+
+def command_args(command, data, ckpt, out):
+    """Arguments of ``command`` reading ``data`` (and ``ckpt``), writing under ``out``."""
+    return {
+        "gen": ["--n", 40, "--k", 4, "--d", 8, "--out", out],
+        "stats": ["--data", data],
+        "train": ["--data", data, "--loss", "hard", "--epochs", 1, "--out", out],
+        "eval": ["--data", data, "--ckpt", ckpt, "--out", out],
+        "detect": ["--data", data, "--ckpt", ckpt, "--out-prefix", out],
+        "transform": ["--data", data, "--out", out],
+    }[command]
+
+
+class TestEmptyDataset:
+    """A dataset of a manifest and no records is a data error naming the file."""
+
+    @pytest.mark.parametrize("command, message", [
+        ("stats", "no records"),
+        ("transform", "no records"),
+        ("train", "no 'train' split records"),
+        ("eval", "no 'test' split records"),
+        ("detect", "no 'test' split records"),
+    ])
+    def test_exits_1_naming_the_file(self, small_dataset, tmp_path, capsys, command, message):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(small_dataset.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "out"
+        code = run(command, *command_args(command, empty, tmp_path / "m.json", out))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty}: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.jsonl", "empty.jsonl"]
+
+
+class TestAgreementCalls:
+    @pytest.mark.parametrize("command", ["gen", "stats", "train", "eval", "detect", "transform"])
+    def test_one_call_per_command(self, small_dataset, tmp_path, monkeypatch, command):
+        # The batch rule classifies the whole corpus once; no command
+        # recomputes it from the counts the reader already classified.
+        ckpt = tmp_path / "m.json"
+        assert run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 1,
+                   "--out", ckpt) == 0
+        calls = []
+        rule = annotations.agreement
+        for module in (annotations, dataio, synth):
+            monkeypatch.setattr(module, "agreement", lambda *args: calls.append(1) or rule(*args))
+        assert run(command, *command_args(command, small_dataset, ckpt, tmp_path / "out")) == 0
+        assert len(calls) == 1
+        assert not hasattr(cli, "agreement")
 
 
 @pytest.mark.parametrize("args, field", [

@@ -10,7 +10,7 @@ from labelprior import dataio
 from labelprior.annotations import AgreementGroup, ClassSpace, Evaluation
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import GroupMetrics, MetricsReport, PRCurve
-from labelprior.model import TrainConfig, TrainingSet, init
+from labelprior.model import TrainConfig, init
 from labelprior.synth import SynthConfig, generate
 
 SPACE = ClassSpace(("A", "B", "C"))
@@ -70,9 +70,11 @@ class TestDatasetRoundTrip:
         np.testing.assert_array_equal(corpus.features, [[0.25, -1.5, 3.125], [0.0, 0.5, 1.0]])
         np.testing.assert_array_equal(corpus.counts, [[2, 1, 1], [0, 1, 0]])
         np.testing.assert_array_equal(corpus.annotators, [3, 1])
+        assert corpus.groups.tolist() == [AgreementGroup.MAJORITY, AgreementGroup.FULL]
+        np.testing.assert_array_equal(corpus.majority, [0, 1])
         np.testing.assert_array_equal(corpus.tags, [0, 0, 1, 2, 1])
         np.testing.assert_array_equal(corpus.tags_per_eval, [1, 2, 1, 1])
-        assert corpus.evaluation_sets(np.array([False, True])) == [(Evaluation((1,)),)]
+        assert corpus.select(np.array([False, True])).evaluation_sets() == [(Evaluation((1,)),)]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.jsonl"
@@ -143,10 +145,10 @@ def train_only(records):
     return [dataio.DatasetRecord(r.uid, "train", r.features, r.evaluations) for r in records]
 
 
-class TestRecordToExample:
+class TestCorpusRows:
     def test_derived_views(self, tmp_path):
         corpus = read_sample(tmp_path, train_only(sample_records()))
-        example, single = dataio.record_to_example(corpus)
+        example, single = corpus
         assert example.uid == 0
         assert example.group == AgreementGroup.MAJORITY
         assert example.majority == 0
@@ -156,28 +158,29 @@ class TestRecordToExample:
         np.testing.assert_array_equal(single.soft.p, [0.0, 1.0, 0.0])
 
     def test_only_train_rows(self, tmp_path):
-        examples = dataio.record_to_example(read_sample(tmp_path, sample_records()))
-        assert [e.uid for e in examples] == [0]
+        corpus = read_sample(tmp_path, sample_records())
+        assert [e.uid for e in corpus.select(corpus.train)] == [0]
 
     def test_classifies_agreement_once(self, tmp_path, monkeypatch):
-        # One call of the batch rule for the whole split, none per record.
-        corpus = read_sample(tmp_path, train_only(sample_records()))
+        # One call of the batch rule for the whole file, none per record.
+        path = tmp_path / "sample.jsonl"
+        dataio.write_dataset(path, SPACE, sample_records())
         calls = []
         rule = dataio.agreement
         monkeypatch.setattr(dataio, "agreement",
                             lambda *args: calls.append(1) or rule(*args))
-        assert len(dataio.record_to_example(corpus)) == 2
+        assert len(dataio.read_dataset(path)[1]) == 2
         assert len(calls) == 1
 
     def test_columns_of_the_train_rows(self, tmp_path):
         corpus = read_sample(tmp_path, sample_records())
-        examples = dataio.record_to_example(corpus)
-        assert isinstance(examples, TrainingSet)
+        examples = corpus.select(corpus.train)
+        assert isinstance(examples, dataio.Corpus)
         np.testing.assert_array_equal(examples.features, [[0.25, -1.5, 3.125]])
         np.testing.assert_array_equal(examples.counts, [[2, 1, 1]])
         assert examples.groups.tolist() == [AgreementGroup.MAJORITY]
         assert examples.majority.tolist() == [0]
-        assert examples.uids == [0]
+        assert examples.ids == [0]
 
     def test_rows_equal_the_per_record_view(self, tmp_path):
         # Each indexed row equals the view built record by record from the
@@ -189,7 +192,8 @@ class TestRecordToExample:
         records = [dataio.DatasetRecord(u.uid, "test" if u.uid % 4 == 0 else "train",
                                         u.features, u.evaluations) for u in utts]
         dataio.write_dataset(path, space, records)
-        examples = dataio.record_to_example(dataio.read_dataset(path)[1])
+        corpus = dataio.read_dataset(path)[1]
+        examples = corpus.select(corpus.train)
         kept = [r for r in records if r.split == "train"]
         assert len(examples) == len(kept) == 90
         eye = np.eye(space.k)

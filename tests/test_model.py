@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from labelprior.annotations import AgreementGroup
+from labelprior.annotations import AgreementGroup, ClassSpace, Evaluation
+from labelprior.dataio import DatasetRecord, read_dataset, write_dataset
 from labelprior.dirichlet import CategoricalDist, SingularityError
 from labelprior.losses import LossConfig, LossKind, example_loss
 from labelprior.model import (
-    LabelledExample,
     ModelParams,
     TrainConfig,
-    TrainingSet,
     backward,
     forward,
     init,
@@ -27,19 +26,15 @@ def one_hot(index, k):
     return label
 
 
-def make_example(rng, k, x, classes, uid=0):
-    labels = tuple(one_hot(c, k) for c in classes)
-    soft = CategoricalDist(np.mean(labels, axis=0))
-    counts = np.bincount(classes, minlength=k)
-    top = counts.max()
-    leaders = np.flatnonzero(counts == top)
-    if len(leaders) == 1 and top == len(classes):
-        group, majority = AgreementGroup.FULL, int(leaders[0])
-    elif len(leaders) == 1 and top >= 2:
-        group, majority = AgreementGroup.MAJORITY, int(leaders[0])
-    else:
-        group, majority = AgreementGroup.NONE, None
-    return LabelledExample(np.asarray(x, dtype=np.float64), labels, soft, group, majority, uid)
+def corpus_of(tmp_path, k, rows):
+    """The corpus of train records (uid, features, classes), each class one
+    single-tag evaluation, written to a dataset file and read back."""
+    path = tmp_path / "train.jsonl"
+    write_dataset(path, ClassSpace(tuple(f"c{i}" for i in range(k))),
+                  [DatasetRecord(uid, "train", np.asarray(x, dtype=np.float64),
+                                 tuple(Evaluation((c,)) for c in classes))
+                   for uid, x, classes in rows])
+    return read_dataset(path)[1]
 
 
 class TestInit:
@@ -160,32 +155,31 @@ class TestBackward:
                 gb, sum(r[layer][1] for r in per_row), rtol=0, atol=1e-12)
 
 
-def separable_dataset(rng, n=80):
-    examples = []
+def separable_rows(rng, n=80):
+    rows = []
     for i in range(n):
         cls = i % 2
         center = np.array([2.0, 2.0]) if cls == 0 else np.array([-2.0, -2.0])
         x = center + 0.3 * rng.normal(size=2)
-        examples.append(make_example(rng, 2, x, [cls, cls, cls], uid=i))
-    return examples
+        rows.append((i, x, [cls, cls, cls]))
+    return rows
 
 
-def three_class_examples(rng, n=40):
-    examples = []
+def three_class_rows(rng, n=40):
+    rows = []
     for i in range(n):
         cls = int(rng.integers(0, 3))
         x = np.zeros(4)
         x[cls] = 1.0
         x += 0.1 * rng.normal(size=4)
-        classes = [cls, cls, int(rng.integers(0, 3))]
-        examples.append(make_example(rng, 3, x, classes, uid=i))
-    return examples
+        rows.append((i, x, [cls, cls, int(rng.integers(0, 3))]))
+    return rows
 
 
 class TestTrain:
-    def test_zero_learning_rate_keeps_parameters(self):
+    def test_zero_learning_rate_keeps_parameters(self, tmp_path):
         rng = np.random.default_rng(0)
-        examples = separable_dataset(rng, n=16)
+        examples = corpus_of(tmp_path, 2, separable_rows(rng, n=16))
         config = TrainConfig(
             loss=LossConfig(LossKind.HARD), learning_rate=0.0, epochs=1, seed=3, hidden=(4,)
         )
@@ -195,9 +189,9 @@ class TestTrain:
             np.testing.assert_array_equal(w, w0)
         assert len(losses) == 1
 
-    def test_learns_separable_problem(self):
+    def test_learns_separable_problem(self, tmp_path):
         rng = np.random.default_rng(1)
-        examples = separable_dataset(rng)
+        examples = corpus_of(tmp_path, 2, separable_rows(rng))
         config = TrainConfig(
             loss=LossConfig(LossKind.HARD), learning_rate=1e-2, epochs=50, seed=5, hidden=(8,)
         )
@@ -209,9 +203,9 @@ class TestTrain:
         assert correct / len(examples) >= 0.95
         assert losses[-1] < losses[0]
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, tmp_path):
         rng = np.random.default_rng(2)
-        examples = separable_dataset(rng, n=32)
+        examples = corpus_of(tmp_path, 2, separable_rows(rng, n=32))
         config = TrainConfig(
             loss=LossConfig.default_for(LossKind.DPN_KL),
             learning_rate=1e-2,
@@ -225,33 +219,31 @@ class TestTrain:
         for wa, wb in zip(params_a.weights, params_b.weights):
             np.testing.assert_array_equal(wa, wb)
 
-    def test_hard_filters_no_majority_utterances(self):
+    def test_hard_filters_no_majority_utterances(self, tmp_path):
         rng = np.random.default_rng(3)
-        examples = separable_dataset(rng, n=8)
-        examples.append(make_example(rng, 2, [0.0, 0.0], [0, 1], uid=99))
+        examples = corpus_of(tmp_path, 2, separable_rows(rng, n=8) + [(99, [0.0, 0.0], [0, 1])])
         config = TrainConfig(
             loss=LossConfig(LossKind.HARD), learning_rate=1e-3, epochs=1, seed=0, hidden=(4,)
         )
         train(examples, config)  # must not raise on the NONE-group example
 
-    def test_hard_requires_some_majority(self):
-        rng = np.random.default_rng(4)
-        only_none = [make_example(rng, 2, [0.0, 1.0], [0, 1], uid=0)]
+    def test_hard_requires_some_majority(self, tmp_path):
+        only_none = corpus_of(tmp_path, 2, [(0, [0.0, 1.0], [0, 1])])
         config = TrainConfig(
             loss=LossConfig(LossKind.HARD), learning_rate=1e-3, epochs=1, seed=0
         )
         with pytest.raises(ValueError):
             train(only_none, config)
 
-    def test_empty_dataset_rejected(self):
+    def test_empty_dataset_rejected(self, tmp_path):
         config = TrainConfig(loss=LossConfig(LossKind.SOFT_KL))
         with pytest.raises(ValueError):
-            train([], config)
+            train(corpus_of(tmp_path, 2, []), config)
 
     @pytest.mark.parametrize("kind", list(LossKind))
-    def test_one_epoch_matches_per_example_reference(self, kind):
+    def test_one_epoch_matches_per_example_reference(self, tmp_path, kind):
         # Plain SGD, one example at a time, in the batch order train uses.
-        examples = three_class_examples(np.random.default_rng(12))
+        examples = corpus_of(tmp_path, 3, three_class_rows(np.random.default_rng(12)))
         config = TrainConfig(
             loss=LossConfig.default_for(kind),
             learning_rate=5e-2,
@@ -287,8 +279,8 @@ class TestTrain:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", list(LossKind))
-    def test_epoch_losses_finite_for_every_objective(self, kind):
-        examples = three_class_examples(np.random.default_rng(5))
+    def test_epoch_losses_finite_for_every_objective(self, tmp_path, kind):
+        examples = corpus_of(tmp_path, 3, three_class_rows(np.random.default_rng(5)))
         config = TrainConfig(
             loss=LossConfig.default_for(kind),
             learning_rate=1e-2,
@@ -302,33 +294,32 @@ class TestTrain:
 
 
 class TestTrainNumericalFailures:
-    def test_singularity_names_first_singular_utterance_in_batch(self):
+    def test_singularity_names_first_singular_utterance_in_batch(self, tmp_path):
         # One linear layer: features 0 give logits 0 (alpha = 1, where a
         # zero label component drops out); the other rows get logits -1
         # (alpha < 1, singular with eps1 = 0).
         k = 2
         w = init(2, (), k, seed=8).weights[0]
         singular_x = np.linalg.solve(w.T, np.full(k, -1.0))
-        rng = np.random.default_rng(0)
         xs = [np.zeros(2), np.zeros(2), singular_x, np.zeros(2), singular_x]
-        examples = [make_example(rng, k, x, [0], uid=10 + i) for i, x in enumerate(xs)]
+        examples = corpus_of(tmp_path, k, [(10 + i, x, [0]) for i, x in enumerate(xs)])
         config = TrainConfig(loss=LossConfig(LossKind.DPN), batch_size=8, epochs=1,
                              seed=8, hidden=())
         with pytest.raises(SingularityError, match=r"epoch 0, batch 0, utterance 12: "):
             train(examples, config)
 
     @pytest.mark.parametrize("kind", list(LossKind))
-    def test_divergence_is_a_floating_point_error(self, kind):
-        examples = three_class_examples(np.random.default_rng(6))
+    def test_divergence_is_a_floating_point_error(self, tmp_path, kind):
+        examples = corpus_of(tmp_path, 3, three_class_rows(np.random.default_rng(6)))
         config = TrainConfig(loss=LossConfig.default_for(kind), learning_rate=1e300,
                              batch_size=4, epochs=2, seed=2, hidden=(6,))
         with pytest.raises(FloatingPointError, match=r"epoch \d+, batch \d+, utterance \d+"):
             train(examples, config)
 
-    def test_overflow_in_the_last_update_is_a_floating_point_error(self):
+    def test_overflow_in_the_last_update_is_a_floating_point_error(self, tmp_path):
         # One batch, one epoch: no later forward pass would see the weights.
-        examples = [LabelledExample(e.features * 1e3, e.labels, e.soft, e.group, e.majority)
-                    for e in three_class_examples(np.random.default_rng(6))]
+        examples = corpus_of(tmp_path, 3, [(uid, x * 1e3, classes) for uid, x, classes
+                                           in three_class_rows(np.random.default_rng(6))])
         config = TrainConfig(loss=LossConfig(LossKind.SOFT_KL), learning_rate=1e308,
                              batch_size=64, epochs=1, seed=2, hidden=(6,))
         with pytest.raises(FloatingPointError, match="non-finite weights"):
@@ -337,7 +328,6 @@ class TestTrainNumericalFailures:
 
 @pytest.fixture(scope="module")
 def corpus_set(tmp_path_factory):
-    from labelprior.dataio import DatasetRecord, read_dataset, record_to_example, write_dataset
     from labelprior.synth import SynthConfig, generate
 
     utts, space = generate(SynthConfig(n=150, k=4, d=6, multi_tag_prob=0.2, seed=3))
@@ -345,29 +335,10 @@ def corpus_set(tmp_path_factory):
     write_dataset(path, space,
                   [DatasetRecord(1000 + u.uid, "train", u.features, u.evaluations)
                    for u in utts])
-    return record_to_example(read_dataset(path)[1])
+    return read_dataset(path)[1]
 
 
-class TestTrainingSet:
-    @pytest.mark.parametrize("kind", list(LossKind))
-    def test_columns_and_rows_train_bit_equal(self, corpus_set, kind):
-        config = TrainConfig(loss=LossConfig.default_for(kind), learning_rate=5e-2,
-                             batch_size=16, epochs=2, seed=4, hidden=(5,))
-        params_a, losses_a = train(corpus_set, config)
-        params_b, losses_b = train(list(corpus_set), config)
-        assert losses_a == losses_b
-        for a, b in zip(params_a.weights + params_a.biases, params_b.weights + params_b.biases):
-            np.testing.assert_array_equal(a, b)
-
-    def test_of_keeps_a_training_set_and_stacks_rows(self, corpus_set):
-        assert TrainingSet.of(corpus_set) is corpus_set
-        stacked = TrainingSet.of(list(corpus_set))
-        np.testing.assert_array_equal(stacked.features, corpus_set.features)
-        np.testing.assert_array_equal(stacked.counts, corpus_set.counts)
-        np.testing.assert_array_equal(stacked.majority, corpus_set.majority)
-        assert stacked.groups.tolist() == corpus_set.groups.tolist()
-        assert stacked.uids == corpus_set.uids
-
+class TestCorpusTraining:
     def test_hard_drops_rows_without_majority(self, corpus_set):
         keep = corpus_set.majority >= 0
         assert 0 < keep.sum() < len(corpus_set)
@@ -395,21 +366,20 @@ class TestTrainingSet:
         with pytest.raises(FloatingPointError) as err:
             train(corpus_set, config)
         uid = int(str(err.value).split("utterance ")[1].split(":")[0])
-        assert uid in corpus_set.uids
+        assert uid in corpus_set.ids
 
 
 def test_epoch_losses_finite_on_default_corpus(tmp_path):
     # Every objective keeps a finite mean loss on the stock synthetic
     # corpus, including the Dirichlet ones whose terms involve log-gamma
     # of exponentiated logits.
-    from labelprior.dataio import DatasetRecord, read_dataset, record_to_example, write_dataset
     from labelprior.synth import SynthConfig, generate
 
     utts, space = generate(SynthConfig(n=2000, k=5, d=16, seed=42))
     path = tmp_path / "train.jsonl"
     write_dataset(path, space,
                   [DatasetRecord(u.uid, "train", u.features, u.evaluations) for u in utts[:1600]])
-    examples = record_to_example(read_dataset(path)[1])
+    examples = read_dataset(path)[1]
     for kind in LossKind:
         config = TrainConfig(
             loss=LossConfig.default_for(kind), learning_rate=1e-2, epochs=2, seed=0

@@ -117,6 +117,15 @@ class TestGenerate:
                 multi += len(ev.tags) > 1
         assert multi > 0
 
+    def test_no_second_tag_without_other_mass(self):
+        # A precision just above k - 1 leaves the dominant class a tiny
+        # concentration, so the true distribution can put all its mass on
+        # one class; a second tag then has no other class to fall on.
+        cfg = SynthConfig(n=1, k=2, d=2, annotators=1, seed=0, multi_tag_prob=0.5,
+                          regime_precisions=(2.0, 1.0000000000000002, 2.0))
+        (u,), _ = generate(cfg)
+        assert [ev.tags for ev in u.evaluations] == [(1,)]
+
 
 class TestStats:
     def test_single_utterance(self):
