@@ -122,6 +122,8 @@ def _log_density(alpha: np.ndarray, log_mu: np.ndarray, zero=False, name_row=Fal
     naming the first such row in ``row`` (and in the message if ``name_row``)."""
     lg = log_gamma(np.concatenate([alpha, alpha.sum(axis=-1, keepdims=True)], axis=-1))
     value = lg[..., -1] - lg[..., :-1].sum(axis=-1) + np.sum((alpha - 1.0) * log_mu, axis=-1)
+    if not np.any(zero):
+        return value
     bad = np.argwhere(zero & (alpha < 1.0))
     if bad.size:
         *row, idx = bad[0]

@@ -144,6 +144,8 @@ def batch_loss(
     counts = np.asarray(counts, dtype=np.float64)
     if z.ndim != 2 or counts.shape != z.shape:
         raise ValueError("logits and label counts must be (B, K) arrays of one shape")
+    if z.shape[0] == 0:
+        raise ValueError("the batch has no rows")
     if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
     m = counts.sum(axis=1)

@@ -151,10 +151,12 @@ def backward(
     return grads
 
 
-def _first_nonfinite(rows: np.ndarray) -> Optional[int]:
-    # Index of the first row holding a NaN or an infinity, or None.
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    return int(bad[0]) if bad.size else None
+def _first_nonfinite(*columns: np.ndarray) -> Optional[int]:
+    # Index of the first row holding a NaN or an infinity in any of the (B,)
+    # or (B, K) arrays, or None.  The rows are stacked only to name a bad one.
+    if all(np.isfinite(c).all() for c in columns):
+        return None
+    return int(np.flatnonzero(~np.isfinite(np.column_stack(columns)).all(axis=1))[0])
 
 
 def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]]:
@@ -187,7 +189,7 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
             order = rng.fisher_yates(n, rng.stream(config.seed, rng.DOMAIN_SHUFFLE, epoch))
             total = 0.0
             for start in range(0, n, config.batch_size):
-                batch = sorted(order[start : start + config.batch_size])
+                batch = np.sort(order[start : start + config.batch_size])
                 where = f"epoch {epoch}, batch {start // config.batch_size}, utterance"
                 x = features[batch]
                 z = forward(params, x)
@@ -200,7 +202,7 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
                 except SingularityError as err:
                     raise SingularityError(
                         f"{where} {uids[batch[err.row]]}: {err}") from err
-                row = _first_nonfinite(np.column_stack([values, grad_z]))
+                row = _first_nonfinite(values, grad_z)
                 if row is not None:
                     raise FloatingPointError(
                         f"{where} {uids[batch[row]]}: non-finite loss")

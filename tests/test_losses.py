@@ -501,6 +501,12 @@ class TestBatchLoss:
         with pytest.raises(ValueError, match=message):
             batch_loss(config, z, counts, np.zeros(np.shape(z)[:1], dtype=int))
 
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_rejects_a_batch_without_rows(self, kind):
+        config = LossConfig.default_for(kind)
+        with pytest.raises(ValueError, match="the batch has no rows"):
+            batch_loss(config, np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0, dtype=int))
+
     def test_polya_needs_integer_counts(self):
         config = LossConfig.default_for(LossKind.DPN_KL)
         with pytest.raises(ValueError, match="integer"):
