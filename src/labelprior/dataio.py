@@ -12,6 +12,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from itertools import chain, compress, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -115,10 +116,6 @@ def _class_space(path: str, classes) -> ClassSpace:
         raise ValueError(f"{path}: bad classes: {err}") from err
 
 
-_NUMBERS = frozenset((int, float))
-_LISTS = frozenset((list,))
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus(Sequence[LabelledExample]):
     """A dataset's records as columns, one row per record in file order.
@@ -180,39 +177,66 @@ class Corpus(Sequence[LabelledExample]):
         return [tuple(islice(evaluations, a)) for a in self.annotators.tolist()]
 
 
-def _tag_fault(evaluations: list, index: dict) -> None:
-    """Raise the first fault of a record's evaluations, in file order."""
-    for names in evaluations:
-        for name in names:
-            if type(name) is not str or name not in index:
-                raise ValueError(f"unknown class name: {name!r}")
-        if not names:
-            raise ValueError("an evaluation must contain at least one tag")
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate tags in evaluation")
+_BLOCK = 128  # record lines parsed and checked at a time, so peak memory stays flat
+_BLANK = " \t\r"  # the JSON whitespace a line can hold; a line of only these is blank
+_LISTS, _INTS, _NUMBERS = frozenset((list,)), frozenset((int,)), frozenset((int, float))
+_SPLITS = frozenset(("train", "test"))
+_FIELDS = itemgetter("id", "split", "features", "evaluations")
+_decode = json.JSONDecoder().raw_decode
 
 
-def read_dataset(path: str) -> tuple[ClassSpace, Corpus]:
-    """Manifest and records; a malformed line raises ValueError naming it.
+def _corpus(lines: list, d: int, index: dict) -> Corpus | None:
+    """The records of the numbered ``lines`` as columns, or None if any line
+    has a fault.  Each check covers a whole column at once."""
+    ids, train, features, tags, tags_per_eval, annotators = [], [], [np.empty((0, d))], [], [], []
+    try:
+        for start in range(0, len(lines), _BLOCK):
+            text = [line.strip(_BLANK) for _, line in lines[start:start + _BLOCK]]
+            docs, ends = zip(*map(_decode, text))
+            if ends != tuple(map(len, text)):
+                return None
+            # A record that is not an object fails the lookup.
+            uid, split, rows, evaluations = zip(*map(_FIELDS, docs))
+            if not (_INTS.issuperset(map(type, uid)) and _SPLITS.issuperset(split)
+                    and _LISTS.issuperset(map(type, rows)) and set(map(len, rows)) == {d}
+                    and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))):
+                return None
+            per_record = list(map(len, evaluations))
+            # A string or an object yields strings here, which the type check rejects.
+            evaluations = list(chain.from_iterable(evaluations))
+            if min(per_record) == 0 or not _LISTS.issuperset(map(type, evaluations)):
+                return None
+            per_eval = list(map(len, evaluations))
+            # Only class names are keys, so a lookup rejects every other value.
+            classes = list(map(index.__getitem__, chain.from_iterable(evaluations)))
+            evaluation = np.repeat(np.arange(len(per_eval)), per_eval)
+            if min(per_eval) == 0 or np.bincount(evaluation * len(index) + classes).max() > 1:
+                return None  # an empty evaluation, or one that repeats a tag
+            tags += classes
+            features.append(np.array(rows, dtype=np.float64))  # a huge integer overflows here
+            ids += uid
+            train += map("train".__eq__, split)
+            tags_per_eval += per_eval
+            annotators += per_record
+        features = np.concatenate(features)
+        if not (np.isfinite(features).all() and len(set(ids)) == len(ids)):
+            return None
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        return None
+    tags, tags_per_eval = np.array(tags, dtype=np.int64), np.array(tags_per_eval, dtype=np.int64)
+    annotators = np.array(annotators, dtype=np.int64)
+    counts = tag_counts(tags, tags_per_eval, annotators, len(index))
+    groups, majority = agreement(counts, annotators)
+    return Corpus(ids=ids, train=np.array(train, dtype=bool), features=features, counts=counts,
+                  annotators=annotators, groups=groups, majority=majority, tags=tags,
+                  tags_per_eval=tags_per_eval)
 
-    Lines end at a line feed only; a carriage return before it is JSON
-    whitespace, so CRLF files read too.  Every split must be "train" or
-    "test", every id a unique integer and every record's evaluations
-    non-empty.  Each line is checked in full before the next, so the error
-    names the first bad line.
-    """
-    lines = [(no, line) for no, line in enumerate(_text(path).split("\n"), 1)
-             if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    manifest = _parse(path, lines[0][1], "dataset")
-    space, d = _class_space(path, manifest.get("classes")), manifest.get("feature_dim")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise ValueError(f"{path}: manifest feature_dim must be an integer >= 0, got {d!r}")
-    index = {name: i for i, name in enumerate(space.names)}
-    ids, train, rows, tags, tags_per_eval, annotators = [], [], [], [], [], []
+
+def _raise_first_fault(path: str, lines: list, d: int, index: dict) -> None:
+    """Check each numbered line in full before the next and raise ValueError
+    naming the first bad one."""
     id_lines: dict[int, int] = {}
-    for no, line in lines[1:]:
+    for no, line in lines:
         try:
             raw = json.loads(line)
             features = raw["features"]
@@ -226,15 +250,14 @@ def read_dataset(path: str) -> tuple[ClassSpace, Corpus]:
             evaluations = raw["evaluations"]
             if not (type(evaluations) is list and _LISTS.issuperset(map(type, evaluations))):
                 raise TypeError("each evaluation must be a list of class names")
-            sizes = list(map(len, evaluations))
-            try:
-                classes = list(map(index.get, chain.from_iterable(evaluations)))
-            except TypeError:  # an unhashable name
-                classes = [None]
-            # Only an evaluation of two or more tags can repeat one.
-            if (None in classes or 0 in sizes or len(classes) > len(sizes)
-                    and sum(map(len, map(set, evaluations))) != len(classes)):
-                _tag_fault(evaluations, index)
+            for names in evaluations:
+                for name in names:
+                    if type(name) is not str or name not in index:
+                        raise ValueError(f"unknown class name: {name!r}")
+                if not names:
+                    raise ValueError("an evaluation must contain at least one tag")
+                if len(set(names)) != len(names):
+                    raise ValueError("duplicate tags in evaluation")
             uid = raw["id"]
             if type(uid) is not int:
                 raise TypeError(f"id must be an integer, got {uid!r}")
@@ -255,27 +278,33 @@ def read_dataset(path: str) -> tuple[ClassSpace, Corpus]:
         if uid in id_lines:
             raise ValueError(f"{path}: line {no}: id {uid} repeats the id on line {id_lines[uid]}")
         id_lines[uid] = no
-        ids.append(uid)
-        train.append(split == "train")
-        rows.append(features)
-        tags += classes
-        tags_per_eval += sizes
-        annotators.append(len(sizes))
-    tags, tags_per_eval = np.array(tags, dtype=np.int64), np.array(tags_per_eval, dtype=np.int64)
-    annotators = np.array(annotators, dtype=np.int64)
-    counts = tag_counts(tags, tags_per_eval, annotators, space.k)
-    groups, majority = agreement(counts, annotators)
-    return space, Corpus(
-        ids=ids,
-        train=np.array(train, dtype=bool),
-        features=np.array(rows, dtype=np.float64).reshape(len(ids), d),
-        counts=counts,
-        annotators=annotators,
-        groups=groups,
-        majority=majority,
-        tags=tags,
-        tags_per_eval=tags_per_eval,
-    )
+
+
+def read_dataset(path: str) -> tuple[ClassSpace, Corpus]:
+    """Manifest and records; a malformed line raises ValueError naming it.
+
+    Lines end at a line feed only, and a line of nothing but spaces, tabs
+    and carriage returns is blank and skipped; a carriage return is JSON
+    whitespace, so CRLF files read too.  Every split must be "train" or
+    "test", every id a unique integer and every record's evaluations
+    non-empty.  The records are parsed and checked a whole column at a
+    time; only when a check fails are they checked again line by line, so
+    the error names the first bad line.
+    """
+    lines = [(no, line) for no, line in enumerate(_text(path).split("\n"), 1)
+             if line.strip(_BLANK)]
+    if not lines:
+        raise ValueError(f"{path}: empty dataset file")
+    manifest = _parse(path, lines[0][1], "dataset")
+    space, d = _class_space(path, manifest.get("classes")), manifest.get("feature_dim")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise ValueError(f"{path}: manifest feature_dim must be an integer >= 0, got {d!r}")
+    index = {name: i for i, name in enumerate(space.names)}
+    corpus = _corpus(lines[1:], d, index)
+    if corpus is None:
+        _raise_first_fault(path, lines[1:], d, index)
+        raise RuntimeError(f"{path}: a record check failed that no line check names")
+    return space, corpus
 
 
 def _dims(params: ModelParams) -> dict:

@@ -2,7 +2,8 @@
 dataset or checkpoint exits 1 with an error that names the file, and the
 line for a dataset record.  Huge integers, deep nesting, bytes that are
 not UTF-8 and very long lines do the same, and of two bad lines the
-earlier one is named.  Lines end at a line feed only."""
+earlier one is named.  Lines end at a line feed only, and a line is blank
+only if it holds nothing but JSON whitespace."""
 
 import contextlib
 import io
@@ -252,17 +253,28 @@ def test_crlf_file_reads_like_lf(files):
         fh.write(text.replace(b"\n", b"\r\n"))
     assert run_stats(crlf) == run_stats(data)
     assert run_eval(root, crlf, ckpt) == (0, "")
+    # Leading spaces and tabs on the record lines too.
+    manifest, *records = text.rstrip(b"\n").split(b"\n")
+    with open(crlf, "wb") as fh:
+        fh.write(b"\r\n".join([manifest] + [b"  \t" + line for line in records]) + b"\r\n")
+    assert run_stats(crlf) == run_stats(data)
+    assert run_eval(root, crlf, ckpt) == (0, "")
 
 
-@pytest.mark.parametrize("control", ["\x1c", "\x0b"])
+@pytest.mark.parametrize("control", ["\x1c", "\x0b", "\u0085", "\u2028", "\u3000"])
 def test_raw_control_character_is_data_error(files, control):
-    # Neither is JSON whitespace, nor allowed raw inside a JSON string.
+    # None is JSON whitespace, so none may stand between tokens or make a
+    # line blank; the C0 controls may not stand raw inside a JSON string
+    # either (the others may, see the line separator test above).
     root, data, ckpt = files
     with open(data, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    for where, edit in (("string", lambda line: line.replace('"test"', f'"te{control}st"', 1)
-                                    .replace('"train"', f'"tr{control}ain"', 1)),
-                        ("between tokens", lambda line: line.replace(",", "," + control, 1))):
+    edits = {"between tokens": lambda line: line.replace(",", "," + control, 1),
+             "alone on a line": lambda line: control + "\n" + line}
+    if control < " ":
+        edits["string"] = (lambda line: line.replace('"test"', f'"te{control}st"', 1)
+                           .replace('"train"', f'"tr{control}ain"', 1))
+    for where, edit in edits.items():
         edited = lines.copy()
         edited[2] = edit(edited[2])
         assert edited[2] != lines[2]
@@ -272,3 +284,64 @@ def test_raw_control_character_is_data_error(files, control):
         code, _, err = run_stats(bad)
         assert code == 1, where
         assert err.startswith(f"error: {bad}: line 3: bad record: JSONDecodeError("), (where, err)
+
+
+def test_json_whitespace_line_is_blank(files):
+    # A line of nothing but spaces, tabs and carriage returns is skipped,
+    # before the manifest, between records and at the end.
+    root, data, ckpt = files
+    with open(data, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    for at, blank in ((0, " "), (2, "\t"), (5, "\r"), (9, " \t\r \r"), (len(lines), "\t ")):
+        lines.insert(at, blank)
+    padded = str(root / "padded.jsonl")
+    with open(padded, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    assert run_stats(padded) == run_stats(data)
+    assert run_eval(root, padded, ckpt) == (0, "")
+    # The records keep their numbers: the second one is now on line 5.
+    docs = read_docs(data)
+    docs[2]["split"] = "dev"
+    lines[4] = json.dumps(docs[2])
+    with open(padded, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    code, _, err = run_stats(padded)
+    assert code == 1
+    assert err.startswith(f"error: {padded}: line 5: split 'dev' is not 'train' or 'test'"), err
+
+
+def one_wide(docs):
+    docs[0]["feature_dim"] = 1
+    for doc in docs[1:]:
+        doc["features"] = doc["features"][:1]
+
+
+# Values that equal a valid one under Python's == and hash, so a check by set
+# membership alone would take them: (edit of the documents, the line named,
+# the message after it).
+SET_EQUALITY_TRAPS = {
+    "feature-dim-true": (lambda docs: docs[0].update(feature_dim=True), None,
+                         "manifest feature_dim must be an integer >= 0, got True"),
+    "ids-1-and-true": (lambda docs: (docs[2].update(id=1), docs[4].update(id=True)), 5,
+                       "bad record: TypeError('id must be an integer, got True')"),
+    "id-1.0": (lambda docs: docs[2].update(id=1.0), 3,
+               "bad record: TypeError('id must be an integer, got 1.0')"),
+    "split-in-a-list": (lambda docs: docs[5].update(split=["train"]), 6,
+                        "split \"['train']\" is not 'train' or 'test'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SET_EQUALITY_TRAPS))
+def test_set_equality_trap_is_data_error(files, case):
+    root, data, ckpt = files
+    edit, line, message = SET_EQUALITY_TRAPS[case]
+    docs = read_docs(data)
+    one_wide(docs)
+    valid = write_docs(root / "one-wide.jsonl", docs)
+    assert run_stats(valid)[0] == 0
+    edit(docs)
+    bad = write_docs(root / f"trap-{case}.jsonl", docs)
+    code, _, err = run_stats(bad)
+    assert code == 1
+    where = "" if line is None else f"line {line}: "
+    assert err == f"error: {bad}: {where}{message}\n"

@@ -5,19 +5,25 @@ Corpora come from ``gen`` over the shapes it admits, with the tag order
 shuffled inside every evaluation; the reader's columns must equal the
 reference's, and ``transform`` must write the shuffled file byte for byte
 as it writes the sorted one.  ``Corpus.select`` must slice every column
-by a drawn mask."""
+by a drawn mask.  On corpora of several blocks, with one drawn corruption
+and layout, the reader's column checks must accept exactly the files its
+line-by-line checks find no fault in, and reject the rest with that
+line's message."""
 
 import contextlib
 import dataclasses
 import io
 import json
+import math
 import pathlib
 import tempfile
 from itertools import compress
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_reader_contract import BAD_VALUES, DATASET_SITES, corrupt
 
 from labelprior import cli, dataio
 from labelprior.annotations import ClassSpace, Evaluation, agreement, vote_matrix
@@ -161,3 +167,155 @@ def test_select_slices_every_column(shape, data):
         np.testing.assert_array_equal(got.features, row.features)
         np.testing.assert_array_equal(np.array(got.labels), np.array(row.labels))
         np.testing.assert_array_equal(got.soft.p, row.soft.p)
+
+
+# Corpora of two or three blocks of record lines, with a third feature for
+# the ("features", 2) site.
+several_blocks = st.builds(lambda shape, n: {**shape, "d": max(shape["d"], 3), "n": n}, corpora,
+                           st.integers(dataio._BLOCK + 1, 3 * dataio._BLOCK))
+
+
+# The first and last record; a manifest fault is found before either check.
+RECORD_SITES = [(0 if line == 1 else -1, site) for line, site in DATASET_SITES if line]
+
+
+def field_corruption(draw, docs):
+    row, site = draw(st.sampled_from(RECORD_SITES))
+    corrupt(docs[row], site, draw(BAD_VALUES))
+
+
+def repeat_tag(draw, docs):
+    doc = docs[draw(st.integers(0, len(docs) - 1))]
+    tags = doc["evaluations"][draw(st.integers(0, len(doc["evaluations"]) - 1))]
+    tags.append(tags[0])
+
+
+def repeat_id_in_another_block(draw, docs):
+    first = draw(st.integers(0, len(docs) - 1 - dataio._BLOCK))
+    later = draw(st.integers(first + dataio._BLOCK, len(docs) - 1))
+    docs[later]["id"] = docs[first]["id"]
+
+
+def feature(values):
+    def edit(draw, docs):
+        doc = docs[draw(st.integers(0, len(docs) - 1))]
+        doc["features"][draw(st.integers(0, len(doc["features"]) - 1))] = draw(values)
+    return edit
+
+
+def names_not_in_a_list(draw, docs):
+    # Iterating a string or an object yields class names, as a list would.
+    doc = docs[draw(st.integers(0, len(docs) - 1))]
+    evaluations = doc["evaluations"]
+    wrap = draw(st.sampled_from(["".join, dict.fromkeys]))
+    if draw(st.booleans()):
+        doc["evaluations"] = wrap(evaluations[0])
+    else:
+        evaluations[draw(st.integers(0, len(evaluations) - 1))] = wrap(evaluations[0])
+
+
+def not_an_object(draw, docs):
+    docs[draw(st.integers(0, len(docs) - 1))] = draw(st.sampled_from([[], ["id"], "id", 0, None]))
+
+
+CORRUPTIONS = {"field": field_corruption, "repeat-tag": repeat_tag,
+               "repeat-id": repeat_id_in_another_block,
+               "names-not-in-a-list": names_not_in_a_list, "not-an-object": not_an_object,
+               "huge-feature": feature(st.just(10**400)),
+               "non-finite-feature": feature(st.sampled_from([math.nan, math.inf, -math.inf]))}
+
+
+def crlf_and_indent(draw, lines):
+    return [lines[0]] + [draw(st.sampled_from(["", " ", "\t ", "  "])) + line + "\r"
+                         for line in lines[1:]]
+
+
+def blank_lines(draw, lines):
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(" \t\r", min_size=1, max_size=3)))
+    return lines
+
+
+def non_json_whitespace(draw, lines):
+    # None of these characters is JSON whitespace: a line of one is not
+    # blank, and one before or after a record is not JSON.
+    lines = list(lines)
+    char = draw(st.sampled_from("\x0b\x1c\u0085\u3000"))
+    at = draw(st.integers(1, len(lines) - 2))
+    where = draw(st.sampled_from(["own line", "before", "after"]))
+    if where == "own line":
+        lines.insert(at, char)
+    else:
+        lines[at] = char + lines[at] if where == "before" else lines[at] + char
+    return lines
+
+
+def extra_data(draw, lines):
+    lines = list(lines)
+    lines[draw(st.integers(1, len(lines) - 2))] += draw(st.sampled_from([" 0", "{}", ",", "\t]"]))
+    return lines
+
+
+LAYOUTS = {"lf": lambda draw, lines: lines, "crlf-indent": crlf_and_indent,
+           "blank-lines": blank_lines, "non-json-whitespace": non_json_whitespace,
+           "extra-data": extra_data}
+BAD_LAYOUTS = {"non-json-whitespace", "extra-data"}
+
+
+def read(path):
+    """The reader's corpus or its error message."""
+    try:
+        return dataio.read_dataset(path)[1]
+    except ValueError as err:
+        return str(err)
+
+
+def first_line_fault(path):
+    """The message of the line-by-line checks alone, or None for no fault."""
+    with mock.patch.object(dataio, "_corpus", lambda *args: None):
+        try:
+            dataio.read_dataset(path)
+        except ValueError as err:
+            return str(err)
+        except RuntimeError:
+            return None
+
+
+def accepted(path, clean) -> bool:
+    """Whether the reader takes ``path``, after checking that its column and
+    line checks agree: the same message, or the columns of ``clean``."""
+    got, fault = read(path), first_line_fault(path)
+    if fault is not None:
+        assert got == fault
+        return False
+    want = reference(clean)
+    assert got.ids == want["ids"]
+    for name in ("train", "features", "counts", "annotators", "majority"):
+        np.testing.assert_array_equal(getattr(got, name), want[name])
+    assert got.groups.tolist() == want["groups"].tolist()
+    assert got.evaluation_sets() == want["evaluation_sets"]
+    return True
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(shape=several_blocks, corruption=st.sampled_from(sorted(CORRUPTIONS)),
+       layout=st.sampled_from(sorted(LAYOUTS)), draw=st.data())
+def test_column_checks_agree_with_line_checks(shape, corruption, layout, draw):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        data = root / "data.jsonl"
+        gen_corpus(data, shape)
+        manifest, *docs = [json.loads(line) for line in data.read_text().splitlines()]
+
+        def laid_out(clean):
+            lines = LAYOUTS[layout](draw.draw, clean.read_text(encoding="utf-8").split("\n"))
+            path = clean.with_suffix(".laid-out")
+            path.write_text("\n".join(lines), encoding="utf-8", newline="")
+            return path
+
+        clean = write_lines(root / "clean.jsonl", manifest, docs)
+        assert accepted(laid_out(clean), clean) == (layout not in BAD_LAYOUTS)
+        CORRUPTIONS[corruption](draw.draw, docs)
+        bad = write_lines(root / "bad.jsonl", manifest, docs)
+        assert not accepted(laid_out(bad), bad)
