@@ -50,6 +50,6 @@ from .model import (
     train,
 )
 from .specfun import digamma, log_gamma
-from .synth import SynthConfig, SynthUtterance, generate, stats
+from .synth import SynthConfig, SynthUtterance, generate
 
 __version__ = "0.1.0"

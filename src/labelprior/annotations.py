@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from typing import Iterable, Optional, Sequence
+from itertools import compress, islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "AnnotationSet",
     "vote_matrix",
     "tag_counts",
+    "tag_lists",
     "agreement",
     "soft_label",
     "vote_and_replace",
@@ -106,6 +107,14 @@ def tag_counts(tags: np.ndarray, tags_per_eval, annotators, k: int) -> np.ndarra
     n = len(annotators)
     rows = np.repeat(np.repeat(np.arange(n), annotators), tags_per_eval)
     return np.bincount(rows * k + tags, minlength=n * k).reshape(n, k)
+
+
+def tag_lists(tags: np.ndarray, tags_per_eval: np.ndarray,
+              annotators: np.ndarray) -> Iterator[list[list[int]]]:
+    """Each utterance's evaluations as lists of class indices, rebuilt from
+    the same flat tag layout one utterance at a time."""
+    tags, per_eval = iter(tags.tolist()), iter(tags_per_eval.tolist())
+    return ([list(islice(tags, m)) for m in islice(per_eval, a)] for a in annotators.tolist())
 
 
 _GROUPS = np.array(list(AgreementGroup), dtype=object)  # FULL, MAJORITY, NONE

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dataio, metrics, model, synth
+from . import annotations, dataio, metrics, model, synth
 from .annotations import ClassSpace, replace_majorities
 from .dirichlet import CategoricalDist, SingularityError, from_logits, predictive_mean
 from .losses import LossConfig, LossKind
@@ -128,20 +128,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
     if not 0.0 <= args.test_frac <= 1.0:
         raise ValueError("test-frac must lie in [0, 1]")
-    utterances, space = synth.generate(config)
+    features, _, tags, tags_per_eval, annotators = synth.generate_columns(config)
     n_train = round(config.n * (1.0 - args.test_frac))
-    records = [
-        dataio.DatasetRecord(
-            uid=u.uid,
-            split="train" if u.uid < n_train else "test",
-            features=u.features,
-            evaluations=u.evaluations,
-        )
-        for u in utterances
-    ]
-    dataio.write_dataset(args.out, space, records)
-    print(synth.stats([u.evaluations for u in utterances], space).format_table())
-    print(f"wrote {len(records)} records to {args.out}")
+    dataio._write_columns(args.out, ClassSpace(synth.default_class_names(config.k)), config.d,
+                          range(config.n), ["train"] * n_train + ["test"] * (config.n - n_train),
+                          map(np.ndarray.tolist, features),
+                          annotations.tag_lists(tags, tags_per_eval, annotators))
+    counts = annotations.tag_counts(tags, tags_per_eval, annotators, config.k)
+    groups, _ = annotations.agreement(counts, annotators)
+    print(synth.count_stats(counts, annotators, tags_per_eval, groups).format_table())
+    print(f"wrote {config.n} records to {args.out}")
     return 0
 
 

@@ -11,12 +11,12 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from operator import itemgetter
 
 import numpy as np
 
-from .annotations import ClassSpace, Evaluation, agreement, tag_counts
+from .annotations import ClassSpace, Evaluation, agreement, tag_counts, tag_lists
 from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
@@ -52,33 +52,27 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
-    """Manifest line followed by one JSON record per utterance."""
-    lines = [
-        _compact(
-            {
-                "format_version": FORMAT_VERSION,
-                "kind": "dataset",
-                "classes": list(space.names),
-                "feature_dim": int(records[0].features.shape[0]) if records else 0,
-            }
-        )
-    ]
-    for rec in records:
-        lines.append(
-            _compact(
-                {
-                    "id": rec.uid,
-                    "split": rec.split,
-                    "features": np.asarray(rec.features, dtype=np.float64).tolist(),
-                    "evaluations": [
-                        [space.names[t] for t in ev.tags] for ev in rec.evaluations
-                    ],
-                }
-            )
-        )
+def _write_columns(path: str, space: ClassSpace, d: int, ids, splits, rows,
+                   evaluations) -> None:
+    """Manifest line followed by one JSON record per id, encoded one record
+    at a time: ``rows`` yields feature lists and ``evaluations`` each
+    record's evaluations as sequences of class indices."""
+    names = space.names
+    lines = [_compact({"format_version": FORMAT_VERSION, "kind": "dataset",
+                       "classes": list(names), "feature_dim": d})] + [
+        _compact({"id": uid, "split": split, "features": row,
+                  "evaluations": [[names[t] for t in tags] for tags in evs]})
+        for uid, split, row, evs in zip(ids, splits, rows, evaluations)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
+    """Manifest line followed by one JSON record per utterance."""
+    _write_columns(path, space, int(records[0].features.shape[0]) if records else 0,
+                   [rec.uid for rec in records], [rec.split for rec in records],
+                   (np.asarray(rec.features, dtype=np.float64).tolist() for rec in records),
+                   ([ev.tags for ev in rec.evaluations] for rec in records))
 
 
 def _text(path: str) -> str:
@@ -171,10 +165,8 @@ class Corpus(Sequence[LabelledExample]):
     def evaluation_sets(self) -> list[tuple[Evaluation, ...]]:
         """The evaluations of every record, rebuilt from the tag columns
         (each sorts its tags)."""
-        tags = iter(self.tags.tolist())
-        evaluations = iter([Evaluation(tuple(islice(tags, m)))
-                            for m in self.tags_per_eval.tolist()])
-        return [tuple(islice(evaluations, a)) for a in self.annotators.tolist()]
+        return [tuple(map(Evaluation, evs))
+                for evs in tag_lists(self.tags, self.tags_per_eval, self.annotators)]
 
 
 _BLOCK = 128  # record lines parsed and checked at a time, so peak memory stays flat

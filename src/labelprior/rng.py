@@ -4,14 +4,18 @@ Every random draw in the package comes from a named stream addressed by
 ``(seed, *path)``.  The path components (a domain tag plus e.g. an utterance
 id or an epoch index) are folded into the 128-bit Philox key with a
 SplitMix64-style mixer, so streams are independent by construction and a
-corpus or training run is reproducible from its seed alone.
+corpus or training run is reproducible from its seed alone.  ``streams``
+gives the streams of many ids in one domain from a single rekeyed Philox,
+which is how a corpus draws one stream per utterance.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
-__all__ = ["stream", "fisher_yates"]
+__all__ = ["stream", "streams", "fisher_yates"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -40,6 +44,24 @@ def stream(seed: int, *path: int) -> np.random.Generator:
         h = _splitmix64(h ^ (part & _MASK64))
     key = (seed & _MASK64) | (h << 64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def streams(seed: int, domain: int, ids: Iterable[int]) -> Iterator[np.random.Generator]:
+    """For each id, a generator whose draws equal ``stream(seed, domain, id)``'s.
+
+    One Philox takes each id's key through its ``state`` setter, which also
+    resets the counter, the output buffer and the buffered 32-bit half.  The
+    same generator is yielded every time; it is valid until the next yield.
+    """
+    low = seed & _MASK64
+    h = _splitmix64(_splitmix64(low) ^ (domain & _MASK64))
+    gen = np.random.Generator(np.random.Philox(0))  # its state is replaced before any draw
+    for i in ids:
+        gen.bit_generator.state = {
+            "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0,
+            "state": {"counter": [0] * 4, "key": [low, _splitmix64(h ^ (i & _MASK64))]}}
+        yield gen
 
 
 def fisher_yates(n: int, gen: np.random.Generator) -> np.ndarray:

@@ -5,7 +5,9 @@ distribution sampled from a Dirichlet whose precision depends on the
 regime, annotator tags sampled from that distribution, and features built
 from orthogonal class centroids plus Gaussian noise.  Every utterance owns
 an independent random stream keyed by (seed, utterance id), so corpora are
-reproducible and generation could run in parallel.
+reproducible and utterance i is the same whatever n is.  ``generate_columns``
+writes the corpus straight into columns, in the flat tag layout every other
+layer counts from; ``generate`` is a per-utterance view of those columns.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ import math
 import string
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
 from . import rng
-from .annotations import AgreementGroup, ClassSpace, Evaluation, agreement, vote_matrix
+from .annotations import AgreementGroup, ClassSpace, Evaluation, tag_lists
 
-__all__ = ["SynthConfig", "SynthUtterance", "CorpusStats", "default_class_names", "generate",
-           "stats", "count_stats"]
+__all__ = ["SynthConfig", "SynthUtterance", "CorpusStats", "default_class_names",
+           "generate_columns", "generate", "count_stats"]
 
 
 @dataclass(frozen=True)
@@ -89,56 +90,66 @@ def default_class_names(k: int) -> tuple[str, ...]:
     return tuple(letters[i] if i < len(letters) else f"c{i}" for i in range(k))
 
 
-def _sample_index(gen: np.random.Generator, cum: list[float]) -> int:
-    # ``cum`` holds the running sums of the weights, added in np.cumsum's order.
-    u = gen.random()
+def _sample_index(u: float, cum: list[float]) -> int:
+    # ``u`` is uniform in [0, 1); ``cum`` holds the running sums of the
+    # weights, added in np.cumsum's order.
     return min(bisect.bisect_right(cum, u * cum[-1]), len(cum) - 1)
 
 
-def _regime_alpha(config: SynthConfig, regime: int, dominant: int) -> np.ndarray:
-    # Unit base concentration everywhere, remaining precision on the
-    # dominant class; at precision k this degenerates to the flat Dirichlet
-    # and for precision -> inf the mean approaches the dominant one-hot.
-    alpha = np.ones(config.k)
-    alpha[dominant] = config.regime_precisions[regime] - (config.k - 1)
-    return alpha
-
-
-def _generate_one(config: SynthConfig, regime_cum: list[float], uid: int) -> SynthUtterance:
-    gen = rng.stream(config.seed, rng.DOMAIN_UTTERANCE, uid)
-    # Draw order is fixed: regime, dominant class, true distribution,
-    # per-annotator tags, then feature noise.
-    regime = _sample_index(gen, regime_cum)
-    dominant = int(gen.integers(0, config.k))
-    mu = gen.dirichlet(_regime_alpha(config, regime, dominant))
-
-    weights = mu.tolist()
-    mu_cum = list(accumulate(weights))
-    evaluations = []
-    for _ in range(config.annotators):
-        first = _sample_index(gen, mu_cum)
-        tags = [first]
-        if gen.random() < config.multi_tag_prob:
-            rest = weights.copy()
-            rest[first] = 0.0
-            # When no other class has mass the draw can land on ``first``.
-            second = _sample_index(gen, list(accumulate(rest)))
-            if second != first:
-                tags.append(second)
-        evaluations.append(Evaluation(tuple(tags)))
-
-    features = np.zeros(config.d)
-    features[: config.k] = mu
+def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
+    """The corpus as columns in id order, deterministic given the config:
+    (n, d) features, (n, K) true label distributions, and ``Corpus``'s flat
+    tag layout (the class of every tag, sorted within each evaluation; the
+    tags of every evaluation; the evaluations of every utterance)."""
+    n, k = config.n, config.k
+    regime_cum = list(accumulate(config.group_mix))
+    features, noise = np.zeros((n, config.d)), np.zeros((n, config.d))
+    tags, tags_per_eval = [], []
+    for uid, gen in enumerate(rng.streams(config.seed, rng.DOMAIN_UTTERANCE, range(n))):
+        # Draw order is fixed: regime, dominant class, true distribution,
+        # per-annotator tags, then feature noise.
+        regime = _sample_index(gen.random(), regime_cum)
+        # Unit base concentration everywhere, remaining precision on the
+        # dominant class; at precision k this degenerates to the flat Dirichlet
+        # and for precision -> inf the mean approaches the dominant one-hot.
+        alpha = np.ones(k)
+        alpha[int(gen.integers(k))] = config.regime_precisions[regime] - (k - 1)
+        features[uid, :k] = gen.dirichlet(alpha)
+        weights = features[uid, :k].tolist()
+        mu_cum = list(accumulate(weights))
+        # Each annotator takes two uniforms, three with a second tag. Drawing
+        # two per annotator ahead and one more per second tag takes exactly
+        # those, so the feature noise that follows is drawn as before.
+        u = gen.random(2 * config.annotators).tolist()
+        at = 0
+        for _ in range(config.annotators):
+            first = second = _sample_index(u[at], mu_cum)
+            if u[at + 1] < config.multi_tag_prob:
+                u.append(gen.random())
+                rest = weights.copy()
+                rest[first] = 0.0
+                # When no other class has mass the draw can land on ``first``.
+                second = _sample_index(u[at + 2], list(accumulate(rest)))
+                at += 1
+            at += 2
+            tags += sorted({first, second})
+            tags_per_eval.append(1 + (second != first))
+        if config.noise_sigma > 0.0:
+            gen.standard_normal(out=noise[uid])
+    mu = features[:, :k]
+    true_mu = mu / mu.sum(axis=1, keepdims=True)
     if config.noise_sigma > 0.0:
-        features = features + config.noise_sigma * gen.standard_normal(config.d)
-    return SynthUtterance(uid, mu / mu.sum(), features, tuple(evaluations))
+        features += config.noise_sigma * noise
+    return (features, true_mu, np.array(tags, dtype=np.int64),
+            np.array(tags_per_eval, dtype=np.int64), np.full(n, config.annotators, dtype=np.int64))
 
 
 def generate(config: SynthConfig) -> tuple[list[SynthUtterance], ClassSpace]:
-    """Generate the corpus; deterministic given the config."""
-    space = ClassSpace(default_class_names(config.k))
-    regime_cum = list(accumulate(config.group_mix))
-    return [_generate_one(config, regime_cum, uid) for uid in range(config.n)], space
+    """The corpus of ``generate_columns`` as one ``SynthUtterance`` per id."""
+    features, true_mu, *layout = generate_columns(config)
+    rows = zip(true_mu, features, tag_lists(*layout))
+    return ([SynthUtterance(uid, mu, x, tuple(map(Evaluation, evs)))
+             for uid, (mu, x, evs) in enumerate(rows)], ClassSpace(default_class_names(config.k)))
 
 
 @dataclass(frozen=True)
@@ -165,21 +176,11 @@ class CorpusStats:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def stats(
-    evaluation_sets: Sequence[Sequence[Evaluation]], space: ClassSpace
-) -> CorpusStats:
-    """Corpus-level label statistics, in the usual table schema, of each
-    utterance's evaluations."""
-    counts, annotators = vote_matrix(evaluation_sets, space)
-    return count_stats(counts, annotators, [len(ev.tags) for evs in evaluation_sets for ev in evs],
-                       agreement(counts, annotators)[0])
-
-
 def count_stats(counts: np.ndarray, annotators: np.ndarray, tags_per_eval,
                 groups: np.ndarray) -> CorpusStats:
-    """The same statistics from the (n, K) vote counts, the (n,) annotator
-    counts, the number of tags of every evaluation and the (n,) agreement
-    groups."""
+    """Corpus-level label statistics, in the usual table schema, from the
+    (n, K) vote counts, the (n,) annotator counts, the number of tags of
+    every evaluation and the (n,) agreement groups."""
     if len(counts) == 0:
         raise ValueError("stats requires a non-empty corpus")
     n_labels = counts.sum(axis=1)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: every command, determinism of outputs, exit
 codes, and the transform pipeline."""
 
+import hashlib
 import json
 import math
 import os
@@ -58,6 +59,31 @@ class TestGen:
         out = capsys.readouterr().out
         assert "Number of total utterances" in out
         assert "30" in out
+
+    # sha256 of the file and of stdout, recorded before gen drew its corpus
+    # as columns, so that the bytes stay pinned across versions.
+    @pytest.mark.parametrize("args, file_digest, stdout_digest", [
+        (["--n", 200],
+         "532f298fe4e90aec2d23f1f7efac01940977abc655290e4091c8005ddabdb8e7",
+         "18cd5d77abbf203737a7a4722717fef00003a96bd7cccf21a8937e3fcf600467"),
+        (["--n", 100, "--k", 10, "--d", 32, "--annotators", 20, "--multi-tag-prob", 0.2,
+          "--precisions", "300,40,15"],
+         "6380dc66b07d7cb5c822434761510c072a10e938d3760677514f4997e9214345",
+         "059306b2e5bc9d83ef978313ae0793aa3c37c24a12476fa5aac734dc76e601d0"),
+        (["--n", 100, "--annotators", 1, "--multi-tag-prob", 0],
+         "ba6c28f57b0b31c9e245ec42748a3f44829e137a0d020313d75ca607de68cded",
+         "e60a629985ebac2a751b1c1c4b0d7e8cc02b590ddcde86c7b3f100d2944f11c2"),
+    ], ids=["paper", "crowd", "one-annotator"])
+    def test_bytes_pinned(self, tmp_path, monkeypatch, capsys, args, file_digest,
+                          stdout_digest):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen", *args, "--seed", 42, "--out", "data.jsonl") == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256((tmp_path / "data.jsonl").read_bytes()).hexdigest() == file_digest
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+        # The table is the one stats prints for the file gen wrote.
+        assert run("stats", "--data", "data.jsonl") == 0
+        assert out.splitlines()[:8] == capsys.readouterr().out.splitlines()
 
 
 class TestStats:
@@ -605,11 +631,12 @@ class TestAgreementCalls:
                    "--out", ckpt) == 0
         calls = []
         rule = annotations.agreement
-        for module in (annotations, dataio, synth):
+        for module in (annotations, dataio):
             monkeypatch.setattr(module, "agreement", lambda *args: calls.append(1) or rule(*args))
         assert run(command, *command_args(command, small_dataset, ckpt, tmp_path / "out")) == 0
         assert len(calls) == 1
-        assert not hasattr(cli, "agreement")
+        # Every other module reaches the rule through ``annotations``.
+        assert not hasattr(cli, "agreement") and not hasattr(synth, "agreement")
 
 
 @pytest.mark.parametrize("args, field", [

@@ -1,18 +1,34 @@
-"""Tests for the synthetic corpus generator: determinism, limit regimes
-and corpus statistics."""
+"""Tests for the synthetic corpus generator: determinism, limit regimes,
+corpus statistics and the draws of the per-utterance generator it
+replaced."""
+
+import bisect
+import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labelprior import rng
 from labelprior.annotations import (
     AgreementGroup,
     AnnotationSet,
-    ClassSpace,
+    Evaluation,
     agreement,
     soft_label,
+    tag_counts,
     vote_matrix,
 )
-from labelprior.synth import SynthConfig, default_class_names, generate, stats
+from labelprior.synth import (
+    SynthConfig,
+    SynthUtterance,
+    count_stats,
+    default_class_names,
+    generate,
+    generate_columns,
+)
 
 # Large-sample Monte-Carlo estimates (n = 40000, seeds 123 and 999) of the
 # group fractions implied by the default regime mix; frozen as the
@@ -22,6 +38,13 @@ EXPECTED_DEFAULT_FRACTIONS = {
     AgreementGroup.MAJORITY: 0.418,
     AgreementGroup.NONE: 0.147,
 }
+
+
+def column_stats(config):
+    """The gen table's statistics of the corpus ``config`` generates."""
+    _, _, tags, tags_per_eval, annotators = generate_columns(config)
+    counts = tag_counts(tags, tags_per_eval, annotators, config.k)
+    return count_stats(counts, annotators, tags_per_eval, agreement(counts, annotators)[0])
 
 
 class TestSynthConfig:
@@ -65,9 +88,8 @@ class TestGenerate:
             n=1000, k=5, d=16, seed=5,
             regime_precisions=(1e6, 1e6, 1e6), noise_sigma=0.0,
         )
-        utts, space = generate(cfg)
-        full = stats([u.evaluations for u in utts], space).group_counts[AgreementGroup.FULL]
-        assert full / len(utts) >= 0.95
+        full = column_stats(cfg).group_counts[AgreementGroup.FULL]
+        assert full / cfg.n >= 0.95
 
     def test_flat_prior_regime_produces_no_agreement(self):
         # All mass on the flattest regime with precision equal to the class
@@ -78,16 +100,14 @@ class TestGenerate:
             group_mix=(0.0, 0.0, 1.0),
             regime_precisions=(120.0, 12.0, 8.0),
         )
-        utts, space = generate(cfg)
-        none = stats([u.evaluations for u in utts], space).group_counts[AgreementGroup.NONE]
-        assert none / len(utts) >= 0.3
+        none = column_stats(cfg).group_counts[AgreementGroup.NONE]
+        assert none / cfg.n >= 0.3
 
     def test_default_fractions_track_mix_implied_expectations(self):
         cfg = SynthConfig(n=2000, k=5, d=16, seed=42)
-        utts, space = generate(cfg)
-        st = stats([u.evaluations for u in utts], space)
+        table = column_stats(cfg)
         for group, expected in EXPECTED_DEFAULT_FRACTIONS.items():
-            got = st.group_counts[group] / cfg.n
+            got = table.group_counts[group] / cfg.n
             assert got == pytest.approx(expected, abs=0.08)
 
     def test_features_carry_the_true_distribution(self):
@@ -130,43 +150,37 @@ class TestGenerate:
 class TestStats:
     def test_single_utterance(self):
         cfg = SynthConfig(n=1, k=3, d=4, seed=2, multi_tag_prob=0.0)
-        utts, space = generate(cfg)
-        st = stats([u.evaluations for u in utts], space)
-        assert st.n_utterances == 1
-        assert st.n_evaluations == 3
-        assert st.n_multi_tag_evaluations == 0
-        assert st.avg_labels_per_utterance == pytest.approx(3.0)
+        table = column_stats(cfg)
+        assert table.n_utterances == 1
+        assert table.n_evaluations == 3
+        assert table.n_multi_tag_evaluations == 0
+        assert table.avg_labels_per_utterance == pytest.approx(3.0)
 
     def test_no_multi_tags_when_disabled(self):
         cfg = SynthConfig(n=300, k=5, d=8, seed=4, multi_tag_prob=0.0)
-        utts, space = generate(cfg)
-        st = stats([u.evaluations for u in utts], space)
-        assert st.n_multi_tag_evaluations == 0
-        assert st.n_utterances_extra_labels == 0
+        table = column_stats(cfg)
+        assert table.n_multi_tag_evaluations == 0
+        assert table.n_utterances_extra_labels == 0
 
     def test_average_labels_matches_annotators_and_tag_rate(self):
         cfg = SynthConfig(n=2000, k=5, d=16, seed=42)
-        utts, space = generate(cfg)
-        st = stats([u.evaluations for u in utts], space)
         expected = cfg.annotators * (1.0 + cfg.multi_tag_prob)
-        assert st.avg_labels_per_utterance == pytest.approx(expected, abs=0.05)
+        assert column_stats(cfg).avg_labels_per_utterance == pytest.approx(expected, abs=0.05)
 
     def test_group_counts_partition(self):
         cfg = SynthConfig(n=400, k=5, d=8, seed=6)
-        utts, space = generate(cfg)
-        st = stats([u.evaluations for u in utts], space)
-        assert sum(st.group_counts.values()) == 400
+        assert sum(column_stats(cfg).group_counts.values()) == 400
 
     def test_table_formatting(self):
         cfg = SynthConfig(n=5, k=3, d=4, seed=1)
-        utts, space = generate(cfg)
-        table = stats([u.evaluations for u in utts], space).format_table()
+        table = column_stats(cfg).format_table()
         assert "Number of total utterances" in table
         assert "Average number of labels per utterance" in table
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            stats([], ClassSpace(default_class_names(3)))
+            count_stats(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64), [],
+                        np.zeros(0, dtype=object))
 
 
 def test_default_class_names():
@@ -186,3 +200,86 @@ def test_soft_labels_exchangeable_in_annotator_order():
         base = soft_label(AnnotationSet(u.evaluations, space).labels).p
         moved = soft_label(AnnotationSet(shuffled, space).labels).p
         np.testing.assert_allclose(moved, base, atol=1e-15)
+
+
+# The per-utterance generator that generate_columns replaced, verbatim with
+# its helpers: one fresh stream and one Evaluation per annotator.
+def _sample_index(gen: np.random.Generator, cum: list[float]) -> int:
+    # ``cum`` holds the running sums of the weights, added in np.cumsum's order.
+    u = gen.random()
+    return min(bisect.bisect_right(cum, u * cum[-1]), len(cum) - 1)
+
+
+def _regime_alpha(config: SynthConfig, regime: int, dominant: int) -> np.ndarray:
+    # Unit base concentration everywhere, remaining precision on the
+    # dominant class; at precision k this degenerates to the flat Dirichlet
+    # and for precision -> inf the mean approaches the dominant one-hot.
+    alpha = np.ones(config.k)
+    alpha[dominant] = config.regime_precisions[regime] - (config.k - 1)
+    return alpha
+
+
+def _generate_one(config: SynthConfig, regime_cum: list[float], uid: int) -> SynthUtterance:
+    gen = rng.stream(config.seed, rng.DOMAIN_UTTERANCE, uid)
+    # Draw order is fixed: regime, dominant class, true distribution,
+    # per-annotator tags, then feature noise.
+    regime = _sample_index(gen, regime_cum)
+    dominant = int(gen.integers(0, config.k))
+    mu = gen.dirichlet(_regime_alpha(config, regime, dominant))
+
+    weights = mu.tolist()
+    mu_cum = list(accumulate(weights))
+    evaluations = []
+    for _ in range(config.annotators):
+        first = _sample_index(gen, mu_cum)
+        tags = [first]
+        if gen.random() < config.multi_tag_prob:
+            rest = weights.copy()
+            rest[first] = 0.0
+            # When no other class has mass the draw can land on ``first``.
+            second = _sample_index(gen, list(accumulate(rest)))
+            if second != first:
+                tags.append(second)
+        evaluations.append(Evaluation(tuple(tags)))
+
+    features = np.zeros(config.d)
+    features[: config.k] = mu
+    if config.noise_sigma > 0.0:
+        features = features + config.noise_sigma * gen.standard_normal(config.d)
+    return SynthUtterance(uid, mu / mu.sum(), features, tuple(evaluations))
+
+
+@st.composite
+def gen_configs(draw):
+    """Configs gen admits, with precisions down to the next float above k - 1
+    (where one class can take all the mass) and seeds outside [0, 2**64)."""
+    k = draw(st.integers(2, 8))
+    precision = st.just(math.nextafter(k - 1, math.inf)) | st.floats(k - 1, 300, exclude_min=True)
+    weights = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any))
+    return SynthConfig(
+        n=draw(st.integers(1, 50)),
+        k=k,
+        d=draw(st.integers(k, k + 6)),
+        annotators=draw(st.integers(1, 10)),
+        seed=draw(st.sampled_from([0, 42, -1, 2**64 + 3]) | st.integers(-2**65, 2**65)),
+        group_mix=tuple(w / sum(weights) for w in weights),
+        regime_precisions=(draw(precision), draw(precision), draw(precision)),
+        multi_tag_prob=draw(st.just(0.0) | st.floats(0.0, 0.9)),
+        noise_sigma=draw(st.just(0.0) | st.floats(1e-3, 2.0)),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(config=gen_configs())
+def test_columns_draw_what_the_per_utterance_generator_drew(config):
+    regime_cum = list(accumulate(config.group_mix))
+    want = [_generate_one(config, regime_cum, uid) for uid in range(config.n)]
+    evaluations = [ev for u in want for ev in u.evaluations]
+    features, true_mu, tags, tags_per_eval, annotators = generate_columns(config)
+    assert np.array_equal(features, np.array([u.features for u in want]))
+    assert np.array_equal(true_mu, np.array([u.true_mu for u in want]))
+    assert tags.tolist() == [t for ev in evaluations for t in ev.tags]
+    assert tags_per_eval.tolist() == [len(ev.tags) for ev in evaluations]
+    assert annotators.tolist() == [config.annotators] * config.n
+    view, _ = generate(config)
+    assert [(u.uid, u.evaluations) for u in view] == [(u.uid, u.evaluations) for u in want]
