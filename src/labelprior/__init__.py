@@ -12,8 +12,8 @@ from .annotations import (
     ClassSpace,
     Evaluation,
     agreement,
+    replace_majorities,
     soft_label,
-    vote_and_replace,
     vote_matrix,
 )
 from .dirichlet import (

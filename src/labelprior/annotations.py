@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, islice
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "tag_lists",
     "agreement",
     "soft_label",
-    "vote_and_replace",
     "replace_majorities",
 ]
 
@@ -169,29 +168,17 @@ def soft_label(labels: Sequence[np.ndarray]) -> CategoricalDist:
     return CategoricalDist(np.mean(np.asarray(labels, dtype=np.float64), axis=0))
 
 
-def vote_and_replace(
-    evaluation_sets: Sequence[Sequence[Evaluation]], space: ClassSpace
-) -> list[tuple[Evaluation, ...]]:
-    """The evaluations of n utterances after vote-and-replace.
-
-    An utterance with a majority class gets M single-tag evaluations of it,
-    M being its number of labels; any other keeps its evaluations.
-    """
-    counts, annotators = vote_matrix(evaluation_sets, space)
-    _, majority = agreement(counts, annotators)
-    return replace_majorities(counts, majority, compress(evaluation_sets, (majority < 0).tolist()))
-
-
 def replace_majorities(
-    counts: np.ndarray, majority: np.ndarray, kept: Iterable[Sequence[Evaluation]]
-) -> list[tuple[Evaluation, ...]]:
+    counts: np.ndarray, majority: np.ndarray, kept: Iterable[list[list[int]]]
+) -> list[list[list[int]]]:
     """Vote-and-replace from the (n, K) vote counts and (n,) majority
-    classes (-1 for none).
+    classes (-1 for none): an utterance with a majority class gets M
+    single-tag evaluations of it, M being its number of labels.
 
     ``kept`` gives, in order, the evaluations of the utterances without a
-    majority, which keep them.
+    majority as lists of class indices, as ``tag_lists`` yields them; those
+    utterances keep them.
     """
     kept = iter(kept)
-    single = [(Evaluation((c,)),) for c in range(counts.shape[1])]
-    return [tuple(next(kept)) if major < 0 else single[major] * n_labels
+    return [next(kept) if major < 0 else [[major]] * n_labels
             for major, n_labels in zip(majority.tolist(), counts.sum(axis=1).tolist())]

@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--multi-tag-prob", type=float, default=0.04)
     gen.add_argument("--noise-sigma", type=float, default=0.1)
     gen.add_argument("--group-mix", type=_comma(float, "floats"), default=(0.237, 0.513, 0.250))
-    gen.add_argument("--precisions", type=_comma(float, "floats"), default=(120.0, 12.0, 5.0))
+    gen.add_argument("--precisions", type=_comma(float, "floats"), default=None)
     gen.add_argument("--test-frac", type=float, default=0.2)
     gen.add_argument("--out", required=True)
 
@@ -130,10 +130,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError("test-frac must lie in [0, 1]")
     features, _, tags, tags_per_eval, annotators = synth.generate_columns(config)
     n_train = round(config.n * (1.0 - args.test_frac))
-    dataio._write_columns(args.out, ClassSpace(synth.default_class_names(config.k)), config.d,
-                          range(config.n), ["train"] * n_train + ["test"] * (config.n - n_train),
-                          map(np.ndarray.tolist, features),
-                          annotations.tag_lists(tags, tags_per_eval, annotators))
+    dataio.write_columns(args.out, ClassSpace(synth.default_class_names(config.k)), config.d,
+                         range(config.n), ["train"] * n_train + ["test"] * (config.n - n_train),
+                         map(np.ndarray.tolist, features),
+                         annotations.tag_lists(tags, tags_per_eval, annotators))
     counts = annotations.tag_counts(tags, tags_per_eval, annotators, config.k)
     groups, _ = annotations.agreement(counts, annotators)
     print(synth.count_stats(counts, annotators, tags_per_eval, groups).format_table())
@@ -224,13 +224,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     space, corpus = _records(args.data)
-    replaced = replace_majorities(corpus.counts, corpus.majority,
-                                  corpus.select(corpus.majority < 0).evaluation_sets())
-    out_records = [dataio.DatasetRecord(uid, "train" if train else "test", features, evaluations)
-                   for uid, train, features, evaluations
-                   in zip(corpus.ids, corpus.train.tolist(), corpus.features, replaced)]
-    dataio.write_dataset(args.out, space, out_records)
-    print(f"wrote {len(out_records)} records to {args.out}")
+    kept = corpus.select(corpus.majority < 0)
+    replaced = replace_majorities(corpus.counts, corpus.majority, annotations.tag_lists(
+        kept.tags, kept.tags_per_eval, kept.annotators))
+    dataio.write_columns(args.out, space, corpus.features.shape[1], corpus.ids,
+                         ["train" if train else "test" for train in corpus.train.tolist()],
+                         map(np.ndarray.tolist, corpus.features), replaced)
+    print(f"wrote {len(corpus)} records to {args.out}")
     return 0
 
 

@@ -16,7 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .annotations import ClassSpace, Evaluation, agreement, tag_counts, tag_lists
+from .annotations import ClassSpace, Evaluation, agreement, tag_counts
 from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
@@ -25,6 +25,7 @@ from .model import LabelledExample, ModelParams, TrainConfig
 __all__ = [
     "Corpus",
     "DatasetRecord",
+    "write_columns",
     "write_dataset",
     "read_dataset",
     "write_checkpoint",
@@ -52,8 +53,8 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _write_columns(path: str, space: ClassSpace, d: int, ids, splits, rows,
-                   evaluations) -> None:
+def write_columns(path: str, space: ClassSpace, d: int, ids, splits, rows,
+                  evaluations) -> None:
     """Manifest line followed by one JSON record per id, encoded one record
     at a time: ``rows`` yields feature lists and ``evaluations`` each
     record's evaluations as sequences of class indices."""
@@ -69,10 +70,10 @@ def _write_columns(path: str, space: ClassSpace, d: int, ids, splits, rows,
 
 def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
     """Manifest line followed by one JSON record per utterance."""
-    _write_columns(path, space, int(records[0].features.shape[0]) if records else 0,
-                   [rec.uid for rec in records], [rec.split for rec in records],
-                   (np.asarray(rec.features, dtype=np.float64).tolist() for rec in records),
-                   ([ev.tags for ev in rec.evaluations] for rec in records))
+    write_columns(path, space, int(records[0].features.shape[0]) if records else 0,
+                  [rec.uid for rec in records], [rec.split for rec in records],
+                  (np.asarray(rec.features, dtype=np.float64).tolist() for rec in records),
+                  ([ev.tags for ev in rec.evaluations] for rec in records))
 
 
 def _text(path: str) -> str:
@@ -115,9 +116,10 @@ class Corpus(Sequence[LabelledExample]):
     """A dataset's records as columns, one row per record in file order.
 
     ``groups`` and ``majority`` are the agreement of each row's vote counts.
-    ``tags`` holds the class index of every tag in file order,
-    ``tags_per_eval`` the number of tags of every evaluation and
-    ``annotators`` the number of evaluations of every record.
+    ``tags`` holds the class index of every tag, in class order within each
+    evaluation whatever the file's order, ``tags_per_eval`` the number of
+    tags of every evaluation and ``annotators`` the number of evaluations of
+    every record; ``annotations.tag_lists`` turns them back into lists.
     """
 
     ids: list[int]
@@ -162,12 +164,6 @@ class Corpus(Sequence[LabelledExample]):
             tags_per_eval=self.tags_per_eval[evals],
         )
 
-    def evaluation_sets(self) -> list[tuple[Evaluation, ...]]:
-        """The evaluations of every record, rebuilt from the tag columns
-        (each sorts its tags)."""
-        return [tuple(map(Evaluation, evs))
-                for evs in tag_lists(self.tags, self.tags_per_eval, self.annotators)]
-
 
 _BLOCK = 128  # record lines parsed and checked at a time, so peak memory stays flat
 _BLANK = " \t\r"  # the JSON whitespace a line can hold; a line of only these is blank
@@ -180,7 +176,8 @@ _decode = json.JSONDecoder().raw_decode
 def _corpus(lines: list, d: int, index: dict) -> Corpus | None:
     """The records of the numbered ``lines`` as columns, or None if any line
     has a fault.  Each check covers a whole column at once."""
-    ids, train, features, tags, tags_per_eval, annotators = [], [], [np.empty((0, d))], [], [], []
+    ids, train, features, tags_per_eval, annotators = [], [], [np.empty((0, d))], [], []
+    tags, k = [np.empty(0, dtype=np.int64)], len(index)
     try:
         for start in range(0, len(lines), _BLOCK):
             text = [line.strip(_BLANK) for _, line in lines[start:start + _BLOCK]]
@@ -201,10 +198,11 @@ def _corpus(lines: list, d: int, index: dict) -> Corpus | None:
             per_eval = list(map(len, evaluations))
             # Only class names are keys, so a lookup rejects every other value.
             classes = list(map(index.__getitem__, chain.from_iterable(evaluations)))
-            evaluation = np.repeat(np.arange(len(per_eval)), per_eval)
-            if min(per_eval) == 0 or np.bincount(evaluation * len(index) + classes).max() > 1:
+            # Sorted, these keys list each evaluation's classes in class order.
+            keys = np.sort(np.repeat(np.arange(len(per_eval)) * k, per_eval) + classes)
+            if min(per_eval) == 0 or (keys[1:] == keys[:-1]).any():
                 return None  # an empty evaluation, or one that repeats a tag
-            tags += classes
+            tags.append(keys % k)
             features.append(np.array(rows, dtype=np.float64))  # a huge integer overflows here
             ids += uid
             train += map("train".__eq__, split)
@@ -215,9 +213,9 @@ def _corpus(lines: list, d: int, index: dict) -> Corpus | None:
             return None
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         return None
-    tags, tags_per_eval = np.array(tags, dtype=np.int64), np.array(tags_per_eval, dtype=np.int64)
+    tags, tags_per_eval = np.concatenate(tags), np.array(tags_per_eval, dtype=np.int64)
     annotators = np.array(annotators, dtype=np.int64)
-    counts = tag_counts(tags, tags_per_eval, annotators, len(index))
+    counts = tag_counts(tags, tags_per_eval, annotators, k)
     groups, majority = agreement(counts, annotators)
     return Corpus(ids=ids, train=np.array(train, dtype=bool), features=features, counts=counts,
                   annotators=annotators, groups=groups, majority=majority, tags=tags,

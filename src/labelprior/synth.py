@@ -35,6 +35,8 @@ class SynthConfig:
     ambiguity regimes and ``regime_precisions`` the matching Dirichlet
     precisions; the defaults mirror a three-annotator corpus where roughly
     a quarter of utterances are unanimous and a quarter have no majority.
+    Left out, the precisions are (120, 12, 5), each raised to k where it is
+    below k: precision k is the flat Dirichlet, as 5 is at k = 5.
     """
 
     n: int
@@ -43,15 +45,16 @@ class SynthConfig:
     annotators: int = 3
     seed: int = 0
     group_mix: tuple[float, float, float] = (0.237, 0.513, 0.250)
-    regime_precisions: tuple[float, float, float] = (120.0, 12.0, 5.0)
+    regime_precisions: tuple[float, float, float] | None = None
     multi_tag_prob: float = 0.04
     noise_sigma: float = 0.1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "group_mix", tuple(float(v) for v in self.group_mix))
-        object.__setattr__(
-            self, "regime_precisions", tuple(float(v) for v in self.regime_precisions)
-        )
+        precisions = self.regime_precisions
+        if precisions is None:
+            precisions = (max(a0, self.k) for a0 in (120.0, 12.0, 5.0))
+        object.__setattr__(self, "regime_precisions", tuple(float(v) for v in precisions))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.k < 2:
@@ -99,8 +102,9 @@ def _sample_index(u: float, cum: list[float]) -> int:
 def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
     """The corpus as columns in id order, deterministic given the config:
     (n, d) features, (n, K) true label distributions, and ``Corpus``'s flat
-    tag layout (the class of every tag, sorted within each evaluation; the
-    tags of every evaluation; the evaluations of every utterance)."""
+    tag layout (the class of every tag, in class order within each
+    evaluation as ``read_dataset`` stores it; the tags of every evaluation;
+    the evaluations of every utterance)."""
     n, k = config.n, config.k
     regime_cum = list(accumulate(config.group_mix))
     features, noise = np.zeros((n, config.d)), np.zeros((n, config.d))

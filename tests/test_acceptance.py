@@ -22,8 +22,8 @@ from labelprior.annotations import (
     Evaluation,
     AnnotationSet,
     agreement,
+    replace_majorities,
     soft_label,
-    vote_and_replace,
     vote_matrix,
 )
 from labelprior.dirichlet import CategoricalDist, DirichletParams, log_pdf
@@ -197,10 +197,11 @@ def test_criterion_4_label_logic():
     ok &= vote_matrix([[ev(A), ev(A, B), ev(B, C)]], space)[0].tolist() == [[2, 2, 1]]
 
     # Vote-and-replace rows: A A A B C collapses to the majority, A B C stays.
-    collapsed, untouched = vote_and_replace(
-        [[ev(A)] * 3 + [ev(B), ev(C)], [ev(A), ev(B), ev(C)]], space)
-    ok &= collapsed == (ev(A),) * 5
-    ok &= untouched == (ev(A), ev(B), ev(C))
+    counts, annotators = vote_matrix([[ev(A)] * 3 + [ev(B), ev(C)], [ev(A), ev(B), ev(C)]], space)
+    collapsed, untouched = replace_majorities(counts, agreement(counts, annotators)[1],
+                                              [[[A], [B], [C]]])
+    ok &= collapsed == [[A]] * 5
+    ok &= untouched == [[A], [B], [C]]
 
     # Soft label of A, A, B is exact thirds.
     soft = soft_label([one_hot(A, 3), one_hot(A, 3), one_hot(B, 3)])

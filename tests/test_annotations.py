@@ -1,6 +1,8 @@
 """Tests for vote counts, agreement grouping, one-hot labels, soft labels
 and the vote-and-replace transform."""
 
+from itertools import compress
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from labelprior.annotations import (
     agreement,
     replace_majorities,
     soft_label,
-    vote_and_replace,
+    tag_counts,
     vote_matrix,
 )
 
@@ -213,30 +215,38 @@ class TestSoftLabel:
             assert abs(dist.p.sum() - 1.0) <= 1e-12
 
 
+def replaced(sets):
+    """Vote-and-replace of utterances given as lists of class-index
+    evaluations: the counts' agreement, then ``replace_majorities``."""
+    annotators = np.array([len(evs) for evs in sets])
+    tags_per_eval = np.array([len(tags) for evs in sets for tags in evs])
+    tags = np.array([t for evs in sets for tags in evs for t in tags])
+    counts = tag_counts(tags, tags_per_eval, annotators, ABC.k)
+    _, majority = agreement(counts, annotators)
+    return replace_majorities(counts, majority, compress(sets, (majority < 0).tolist()))
+
+
 class TestVoteAndReplace:
     def test_replaces_with_majority(self):
         # A A A B C has five labels; A, AB, C has four from three annotators.
-        evals = [ev(A)] * 3 + [ev(B), ev(C)]
-        replaced = vote_and_replace([evals, [ev(A), ev(A, B), ev(C)]], ABC)
-        assert replaced == [(ev(A),) * 5, (ev(A),) * 4]
+        evals = [[A]] * 3 + [[B], [C]]
+        assert replaced([evals, [[A], [A, B], [C]]]) == [[[A]] * 5, [[A]] * 4]
 
     def test_none_group_unchanged(self):
-        evals = [ev(A), ev(B), ev(C)]
-        assert vote_and_replace([evals], ABC) == [tuple(evals)]
+        evals = [[A], [B], [C]]
+        assert replaced([evals]) == [evals]
 
     def test_fixed_point(self):
-        evals = [ev(A), ev(A)]
-        assert vote_and_replace([evals], ABC) == [tuple(evals)]
+        evals = [[A], [A]]
+        assert replaced([evals]) == [evals]
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            evals = [
-                Evaluation(tuple(int(t) for t in rng.choice(3, size=int(rng.integers(1, 3)), replace=False)))
-                for _ in range(3)
-            ]
-            once = vote_and_replace([evals], ABC)
-            assert vote_and_replace(once, ABC) == once
+            evals = [rng.choice(3, size=int(rng.integers(1, 3)), replace=False).tolist()
+                     for _ in range(3)]
+            once = replaced([evals])
+            assert replaced(once) == once
 
     def test_from_counts_keeps_the_given_rows_without_majority(self):
         # Rows: A A A B C (majority), A B C (none), A AB C (majority), AB C (none).
@@ -245,8 +255,9 @@ class TestVoteAndReplace:
         counts, annotators = vote_matrix(sets, ABC)
         _, majority = agreement(counts, annotators)
         assert (majority < 0).tolist() == [False, True, False, True]
-        replaced = replace_majorities(counts, majority, [sets[1], sets[3]])
-        assert replaced == [(ev(A),) * 5, tuple(sets[1]), (ev(A),) * 4, tuple(sets[3])]
+        kept = [[[A], [B], [C]], [[A, B], [C]]]
+        replaced = replace_majorities(counts, majority, kept)
+        assert replaced == [[[A]] * 5, kept[0], [[A]] * 4, kept[1]]
 
 
 class TestAnnotationSet:

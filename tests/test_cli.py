@@ -53,6 +53,17 @@ class TestGen:
                    "--out", tmp_path / "x.jsonl")
         assert code == 1
 
+    def test_default_precisions_admit_ten_classes(self, tmp_path):
+        # The default precision 5 is below k = 10, so it rises to 10.
+        assert run("gen", "--n", 100, "--k", 10, "--d", 32, "--annotators", 20,
+                   "--multi-tag-prob", 0.2, "--out", tmp_path / "d.jsonl") == 0
+
+    def test_explicit_precisions_below_k_are_usage_error(self, tmp_path, capsys):
+        assert run("gen", "--n", 10, "--k", 6, "--d", 8, "--precisions", "120,12,5",
+                   "--out", tmp_path / "d.jsonl") == 1
+        assert capsys.readouterr().err == (
+            "error: regime_precisions must be finite and > k - 1: (120.0, 12.0, 5.0)\n")
+
     def test_prints_stats(self, tmp_path, capsys):
         run("gen", "--n", 30, "--k", 3, "--d", 6, "--seed", 1,
             "--out", tmp_path / "d.jsonl")
@@ -281,19 +292,17 @@ class TestEval:
         # report equal the corpus statistics.
         full_test = tmp_path / "all_test.jsonl"
         space, corpus = dataio.read_dataset(small_dataset)
-        evaluation_sets = corpus.evaluation_sets()
-        dataio.write_dataset(
-            full_test, space,
-            [dataio.DatasetRecord(uid, "test", x, evs)
-             for uid, x, evs in zip(corpus.ids, corpus.features, evaluation_sets)],
-        )
+        tag_lists = list(annotations.tag_lists(corpus.tags, corpus.tags_per_eval,
+                                               corpus.annotators))
+        dataio.write_columns(full_test, space, corpus.features.shape[1], corpus.ids,
+                             ["test"] * len(corpus), corpus.features.tolist(), tag_lists)
         ckpt = tmp_path / "m.json"
         run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 2,
             "--out", ckpt)
         report_path = tmp_path / "report.json"
         run("eval", "--data", full_test, "--ckpt", ckpt, "--out", report_path)
         doc = dataio.read_report(report_path)
-        groups = [AnnotationSet(evs, space).group for evs in evaluation_sets]
+        groups = [AnnotationSet(tuple(map(Evaluation, evs)), space).group for evs in tag_lists]
         for name, group in (("full", AgreementGroup.FULL),
                             ("majority", AgreementGroup.MAJORITY),
                             ("none", AgreementGroup.NONE)):
@@ -341,12 +350,13 @@ class TestEval:
             "--out", data)
         if test_votes:
             space, corpus = dataio.read_dataset(data)
-            tie = tuple(Evaluation(tags) for tags in test_votes)
-            dataio.write_dataset(data, space, [
-                dataio.DatasetRecord(uid, "train", x, evs) if train
-                else dataio.DatasetRecord(uid, "test", x, tie)
-                for uid, train, x, evs in zip(corpus.ids, corpus.train, corpus.features,
-                                              corpus.evaluation_sets())])
+            tag_lists = annotations.tag_lists(corpus.tags, corpus.tags_per_eval,
+                                              corpus.annotators)
+            dataio.write_columns(
+                data, space, corpus.features.shape[1], corpus.ids,
+                ["train" if train else "test" for train in corpus.train.tolist()],
+                corpus.features.tolist(),
+                [evs if train else test_votes for evs, train in zip(tag_lists, corpus.train)])
         ckpt = tmp_path / "m.json"
         assert run("train", "--data", data, "--loss", "soft", "--epochs", 1, "--out", ckpt) == 0
         report_path = tmp_path / "report.json"
@@ -445,9 +455,8 @@ class TestDetect:
         ckpt = tmp_path / "m.json"
         run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 1,
             "--out", ckpt)
-        space, corpus = dataio.read_dataset(small_dataset)
-        groups = [AnnotationSet(evs, space).group
-                  for evs, train in zip(corpus.evaluation_sets(), corpus.train) if not train]
+        _, corpus = dataio.read_dataset(small_dataset)
+        groups = corpus.groups[~corpus.train]
 
         def oracle(params, features, loss):
             dists = []
@@ -516,61 +525,32 @@ class TestScoringHead:
         assert not np.allclose(values, base_values, rtol=0, atol=1e-9, equal_nan=True)
 
 
+def transformed(tmp_path, evaluations):
+    """transform's output, as tag lists, for records of ``evaluations`` over classes A, B, C."""
+    data, out = tmp_path / "data.jsonl", tmp_path / "out.jsonl"
+    dataio.write_columns(data, ClassSpace(("A", "B", "C")), 3, range(len(evaluations)),
+                         ["train"] * len(evaluations), [[0.0] * 3] * len(evaluations),
+                         evaluations)
+    assert run("transform", "--data", data, "--out", out) == 0
+    corpus = dataio.read_dataset(out)[1]
+    return list(annotations.tag_lists(corpus.tags, corpus.tags_per_eval, corpus.annotators))
+
+
 class TestTransform:
     def test_majority_records_rewritten(self, tmp_path):
-        data = tmp_path / "data.jsonl"
-        space = ClassSpace(("A", "B", "C"))
-        records = [
-            dataio.DatasetRecord(
-                0, "train", np.zeros(3),
-                (Evaluation((0,)), Evaluation((0,)), Evaluation((0,)),
-                 Evaluation((1,)), Evaluation((2,))),
-            ),
-            dataio.DatasetRecord(
-                1, "train", np.zeros(3),
-                (Evaluation((0,)), Evaluation((1,)), Evaluation((2,))),
-            ),
-        ]
-        dataio.write_dataset(data, space, records)
-        out = tmp_path / "out.jsonl"
-        assert run("transform", "--data", data, "--out", out) == 0
-        transformed = dataio.read_dataset(out)[1].evaluation_sets()
+        got = transformed(tmp_path, [[[0], [0], [0], [1], [2]], [[0], [1], [2]]])
         # A A A B C -> five copies of A.
-        assert transformed[0] == tuple(Evaluation((0,)) for _ in range(5))
+        assert got[0] == [[0]] * 5
         # A B C has no majority: unchanged.
-        assert transformed[1] == records[1].evaluations
+        assert got[1] == [[0], [1], [2]]
 
     def test_multi_tag_majority_expansion(self, tmp_path):
-        space = ClassSpace(("A", "B", "C"))
-        data = tmp_path / "data.jsonl"
-        records = [
-            dataio.DatasetRecord(
-                0, "train", np.zeros(3),
-                (Evaluation((0,)), Evaluation((0, 1)), Evaluation((2,))),
-            ),
-        ]
-        dataio.write_dataset(data, space, records)
-        out = tmp_path / "out.jsonl"
-        run("transform", "--data", data, "--out", out)
-        transformed = dataio.read_dataset(out)[1].evaluation_sets()
         # Four labels expand to four single-tag majority evaluations.
-        assert transformed[0] == tuple(Evaluation((0,)) for _ in range(4))
+        assert transformed(tmp_path, [[[0], [0, 1], [2]]]) == [[[0]] * 4]
 
     def test_no_majority_multi_tags_survive(self, tmp_path):
-        space = ClassSpace(("A", "B", "C"))
-        data = tmp_path / "data.jsonl"
-        records = [
-            dataio.DatasetRecord(
-                0, "train", np.zeros(3),
-                (Evaluation((0,)), Evaluation((0, 1)), Evaluation((1, 2))),
-            ),
-        ]
-        dataio.write_dataset(data, space, records)
-        out = tmp_path / "out.jsonl"
-        run("transform", "--data", data, "--out", out)
-        transformed = dataio.read_dataset(out)[1].evaluation_sets()
         # A, AB, BC ties at two votes: no majority, evaluations untouched.
-        assert transformed[0] == records[0].evaluations
+        assert transformed(tmp_path, [[[0], [0, 1], [1, 2]]]) == [[[0], [0, 1], [1, 2]]]
 
     def test_idempotent_byte_identical(self, small_dataset, tmp_path):
         once = tmp_path / "once.jsonl"
@@ -587,6 +567,47 @@ class TestTransform:
         assert before.ids == after.ids
         np.testing.assert_array_equal(before.train, after.train)
         np.testing.assert_array_equal(before.features, after.features)
+
+    # CRLF line ends, blank lines of JSON whitespace, tags in reverse class
+    # order, and majority and no-majority rows with multi-tag evaluations.
+    HAND_WRITTEN = "\r\n".join([
+        '{"format_version":1,"kind":"dataset","classes":["A","B","C","D"],"feature_dim":2}',
+        '{"id":5,"split":"train","features":[0.1,-2],"evaluations":[["B","A"],["A"],["C"]]}',
+        " \t\r",
+        '{"id":3,"split":"train","features":[1e-3,7],"evaluations":[["C","A"],["B","A"],["C","B"]]}',
+        '{"id":8,"split":"test","features":[0,0.5],"evaluations":[["D"],["D"],["D"]]}',
+        " \t\r",
+        '{"id":1,"split":"test","features":[3.25,-0.0],"evaluations":[["D","C","B"],["A"]]}',
+        '{"id":0,"split":"train","features":[1,2],"evaluations":[["D","B"],["B","D"],["C","A"]]}',
+    ]) + "\r\n"
+
+    # sha256 of the file and of stdout, recorded while transform still
+    # rebuilt its records from per-evaluation objects, so that the bytes
+    # stay pinned across versions.
+    @pytest.mark.parametrize("gen_args, file_digest, stdout_digest", [
+        (["--n", 200],
+         "0480461c0f249654d1b3d7950991fe05c06c2f19185f25f0b3a29507a7520a1d",
+         "49f37b4545516f8b36ee326a2151685834b10c5cea7143f73404e324794d6d79"),
+        (["--n", 100, "--k", 10, "--d", 32, "--annotators", 20, "--multi-tag-prob", 0.2,
+          "--precisions", "300,40,15"],
+         "178b74122edac68140e3dec0af4bf4202c399d4a76a4bc43d29c4728f349161e",
+         "4fcea0279b7845a7e74dbdcab015f3f21949d16dace67573b3ac04c771bcb814"),
+        (None,
+         "e43c66e3ae5cb5d21da40cc82eac47788b510bcc564099fefa6df73062cfc34a",
+         "7298ae6974384804c4d77fabc66cfaa21c6bcbe61bf97d82dc5a36689a96eacf"),
+    ], ids=["paper", "crowd", "hand-written"])
+    def test_bytes_pinned(self, tmp_path, monkeypatch, capsys, gen_args, file_digest,
+                          stdout_digest):
+        monkeypatch.chdir(tmp_path)
+        if gen_args is None:
+            (tmp_path / "data.jsonl").write_bytes(self.HAND_WRITTEN.encode())
+        else:
+            assert run("gen", *gen_args, "--seed", 42, "--out", "data.jsonl") == 0
+        capsys.readouterr()
+        assert run("transform", "--data", "data.jsonl", "--out", "out.jsonl") == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256((tmp_path / "out.jsonl").read_bytes()).hexdigest() == file_digest
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
 def command_args(command, data, ckpt, out):
@@ -637,6 +658,22 @@ class TestAgreementCalls:
         assert len(calls) == 1
         # Every other module reaches the rule through ``annotations``.
         assert not hasattr(cli, "agreement") and not hasattr(synth, "agreement")
+
+    @pytest.mark.parametrize("command", ["gen", "stats", "train", "eval", "detect", "transform"])
+    def test_no_per_record_objects(self, small_dataset, tmp_path, monkeypatch, command):
+        # Every command works on the flat tag columns from reader to writer.
+        ckpt = tmp_path / "m.json"
+        assert run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 1,
+                   "--out", ckpt) == 0
+        built = []
+        for cls, method in ((Evaluation, "__post_init__"), (dataio.DatasetRecord, "__init__")):
+            original = getattr(cls, method)
+            monkeypatch.setattr(cls, method, lambda self, *args, original=original, cls=cls:
+                                built.append(cls) or original(self, *args))
+        assert run(command, *command_args(command, small_dataset, ckpt, tmp_path / "out")) == 0
+        assert built == []
+        Evaluation((0,))  # the counter sees a construction
+        assert built == [Evaluation]
 
 
 @pytest.mark.parametrize("args, field", [

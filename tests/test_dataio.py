@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from labelprior import dataio
-from labelprior.annotations import AgreementGroup, ClassSpace, Evaluation
+from labelprior.annotations import AgreementGroup, ClassSpace, Evaluation, tag_lists
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import GroupMetrics, MetricsReport, PRCurve
 from labelprior.model import TrainConfig, init
@@ -33,15 +33,6 @@ def sample_records():
     ]
 
 
-def as_records(corpus):
-    """The writer's input for every row of a read corpus."""
-    return [
-        dataio.DatasetRecord(uid, "train" if train else "test", x, evs)
-        for uid, train, x, evs in zip(corpus.ids, corpus.train, corpus.features,
-                                      corpus.evaluation_sets())
-    ]
-
-
 def read_sample(tmp_path, records):
     path = tmp_path / "sample.jsonl"
     dataio.write_dataset(path, SPACE, records)
@@ -54,15 +45,19 @@ class TestDatasetRoundTrip:
         dataio.write_dataset(path, SPACE, sample_records())
         space, corpus = dataio.read_dataset(path)
         assert space.names == SPACE.names
-        assert len(corpus) == 2
-        for got, want in zip(as_records(corpus), sample_records(), strict=True):
-            assert got.uid == want.uid
-            assert got.split == want.split
-            assert got.evaluations == want.evaluations
-            np.testing.assert_array_equal(got.features, want.features)
+        want = sample_records()
+        assert corpus.ids == [rec.uid for rec in want]
+        assert corpus.train.tolist() == [rec.split == "train" for rec in want]
+        assert list(tag_lists(corpus.tags, corpus.tags_per_eval, corpus.annotators)) == [
+            [list(ev.tags) for ev in rec.evaluations] for rec in want]
+        np.testing.assert_array_equal(corpus.features, [rec.features for rec in want])
 
     def test_columns(self, tmp_path):
-        corpus = read_sample(tmp_path, sample_records())
+        path = tmp_path / "sample.jsonl"
+        # The sample records, but record 0's second evaluation lists B before A.
+        dataio.write_columns(path, SPACE, 3, [0, 1], ["train", "test"],
+                             [[0.25, -1.5, 3.125], [0.0, 0.5, 1.0]], [[[0], [1, 0], [2]], [[1]]])
+        corpus = dataio.read_dataset(path)[1]
         assert corpus.ids == [0, 1]
         assert all(type(uid) is int for uid in corpus.ids)
         np.testing.assert_array_equal(corpus.train, [True, False])
@@ -72,16 +67,21 @@ class TestDatasetRoundTrip:
         np.testing.assert_array_equal(corpus.annotators, [3, 1])
         assert corpus.groups.tolist() == [AgreementGroup.MAJORITY, AgreementGroup.FULL]
         np.testing.assert_array_equal(corpus.majority, [0, 1])
+        # Each evaluation's tags in class order, not the file's [0, 1, 0, 2, 1].
         np.testing.assert_array_equal(corpus.tags, [0, 0, 1, 2, 1])
         np.testing.assert_array_equal(corpus.tags_per_eval, [1, 2, 1, 1])
-        assert corpus.select(np.array([False, True])).evaluation_sets() == [(Evaluation((1,)),)]
+        picked = corpus.select(np.array([False, True]))
+        assert list(tag_lists(picked.tags, picked.tags_per_eval, picked.annotators)) == [[[1]]]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
         dataio.write_dataset(first, SPACE, sample_records())
         space, corpus = dataio.read_dataset(first)
-        dataio.write_dataset(second, space, as_records(corpus))
+        dataio.write_columns(second, space, corpus.features.shape[1], corpus.ids,
+                             ["train" if train else "test" for train in corpus.train.tolist()],
+                             corpus.features.tolist(),
+                             tag_lists(corpus.tags, corpus.tags_per_eval, corpus.annotators))
         assert first.read_bytes() == second.read_bytes()
 
     def test_manifest_first_line(self, tmp_path):
@@ -341,6 +341,6 @@ def test_synthetic_corpus_round_trip(tmp_path):
     dataio.write_dataset(path, space, records)
     space2, loaded = dataio.read_dataset(path)
     assert space2.names == space.names
-    for got, want in zip(as_records(loaded), records, strict=True):
-        assert got.evaluations == want.evaluations
-        np.testing.assert_array_equal(got.features, want.features)
+    assert list(tag_lists(loaded.tags, loaded.tags_per_eval, loaded.annotators)) == [
+        [list(ev.tags) for ev in rec.evaluations] for rec in records]
+    np.testing.assert_array_equal(loaded.features, [rec.features for rec in records])

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from test_reader_contract import BAD_VALUES, DATASET_SITES, corrupt
 
 from labelprior import cli, dataio
-from labelprior.annotations import ClassSpace, Evaluation, agreement, vote_matrix
+from labelprior.annotations import ClassSpace, Evaluation, agreement, tag_lists, vote_matrix
 
 
 def run(*args) -> tuple[int, str]:
@@ -53,9 +53,8 @@ def reference(path):
         "annotators": annotators,
         "groups": groups,
         "majority": majority,
-        "file_tags": [[[space.index(name) for name in tags] for tags in doc["evaluations"]]
-                      for doc in docs],
-        "evaluation_sets": evaluation_sets,
+        # Each evaluation's class indices, sorted by ``Evaluation``.
+        "tag_lists": [[list(ev.tags) for ev in evs] for evs in evaluation_sets],
     }
 
 
@@ -113,7 +112,8 @@ def test_reader_matches_reference(shape, shuffle_seed, fault):
         np.testing.assert_array_equal(corpus.annotators, want["annotators"])
         assert corpus.groups.tolist() == want["groups"].tolist()
         np.testing.assert_array_equal(corpus.majority, want["majority"])
-        assert corpus.evaluation_sets() == want["evaluation_sets"]
+        assert list(tag_lists(corpus.tags, corpus.tags_per_eval, corpus.annotators)) == (
+            want["tag_lists"])
 
         sorted_out, shuffled_out = root / "sorted_vr.jsonl", root / "shuffled_vr.jsonl"
         assert run("transform", "--data", data, "--out", sorted_out) == (0, "")
@@ -146,7 +146,7 @@ def test_select_slices_every_column(shape, data):
                                        max_size=len(corpus))), dtype=bool)
     picked = corpus.select(mask)
 
-    kept_evaluations = [ev for evs in compress(want["file_tags"], mask) for ev in evs]
+    kept_evaluations = [ev for evs in compress(want["tag_lists"], mask) for ev in evs]
     masked = {
         "ids": list(compress(want["ids"], mask)),
         "tags": [t for ev in kept_evaluations for t in ev],
@@ -159,7 +159,8 @@ def test_select_slices_every_column(shape, data):
     for name, column in masked.items():
         got = getattr(picked, name)
         assert np.asarray(got).tolist() == np.asarray(column).tolist(), name
-    assert picked.evaluation_sets() == list(compress(corpus.evaluation_sets(), mask))
+    assert list(tag_lists(picked.tags, picked.tags_per_eval, picked.annotators)) == list(
+        compress(tag_lists(corpus.tags, corpus.tags_per_eval, corpus.annotators), mask))
 
     for got, i in zip(picked, np.flatnonzero(mask), strict=True):
         row = corpus[int(i)]
@@ -294,7 +295,7 @@ def accepted(path, clean) -> bool:
     for name in ("train", "features", "counts", "annotators", "majority"):
         np.testing.assert_array_equal(getattr(got, name), want[name])
     assert got.groups.tolist() == want["groups"].tolist()
-    assert got.evaluation_sets() == want["evaluation_sets"]
+    assert list(tag_lists(got.tags, got.tags_per_eval, got.annotators)) == want["tag_lists"]
     return True
 
 

@@ -60,6 +60,14 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(n=10, k=5, regime_precisions=(120.0, 12.0, 3.0))
 
+    @pytest.mark.parametrize("k, precisions", [
+        (2, (120.0, 12.0, 5.0)), (5, (120.0, 12.0, 5.0)), (6, (120.0, 12.0, 6.0)),
+        (13, (120.0, 13.0, 13.0)), (130, (130.0, 130.0, 130.0)),
+    ])
+    def test_default_precisions_rise_to_k(self, k, precisions):
+        # Precision k is the flat Dirichlet, the most ambiguous regime at k classes.
+        assert SynthConfig(n=10, k=k, d=k).regime_precisions == precisions
+
     def test_rejects_bad_multi_tag_prob(self):
         with pytest.raises(ValueError):
             SynthConfig(n=10, multi_tag_prob=1.0)
