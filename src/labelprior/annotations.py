@@ -4,7 +4,7 @@ votes, soft labels and vote-and-replace."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -26,12 +26,12 @@ __all__ = [
 ]
 
 
-class AgreementGroup(Enum):
-    """Agreement level of one utterance's annotations."""
+class AgreementGroup(IntEnum):
+    """Agreement level of one utterance's annotations; each member is its int8 code."""
 
-    FULL = "full"          # every annotator voted for the same class
-    MAJORITY = "majority"  # a unique plurality of >= 2 annotators
-    NONE = "none"          # tied plurality, or no class with >= 2 votes
+    FULL = 0      # every annotator voted for the same class
+    MAJORITY = 1  # a unique plurality of >= 2 annotators
+    NONE = 2      # tied plurality, or no class with >= 2 votes
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,8 @@ def tag_lists(tags: np.ndarray, tags_per_eval: np.ndarray,
     return ([list(islice(tags, m)) for m in islice(per_eval, a)] for a in annotators.tolist())
 
 
-_GROUPS = np.array(list(AgreementGroup), dtype=object)  # FULL, MAJORITY, NONE
-
-
 def agreement(counts: np.ndarray, annotators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Agreement groups (n,) and majority classes (n,), -1 where there is none.
+    """(n,) int8 agreement group codes and (n,) majority classes, -1 where there is none.
 
     FULL requires exactly one class voted by every annotator; MAJORITY a
     unique plurality with at least two votes; anything else is NONE.
@@ -130,7 +127,7 @@ def agreement(counts: np.ndarray, annotators: np.ndarray) -> tuple[np.ndarray, n
     unique = np.count_nonzero(counts == top[:, None], axis=1) == 1
     full = unique & (top == np.asarray(annotators))
     has_majority = full | (unique & (top >= 2))
-    groups = _GROUPS[np.where(full, 0, np.where(has_majority, 1, 2))]
+    groups = np.where(full, 0, np.where(has_majority, 1, 2)).astype(np.int8)
     return groups, np.where(has_majority, counts.argmax(axis=1), -1)
 
 
@@ -153,7 +150,7 @@ class AnnotationSet:
 
     @property
     def group(self) -> AgreementGroup:
-        return agreement(*vote_matrix([self.evaluations], self.space))[0][0]
+        return AgreementGroup(agreement(*vote_matrix([self.evaluations], self.space))[0][0])
 
     @property
     def majority(self) -> Optional[int]:

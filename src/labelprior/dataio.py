@@ -16,7 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .annotations import ClassSpace, Evaluation, agreement, tag_counts
+from .annotations import AgreementGroup, ClassSpace, Evaluation, agreement, tag_counts
 from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
@@ -115,7 +115,7 @@ def _class_space(path: str, classes) -> ClassSpace:
 class Corpus(Sequence[LabelledExample]):
     """A dataset's records as columns, one row per record in file order.
 
-    ``groups`` and ``majority`` are the agreement of each row's vote counts.
+    ``groups`` (int8 codes) and ``majority`` are the agreement of each row's vote counts.
     ``tags`` holds the class index of every tag, in class order within each
     evaluation whatever the file's order, ``tags_per_eval`` the number of
     tags of every evaluation and ``annotators`` the number of evaluations of
@@ -127,7 +127,7 @@ class Corpus(Sequence[LabelledExample]):
     features: np.ndarray       # (n, d) float64
     counts: np.ndarray         # (n, K) votes per class
     annotators: np.ndarray     # (n,)
-    groups: np.ndarray         # (n,) AgreementGroup
+    groups: np.ndarray         # (n,) int8 AgreementGroup codes
     majority: np.ndarray       # (n,) class index, -1 where there is none
     tags: np.ndarray
     tags_per_eval: np.ndarray
@@ -144,7 +144,7 @@ class Corpus(Sequence[LabelledExample]):
             features=self.features[i],
             labels=tuple(np.repeat(np.eye(len(counts)), counts, axis=0)),
             soft=CategoricalDist(counts / counts.sum()),
-            group=self.groups[i],
+            group=AgreementGroup(self.groups[i]),
             majority=None if major < 0 else major,
             uid=self.ids[i],
         )
@@ -406,7 +406,7 @@ def write_report(path: str, report: MetricsReport) -> None:
     """Evaluation report as JSON with every value at 6 decimal places; the
     report's field order is the file's key order."""
     doc = {"format_version": FORMAT_VERSION, "kind": "report", **asdict(report)}
-    doc["per_group"] = {group.value: gm for group, gm in doc["per_group"].items()}
+    doc["per_group"] = {group.name.lower(): gm for group, gm in doc["per_group"].items()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_fmt_json_6dp(doc) + "\n")
 

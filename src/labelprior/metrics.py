@@ -78,9 +78,9 @@ def max_p(dist) -> float | np.ndarray:
 
 
 def entropy(dist) -> float | np.ndarray:
-    """Shannon entropy in nats, with 0*ln(0) = 0."""
+    """Shannon entropy in nats, with 0*ln(0) = 0 and +0.0 for a one-hot."""
     p = np.asarray(dist, dtype=np.float64)
-    return -np.sum(p * np.log(p, where=p > 0.0, out=np.zeros(p.shape)), axis=-1)
+    return 0.0 - np.sum(p * np.log(p, where=p > 0.0, out=np.zeros(p.shape)), axis=-1)
 
 
 def kl_divergence(target, pred) -> float | np.ndarray:
@@ -143,9 +143,10 @@ def detect_report(
 
     Utterances with a majority label (FULL or MAJORITY agreement) form the
     positive class; max probability scores positives high, entropy scores
-    them low.  ``preds`` is a list of dists or an (N, K) array.
+    them low.  ``groups`` holds ``AgreementGroup`` members or their codes,
+    ``preds`` a list of dists or an (N, K) array.
     """
-    positive = np.asarray(groups, dtype=object) != AgreementGroup.NONE
+    positive = np.asarray(groups) != AgreementGroup.NONE
     probs = np.asarray(preds, dtype=np.float64)
     if probs.ndim != 2 or len(positive) != len(probs) or len(probs) == 0:
         raise ValueError("groups and preds must be equal-length and non-empty")
@@ -164,14 +165,15 @@ def build_report(
     soft_targets,
     preds,
 ) -> MetricsReport:
-    """Assemble the full evaluation report.
+    """Assemble the full evaluation report, its ``per_group`` keyed by member.
 
     WA/UA cover only utterances with a majority label; KL, entropy and the
     detection AUPRs cover the whole set.  WA/UA are None when no utterance
     has a majority label, and the AUPRs when the set lacks either kind.
     Majorities are read only where the group has one (None or -1 elsewhere).
+    ``groups`` holds members or codes, as in ``detect_report``.
     """
-    groups = np.asarray(groups, dtype=object)
+    groups = np.asarray(groups)
     majorities = np.asarray(majorities, dtype=np.float64)  # None becomes nan
     targets = np.asarray(soft_targets, dtype=np.float64)
     probs = np.asarray(preds, dtype=np.float64)

@@ -143,7 +143,10 @@ def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
     mu = features[:, :k]
     true_mu = mu / mu.sum(axis=1, keepdims=True)
     if config.noise_sigma > 0.0:
-        features += config.noise_sigma * noise
+        with np.errstate(over="ignore"):  # checked below
+            features += config.noise_sigma * noise
+        if not (finite := np.isfinite(features).all(axis=1)).all():
+            raise OverflowError(f"utterance {finite.argmin()}: features overflow")
     return (features, true_mu, np.array(tags, dtype=np.int64),
             np.array(tags_per_eval, dtype=np.int64), np.full(n, config.annotators, dtype=np.int64))
 
@@ -184,7 +187,7 @@ def count_stats(counts: np.ndarray, annotators: np.ndarray, tags_per_eval,
                 groups: np.ndarray) -> CorpusStats:
     """Corpus-level label statistics, in the usual table schema, from the
     (n, K) vote counts, the (n,) annotator counts, the number of tags of
-    every evaluation and the (n,) agreement groups."""
+    every evaluation and the (n,) agreement group codes."""
     if len(counts) == 0:
         raise ValueError("stats requires a non-empty corpus")
     n_labels = counts.sum(axis=1)
@@ -194,5 +197,5 @@ def count_stats(counts: np.ndarray, annotators: np.ndarray, tags_per_eval,
         n_multi_tag_evaluations=int(np.count_nonzero(np.asarray(tags_per_eval) > 1)),
         n_utterances_extra_labels=int(np.count_nonzero(n_labels > annotators)),
         avg_labels_per_utterance=int(n_labels.sum()) / len(counts),
-        group_counts={g: int(np.count_nonzero(groups == g)) for g in AgreementGroup},
+        group_counts=dict(zip(AgreementGroup, np.bincount(groups, minlength=3).tolist())),
     )

@@ -165,16 +165,21 @@ class TestBatchAgreement:
             ]
             counts, annotators = vote_matrix(sets, space)
             groups, majority = agreement(counts, annotators)
+            assert groups.dtype == np.int8
             for i, evals in enumerate(sets):
                 np.testing.assert_array_equal(counts[i], vote_matrix([evals], space)[0][0])
                 expected = reference_rule(list(counts[i]), len(evals))
                 assert classify(evals, space) == expected
                 assert (groups[i], None if majority[i] < 0 else majority[i]) == expected
+                # Each code is its member, and the one-row view gives the member.
+                assert int(groups[i]) == expected[0].value
+                assert classify(evals, space)[0] is expected[0]
 
     def test_empty_corpus(self):
         counts, annotators = vote_matrix([], ABC)
         assert counts.shape == (0, 3) and annotators.shape == (0,)
         assert [a.shape for a in agreement(counts, annotators)] == [(0,), (0,)]
+        assert agreement(counts, annotators)[0].dtype == np.int8
 
     def test_bad_rows_rejected(self):
         with pytest.raises(ValueError, match="at least one evaluation"):

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ class TestGen:
                    "--out", tmp_path / "d.jsonl") == 1
         assert capsys.readouterr().err == (
             "error: regime_precisions must be finite and > k - 1: (120.0, 12.0, 5.0)\n")
+
+    def test_overflowing_features_are_numerical_failure(self, tmp_path, capsys):
+        # sigma times any normal draw beyond about 1.8 is past the float64 range.
+        out = tmp_path / "d.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("gen", "--n", 50, "--noise-sigma", "1e308", "--out", out) == 2
+        assert capsys.readouterr().err == "numerical failure: utterance 1: features overflow\n"
+        assert not out.exists()
 
     def test_prints_stats(self, tmp_path, capsys):
         run("gen", "--n", 30, "--k", 3, "--d", 6, "--seed", 1,

@@ -86,6 +86,9 @@ class TestScores:
 
     def test_entropy_one_hot(self):
         assert entropy(dist(1.0, 0.0, 0.0)) == 0.0
+        # +0.0, not -0.0, which a curve file would print as "-0.000000".
+        assert np.copysign(1.0, entropy(dist(1.0, 0.0, 0.0))) == 1.0
+        np.testing.assert_array_equal(np.copysign(1.0, entropy(np.eye(3))), 1.0)
 
     def test_entropy_binary(self):
         assert entropy(dist(0.5, 0.5)) == pytest.approx(math.log(2.0), abs=1e-15)
@@ -306,6 +309,9 @@ class TestBuildReport:
                                batch(np.stack([s.p for s in softs])), stacked_preds)
         assert batched == build_report(groups, majorities, softs, preds)
         assert detect_report(groups, stacked_preds) == detect_report(groups, preds)
+        codes = np.array(groups, dtype=np.int8)  # as agreement returns them
+        assert build_report(codes, majorities, softs, stacked_preds) == batched
+        assert detect_report(codes, stacked_preds) == detect_report(groups, preds)
 
     def test_missing_class_fields_are_none(self):
         groups, majorities, softs, preds = self._inputs()
