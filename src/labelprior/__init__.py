@@ -12,7 +12,6 @@ from .annotations import (
     ClassSpace,
     Evaluation,
     agreement,
-    replace_majorities,
     soft_label,
     vote_matrix,
 )

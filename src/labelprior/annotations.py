@@ -1,12 +1,12 @@
 """Multi-annotator evaluations: vote counts, agreement groups, majority
-votes, soft labels and vote-and-replace."""
+votes and soft labels."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "tag_lists",
     "agreement",
     "soft_label",
-    "replace_majorities",
 ]
 
 
@@ -164,18 +163,3 @@ def soft_label(labels: Sequence[np.ndarray]) -> CategoricalDist:
         raise ValueError("soft_label requires at least one label")
     return CategoricalDist(np.mean(np.asarray(labels, dtype=np.float64), axis=0))
 
-
-def replace_majorities(
-    counts: np.ndarray, majority: np.ndarray, kept: Iterable[list[list[int]]]
-) -> list[list[list[int]]]:
-    """Vote-and-replace from the (n, K) vote counts and (n,) majority
-    classes (-1 for none): an utterance with a majority class gets M
-    single-tag evaluations of it, M being its number of labels.
-
-    ``kept`` gives, in order, the evaluations of the utterances without a
-    majority as lists of class indices, as ``tag_lists`` yields them; those
-    utterances keep them.
-    """
-    kept = iter(kept)
-    return [next(kept) if major < 0 else [[major]] * n_labels
-            for major, n_labels in zip(majority.tolist(), counts.sum(axis=1).tolist())]

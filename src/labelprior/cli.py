@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import annotations, dataio, metrics, model, synth
-from .annotations import ClassSpace, replace_majorities
+from . import dataio, metrics, model, synth
+from .annotations import ClassSpace
 from .dirichlet import CategoricalDist, SingularityError, from_logits, predictive_mean
 from .losses import LossConfig, LossKind
 
@@ -128,15 +128,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
     if not 0.0 <= args.test_frac <= 1.0:
         raise ValueError("test-frac must lie in [0, 1]")
-    features, _, tags, tags_per_eval, annotators = synth.generate_columns(config)
+    features, _, *layout = synth.generate_columns(config)
     n_train = round(config.n * (1.0 - args.test_frac))
-    dataio.write_columns(args.out, ClassSpace(synth.default_class_names(config.k)), config.d,
-                         range(config.n), ["train"] * n_train + ["test"] * (config.n - n_train),
-                         map(np.ndarray.tolist, features),
-                         annotations.tag_lists(tags, tags_per_eval, annotators))
-    counts = annotations.tag_counts(tags, tags_per_eval, annotators, config.k)
-    groups, _ = annotations.agreement(counts, annotators)
-    print(synth.count_stats(counts, annotators, tags_per_eval, groups).format_table())
+    corpus = dataio.Corpus.from_tags(list(range(config.n)), np.arange(config.n) < n_train,
+                                     features, *layout, config.k)
+    dataio.write_columns(args.out, ClassSpace(synth.default_class_names(config.k)), corpus)
+    print(synth.count_stats(corpus).format_table())
     print(f"wrote {config.n} records to {args.out}")
     return 0
 
@@ -150,10 +147,7 @@ def _records(path: str) -> tuple[ClassSpace, dataio.Corpus]:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    _, corpus = _records(args.data)
-    table = synth.count_stats(corpus.counts, corpus.annotators, corpus.tags_per_eval,
-                              corpus.groups)
-    print(table.format_table())
+    print(synth.count_stats(_records(args.data)[1]).format_table())
     return 0
 
 
@@ -204,10 +198,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     soft = CategoricalDist(test.counts / test.counts.sum(axis=1, keepdims=True))
     report = metrics.build_report(test.groups, test.majority, soft, preds)
     dataio.write_report(args.out, report)
-    wa, ua, aupr_maxp, aupr_ent = ("null" if v is None else f"{v:.6f}" for v in (
-        report.wa, report.ua, report.aupr_maxp, report.aupr_ent))
-    print(f"wa {wa}  ua {ua}  mean_kl {report.mean_kl:.6f}  "
-          f"mean_entropy {report.mean_entropy:.6f}")
+    # The report file's rule: None and non-finite values print as null.
+    wa, ua, mean_kl, mean_entropy, aupr_maxp, aupr_ent = map(dataio._fmt_json_6dp, (
+        report.wa, report.ua, report.mean_kl, report.mean_entropy, report.aupr_maxp,
+        report.aupr_ent))
+    print(f"wa {wa}  ua {ua}  mean_kl {mean_kl}  mean_entropy {mean_entropy}")
     print(f"aupr_maxp {aupr_maxp}  aupr_ent {aupr_ent}")
     return 0
 
@@ -224,12 +219,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     space, corpus = _records(args.data)
-    kept = corpus.select(corpus.majority < 0)
-    replaced = replace_majorities(corpus.counts, corpus.majority, annotations.tag_lists(
-        kept.tags, kept.tags_per_eval, kept.annotators))
-    dataio.write_columns(args.out, space, corpus.features.shape[1], corpus.ids,
-                         ["train" if train else "test" for train in corpus.train.tolist()],
-                         map(np.ndarray.tolist, corpus.features), replaced)
+    dataio.write_columns(args.out, space, corpus.replace_majorities())
     print(f"wrote {len(corpus)} records to {args.out}")
     return 0
 

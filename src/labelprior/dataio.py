@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import chain, compress
 from operator import itemgetter
 
 import numpy as np
 
-from .annotations import AgreementGroup, ClassSpace, Evaluation, agreement, tag_counts
+from .annotations import (AgreementGroup, ClassSpace, Evaluation, agreement, tag_counts,
+                          tag_lists)
 from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
@@ -53,27 +54,34 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def write_columns(path: str, space: ClassSpace, d: int, ids, splits, rows,
-                  evaluations) -> None:
+def _write_records(path: str, names, d: int, ids, splits, rows, evaluations) -> None:
     """Manifest line followed by one JSON record per id, encoded one record
     at a time: ``rows`` yields feature lists and ``evaluations`` each
-    record's evaluations as sequences of class indices."""
-    names = space.names
+    record's evaluations as lists of class names."""
     lines = [_compact({"format_version": FORMAT_VERSION, "kind": "dataset",
                        "classes": list(names), "feature_dim": d})] + [
-        _compact({"id": uid, "split": split, "features": row,
-                  "evaluations": [[names[t] for t in tags] for tags in evs]})
+        _compact({"id": uid, "split": split, "features": row, "evaluations": evs})
         for uid, split, row, evs in zip(ids, splits, rows, evaluations)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
+    """Manifest line followed by one JSON record per row of ``corpus``."""
+    names = np.array(space.names, dtype=object)[corpus.tags]
+    _write_records(path, space.names, corpus.features.shape[1], corpus.ids,
+                   ("train" if train else "test" for train in corpus.train.tolist()),
+                   map(np.ndarray.tolist, corpus.features),
+                   tag_lists(names, corpus.tags_per_eval, corpus.annotators))
+
+
 def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
     """Manifest line followed by one JSON record per utterance."""
-    write_columns(path, space, int(records[0].features.shape[0]) if records else 0,
-                  [rec.uid for rec in records], [rec.split for rec in records],
-                  (np.asarray(rec.features, dtype=np.float64).tolist() for rec in records),
-                  ([ev.tags for ev in rec.evaluations] for rec in records))
+    names = space.names
+    _write_records(path, names, int(records[0].features.shape[0]) if records else 0,
+                   [rec.uid for rec in records], [rec.split for rec in records],
+                   (np.asarray(rec.features, dtype=np.float64).tolist() for rec in records),
+                   ([[names[t] for t in ev.tags] for ev in rec.evaluations] for rec in records))
 
 
 def _text(path: str) -> str:
@@ -115,11 +123,12 @@ def _class_space(path: str, classes) -> ClassSpace:
 class Corpus(Sequence[LabelledExample]):
     """A dataset's records as columns, one row per record in file order.
 
-    ``groups`` (int8 codes) and ``majority`` are the agreement of each row's vote counts.
     ``tags`` holds the class index of every tag, in class order within each
     evaluation whatever the file's order, ``tags_per_eval`` the number of
     tags of every evaluation and ``annotators`` the number of evaluations of
     every record; ``annotations.tag_lists`` turns them back into lists.
+    ``from_tags`` derives the rest: the vote ``counts``, and the ``groups``
+    (int8 codes) and ``majority`` of their agreement.
     """
 
     ids: list[int]
@@ -131,6 +140,15 @@ class Corpus(Sequence[LabelledExample]):
     majority: np.ndarray       # (n,) class index, -1 where there is none
     tags: np.ndarray
     tags_per_eval: np.ndarray
+
+    @classmethod
+    def from_tags(cls, ids, train, features, tags, tags_per_eval, annotators, k: int) -> Corpus:
+        """The corpus of the flat tag layout over ``k`` classes: one count of
+        the tags and one agreement call derive every other column."""
+        counts = tag_counts(tags, tags_per_eval, annotators, k)
+        groups, majority = agreement(counts, annotators)
+        return cls(ids=ids, train=train, features=features, counts=counts, annotators=annotators,
+                   groups=groups, majority=majority, tags=tags, tags_per_eval=tags_per_eval)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -162,6 +180,25 @@ class Corpus(Sequence[LabelledExample]):
             majority=self.majority[rows],
             tags=self.tags[np.repeat(evals, self.tags_per_eval)],
             tags_per_eval=self.tags_per_eval[evals],
+        )
+
+    def replace_majorities(self) -> Corpus:
+        """Vote-and-replace: a record with a majority class gets M single-tag
+        evaluations of it, M being its number of tags, and so becomes FULL;
+        the records without one are kept as they are."""
+        kept, m = self.majority < 0, self.counts.sum(axis=1)
+        kept_evals = np.repeat(kept, self.annotators)
+        one_hot = np.arange(self.counts.shape[1]) == self.majority[:, None]
+        return replace(
+            self,
+            counts=np.where(kept[:, None], self.counts, m[:, None] * one_hot),
+            annotators=np.where(kept, self.annotators, m),
+            groups=np.where(kept, self.groups, np.int8(AgreementGroup.FULL)),
+            # Every record keeps its M tags, so each keeps its offsets.
+            tags=np.where(np.repeat(kept, m), self.tags, np.repeat(self.majority, m)),
+            # A replaced evaluation of t tags becomes t evaluations of one tag.
+            tags_per_eval=np.repeat(np.where(kept_evals, self.tags_per_eval, 1),
+                                    np.where(kept_evals, 1, self.tags_per_eval)),
         )
 
 
@@ -213,13 +250,9 @@ def _corpus(lines: list, d: int, index: dict) -> Corpus | None:
             return None
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         return None
-    tags, tags_per_eval = np.concatenate(tags), np.array(tags_per_eval, dtype=np.int64)
-    annotators = np.array(annotators, dtype=np.int64)
-    counts = tag_counts(tags, tags_per_eval, annotators, k)
-    groups, majority = agreement(counts, annotators)
-    return Corpus(ids=ids, train=np.array(train, dtype=bool), features=features, counts=counts,
-                  annotators=annotators, groups=groups, majority=majority, tags=tags,
-                  tags_per_eval=tags_per_eval)
+    return Corpus.from_tags(ids, np.array(train, dtype=bool), features, np.concatenate(tags),
+                            np.array(tags_per_eval, dtype=np.int64),
+                            np.array(annotators, dtype=np.int64), k)
 
 
 def _raise_first_fault(path: str, lines: list, d: int, index: dict) -> None:

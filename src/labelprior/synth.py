@@ -183,19 +183,17 @@ class CorpusStats:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def count_stats(counts: np.ndarray, annotators: np.ndarray, tags_per_eval,
-                groups: np.ndarray) -> CorpusStats:
-    """Corpus-level label statistics, in the usual table schema, from the
-    (n, K) vote counts, the (n,) annotator counts, the number of tags of
-    every evaluation and the (n,) agreement group codes."""
-    if len(counts) == 0:
+def count_stats(corpus) -> CorpusStats:
+    """Corpus-level label statistics, in the usual table schema, of a
+    ``dataio.Corpus``."""
+    if len(corpus) == 0:
         raise ValueError("stats requires a non-empty corpus")
-    n_labels = counts.sum(axis=1)
+    n_labels = corpus.counts.sum(axis=1)
     return CorpusStats(
-        n_utterances=len(counts),
-        n_evaluations=int(annotators.sum()),
-        n_multi_tag_evaluations=int(np.count_nonzero(np.asarray(tags_per_eval) > 1)),
-        n_utterances_extra_labels=int(np.count_nonzero(n_labels > annotators)),
-        avg_labels_per_utterance=int(n_labels.sum()) / len(counts),
-        group_counts=dict(zip(AgreementGroup, np.bincount(groups, minlength=3).tolist())),
+        n_utterances=len(corpus),
+        n_evaluations=int(corpus.annotators.sum()),
+        n_multi_tag_evaluations=int(np.count_nonzero(corpus.tags_per_eval > 1)),
+        n_utterances_extra_labels=int(np.count_nonzero(n_labels > corpus.annotators)),
+        avg_labels_per_utterance=int(n_labels.sum()) / len(corpus),
+        group_counts=dict(zip(AgreementGroup, np.bincount(corpus.groups, minlength=3).tolist())),
     )

@@ -22,14 +22,16 @@ from labelprior.annotations import (
     Evaluation,
     AnnotationSet,
     agreement,
-    replace_majorities,
     soft_label,
+    tag_lists,
     vote_matrix,
 )
 from labelprior.dirichlet import CategoricalDist, DirichletParams, log_pdf
 from labelprior.losses import LossConfig, LossKind, batch_loss, example_loss
 from labelprior.model import backward, forward, init
 from labelprior.specfun import digamma, log_gamma
+
+from corpora import corpus_of
 
 mp.mp.dps = 50
 
@@ -197,9 +199,8 @@ def test_criterion_4_label_logic():
     ok &= vote_matrix([[ev(A), ev(A, B), ev(B, C)]], space)[0].tolist() == [[2, 2, 1]]
 
     # Vote-and-replace rows: A A A B C collapses to the majority, A B C stays.
-    counts, annotators = vote_matrix([[ev(A)] * 3 + [ev(B), ev(C)], [ev(A), ev(B), ev(C)]], space)
-    collapsed, untouched = replace_majorities(counts, agreement(counts, annotators)[1],
-                                              [[[A], [B], [C]]])
+    out = corpus_of([[[A]] * 3 + [[B], [C]], [[A], [B], [C]]]).replace_majorities()
+    collapsed, untouched = tag_lists(out.tags, out.tags_per_eval, out.annotators)
     ok &= collapsed == [[A]] * 5
     ok &= untouched == [[A], [B], [C]]
 

@@ -5,6 +5,8 @@ from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelprior.annotations import (
     AgreementGroup,
@@ -12,11 +14,13 @@ from labelprior.annotations import (
     ClassSpace,
     Evaluation,
     agreement,
-    replace_majorities,
     soft_label,
     tag_counts,
+    tag_lists,
     vote_matrix,
 )
+
+from corpora import corpus_of
 
 ABC = ClassSpace(("A", "B", "C"))
 A, B, C = 0, 1, 2
@@ -220,15 +224,46 @@ class TestSoftLabel:
             assert abs(dist.p.sum() - 1.0) <= 1e-12
 
 
+def reference_replace(counts, majority, kept):
+    """Vote-and-replace row by row, the reference for
+    ``Corpus.replace_majorities``: a row with a majority gets M single-tag
+    evaluations of it, M being its number of labels, and ``kept`` gives, in
+    order, the evaluations of the rows without one."""
+    kept = iter(kept)
+    return [next(kept) if major < 0 else [[major]] * n_labels
+            for major, n_labels in zip(majority.tolist(), counts.sum(axis=1).tolist())]
+
+
+def evaluation_lists(corpus):
+    return list(tag_lists(corpus.tags, corpus.tags_per_eval, corpus.annotators))
+
+
 def replaced(sets):
     """Vote-and-replace of utterances given as lists of class-index
-    evaluations: the counts' agreement, then ``replace_majorities``."""
-    annotators = np.array([len(evs) for evs in sets])
-    tags_per_eval = np.array([len(tags) for evs in sets for tags in evs])
-    tags = np.array([t for evs in sets for tags in evs for t in tags])
-    counts = tag_counts(tags, tags_per_eval, annotators, ABC.k)
-    _, majority = agreement(counts, annotators)
-    return replace_majorities(counts, majority, compress(sets, (majority < 0).tolist()))
+    evaluations, as lists again."""
+    return evaluation_lists(corpus_of(sets).replace_majorities())
+
+
+def columns(corpus):
+    return [corpus.ids, corpus.train, corpus.features, corpus.counts, corpus.annotators,
+            corpus.groups, corpus.majority, corpus.tags, corpus.tags_per_eval]
+
+
+@st.composite
+def vote_corpora(draw):
+    """Records over 2 to 6 classes with 1 to 6 annotators and multi-tag
+    evaluations; a third of the corpora keep only their no-majority rows and
+    a third only their majority rows."""
+    k = draw(st.integers(2, 6))
+    evaluation = st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True).map(sorted)
+    sets = draw(st.lists(st.lists(evaluation, min_size=1, max_size=6), max_size=12))
+    keep = draw(st.sampled_from([None, True, False]))  # None keeps every row
+    space = ClassSpace(tuple(map(str, range(k))))
+
+    def no_majority(evs):
+        return AnnotationSet(tuple(map(Evaluation, evs)), space).majority is None
+
+    return [evs for evs in sets if keep is None or no_majority(evs) == keep], k
 
 
 class TestVoteAndReplace:
@@ -255,14 +290,35 @@ class TestVoteAndReplace:
 
     def test_from_counts_keeps_the_given_rows_without_majority(self):
         # Rows: A A A B C (majority), A B C (none), A AB C (majority), AB C (none).
-        sets = [[ev(A)] * 3 + [ev(B), ev(C)], [ev(A), ev(B), ev(C)],
-                [ev(A), ev(A, B), ev(C)], [ev(A, B), ev(C)]]
-        counts, annotators = vote_matrix(sets, ABC)
-        _, majority = agreement(counts, annotators)
-        assert (majority < 0).tolist() == [False, True, False, True]
+        corpus = corpus_of([[[A]] * 3 + [[B], [C]], [[A], [B], [C]],
+                            [[A], [A, B], [C]], [[A, B], [C]]])
+        assert (corpus.majority < 0).tolist() == [False, True, False, True]
         kept = [[[A], [B], [C]], [[A, B], [C]]]
-        replaced = replace_majorities(counts, majority, kept)
-        assert replaced == [[[A]] * 5, kept[0], [[A]] * 4, kept[1]]
+        assert evaluation_lists(corpus.replace_majorities()) == [
+            [[A]] * 5, kept[0], [[A]] * 4, kept[1]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(vote_corpora())
+    def test_matches_row_by_row_reference(self, case):
+        sets, k = case
+        corpus = corpus_of(sets, k=k, features=np.arange(len(sets) * 2.0).reshape(-1, 2),
+                           train=[i % 2 == 0 for i in range(len(sets))],
+                           ids=range(10, 10 + len(sets)))
+        out = corpus.replace_majorities()
+        assert evaluation_lists(out) == reference_replace(
+            corpus.counts, corpus.majority, compress(sets, (corpus.majority < 0).tolist()))
+        # The derived columns are those of the new tags.
+        counts = tag_counts(out.tags, out.tags_per_eval, out.annotators, k)
+        groups, majority = agreement(counts, out.annotators)
+        np.testing.assert_array_equal(out.counts, counts)
+        assert out.groups.dtype == np.int8
+        np.testing.assert_array_equal(out.groups, groups)
+        np.testing.assert_array_equal(out.majority, majority)
+        for got, want in zip(columns(out)[:3], columns(corpus)[:3]):
+            np.testing.assert_array_equal(got, want)
+        # A second application changes nothing.
+        for got, want in zip(columns(out.replace_majorities()), columns(out)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestAnnotationSet:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: every command, determinism of outputs, exit
 codes, and the transform pipeline."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,6 +21,8 @@ from labelprior.dirichlet import CategoricalDist
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import entropy as dist_entropy
 from labelprior.model import TrainConfig, init
+
+from corpora import corpus_of
 
 
 def run(*args):
@@ -304,8 +307,8 @@ class TestEval:
         space, corpus = dataio.read_dataset(small_dataset)
         tag_lists = list(annotations.tag_lists(corpus.tags, corpus.tags_per_eval,
                                                corpus.annotators))
-        dataio.write_columns(full_test, space, corpus.features.shape[1], corpus.ids,
-                             ["test"] * len(corpus), corpus.features.tolist(), tag_lists)
+        dataio.write_columns(full_test, space,
+                             dataclasses.replace(corpus, train=np.zeros(len(corpus), dtype=bool)))
         ckpt = tmp_path / "m.json"
         run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 2,
             "--out", ckpt)
@@ -362,11 +365,9 @@ class TestEval:
             space, corpus = dataio.read_dataset(data)
             tag_lists = annotations.tag_lists(corpus.tags, corpus.tags_per_eval,
                                               corpus.annotators)
-            dataio.write_columns(
-                data, space, corpus.features.shape[1], corpus.ids,
-                ["train" if train else "test" for train in corpus.train.tolist()],
-                corpus.features.tolist(),
-                [evs if train else test_votes for evs, train in zip(tag_lists, corpus.train)])
+            dataio.write_columns(data, space, corpus_of(
+                [evs if train else test_votes for evs, train in zip(tag_lists, corpus.train)],
+                k=space.k, features=corpus.features, train=corpus.train, ids=corpus.ids))
         ckpt = tmp_path / "m.json"
         assert run("train", "--data", data, "--loss", "soft", "--epochs", 1, "--out", ckpt) == 0
         report_path = tmp_path / "report.json"
@@ -379,6 +380,26 @@ class TestEval:
         assert run("detect", "--data", data, "--ckpt", ckpt, "--out-prefix", tmp_path / "c") == 1
         assert f"no utterance {missing}" in capsys.readouterr().err
         assert not (tmp_path / "c_maxp.csv").exists()
+
+    def test_non_finite_mean_prints_null_as_the_report_writes_it(self, tmp_path, capsys):
+        # A saturated softmax puts zero mass where the soft labels have some,
+        # so the mean KL is infinite; no agreement group is empty.
+        data, ckpt, report_path = tmp_path / "data.jsonl", tmp_path / "m.json", tmp_path / "r.json"
+        assert run("gen", "--n", 200, "--seed", 42, "--out", data) == 0
+        assert run("train", "--data", data, "--loss", "soft", "--epochs", 1, "--out", ckpt) == 0
+        doc = json.loads(ckpt.read_text())
+        doc["layers"][-1]["bias"] = [1000.0, 0.0, 0.0, 0.0, 0.0]
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--data", data, "--ckpt", ckpt, "--out", report_path) == 0
+        out = capsys.readouterr().out
+        report = dataio.read_report(report_path)
+        assert report["mean_kl"] is None
+        assert all(group["count"] > 0 for group in report["per_group"].values())
+        shown = {key: "null" if report[key] is None else f"{report[key]:.6f}"
+                 for key in ("wa", "ua", "mean_kl", "mean_entropy", "aupr_maxp", "aupr_ent")}
+        assert out == ("wa {wa}  ua {ua}  mean_kl {mean_kl}  mean_entropy {mean_entropy}\n"
+                       "aupr_maxp {aupr_maxp}  aupr_ent {aupr_ent}\n").format(**shown)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("train_config"), "train_config"),
@@ -538,9 +559,7 @@ class TestScoringHead:
 def transformed(tmp_path, evaluations):
     """transform's output, as tag lists, for records of ``evaluations`` over classes A, B, C."""
     data, out = tmp_path / "data.jsonl", tmp_path / "out.jsonl"
-    dataio.write_columns(data, ClassSpace(("A", "B", "C")), 3, range(len(evaluations)),
-                         ["train"] * len(evaluations), [[0.0] * 3] * len(evaluations),
-                         evaluations)
+    dataio.write_columns(data, ClassSpace(("A", "B", "C")), corpus_of(evaluations))
     assert run("transform", "--data", data, "--out", out) == 0
     corpus = dataio.read_dataset(out)[1]
     return list(annotations.tag_lists(corpus.tags, corpus.tags_per_eval, corpus.annotators))

@@ -6,12 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from labelprior import dataio
+from labelprior import cli, dataio
 from labelprior.annotations import AgreementGroup, ClassSpace, Evaluation, tag_lists
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import GroupMetrics, MetricsReport, PRCurve
 from labelprior.model import TrainConfig, init
-from labelprior.synth import SynthConfig, generate
+from labelprior.synth import SynthConfig, generate, generate_columns
 
 SPACE = ClassSpace(("A", "B", "C"))
 
@@ -55,8 +55,9 @@ class TestDatasetRoundTrip:
     def test_columns(self, tmp_path):
         path = tmp_path / "sample.jsonl"
         # The sample records, but record 0's second evaluation lists B before A.
-        dataio.write_columns(path, SPACE, 3, [0, 1], ["train", "test"],
-                             [[0.25, -1.5, 3.125], [0.0, 0.5, 1.0]], [[[0], [1, 0], [2]], [[1]]])
+        dataio.write_columns(path, SPACE, dataio.Corpus.from_tags(
+            [0, 1], np.array([True, False]), np.array([[0.25, -1.5, 3.125], [0.0, 0.5, 1.0]]),
+            np.array([0, 1, 0, 2, 1]), np.array([1, 2, 1, 1]), np.array([3, 1]), 3))
         corpus = dataio.read_dataset(path)[1]
         assert corpus.ids == [0, 1]
         assert all(type(uid) is int for uid in corpus.ids)
@@ -73,16 +74,47 @@ class TestDatasetRoundTrip:
         picked = corpus.select(np.array([False, True]))
         assert list(tag_lists(picked.tags, picked.tags_per_eval, picked.annotators)) == [[[1]]]
 
-    def test_rewrite_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("gen_args", [
+        None,
+        ["--n", 200],
+        ["--n", 100, "--k", 10, "--d", 32, "--annotators", 20, "--multi-tag-prob", "0.2",
+         "--precisions", "300,40,15"],
+    ], ids=["records", "paper", "crowd"])
+    def test_rewrite_is_byte_identical(self, tmp_path, gen_args):
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
-        dataio.write_dataset(first, SPACE, sample_records())
+        if gen_args is None:
+            dataio.write_dataset(first, SPACE, sample_records())
+        else:
+            assert cli.main(["gen", *map(str, gen_args), "--seed", "42", "--out", str(first)]) == 0
         space, corpus = dataio.read_dataset(first)
-        dataio.write_columns(second, space, corpus.features.shape[1], corpus.ids,
-                             ["train" if train else "test" for train in corpus.train.tolist()],
-                             corpus.features.tolist(),
-                             tag_lists(corpus.tags, corpus.tags_per_eval, corpus.annotators))
+        dataio.write_columns(second, space, corpus)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("config, test_frac", [
+        (SynthConfig(n=200, seed=42), 0.2),
+        (SynthConfig(n=100, k=10, d=32, annotators=20, multi_tag_prob=0.2,
+                     regime_precisions=(300, 40, 15), seed=42), 0.5),
+    ], ids=["paper", "crowd"])
+    def test_from_tags_of_generated_columns_equals_read_back(self, tmp_path, config, test_frac):
+        path = tmp_path / "data.jsonl"
+        assert cli.main(["gen", "--n", str(config.n), "--k", str(config.k), "--d", str(config.d),
+                         "--annotators", str(config.annotators),
+                         "--multi-tag-prob", str(config.multi_tag_prob),
+                         "--precisions", ",".join(map(str, config.regime_precisions)),
+                         "--test-frac", str(test_frac), "--seed", str(config.seed),
+                         "--out", str(path)]) == 0
+        features, _, *layout = generate_columns(config)
+        n_train = round(config.n * (1.0 - test_frac))
+        built = dataio.Corpus.from_tags(list(range(config.n)), np.arange(config.n) < n_train,
+                                        features, *layout, config.k)
+        read = dataio.read_dataset(path)[1]
+        assert built.ids == read.ids
+        for name in ("train", "features", "counts", "annotators", "groups", "majority", "tags",
+                     "tags_per_eval"):
+            got, want = getattr(built, name), getattr(read, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_manifest_first_line(self, tmp_path):
         path = tmp_path / "data.jsonl"

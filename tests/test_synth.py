@@ -18,9 +18,9 @@ from labelprior.annotations import (
     Evaluation,
     agreement,
     soft_label,
-    tag_counts,
     vote_matrix,
 )
+from labelprior.dataio import Corpus
 from labelprior.synth import (
     SynthConfig,
     SynthUtterance,
@@ -29,6 +29,8 @@ from labelprior.synth import (
     generate,
     generate_columns,
 )
+
+from corpora import corpus_of
 
 # Large-sample Monte-Carlo estimates (n = 40000, seeds 123 and 999) of the
 # group fractions implied by the default regime mix; frozen as the
@@ -42,9 +44,9 @@ EXPECTED_DEFAULT_FRACTIONS = {
 
 def column_stats(config):
     """The gen table's statistics of the corpus ``config`` generates."""
-    _, _, tags, tags_per_eval, annotators = generate_columns(config)
-    counts = tag_counts(tags, tags_per_eval, annotators, config.k)
-    return count_stats(counts, annotators, tags_per_eval, agreement(counts, annotators)[0])
+    features, _, *layout = generate_columns(config)
+    return count_stats(Corpus.from_tags(list(range(config.n)), np.ones(config.n, dtype=bool),
+                                        features, *layout, config.k))
 
 
 class TestSynthConfig:
@@ -187,8 +189,7 @@ class TestStats:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            count_stats(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64), [],
-                        np.zeros(0, dtype=object))
+            count_stats(corpus_of([]))
 
 
 def test_default_class_names():
