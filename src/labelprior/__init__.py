@@ -10,10 +10,8 @@ from .annotations import (
     AgreementGroup,
     AnnotationSet,
     ClassSpace,
-    Evaluation,
     agreement,
     soft_label,
-    vote_matrix,
 )
 from .dirichlet import (
     CategoricalDist,

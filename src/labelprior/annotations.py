@@ -3,7 +3,7 @@ votes and soft labels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import islice
 from typing import Iterator, Optional, Sequence
@@ -15,9 +15,7 @@ from .dirichlet import CategoricalDist
 __all__ = [
     "AgreementGroup",
     "ClassSpace",
-    "Evaluation",
     "AnnotationSet",
-    "vote_matrix",
     "tag_counts",
     "tag_lists",
     "agreement",
@@ -58,46 +56,6 @@ class ClassSpace:
             raise ValueError(f"unknown class name: {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """One annotator's tag set, stored as sorted unique class indices."""
-
-    tags: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        tags = tuple(self.tags)
-        if len(tags) == 0:
-            raise ValueError("an evaluation must contain at least one tag")
-        if len(set(tags)) != len(tags):
-            raise ValueError("duplicate tags in evaluation")
-        object.__setattr__(self, "tags", tuple(sorted(tags)))
-
-
-def _check_evaluations(evaluations: Sequence[Evaluation], space: ClassSpace) -> None:
-    if len(evaluations) == 0:
-        raise ValueError("at least one evaluation is required")
-    for ev in evaluations:
-        for tag in ev.tags:
-            if not 0 <= tag < space.k:
-                raise ValueError(f"tag index {tag} outside class space of size {space.k}")
-
-
-def vote_matrix(
-    evaluation_sets: Sequence[Sequence[Evaluation]], space: ClassSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n, K) vote counts and (n,) annotator counts of n utterances.
-
-    Tags are unique within an evaluation, so a class's vote count is also
-    its number of one-hot labels.
-    """
-    for evaluations in evaluation_sets:
-        _check_evaluations(evaluations, space)
-    annotators = np.array([len(evs) for evs in evaluation_sets], dtype=np.int64)
-    tags_per_eval = [len(ev.tags) for evs in evaluation_sets for ev in evs]
-    tags = np.array([t for evs in evaluation_sets for ev in evs for t in ev.tags], dtype=np.int64)
-    return tag_counts(tags, tags_per_eval, annotators, space.k), annotators
-
-
 def tag_counts(tags: np.ndarray, tags_per_eval, annotators, k: int) -> np.ndarray:
     """(n, K) vote counts from the flat tag layout: the class index of every
     tag, the number of tags of every evaluation and the number of
@@ -132,29 +90,41 @@ def agreement(counts: np.ndarray, annotators: np.ndarray) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class AnnotationSet:
-    """All evaluations of one utterance together with derived views."""
+    """All evaluations of one utterance, each a sequence of class indices
+    stored in class order, with the vote ``counts``, agreement ``group`` and
+    ``majority`` (None without one) derived once."""
 
-    evaluations: tuple[Evaluation, ...]
+    evaluations: tuple[tuple[int, ...], ...]
     space: ClassSpace
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    group: AgreementGroup = field(init=False)
+    majority: Optional[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "evaluations", tuple(self.evaluations))
-        _check_evaluations(self.evaluations, self.space)
+        evaluations = tuple(tuple(sorted(ev)) for ev in self.evaluations)
+        if len(evaluations) == 0:
+            raise ValueError("at least one evaluation is required")
+        for ev in evaluations:
+            if len(ev) == 0:
+                raise ValueError("an evaluation must contain at least one tag")
+            if len(set(ev)) != len(ev):
+                raise ValueError("duplicate tags in evaluation")
+            for tag in ev:
+                if not 0 <= tag < self.space.k:
+                    raise ValueError(f"tag index {tag} outside class space of size {self.space.k}")
+        annotators = [len(evaluations)]
+        counts = tag_counts(np.array([t for ev in evaluations for t in ev], dtype=np.int64),
+                            list(map(len, evaluations)), annotators, self.space.k)
+        groups, majority = agreement(counts, annotators)
+        object.__setattr__(self, "evaluations", evaluations)
+        object.__setattr__(self, "counts", counts[0])
+        object.__setattr__(self, "group", AgreementGroup(groups[0]))
+        object.__setattr__(self, "majority", None if majority[0] < 0 else int(majority[0]))
 
     @property
     def labels(self) -> list[np.ndarray]:
         """One one-hot label per tag, grouped by class."""
-        counts = vote_matrix([self.evaluations], self.space)[0][0]
-        return list(np.repeat(np.eye(self.space.k), counts, axis=0))
-
-    @property
-    def group(self) -> AgreementGroup:
-        return AgreementGroup(agreement(*vote_matrix([self.evaluations], self.space))[0][0])
-
-    @property
-    def majority(self) -> Optional[int]:
-        major = agreement(*vote_matrix([self.evaluations], self.space))[1][0]
-        return None if major < 0 else int(major)
+        return list(np.repeat(np.eye(self.space.k), self.counts, axis=0))
 
 
 def soft_label(labels: Sequence[np.ndarray]) -> CategoricalDist:

@@ -16,8 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .annotations import (AgreementGroup, ClassSpace, Evaluation, agreement, tag_counts,
-                          tag_lists)
+from .annotations import AgreementGroup, ClassSpace, agreement, tag_counts, tag_lists
 from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
@@ -42,12 +41,12 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class DatasetRecord:
-    """One serialized utterance: id, split, features and evaluations."""
+    """One serialized utterance: id, split, features and class-index evaluations."""
 
     uid: int
     split: str
     features: np.ndarray
-    evaluations: tuple[Evaluation, ...]
+    evaluations: tuple[tuple[int, ...], ...]
 
 
 def _compact(obj) -> str:
@@ -76,12 +75,13 @@ def write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
 
 
 def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
-    """Manifest line followed by one JSON record per utterance."""
+    """Manifest line followed by one unchecked JSON record per utterance,
+    each evaluation's names in class order."""
     names = space.names
     _write_records(path, names, int(records[0].features.shape[0]) if records else 0,
                    [rec.uid for rec in records], [rec.split for rec in records],
                    (np.asarray(rec.features, dtype=np.float64).tolist() for rec in records),
-                   ([[names[t] for t in ev.tags] for ev in rec.evaluations] for rec in records))
+                   ([[names[t] for t in sorted(ev)] for ev in rec.evaluations] for rec in records))
 
 
 def _text(path: str) -> str:
@@ -169,6 +169,8 @@ class Corpus(Sequence[LabelledExample]):
 
     def select(self, rows: np.ndarray) -> Corpus:
         """The records a boolean (n,) mask selects, in order."""
+        if getattr(rows, "dtype", None) != bool or rows.shape != (len(self),):
+            raise ValueError(f"select takes a boolean mask of shape ({len(self)},)")
         evals = np.repeat(rows, self.annotators)
         return Corpus(
             ids=list(compress(self.ids, rows.tolist())),
@@ -436,7 +438,7 @@ def _fmt_json_6dp(obj, indent: int = 0) -> str:
 
 
 def write_report(path: str, report: MetricsReport) -> None:
-    """Evaluation report as JSON with every value at 6 decimal places; the
+    """The eval report as JSON with every value at 6 decimal places; the
     report's field order is the file's key order."""
     doc = {"format_version": FORMAT_VERSION, "kind": "report", **asdict(report)}
     doc["per_group"] = {group.name.lower(): gm for group, gm in doc["per_group"].items()}

@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import rng
-from .annotations import AgreementGroup, ClassSpace, Evaluation, tag_lists
+from .annotations import AgreementGroup, ClassSpace, tag_lists
 
 __all__ = ["SynthConfig", "SynthUtterance", "CorpusStats", "default_class_names",
            "generate_columns", "generate", "count_stats"]
@@ -79,12 +79,13 @@ class SynthConfig:
 
 @dataclass(frozen=True, eq=False)
 class SynthUtterance:
-    """One generated utterance; ``true_mu`` is its (K,) true label distribution."""
+    """One generated utterance; ``true_mu`` is its (K,) true label distribution
+    and each evaluation a tuple of class indices in class order."""
 
     uid: int
     true_mu: np.ndarray
     features: np.ndarray
-    evaluations: tuple[Evaluation, ...]
+    evaluations: tuple[tuple[int, ...], ...]
 
 
 def default_class_names(k: int) -> tuple[str, ...]:
@@ -155,7 +156,7 @@ def generate(config: SynthConfig) -> tuple[list[SynthUtterance], ClassSpace]:
     """The corpus of ``generate_columns`` as one ``SynthUtterance`` per id."""
     features, true_mu, *layout = generate_columns(config)
     rows = zip(true_mu, features, tag_lists(*layout))
-    return ([SynthUtterance(uid, mu, x, tuple(map(Evaluation, evs)))
+    return ([SynthUtterance(uid, mu, x, tuple(map(tuple, evs)))
              for uid, (mu, x, evs) in enumerate(rows)], ClassSpace(default_class_names(config.k)))
 
 

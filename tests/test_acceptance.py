@@ -19,12 +19,10 @@ from labelprior import cli, dataio, metrics
 from labelprior.annotations import (
     AgreementGroup,
     ClassSpace,
-    Evaluation,
     AnnotationSet,
     agreement,
     soft_label,
     tag_lists,
-    vote_matrix,
 )
 from labelprior.dirichlet import CategoricalDist, DirichletParams, log_pdf
 from labelprior.losses import LossConfig, LossKind, batch_loss, example_loss
@@ -178,25 +176,25 @@ def test_criterion_3_gradient_suite():
 def test_criterion_4_label_logic():
     space = ClassSpace(("A", "B", "C"))
     A, B, C = 0, 1, 2
-    ev = lambda *tags: Evaluation(tuple(tags))
     rows = [
-        ([ev(A), ev(A), ev(A)], AgreementGroup.FULL, A),
-        ([ev(A), ev(A), ev(B)], AgreementGroup.MAJORITY, A),
-        ([ev(A), ev(A, B), ev(C)], AgreementGroup.MAJORITY, A),
-        ([ev(A), ev(B), ev(C)], AgreementGroup.NONE, None),
-        ([ev(A), ev(A, B), ev(B, C)], AgreementGroup.NONE, None),
-        ([ev(A), ev(A), ev(B), ev(C)], AgreementGroup.MAJORITY, A),
+        ([(A,), (A,), (A,)], AgreementGroup.FULL, A),
+        ([(A,), (A,), (B,)], AgreementGroup.MAJORITY, A),
+        ([(A,), (A, B), (C,)], AgreementGroup.MAJORITY, A),
+        ([(A,), (B,), (C,)], AgreementGroup.NONE, None),
+        ([(A,), (A, B), (B, C)], AgreementGroup.NONE, None),
+        ([(A,), (A,), (B,), (C,)], AgreementGroup.MAJORITY, A),
     ]
     annotation_sets = [AnnotationSet(evals, space) for evals, _, _ in rows]
     ok = all((ann.group, ann.majority) == (group, majority)
              for ann, (_, group, majority) in zip(annotation_sets, rows))
     # The batch rule classifies the whole table in one call, row for row.
-    groups, majorities = agreement(*vote_matrix([evals for evals, _, _ in rows], space))
+    table = corpus_of([evals for evals, _, _ in rows])
+    groups, majorities = agreement(table.counts, table.annotators)
     ok &= list(groups) == [group for _, group, _ in rows]
     ok &= list(majorities) == [-1 if m is None else m for _, _, m in rows]
     # Tied two-vote counts from multi-tags stay without a majority.
-    ok &= AnnotationSet([ev(A), ev(A, B), ev(B, C)], space).group == AgreementGroup.NONE
-    ok &= vote_matrix([[ev(A), ev(A, B), ev(B, C)]], space)[0].tolist() == [[2, 2, 1]]
+    ok &= AnnotationSet([(A,), (A, B), (B, C)], space).group == AgreementGroup.NONE
+    ok &= corpus_of([[(A,), (A, B), (B, C)]]).counts.tolist() == [[2, 2, 1]]
 
     # Vote-and-replace rows: A A A B C collapses to the majority, A B C stays.
     out = corpus_of([[[A]] * 3 + [[B], [C]], [[A], [B], [C]]]).replace_majorities()
@@ -266,10 +264,9 @@ def test_criterion_6_multitag_pair_discrimination():
        replication, so no logit vector or smoothing constant can separate
        them.  This boundary is asserted rather than hidden.
     """
-    space = ClassSpace(("A", "B", "C"))
-    single = [Evaluation((i,)) for i in range(3)]
-    triple = [Evaluation((0, 1, 2)) for _ in range(3)]
-    counts, _ = vote_matrix([single, triple], space)
+    single = [(i,) for i in range(3)]
+    triple = [(0, 1, 2) for _ in range(3)]
+    counts = corpus_of([single, triple]).counts
 
     def pair(kind, z):
         # Both cases as one batch of two rows with the same logits.

@@ -8,26 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelprior import annotations
 from labelprior.annotations import (
     AgreementGroup,
     AnnotationSet,
     ClassSpace,
-    Evaluation,
     agreement,
     soft_label,
     tag_counts,
     tag_lists,
-    vote_matrix,
 )
 
 from corpora import corpus_of
 
 ABC = ClassSpace(("A", "B", "C"))
 A, B, C = 0, 1, 2
-
-
-def ev(*tags):
-    return Evaluation(tuple(tags))
 
 
 def classify(evaluations, space=ABC):
@@ -59,35 +54,36 @@ class TestClassSpace:
 
 
 class TestEvaluation:
+    # An evaluation is a sequence of class indices; AnnotationSet checks it.
     def test_tags_are_sorted(self):
-        assert ev(2, 0).tags == (0, 2)
+        assert AnnotationSet(((2, 0), [1, 0, 2]), ABC).evaluations == ((0, 2), (0, 1, 2))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Evaluation(())
+        with pytest.raises(ValueError, match="an evaluation must contain at least one tag"):
+            AnnotationSet(((),), ABC)
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Evaluation((1, 1))
+        with pytest.raises(ValueError, match="duplicate tags in evaluation"):
+            AnnotationSet(((1, 1),), ABC)
 
 
 class TestLabels:
     # An utterance's one-hot labels come from its vote counts, grouped by class.
     def test_multi_tag_expansion(self):
-        labels = AnnotationSet((ev(A), ev(A, B), ev(C)), ABC).labels
+        labels = AnnotationSet(((A,), (A, B), (C,)), ABC).labels
         expected = [one_hot(A), one_hot(A), one_hot(B), one_hot(C)]
         assert len(labels) == 4
         for got, want in zip(labels, expected):
             np.testing.assert_array_equal(got, want)
 
     def test_single_annotator_single_tag(self):
-        labels = AnnotationSet((ev(A),), ABC).labels
+        labels = AnnotationSet(((A,),), ABC).labels
         assert len(labels) == 1
         np.testing.assert_array_equal(labels[0], one_hot(A))
 
     def test_both_classes_of_k2(self):
         space = ClassSpace(("A", "B"))
-        labels = AnnotationSet((ev(0, 1),), space).labels
+        labels = AnnotationSet(((0, 1),), space).labels
         np.testing.assert_array_equal(labels[0], [1.0, 0.0])
         np.testing.assert_array_equal(labels[1], [0.0, 1.0])
 
@@ -97,20 +93,18 @@ class TestLabels:
 
     def test_out_of_range_tag_rejected(self):
         with pytest.raises(ValueError):
-            AnnotationSet((ev(3),), ABC)
+            AnnotationSet(((3,),), ABC)
 
 
 class TestVoteCounts:
     def test_multi_tag_counts(self):
-        np.testing.assert_array_equal(vote_matrix([[ev(A), ev(A, B), ev(C)]], ABC)[0], [[2, 1, 1]])
+        np.testing.assert_array_equal(corpus_of([[(A,), (A, B), (C,)]]).counts, [[2, 1, 1]])
 
     def test_tied_counts(self):
-        np.testing.assert_array_equal(
-            vote_matrix([[ev(A), ev(A, B), ev(B, C)]], ABC)[0], [[2, 2, 1]]
-        )
+        np.testing.assert_array_equal(corpus_of([[(A,), (A, B), (B, C)]]).counts, [[2, 2, 1]])
 
     def test_unanimous(self):
-        np.testing.assert_array_equal(vote_matrix([[ev(A)] * 3], ABC)[0], [[3, 0, 0]])
+        np.testing.assert_array_equal(corpus_of([[(A,)] * 3]).counts, [[3, 0, 0]])
 
 
 class TestClassifyAgreement:
@@ -118,29 +112,29 @@ class TestClassifyAgreement:
     @pytest.mark.parametrize(
         "evals,group,majority",
         [
-            ([ev(A), ev(A), ev(A)], AgreementGroup.FULL, A),
-            ([ev(A), ev(A), ev(B)], AgreementGroup.MAJORITY, A),
-            ([ev(A), ev(A, B), ev(C)], AgreementGroup.MAJORITY, A),
-            ([ev(A), ev(B), ev(C)], AgreementGroup.NONE, None),
-            ([ev(A), ev(A, B), ev(B, C)], AgreementGroup.NONE, None),
+            ([(A,), (A,), (A,)], AgreementGroup.FULL, A),
+            ([(A,), (A,), (B,)], AgreementGroup.MAJORITY, A),
+            ([(A,), (A, B), (C,)], AgreementGroup.MAJORITY, A),
+            ([(A,), (B,), (C,)], AgreementGroup.NONE, None),
+            ([(A,), (A, B), (B, C)], AgreementGroup.NONE, None),
         ],
     )
     def test_canonical_rows(self, evals, group, majority):
         assert classify(evals) == (group, majority)
 
     def test_single_annotator_single_tag_is_full(self):
-        assert classify([ev(A)]) == (AgreementGroup.FULL, A)
+        assert classify([(A,)]) == (AgreementGroup.FULL, A)
 
     def test_single_annotator_multi_tag_is_none(self):
-        assert classify([ev(A, B)]) == (AgreementGroup.NONE, None)
+        assert classify([(A, B)]) == (AgreementGroup.NONE, None)
 
     def test_all_annotators_share_two_classes(self):
         # Both classes voted by everyone: no unique class at full count.
-        assert classify([ev(A, B)] * 3) == (AgreementGroup.NONE, None)
+        assert classify([(A, B)] * 3) == (AgreementGroup.NONE, None)
 
     def test_full_with_extra_tags(self):
         # A is in every tag set, B only in one.
-        assert classify([ev(A), ev(A), ev(A, B)]) == (AgreementGroup.FULL, A)
+        assert classify([(A,), (A,), (A, B)]) == (AgreementGroup.FULL, A)
 
 
 def reference_rule(counts, n_annotators):
@@ -162,16 +156,17 @@ class TestBatchAgreement:
             k = int(rng.integers(2, 6))
             space = ClassSpace(tuple(f"c{i}" for i in range(k)))
             sets = [
-                [Evaluation(tuple(int(t) for t in rng.choice(k, size=int(rng.integers(1, k + 1)),
-                                                              replace=False)))
+                [tuple(int(t) for t in rng.choice(k, size=int(rng.integers(1, k + 1)),
+                                                  replace=False))
                  for _ in range(int(rng.integers(1, 6)))]
                 for _ in range(50)
             ]
-            counts, annotators = vote_matrix(sets, space)
+            corpus = corpus_of(sets, k=k)
+            counts, annotators = corpus.counts, corpus.annotators
             groups, majority = agreement(counts, annotators)
             assert groups.dtype == np.int8
             for i, evals in enumerate(sets):
-                np.testing.assert_array_equal(counts[i], vote_matrix([evals], space)[0][0])
+                np.testing.assert_array_equal(counts[i], AnnotationSet(evals, space).counts)
                 expected = reference_rule(list(counts[i]), len(evals))
                 assert classify(evals, space) == expected
                 assert (groups[i], None if majority[i] < 0 else majority[i]) == expected
@@ -180,16 +175,17 @@ class TestBatchAgreement:
                 assert classify(evals, space)[0] is expected[0]
 
     def test_empty_corpus(self):
-        counts, annotators = vote_matrix([], ABC)
+        corpus = corpus_of([])
+        counts, annotators = corpus.counts, corpus.annotators
         assert counts.shape == (0, 3) and annotators.shape == (0,)
         assert [a.shape for a in agreement(counts, annotators)] == [(0,), (0,)]
         assert agreement(counts, annotators)[0].dtype == np.int8
 
     def test_bad_rows_rejected(self):
-        with pytest.raises(ValueError, match="at least one evaluation"):
-            vote_matrix([[ev(A)], []], ABC)
-        with pytest.raises(ValueError, match="outside class space"):
-            vote_matrix([[ev(A)], [ev(3)]], ABC)
+        with pytest.raises(ValueError, match="at least one evaluation is required"):
+            [AnnotationSet(evs, ABC) for evs in [[(A,)], []]]
+        with pytest.raises(ValueError, match="tag index 3 outside class space of size 3"):
+            [AnnotationSet(evs, ABC) for evs in [[(A,)], [(3,)]]]
 
 
 class TestSoftLabel:
@@ -218,7 +214,7 @@ class TestSoftLabel:
             for _ in range(int(rng.integers(1, 5))):
                 n_tags = int(rng.integers(1, k + 1))
                 tags = rng.choice(k, size=n_tags, replace=False)
-                evals.append(Evaluation(tuple(int(t) for t in tags)))
+                evals.append(tuple(int(t) for t in tags))
             dist = soft_label(AnnotationSet(tuple(evals), space).labels)
             assert np.all(dist.p >= 0.0)
             assert abs(dist.p.sum() - 1.0) <= 1e-12
@@ -261,7 +257,7 @@ def vote_corpora(draw):
     space = ClassSpace(tuple(map(str, range(k))))
 
     def no_majority(evs):
-        return AnnotationSet(tuple(map(Evaluation, evs)), space).majority is None
+        return AnnotationSet(evs, space).majority is None
 
     return [evs for evs in sets if keep is None or no_majority(evs) == keep], k
 
@@ -323,16 +319,38 @@ class TestVoteAndReplace:
 
 class TestAnnotationSet:
     def test_derived_views(self):
-        ann = AnnotationSet((ev(A), ev(A, B), ev(C)), ABC)
+        ann = AnnotationSet(((A,), (A, B), (C,)), ABC)
         assert ann.group == AgreementGroup.MAJORITY
         assert ann.majority == A
         assert len(ann.labels) == 4
+
+    def test_views_are_derived_once(self, monkeypatch):
+        # Construction makes one count and one agreement call; reading the
+        # views afterwards makes neither.
+        calls = []
+        for name in ("tag_counts", "agreement"):
+            def counted(*args, _name=name, _real=getattr(annotations, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(annotations, name, counted)
+        ann = AnnotationSet([(C,), [B, A], (A,)], ABC)
+        assert calls == ["tag_counts", "agreement"]
+        for _ in range(2):
+            assert (ann.group, ann.majority) == (AgreementGroup.MAJORITY, A)
+            np.testing.assert_array_equal(ann.labels, [one_hot(A), one_hot(A), one_hot(B),
+                                                       one_hot(C)])
+        assert calls == ["tag_counts", "agreement"]
+        np.testing.assert_array_equal(ann.counts, [2, 1, 1])
+        assert ann.evaluations == ((C,), (A, B), (A,))
+        # The views are not arguments.
+        with pytest.raises(TypeError):
+            AnnotationSet([(A,)], ABC, counts=np.array([0, 3, 0]))
 
     def test_full_implies_one_hot_soft_label(self):
         rng = np.random.default_rng(5)
         seen_full = 0
         for _ in range(200):
-            evals = [ev(int(rng.integers(0, 3))) for _ in range(3)]
+            evals = [(int(rng.integers(0, 3)),) for _ in range(3)]
             ann = AnnotationSet(tuple(evals), ABC)
             if ann.group == AgreementGroup.FULL:
                 seen_full += 1
@@ -348,7 +366,7 @@ class TestAnnotationSet:
             for _ in range(3):
                 n_tags = int(rng.integers(1, 3))
                 tags = rng.choice(3, size=n_tags, replace=False)
-                evals.append(Evaluation(tuple(int(t) for t in tags)))
+                evals.append(tuple(int(t) for t in tags))
             sets.append(AnnotationSet(tuple(evals), ABC))
         counts = {g: 0 for g in AgreementGroup}
         for ann in sets:

@@ -16,11 +16,11 @@ import pytest
 
 import labelprior
 from labelprior import annotations, cli, dataio, synth
-from labelprior.annotations import AgreementGroup, AnnotationSet, ClassSpace, Evaluation
+from labelprior.annotations import AgreementGroup, AnnotationSet, ClassSpace
 from labelprior.dirichlet import CategoricalDist
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import entropy as dist_entropy
-from labelprior.model import TrainConfig, init
+from labelprior.model import LabelledExample, TrainConfig, init
 
 from corpora import corpus_of
 
@@ -315,7 +315,7 @@ class TestEval:
         report_path = tmp_path / "report.json"
         run("eval", "--data", full_test, "--ckpt", ckpt, "--out", report_path)
         doc = dataio.read_report(report_path)
-        groups = [AnnotationSet(tuple(map(Evaluation, evs)), space).group for evs in tag_lists]
+        groups = [AnnotationSet(evs, space).group for evs in tag_lists]
         for name, group in (("full", AgreementGroup.FULL),
                             ("majority", AgreementGroup.MAJORITY),
                             ("none", AgreementGroup.NONE)):
@@ -695,14 +695,18 @@ class TestAgreementCalls:
         assert run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 1,
                    "--out", ckpt) == 0
         built = []
-        for cls, method in ((Evaluation, "__post_init__"), (dataio.DatasetRecord, "__init__")):
+        for cls, method in ((AnnotationSet, "__post_init__"), (LabelledExample, "__init__"),
+                            (dataio.DatasetRecord, "__init__")):
             original = getattr(cls, method)
-            monkeypatch.setattr(cls, method, lambda self, *args, original=original, cls=cls:
-                                built.append(cls) or original(self, *args))
+            monkeypatch.setattr(cls, method, lambda self, *args, original=original, cls=cls, **kw:
+                                built.append(cls) or original(self, *args, **kw))
         assert run(command, *command_args(command, small_dataset, ckpt, tmp_path / "out")) == 0
         assert built == []
-        Evaluation((0,))  # the counter sees a construction
-        assert built == [Evaluation]
+        # The counter sees a construction of each.
+        AnnotationSet([(0,)], ClassSpace(("A", "B")))
+        corpus_of([[[0]]])[0]
+        dataio.DatasetRecord(0, "train", np.zeros(2), ((0,),))
+        assert built == [AnnotationSet, LabelledExample, dataio.DatasetRecord]
 
 
 @pytest.mark.parametrize("args, field", [

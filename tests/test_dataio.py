@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from labelprior import cli, dataio
-from labelprior.annotations import AgreementGroup, ClassSpace, Evaluation, tag_lists
+from labelprior.annotations import AgreementGroup, ClassSpace, tag_lists
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import GroupMetrics, MetricsReport, PRCurve
 from labelprior.model import TrainConfig, init
 from labelprior.synth import SynthConfig, generate, generate_columns
+
+from corpora import corpus_of
 
 SPACE = ClassSpace(("A", "B", "C"))
 
@@ -22,13 +24,13 @@ def sample_records():
             uid=0,
             split="train",
             features=np.array([0.25, -1.5, 3.125]),
-            evaluations=(Evaluation((0,)), Evaluation((0, 1)), Evaluation((2,))),
+            evaluations=((0,), (0, 1), (2,)),
         ),
         dataio.DatasetRecord(
             uid=1,
             split="test",
             features=np.array([0.0, 0.5, 1.0]),
-            evaluations=(Evaluation((1,)),),
+            evaluations=((1,),),
         ),
     ]
 
@@ -49,7 +51,7 @@ class TestDatasetRoundTrip:
         assert corpus.ids == [rec.uid for rec in want]
         assert corpus.train.tolist() == [rec.split == "train" for rec in want]
         assert list(tag_lists(corpus.tags, corpus.tags_per_eval, corpus.annotators)) == [
-            [list(ev.tags) for ev in rec.evaluations] for rec in want]
+            [list(ev) for ev in rec.evaluations] for rec in want]
         np.testing.assert_array_equal(corpus.features, [rec.features for rec in want])
 
     def test_columns(self, tmp_path):
@@ -115,6 +117,12 @@ class TestDatasetRoundTrip:
             got, want = getattr(built, name), getattr(read, name)
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_write_dataset_writes_names_in_class_order(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        record = dataio.DatasetRecord(0, "train", np.zeros(3), ((2, 0), (1,)))
+        dataio.write_dataset(path, SPACE, [record])
+        assert json.loads(path.read_text().splitlines()[1])["evaluations"] == [["A", "C"], ["B"]]
 
     def test_manifest_first_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -193,6 +201,23 @@ class TestCorpusRows:
         corpus = read_sample(tmp_path, sample_records())
         assert [e.uid for e in corpus.select(corpus.train)] == [0]
 
+    @pytest.mark.parametrize("rows", [
+        np.array([0, 2, 1]),
+        np.array([1, 0, 1]),
+        [True, False, True],
+        np.array([True, False]),
+        np.array([[True, False, True]]),
+    ], ids=["indices", "ints", "list", "short", "2d"])
+    def test_select_takes_only_a_boolean_mask(self, rows):
+        # An index array once gave 2 ids beside 3 count rows.
+        corpus = corpus_of([[[0]], [[1], [1]], [[2]]])
+        with pytest.raises(ValueError, match=r"select takes a boolean mask of shape \(3,\)"):
+            corpus.select(rows)
+        picked = corpus.select(np.array([True, False, True]))
+        assert picked.ids == [0, 2]
+        np.testing.assert_array_equal(picked.counts, [[1, 0, 0], [0, 0, 1]])
+        np.testing.assert_array_equal(picked.tags, [0, 2])
+
     def test_classifies_agreement_once(self, tmp_path, monkeypatch):
         # One call of the batch rule for the whole file, none per record.
         path = tmp_path / "sample.jsonl"
@@ -230,7 +255,7 @@ class TestCorpusRows:
         assert len(examples) == len(kept) == 90
         eye = np.eye(space.k)
         for example, rec in zip(examples, kept, strict=True):
-            counts = np.bincount([t for ev in rec.evaluations for t in ev.tags],
+            counts = np.bincount([t for ev in rec.evaluations for t in ev],
                                  minlength=space.k)
             groups, majority = dataio.agreement(counts[None], [len(rec.evaluations)])
             labels = np.repeat(eye, counts, axis=0)
@@ -374,5 +399,5 @@ def test_synthetic_corpus_round_trip(tmp_path):
     space2, loaded = dataio.read_dataset(path)
     assert space2.names == space.names
     assert list(tag_lists(loaded.tags, loaded.tags_per_eval, loaded.annotators)) == [
-        [list(ev.tags) for ev in rec.evaluations] for rec in records]
+        [list(ev) for ev in rec.evaluations] for rec in records]
     np.testing.assert_array_equal(loaded.features, [rec.features for rec in records])

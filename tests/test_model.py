@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from labelprior.annotations import AgreementGroup, ClassSpace, Evaluation
+from labelprior.annotations import AgreementGroup, ClassSpace
 from labelprior.dataio import DatasetRecord, read_dataset, write_dataset
 from labelprior.dirichlet import CategoricalDist, SingularityError
 from labelprior.losses import LossConfig, LossKind, example_loss
@@ -32,7 +32,7 @@ def corpus_of(tmp_path, k, rows):
     path = tmp_path / "train.jsonl"
     write_dataset(path, ClassSpace(tuple(f"c{i}" for i in range(k))),
                   [DatasetRecord(uid, "train", np.asarray(x, dtype=np.float64),
-                                 tuple(Evaluation((c,)) for c in classes))
+                                 tuple((c,) for c in classes))
                    for uid, x, classes in rows])
     return read_dataset(path)[1]
 

@@ -1,5 +1,5 @@
 """Property test of the columnar reader against a reference built here:
-``json.loads`` per line and ``vote_matrix`` over ``Evaluation`` objects.
+``json.loads`` per line and a ``Counter`` of each record's class indices.
 
 Corpora come from ``gen`` over the shapes it admits, with the tag order
 shuffled inside every evaluation; the reader's columns must equal the
@@ -8,7 +8,8 @@ as it writes the sorted one.  ``Corpus.select`` must slice every column
 by a drawn mask.  On corpora of several blocks, with one drawn corruption
 and layout, the reader's column checks must accept exactly the files its
 line-by-line checks find no fault in, and reject the rest with that
-line's message."""
+line's message; a deeply nested value or a byte that is not UTF-8 in one
+record line must be named at that line."""
 
 import contextlib
 import dataclasses
@@ -16,7 +17,9 @@ import io
 import json
 import math
 import pathlib
+import re
 import tempfile
+from collections import Counter
 from itertools import compress
 from unittest import mock
 
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 from test_reader_contract import BAD_VALUES, DATASET_SITES, corrupt
 
 from labelprior import cli, dataio
-from labelprior.annotations import ClassSpace, Evaluation, agreement, tag_lists, vote_matrix
+from labelprior.annotations import ClassSpace, agreement, tag_lists
 
 
 def run(*args) -> tuple[int, str]:
@@ -41,9 +44,11 @@ def reference(path):
     with open(path, encoding="utf-8") as fh:
         manifest, *docs = [json.loads(line) for line in fh]
     space = ClassSpace(tuple(manifest["classes"]))
-    evaluation_sets = [tuple(Evaluation(tuple(space.index(name) for name in tags))
-                             for tags in doc["evaluations"]) for doc in docs]
-    counts, annotators = vote_matrix(evaluation_sets, space)
+    evaluation_sets = [[sorted(space.index(name) for name in tags) for tags in doc["evaluations"]]
+                       for doc in docs]
+    votes = [Counter(t for ev in evs for t in ev) for evs in evaluation_sets]
+    counts = np.array([[v[c] for c in range(space.k)] for v in votes], dtype=np.int64)
+    annotators = np.array(list(map(len, evaluation_sets)), dtype=np.int64)
     groups, majority = agreement(counts, annotators)
     return {
         "ids": [doc["id"] for doc in docs],
@@ -53,8 +58,8 @@ def reference(path):
         "annotators": annotators,
         "groups": groups,
         "majority": majority,
-        # Each evaluation's class indices, sorted by ``Evaluation``.
-        "tag_lists": [[list(ev.tags) for ev in evs] for evs in evaluation_sets],
+        # Each evaluation's class indices, in class order.
+        "tag_lists": evaluation_sets,
     }
 
 
@@ -219,11 +224,24 @@ def not_an_object(draw, docs):
     docs[draw(st.integers(0, len(docs) - 1))] = draw(st.sampled_from([[], ["id"], "id", 0, None]))
 
 
+# A line-level corruption puts this string in place of one value of one
+# record, and the laid-out file's bytes have its JSON replaced by the bytes
+# in LINE_BYTES.
+PLACEHOLDER = "\x00corrupt\x00"
+LINE_BYTES = {"deep-nesting": b"[" * 100_000 + b"]" * 100_000, "not-utf8": b'"\xff"'}
+
+
+def placeholder_value(draw, docs):
+    doc = docs[draw(st.integers(0, len(docs) - 1))]
+    doc[draw(st.sampled_from(["id", "split", "features", "evaluations"]))] = PLACEHOLDER
+
+
 CORRUPTIONS = {"field": field_corruption, "repeat-tag": repeat_tag,
                "repeat-id": repeat_id_in_another_block,
                "names-not-in-a-list": names_not_in_a_list, "not-an-object": not_an_object,
                "huge-feature": feature(st.just(10**400)),
-               "non-finite-feature": feature(st.sampled_from([math.nan, math.inf, -math.inf]))}
+               "non-finite-feature": feature(st.sampled_from([math.nan, math.inf, -math.inf])),
+               **dict.fromkeys(LINE_BYTES, placeholder_value)}
 
 
 def crlf_and_indent(draw, lines):
@@ -319,4 +337,17 @@ def test_column_checks_agree_with_line_checks(shape, corruption, layout, draw):
         assert accepted(laid_out(clean), clean) == (layout not in BAD_LAYOUTS)
         CORRUPTIONS[corruption](draw.draw, docs)
         bad = write_lines(root / "bad.jsonl", manifest, docs)
-        assert not accepted(laid_out(bad), bad)
+        path = laid_out(bad)
+        if corruption in LINE_BYTES:
+            text, placeholder = path.read_bytes(), json.dumps(PLACEHOLDER).encode()
+            line = text.count(b"\n", 0, text.index(placeholder)) + 1
+            path.write_bytes(text.replace(placeholder, LINE_BYTES[corruption]))
+        assert not accepted(path, bad)
+        if corruption in LINE_BYTES:
+            # A layout fault on an earlier line is named first; the whole
+            # file is decoded before any line is read.
+            named = int(re.search(r": line (\d+): ", read(path)).group(1))
+            if layout in BAD_LAYOUTS and corruption == "deep-nesting":
+                assert named <= line
+            else:
+                assert named == line

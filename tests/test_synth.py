@@ -15,10 +15,8 @@ from labelprior import rng
 from labelprior.annotations import (
     AgreementGroup,
     AnnotationSet,
-    Evaluation,
     agreement,
     soft_label,
-    vote_matrix,
 )
 from labelprior.dataio import Corpus
 from labelprior.synth import (
@@ -129,12 +127,13 @@ class TestGenerate:
 
     def test_annotator_order_exchangeable(self):
         cfg = SynthConfig(n=100, k=4, d=8, seed=13)
-        utts, space = generate(cfg)
+        utts, _ = generate(cfg)
         rng = np.random.default_rng(0)
         for u in utts:
             perm = rng.permutation(len(u.evaluations))
             shuffled = tuple(u.evaluations[i] for i in perm)
-            groups, majority = agreement(*vote_matrix([shuffled, u.evaluations], space))
+            pair = corpus_of([shuffled, u.evaluations], k=cfg.k)
+            groups, majority = agreement(pair.counts, pair.annotators)
             assert groups[0] == groups[1] and majority[0] == majority[1]
 
     def test_second_tags_distinct(self):
@@ -143,8 +142,8 @@ class TestGenerate:
         multi = 0
         for u in utts:
             for ev in u.evaluations:
-                assert len(set(ev.tags)) == len(ev.tags)
-                multi += len(ev.tags) > 1
+                assert len(set(ev)) == len(ev)
+                multi += len(ev) > 1
         assert multi > 0
 
     def test_no_second_tag_without_other_mass(self):
@@ -154,7 +153,7 @@ class TestGenerate:
         cfg = SynthConfig(n=1, k=2, d=2, annotators=1, seed=0, multi_tag_prob=0.5,
                           regime_precisions=(2.0, 1.0000000000000002, 2.0))
         (u,), _ = generate(cfg)
-        assert [ev.tags for ev in u.evaluations] == [(1,)]
+        assert list(u.evaluations) == [(1,)]
 
 
 class TestStats:
@@ -212,7 +211,8 @@ def test_soft_labels_exchangeable_in_annotator_order():
 
 
 # The per-utterance generator that generate_columns replaced, verbatim with
-# its helpers: one fresh stream and one Evaluation per annotator.
+# its helpers: one fresh stream, and one tuple of class indices in class
+# order per annotator.
 def _sample_index(gen: np.random.Generator, cum: list[float]) -> int:
     # ``cum`` holds the running sums of the weights, added in np.cumsum's order.
     u = gen.random()
@@ -249,7 +249,7 @@ def _generate_one(config: SynthConfig, regime_cum: list[float], uid: int) -> Syn
             second = _sample_index(gen, list(accumulate(rest)))
             if second != first:
                 tags.append(second)
-        evaluations.append(Evaluation(tuple(tags)))
+        evaluations.append(tuple(sorted(tags)))
 
     features = np.zeros(config.d)
     features[: config.k] = mu
@@ -287,8 +287,8 @@ def test_columns_draw_what_the_per_utterance_generator_drew(config):
     features, true_mu, tags, tags_per_eval, annotators = generate_columns(config)
     assert np.array_equal(features, np.array([u.features for u in want]))
     assert np.array_equal(true_mu, np.array([u.true_mu for u in want]))
-    assert tags.tolist() == [t for ev in evaluations for t in ev.tags]
-    assert tags_per_eval.tolist() == [len(ev.tags) for ev in evaluations]
+    assert tags.tolist() == [t for ev in evaluations for t in ev]
+    assert tags_per_eval.tolist() == [len(ev) for ev in evaluations]
     assert annotators.tolist() == [config.annotators] * config.n
     view, _ = generate(config)
     assert [(u.uid, u.evaluations) for u in view] == [(u.uid, u.evaluations) for u in want]
