@@ -2,21 +2,22 @@
 evaluation reports, PR-curve CSVs and training logs.
 
 All writers are deterministic: rerunning a command with the same inputs
-produces byte-identical files.
+produces byte-identical files.  Both dataset writers go through one encoder
+that makes the text of a block of records at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import chain, compress, starmap
 
 import numpy as np
 
-from .annotations import AgreementGroup, ClassSpace, agreement, tag_counts, tag_lists
+from .annotations import AgreementGroup, ClassSpace, agreement, tag_counts
 from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
@@ -53,35 +54,58 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _write_records(path: str, names, d: int, ids, splits, rows, evaluations) -> None:
-    """Manifest line followed by one JSON record per id, encoded one record
-    at a time: ``rows`` yields feature lists and ``evaluations`` each
-    record's evaluations as lists of class names."""
-    lines = [_compact({"format_version": FORMAT_VERSION, "kind": "dataset",
-                       "classes": list(names), "feature_dim": d})] + [
-        _compact({"id": uid, "split": split, "features": row, "evaluations": evs})
-        for uid, split, row, evs in zip(ids, splits, rows, evaluations)]
+_BLOCK = 128  # records parsed, checked or encoded at a time, so peak memory stays flat
+_HEAD = '{{"id":{},"split":{},"features":[{}],"evaluations":[['
+
+
+def _write_blocks(path: str, names, d: int, ids: list, splits: list, rows,
+                  tags: np.ndarray, tags_per_eval: np.ndarray, annotators: np.ndarray) -> None:
+    """Manifest line and one JSON record per id, encoded ``_BLOCK`` records at
+    a time before the file opens: ``splits`` holds JSON texts, ``rows`` feature
+    lists or a 2-D array, and the flat tag layout the evaluations."""
+    if (annotators < 1).any() or (tags_per_eval < 1).any():
+        raise ValueError("every record needs an evaluation and every evaluation a tag")
+    tokens = np.array([_compact(name) for name in names], dtype=object)
+    # The offsets of every record's first evaluation and of every evaluation's first tag.
+    record_evals = np.concatenate([[0], np.cumsum(annotators)])
+    eval_tags = np.concatenate([[0], np.cumsum(tags_per_eval)])
+    record_tags = eval_tags[record_evals]
+    blocks = [_compact({"format_version": FORMAT_VERSION, "kind": "dataset",
+                        "classes": list(names), "feature_dim": d}) + "\n"]
+    for r0 in range(0, len(ids), _BLOCK):
+        r1 = min(r0 + _BLOCK, len(ids))
+        block = rows[r0:r1]
+        # Feature lists hold only numbers, so "],[" falls between rows alone.
+        features = _compact(block if isinstance(block, list) else block.tolist())[2:-2]
+        heads = list(starmap(_HEAD.format, zip(_compact(ids[r0:r1])[1:-1].split(","),
+                                               splits[r0:r1], features.split("],["), strict=True)))
+        t0, t1 = record_tags[r0], record_tags[r1]
+        seps = np.full(t1 - t0, ",", dtype=object)
+        seps[eval_tags[record_evals[r0] + 1:record_evals[r1] + 1] - t0 - 1] = "],["
+        seps[record_tags[r0 + 1:r1 + 1] - t0 - 1] = "]]}\n"
+        pieces = np.stack([tokens[tags[t0:t1]], seps], axis=1).ravel()
+        blocks.append("".join(np.insert(pieces, 2 * (record_tags[r0:r1] - t0), heads).tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(blocks)
 
 
 def write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
     """Manifest line followed by one JSON record per row of ``corpus``."""
-    names = np.array(space.names, dtype=object)[corpus.tags]
-    _write_records(path, space.names, corpus.features.shape[1], corpus.ids,
-                   ("train" if train else "test" for train in corpus.train.tolist()),
-                   map(np.ndarray.tolist, corpus.features),
-                   tag_lists(names, corpus.tags_per_eval, corpus.annotators))
+    _write_blocks(path, space.names, corpus.features.shape[1], corpus.ids,
+                  np.where(corpus.train, '"train"', '"test"').tolist(), corpus.features,
+                  corpus.tags, corpus.tags_per_eval, corpus.annotators)
 
 
 def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
     """Manifest line followed by one unchecked JSON record per utterance,
     each evaluation's names in class order."""
-    names = space.names
-    _write_records(path, names, int(records[0].features.shape[0]) if records else 0,
-                   [rec.uid for rec in records], [rec.split for rec in records],
-                   (np.asarray(rec.features, dtype=np.float64).tolist() for rec in records),
-                   ([[names[t] for t in sorted(ev)] for ev in rec.evaluations] for rec in records))
+    evaluations = [ev for rec in records for ev in rec.evaluations]
+    _write_blocks(path, space.names, int(records[0].features.shape[0]) if records else 0,
+                  [rec.uid for rec in records], [_compact(rec.split) for rec in records],
+                  [np.asarray(rec.features, dtype=np.float64).tolist() for rec in records],
+                  np.array([t for ev in evaluations for t in sorted(ev)], dtype=np.int64),
+                  np.array(list(map(len, evaluations)), dtype=np.int64),
+                  np.array([len(rec.evaluations) for rec in records], dtype=np.int64))
 
 
 def _text(path: str) -> str:
@@ -156,6 +180,10 @@ class Corpus(Sequence[LabelledExample]):
     # Indexing builds one row on demand for per-row callers; model.train
     # reads the columns.
     def __getitem__(self, i: int) -> LabelledExample:
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise TypeError("Corpus indices must be integers; select takes a boolean mask") from None
         counts = self.counts[i]
         major = int(self.majority[i])
         return LabelledExample(
@@ -204,11 +232,10 @@ class Corpus(Sequence[LabelledExample]):
         )
 
 
-_BLOCK = 128  # record lines parsed and checked at a time, so peak memory stays flat
 _BLANK = " \t\r"  # the JSON whitespace a line can hold; a line of only these is blank
 _LISTS, _INTS, _NUMBERS = frozenset((list,)), frozenset((int,)), frozenset((int, float))
 _SPLITS = frozenset(("train", "test"))
-_FIELDS = itemgetter("id", "split", "features", "evaluations")
+_FIELDS = operator.itemgetter("id", "split", "features", "evaluations")
 _decode = json.JSONDecoder().raw_decode
 
 

@@ -7,7 +7,9 @@ from orthogonal class centroids plus Gaussian noise.  Every utterance owns
 an independent random stream keyed by (seed, utterance id), so corpora are
 reproducible and utterance i is the same whatever n is.  ``generate_columns``
 writes the corpus straight into columns, in the flat tag layout every other
-layer counts from; ``generate`` is a per-utterance view of those columns.
+layer counts from: it draws each utterance in stream order, then picks the
+tags of a block of utterances at once from the uniforms drawn.  ``generate``
+is a per-utterance view of those columns.
 """
 
 from __future__ import annotations
@@ -94,10 +96,15 @@ def default_class_names(k: int) -> tuple[str, ...]:
     return tuple(letters[i] if i < len(letters) else f"c{i}" for i in range(k))
 
 
-def _sample_index(u: float, cum: list[float]) -> int:
-    # ``u`` is uniform in [0, 1); ``cum`` holds the running sums of the
-    # weights, added in np.cumsum's order.
-    return min(bisect.bisect_right(cum, u * cum[-1]), len(cum) - 1)
+_BLOCK = 256  # utterances whose tags are picked at a time, so peak memory stays flat
+
+
+def _sample_rows(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # bisect_right of u[i] * total in each row's running sums, capped at K - 1:
+    # the sums never fall, so it is the count of sums at or below the target.
+    cum = np.cumsum(weights, axis=1)
+    below = np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
+    return np.minimum(below, weights.shape[1] - 1)
 
 
 def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
@@ -106,41 +113,47 @@ def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
     tag layout (the class of every tag, in class order within each
     evaluation as ``read_dataset`` stores it; the tags of every evaluation;
     the evaluations of every utterance)."""
-    n, k = config.n, config.k
+    n, k, annotators, p = config.n, config.k, config.annotators, config.multi_tag_prob
     regime_cum = list(accumulate(config.group_mix))
+    # Unit base concentration everywhere, remaining precision on the
+    # dominant class; at precision k this degenerates to the flat Dirichlet
+    # and for precision -> inf the mean approaches the dominant one-hot.
+    alphas = np.ones((3, k, k))
+    alphas[:, range(k), range(k)] = np.subtract(config.regime_precisions, k - 1)[:, None]
     features, noise = np.zeros((n, config.d)), np.zeros((n, config.d))
     tags, tags_per_eval = [], []
-    for uid, gen in enumerate(rng.streams(config.seed, rng.DOMAIN_UTTERANCE, range(n))):
-        # Draw order is fixed: regime, dominant class, true distribution,
-        # per-annotator tags, then feature noise.
-        regime = _sample_index(gen.random(), regime_cum)
-        # Unit base concentration everywhere, remaining precision on the
-        # dominant class; at precision k this degenerates to the flat Dirichlet
-        # and for precision -> inf the mean approaches the dominant one-hot.
-        alpha = np.ones(k)
-        alpha[int(gen.integers(k))] = config.regime_precisions[regime] - (k - 1)
-        features[uid, :k] = gen.dirichlet(alpha)
-        weights = features[uid, :k].tolist()
-        mu_cum = list(accumulate(weights))
-        # Each annotator takes two uniforms, three with a second tag. Drawing
-        # two per annotator ahead and one more per second tag takes exactly
-        # those, so the feature noise that follows is drawn as before.
-        u = gen.random(2 * config.annotators).tolist()
-        at = 0
-        for _ in range(config.annotators):
-            first = second = _sample_index(u[at], mu_cum)
-            if u[at + 1] < config.multi_tag_prob:
-                u.append(gen.random())
-                rest = weights.copy()
-                rest[first] = 0.0
-                # When no other class has mass the draw can land on ``first``.
-                second = _sample_index(u[at + 2], list(accumulate(rest)))
-                at += 1
-            at += 2
-            tags += sorted({first, second})
-            tags_per_eval.append(1 + (second != first))
-        if config.noise_sigma > 0.0:
-            gen.standard_normal(out=noise[uid])
+    streams = rng.streams(config.seed, rng.DOMAIN_UTTERANCE, range(n))
+    for start in range(0, n, _BLOCK):
+        uniforms, at = [], []  # the block's tag uniforms, and where each annotator's begin
+        for uid, gen in zip(range(start, min(start + _BLOCK, n)), streams):
+            # Draw order is fixed: regime, dominant class, true distribution,
+            # per-annotator tags, then feature noise.
+            regime = min(bisect.bisect_right(regime_cum, gen.random() * regime_cum[-1]), 2)
+            features[uid, :k] = gen.dirichlet(alphas[regime, gen.integers(k)])
+            # Each annotator takes two uniforms, three with a second tag. Drawing
+            # two per annotator ahead and one more per second tag takes exactly
+            # those, so the feature noise that follows is drawn as before.
+            i = len(uniforms)
+            uniforms += gen.random(2 * annotators).tolist()
+            for _ in range(annotators):
+                at.append(i)
+                if uniforms[i + 1] < p:
+                    uniforms.append(gen.random())
+                    i += 1
+                i += 2
+            if config.noise_sigma > 0.0:
+                gen.standard_normal(out=noise[uid])
+        uniforms, at = np.array(uniforms), np.array(at)
+        weights = np.repeat(features[start:uid + 1, :k], annotators, axis=0)
+        first = _sample_rows(uniforms[at], weights)
+        multi, second = uniforms[at + 1] < p, first.copy()
+        # When no other class has mass the draw can land on ``first``.
+        second[multi] = _sample_rows(uniforms[at[multi] + 2], np.where(
+            np.arange(k) == first[multi][:, None], 0.0, weights[multi]))
+        two = second != first
+        pairs = np.sort(np.stack([first, second], axis=1))
+        tags.append(pairs[np.stack([np.ones_like(two), two], axis=1)])
+        tags_per_eval.append(1 + two)
     mu = features[:, :k]
     true_mu = mu / mu.sum(axis=1, keepdims=True)
     if config.noise_sigma > 0.0:
@@ -148,8 +161,8 @@ def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
             features += config.noise_sigma * noise
         if not (finite := np.isfinite(features).all(axis=1)).all():
             raise OverflowError(f"utterance {finite.argmin()}: features overflow")
-    return (features, true_mu, np.array(tags, dtype=np.int64),
-            np.array(tags_per_eval, dtype=np.int64), np.full(n, config.annotators, dtype=np.int64))
+    return (features, true_mu, np.concatenate(tags).astype(np.int64),
+            np.concatenate(tags_per_eval).astype(np.int64), np.full(n, annotators, dtype=np.int64))
 
 
 def generate(config: SynthConfig) -> tuple[list[SynthUtterance], ClassSpace]:

@@ -24,6 +24,11 @@ from labelprior.model import LabelledExample, TrainConfig, init
 
 from corpora import corpus_of
 
+# gen's flags for a crowd corpus of 1,000 utterances, more than one block of
+# the generator and of the dataset writer.
+CROWD_BLOCKS = ["--n", 1000, "--k", 10, "--d", 32, "--annotators", 20, "--multi-tag-prob", 0.2,
+                "--precisions", "300,40,15"]
+
 
 def run(*args):
     return cli.main([str(a) for a in args])
@@ -97,7 +102,12 @@ class TestGen:
         (["--n", 100, "--annotators", 1, "--multi-tag-prob", 0],
          "ba6c28f57b0b31c9e245ec42748a3f44829e137a0d020313d75ca607de68cded",
          "e60a629985ebac2a751b1c1c4b0d7e8cc02b590ddcde86c7b3f100d2944f11c2"),
-    ], ids=["paper", "crowd", "one-annotator"])
+        # Spans several blocks of the generator and of the writer; recorded
+        # while both still worked one utterance at a time.
+        (CROWD_BLOCKS,
+         "e8536dd4dcf8701c14aff287292ab9f786e4d696dc67040db03ac9f15c9007ae",
+         "464e29ac2977939fc2e039ac8db7be5c1029085eb7d6ccf1ca59c9728f5fc375"),
+    ], ids=["paper", "crowd", "one-annotator", "crowd-blocks"])
     def test_bytes_pinned(self, tmp_path, monkeypatch, capsys, args, file_digest,
                           stdout_digest):
         monkeypatch.chdir(tmp_path)
@@ -624,7 +634,10 @@ class TestTransform:
         (None,
          "e43c66e3ae5cb5d21da40cc82eac47788b510bcc564099fefa6df73062cfc34a",
          "7298ae6974384804c4d77fabc66cfaa21c6bcbe61bf97d82dc5a36689a96eacf"),
-    ], ids=["paper", "crowd", "hand-written"])
+        (CROWD_BLOCKS,
+         "58aea72dde29c70db67741ace7bdf4d5196ae6971dda7ef7508f419e17b33888",
+         "3e5dcdd05bbf56a4312390237928728050077ae4b8fcc3df3a8cbce50942087a"),
+    ], ids=["paper", "crowd", "hand-written", "crowd-blocks"])
     def test_bytes_pinned(self, tmp_path, monkeypatch, capsys, gen_args, file_digest,
                           stdout_digest):
         monkeypatch.chdir(tmp_path)

@@ -2,9 +2,13 @@
 and training logs."""
 
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelprior import cli, dataio
 from labelprior.annotations import AgreementGroup, ClassSpace, tag_lists
@@ -181,6 +185,98 @@ class TestDatasetRoundTrip:
         assert str(path) in str(err.value)
 
 
+# The per-record writer that the block encoder replaced, verbatim: one
+# dict and one json.dumps per record.
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _write_records(path: str, names, d: int, ids, splits, rows, evaluations) -> None:
+    """Manifest line followed by one JSON record per id, encoded one record
+    at a time: ``rows`` yields feature lists and ``evaluations`` each
+    record's evaluations as lists of class names."""
+    lines = [_compact({"format_version": dataio.FORMAT_VERSION, "kind": "dataset",
+                       "classes": list(names), "feature_dim": d})] + [
+        _compact({"id": uid, "split": split, "features": row, "evaluations": evs})
+        for uid, split, row, evs in zip(ids, splits, rows, evaluations)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_write_columns(path: str, space: ClassSpace, corpus: dataio.Corpus) -> None:
+    """Manifest line followed by one JSON record per row of ``corpus``."""
+    names = np.array(space.names, dtype=object)[corpus.tags]
+    _write_records(path, space.names, corpus.features.shape[1], corpus.ids,
+                   ("train" if train else "test" for train in corpus.train.tolist()),
+                   map(np.ndarray.tolist, corpus.features),
+                   tag_lists(names, corpus.tags_per_eval, corpus.annotators))
+
+
+def reference_write_dataset(path: str, space: ClassSpace, records) -> None:
+    """Manifest line followed by one unchecked JSON record per utterance,
+    each evaluation's names in class order."""
+    names = space.names
+    _write_records(path, names, int(records[0].features.shape[0]) if records else 0,
+                   [rec.uid for rec in records], [rec.split for rec in records],
+                   (np.asarray(rec.features, dtype=np.float64).tolist() for rec in records),
+                   ([[names[t] for t in sorted(ev)] for ev in rec.evaluations] for rec in records))
+
+
+# Names that JSON escapes, or that hold the separators the encoder places.
+AWKWARD_NAMES = ['"', "\\", "é", "日本", "],[", "]]}", "\n", "A", "a b"]
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0, -3.0, 1e16, 0.1]
+
+
+@st.composite
+def written_corpora(draw):
+    """A space with awkward names and a corpus over it: record counts that
+    straddle blocks of two, d = 0 or more, and multi-tag evaluations."""
+    names = draw(st.lists(st.sampled_from(AWKWARD_NAMES) | st.text(min_size=1, max_size=4),
+                          min_size=2, max_size=6, unique=True))
+    k, n, d = len(names), draw(st.integers(0, 7)), draw(st.integers(0, 3))
+    evaluation = st.sets(st.integers(0, k - 1), min_size=1, max_size=3)
+    evaluations = draw(st.lists(st.lists(evaluation, min_size=1, max_size=4),
+                                min_size=n, max_size=n))
+    number = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    features = draw(st.lists(st.lists(number, min_size=d, max_size=d), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(-2**70, 2**70), min_size=n, max_size=n, unique=True))
+    train = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return ClassSpace(tuple(names)), corpus_of(evaluations, k=k, features=np.reshape(
+        np.array(features, dtype=np.float64), (n, d)), train=train, ids=ids)
+
+
+class TestBlockEncoder:
+    """The block encoder writes the bytes of the per-record writer above."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(written=written_corpora())
+    def test_columns_write_the_reference_bytes(self, written):
+        space, corpus = written
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_BLOCK", 2)
+            got, want = pathlib.Path(tmp, "got.jsonl"), pathlib.Path(tmp, "want.jsonl")
+            dataio.write_columns(got, space, corpus)
+            reference_write_columns(want, space, corpus)
+            assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("records", [sample_records(), []], ids=["sample", "none"])
+    @pytest.mark.parametrize("block", [1, 128])
+    def test_dataset_writes_the_reference_bytes(self, tmp_path, monkeypatch, records, block):
+        monkeypatch.setattr(dataio, "_BLOCK", block)
+        dataio.write_dataset(tmp_path / "got.jsonl", SPACE, records)
+        reference_write_dataset(tmp_path / "want.jsonl", SPACE, records)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("evaluations", [(), ((0,), ())], ids=["no-evaluation", "no-tag"])
+    def test_record_without_a_tag_writes_no_file(self, tmp_path, evaluations):
+        path = tmp_path / "data.jsonl"
+        record = dataio.DatasetRecord(0, "train", np.zeros(3), evaluations)
+        with pytest.raises(ValueError, match="every record needs an evaluation"):
+            dataio.write_dataset(path, SPACE, [record])
+        assert not path.exists()
+
+
 def train_only(records):
     return [dataio.DatasetRecord(r.uid, "train", r.features, r.evaluations) for r in records]
 
@@ -217,6 +313,15 @@ class TestCorpusRows:
         assert picked.ids == [0, 2]
         np.testing.assert_array_equal(picked.counts, [[1, 0, 0], [0, 0, 1]])
         np.testing.assert_array_equal(picked.tags, [0, 2])
+
+    @pytest.mark.parametrize("index", [slice(0, 2), 1.0, np.array([0, 1]), "0"],
+                             ids=["slice", "float", "array", "str"])
+    def test_rows_take_only_integer_indices(self, index):
+        corpus = corpus_of([[[0]], [[1], [1]], [[2]]])
+        with pytest.raises(TypeError, match="Corpus indices must be integers; select takes"):
+            corpus[index]
+        assert corpus[np.int64(1)].uid == corpus[-2].uid == 1
+        assert [row.majority for row in corpus] == [0, 1, 2]
 
     def test_classifies_agreement_once(self, tmp_path, monkeypatch):
         # One call of the batch rule for the whole file, none per record.

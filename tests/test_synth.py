@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelprior import rng
+from labelprior import rng, synth
 from labelprior.annotations import (
     AgreementGroup,
     AnnotationSet,
@@ -284,7 +284,10 @@ def test_columns_draw_what_the_per_utterance_generator_drew(config):
     regime_cum = list(accumulate(config.group_mix))
     want = [_generate_one(config, regime_cum, uid) for uid in range(config.n)]
     evaluations = [ev for u in want for ev in u.evaluations]
-    features, true_mu, tags, tags_per_eval, annotators = generate_columns(config)
+    # Blocks of three utterances, so that most drawn corpora span several.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "_BLOCK", 3)
+        features, true_mu, tags, tags_per_eval, annotators = generate_columns(config)
     assert np.array_equal(features, np.array([u.features for u in want]))
     assert np.array_equal(true_mu, np.array([u.true_mu for u in want]))
     assert tags.tolist() == [t for ev in evaluations for t in ev]
