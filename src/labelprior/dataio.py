@@ -144,7 +144,7 @@ def _class_space(path: str, classes) -> ClassSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class Corpus(Sequence[LabelledExample]):
+class Corpus:
     """A dataset's records as columns, one row per record in file order.
 
     ``tags`` holds the class index of every tag, in class order within each
@@ -152,7 +152,8 @@ class Corpus(Sequence[LabelledExample]):
     tags of every evaluation and ``annotators`` the number of evaluations of
     every record; ``annotations.tag_lists`` turns them back into lists.
     ``from_tags`` derives the rest: the vote ``counts``, and the ``groups``
-    (int8 codes) and ``majority`` of their agreement.
+    (int8 codes) and ``majority`` of their agreement;
+    ``replace_majorities`` sets them by the vote-and-replace rule.
     """
 
     ids: list[int]
@@ -177,8 +178,8 @@ class Corpus(Sequence[LabelledExample]):
     def __len__(self) -> int:
         return len(self.ids)
 
-    # Indexing builds one row on demand for per-row callers; model.train
-    # reads the columns.
+    # Indexing builds one row on demand for per-row callers, and iterating
+    # indexes until IndexError; model.train reads the columns.
     def __getitem__(self, i: int) -> LabelledExample:
         try:
             i = operator.index(i)

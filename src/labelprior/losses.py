@@ -1,12 +1,12 @@
 """The four training objectives and their analytic gradients w.r.t. logits.
 
 :func:`batch_loss` is the one implementation of every objective.  It takes
-a mini-batch of (B, K) logits, the (B, K) label counts N (N_k labels of
-class k, M = sum_k N_k labels in all) and the (B,) majority classes, and
-returns (B,) values and (B, K) logit gradients.  Each objective reads the
-labels only through N, M and the majority:
+a mini-batch of (B, K) logits and the (B, K) label counts N (N_k labels of
+class k, M = sum_k N_k labels in all), and returns (B,) values and (B, K)
+logit gradients.  Each objective reads the labels only through N and M:
 
-- hard: KL to a one-hot target at the majority class;
+- hard: KL to the one-hot target N/M of a row whose labels are all of one
+  class, as vote-and-replace leaves every row with a majority;
 - soft: KL to the soft label N/M;
 - dpn: mean negative Dirichlet log-density of the eps1-smoothed labels,
   which is minus the density of :mod:`dirichlet` at their mean log-label
@@ -131,14 +131,13 @@ def _polya(
 
 
 def batch_loss(
-    config: LossConfig, z: np.ndarray, counts: np.ndarray, majority: np.ndarray
+    config: LossConfig, z: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values (B,) and logit gradients (B, K) of one objective on a batch.
 
-    ``z`` holds the (B, K) logits, ``counts`` the (B, K) label counts and
-    ``majority`` the (B,) majority classes (-1 where there is none; only the
-    hard loss reads them).  A SingularityError from dpn with eps1 = 0 names
-    the first singular row in its ``row`` attribute.
+    ``z`` holds the (B, K) logits and ``counts`` the (B, K) label counts,
+    for hard all of one class on each row.  A SingularityError from dpn
+    with eps1 = 0 names the first singular row in its ``row`` attribute.
     """
     z = np.asarray(z, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.float64)
@@ -152,14 +151,9 @@ def batch_loss(
     if counts.min() < 0.0 or m.min() <= 0.0:
         raise ValueError("label counts must be non-negative with at least one label per row")
     kind = config.kind
-    if kind == LossKind.HARD:
-        majority = np.asarray(majority)
-        if majority.shape != m.shape or majority.min() < 0 or majority.max() >= z.shape[1]:
-            raise ValueError("hard loss is undefined without a majority label")
-        target = np.zeros_like(z)
-        target[np.arange(z.shape[0]), majority] = 1.0
-        return _kl(target, z)
-    if kind == LossKind.SOFT_KL:
+    if kind == LossKind.HARD and (counts.max(axis=1) < m).any():
+        raise ValueError("hard loss needs every row's labels in its majority class")
+    if kind == LossKind.HARD or kind == LossKind.SOFT_KL:
         return _kl(counts / m[:, None], z)
     if kind == LossKind.DPN:
         return _dpn(z, counts, m, config.eps1, config.eps2)
@@ -185,13 +179,16 @@ def example_loss(
     configured objective: :func:`batch_loss` on a batch of one.
 
     ``soft`` must be the mean of ``labels``; ``majority`` is required by
-    the hard loss only.
+    the hard loss only, which trains on one label of that class.
     """
     if len(labels) == 0:
         raise ValueError("at least one label is required")
     counts = np.asarray(labels, dtype=np.float64).reshape(len(labels), -1).sum(axis=0)
     if np.abs(soft.p - counts / len(labels)).max() > 1e-9:
         raise ValueError("the soft label is not the mean of the labels")
-    values, grad = batch_loss(config, np.asarray(z)[None], counts[None],
-                              np.array([-1 if majority is None else majority]))
+    if config.kind == LossKind.HARD:
+        if majority is None or not 0 <= majority < len(counts):
+            raise ValueError("hard loss is undefined without a majority label")
+        counts = (np.arange(len(counts)) == majority).astype(np.float64)
+    values, grad = batch_loss(config, np.asarray(z)[None], counts[None])
     return float(values[0]), grad[0]

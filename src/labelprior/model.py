@@ -2,10 +2,10 @@
 
 The network is an MLP with ReLU hidden layers and linear output logits.
 :func:`train` reads its utterances as the columns of a
-:class:`~labelprior.dataio.Corpus`: features, vote counts and majority
-classes, the only label views the objectives need.  Each mini-batch takes
-one forward pass over its (B, d) feature matrix, one batched loss call and
-one backward pass.  Training is deterministic given the seed:
+:class:`~labelprior.dataio.Corpus`: features and vote counts, the only
+label view the objectives need.  Each mini-batch takes one forward pass
+over its (B, d) feature matrix, one batched loss call and one backward
+pass.  Training is deterministic given the seed:
 initialisation and the per-epoch Fisher-Yates shuffle are fixed, so reruns
 on the same machine are byte-identical (the BLAS summation order may differ
 between machines in the last digit).
@@ -163,8 +163,9 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
     """Mini-batch gradient descent on every row of ``corpus``; returns params
     and per-epoch mean loss.
 
-    The hard loss only sees utterances with a majority label; the other
-    objectives train on everything.  Each mini-batch makes one forward
+    The hard loss trains on the utterances with a majority label, each
+    vote-and-replaced to M labels of that class (``replace_majorities``);
+    the other objectives train on everything.  Each mini-batch makes one forward
     pass, one :func:`batch_loss` call and one backward pass.  A
     SingularityError from the Dirichlet term is re-raised with
     epoch/batch/utterance context, and so is a non-finite logit or loss, as
@@ -173,11 +174,11 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
     if len(corpus) == 0:
         raise ValueError("training set is empty")
     if config.loss.kind == LossKind.HARD:
-        corpus = corpus.select(corpus.majority >= 0)
+        corpus = corpus.select(corpus.majority >= 0).replace_majorities()
         if len(corpus) == 0:
             raise ValueError("hard loss needs at least one utterance with a majority label")
 
-    features, counts, majority, uids = corpus.features, corpus.counts, corpus.majority, corpus.ids
+    features, counts, uids = corpus.features, corpus.counts, corpus.ids
     params = init(features.shape[1], config.hidden, counts.shape[1], config.seed)
 
     n = len(corpus)
@@ -198,7 +199,7 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
                     raise FloatingPointError(
                         f"{where} {uids[batch[row]]}: non-finite logits")
                 try:
-                    values, grad_z = batch_loss(config.loss, z, counts[batch], majority[batch])
+                    values, grad_z = batch_loss(config.loss, z, counts[batch])
                 except SingularityError as err:
                     raise SingularityError(
                         f"{where} {uids[batch[err.row]]}: {err}") from err

@@ -270,8 +270,7 @@ def test_criterion_6_multitag_pair_discrimination():
 
     def pair(kind, z):
         # Both cases as one batch of two rows with the same logits.
-        values, _ = batch_loss(LossConfig.default_for(kind), np.array([z, z]), counts,
-                               np.full(2, -1))
+        values, _ = batch_loss(LossConfig.default_for(kind), np.array([z, z]), counts)
         return values
 
     rng = np.random.default_rng(42)

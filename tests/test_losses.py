@@ -40,10 +40,6 @@ def one_hot(index, k):
     return label
 
 
-def no_majority(b):
-    return np.full(b, -1)
-
-
 def fd_gradient(fn, z, step=FD_STEP):
     """Central differences along the last axis; ``fn`` maps logits to values,
     one per row for a (B, K) batch."""
@@ -80,12 +76,12 @@ class TestKlLoss:
         rng = np.random.default_rng(0)
         z = rng.normal(size=4)
         e = np.exp(z - z.max())
-        values, grad = batch_loss(SOFT, z[None], (e / e.sum())[None], no_majority(1))
+        values, grad = batch_loss(SOFT, z[None], (e / e.sum())[None])
         assert values[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad[0], 0.0, atol=1e-12)
 
     def test_one_hot_vs_uniform(self):
-        values, grad = batch_loss(SOFT, np.zeros((1, 2)), np.array([[1.0, 0.0]]), no_majority(1))
+        values, grad = batch_loss(SOFT, np.zeros((1, 2)), np.array([[1.0, 0.0]]))
         assert values[0] == pytest.approx(math.log(2.0), abs=1e-12)
         np.testing.assert_allclose(grad[0], [-0.5, 0.5], atol=1e-12)
 
@@ -94,8 +90,8 @@ class TestKlLoss:
         k = 5
         z, t = map(np.array, zip(*[(rng.normal(0.0, 2.0, size=k), rng.dirichlet(np.ones(k)))
                                    for _ in range(50)]))
-        analytic = batch_loss(SOFT, z, t, no_majority(50))[1]
-        numeric = fd_gradient(lambda v: batch_loss(SOFT, v, t, no_majority(50))[0], z)
+        analytic = batch_loss(SOFT, z, t)[1]
+        numeric = fd_gradient(lambda v: batch_loss(SOFT, v, t)[0], z)
         assert_grad_close(analytic, numeric, rel=1e-5)
 
     def test_value_non_negative(self):
@@ -104,17 +100,17 @@ class TestKlLoss:
             k = int(rng.integers(2, 6))
             target = rng.dirichlet(np.ones(k))
             z = rng.normal(size=k)
-            assert batch_loss(SOFT, z[None], target[None], no_majority(1))[0][0] >= -1e-12
+            assert batch_loss(SOFT, z[None], target[None])[0][0] >= -1e-12
 
 
 class TestHardLoss:
     def test_confident_correct_prediction(self):
         z = np.array([[30.0, 0.0, 0.0]])
-        values, _ = batch_loss(HARD, z, one_hot(0, 3)[None], np.array([0]))
+        values, _ = batch_loss(HARD, z, one_hot(0, 3)[None])
         assert values[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_two_way(self):
-        values, _ = batch_loss(HARD, np.zeros((1, 2)), one_hot(0, 2)[None], np.array([0]))
+        values, _ = batch_loss(HARD, np.zeros((1, 2)), one_hot(0, 2)[None])
         assert values[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_gradient_against_finite_differences(self):
@@ -123,9 +119,9 @@ class TestHardLoss:
             k = int(rng.integers(2, 6))
             z = rng.normal(0.0, 2.0, size=k)
             c = int(rng.integers(0, k))
-            label, majority = one_hot(c, k)[None], np.array([c])
-            analytic = batch_loss(HARD, z[None], label, majority)[1][0]
-            numeric = fd_gradient(lambda v: batch_loss(HARD, v[None], label, majority)[0][0], z)
+            label = one_hot(c, k)[None]
+            analytic = batch_loss(HARD, z[None], label)[1][0]
+            numeric = fd_gradient(lambda v: batch_loss(HARD, v[None], label)[0][0], z)
             assert_grad_close(analytic, numeric, rel=1e-5)
 
 
@@ -134,7 +130,7 @@ class TestDpnLoss:
         # alpha = (1, 1): the density is 1 on the simplex for any label.
         config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
         counts = np.array([counts_of([one_hot(0, 2)]), counts_of([one_hot(0, 2), one_hot(1, 2)])])
-        values, _ = batch_loss(config, np.zeros((2, 2)), counts, no_majority(2))
+        values, _ = batch_loss(config, np.zeros((2, 2)), counts)
         np.testing.assert_allclose(values, 0.0, atol=1e-12)
 
     def test_gradient_against_finite_differences(self):
@@ -143,8 +139,8 @@ class TestDpnLoss:
         k = 3
         z = np.array([rng.normal(0.0, 1.5, size=k) for _ in range(50)])
         counts = np.tile(counts_of([one_hot(0, k), one_hot(0, k), one_hot(1, k)]), (50, 1))
-        analytic = batch_loss(config, z, counts, no_majority(50))[1]
-        numeric = fd_gradient(lambda v: batch_loss(config, v, counts, no_majority(50))[0], z)
+        analytic = batch_loss(config, z, counts)[1]
+        numeric = fd_gradient(lambda v: batch_loss(config, v, counts)[0], z)
         assert_grad_close(analytic, numeric)
 
     def test_gradient_with_eps2(self):
@@ -154,8 +150,8 @@ class TestDpnLoss:
         z, counts = map(np.array, zip(*[
             (rng.normal(0.0, 1.5, size=k), counts_of(random_labels(rng, k, int(rng.integers(1, 6)))))
             for _ in range(20)]))
-        analytic = batch_loss(config, z, counts, no_majority(20))[1]
-        numeric = fd_gradient(lambda v: batch_loss(config, v, counts, no_majority(20))[0], z)
+        analytic = batch_loss(config, z, counts)[1]
+        numeric = fd_gradient(lambda v: batch_loss(config, v, counts)[0], z)
         assert_grad_close(analytic, numeric)
 
     def test_matches_composition_of_density_and_smoothing(self):
@@ -183,7 +179,7 @@ class TestDpnLoss:
         config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
         once = counts_of([one_hot(0, 2), one_hot(1, 2)])
         twice = counts_of([one_hot(0, 2)] * 2 + [one_hot(1, 2)] * 2)
-        values, _ = batch_loss(config, np.array([z, z]), np.array([once, twice]), no_majority(2))
+        values, _ = batch_loss(config, np.array([z, z]), np.array([once, twice]))
         assert values[1] == pytest.approx(values[0], abs=1e-12)
 
     def test_distinguishes_label_multiplicity(self):
@@ -192,22 +188,21 @@ class TestDpnLoss:
         rng = np.random.default_rng(11)
         config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
         z = np.array([rng.normal(0.0, 1.0, size=3) for _ in range(100)])
-        a_only = batch_loss(config, z, np.tile([1, 0, 0], (100, 1)), no_majority(100))[0]
-        a_and_b = batch_loss(config, z, np.tile([1, 1, 0], (100, 1)), no_majority(100))[0]
+        a_only = batch_loss(config, z, np.tile([1, 0, 0], (100, 1)))[0]
+        a_and_b = batch_loss(config, z, np.tile([1, 1, 0], (100, 1)))[0]
         assert np.count_nonzero(np.abs(a_only - a_and_b) > 1e-9) >= 95
 
     def test_singularity_without_smoothing(self):
         z = np.array([[-1.0, -1.0]])  # alpha < 1 everywhere
         with pytest.raises(SingularityError):
-            batch_loss(LossConfig(LossKind.DPN, eps1=0.0, eps2=0.0), z,
-                       one_hot(0, 2)[None], no_majority(1))
+            batch_loss(LossConfig(LossKind.DPN, eps1=0.0, eps2=0.0), z, one_hot(0, 2)[None])
 
     def test_eps1_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             LossConfig(LossKind.DPN, eps1=-0.01)
         config = LossConfig(LossKind.DPN, eps1=0.5)  # 1/(K-1) = 0.5 for K=3
         with pytest.raises(ValueError, match=r"eps1 must lie in \[0, 1/\(K-1\)\)"):
-            batch_loss(config, np.zeros((1, 3)), one_hot(0, 3)[None], no_majority(1))
+            batch_loss(config, np.zeros((1, 3)), one_hot(0, 3)[None])
 
     def test_empty_labels_rejected(self):
         config = LossConfig(LossKind.DPN, eps1=0.01, eps2=0.0)
@@ -280,9 +275,8 @@ class TestDpnKlLoss:
         k = 3
         z = np.array([rng.normal(size=k) for _ in range(20)])
         counts = np.tile(counts_of([one_hot(0, k), one_hot(0, k), one_hot(1, k)]), (20, 1))
-        combined = batch_loss(self.CONFIG, z, counts, no_majority(20))[0]
-        manual = (batch_loss(POLYA, z, counts, no_majority(20))[0]
-                  + 20.0 * batch_loss(SOFT, z, counts, no_majority(20))[0])
+        combined = batch_loss(self.CONFIG, z, counts)[0]
+        manual = batch_loss(POLYA, z, counts)[0] + 20.0 * batch_loss(SOFT, z, counts)[0]
         np.testing.assert_allclose(combined, manual, rtol=0, atol=1e-12)
 
     def test_gradient_against_finite_differences(self):
@@ -300,7 +294,7 @@ class TestDpnKlLoss:
     def test_no_smoothing_needed_on_one_hot_labels(self):
         # Raw one-hot labels with sub-unit concentrations stay finite.
         z = np.array([[-2.0, -2.0, -2.0]])
-        values, grad = batch_loss(self.CONFIG, z, one_hot(0, 3)[None], no_majority(1))
+        values, grad = batch_loss(self.CONFIG, z, one_hot(0, 3)[None])
         assert math.isfinite(values[0])
         assert np.all(np.isfinite(grad))
 
@@ -308,7 +302,7 @@ class TestDpnKlLoss:
         config = LossConfig(LossKind.DPN_KL, lam=0.0)
         z = np.array([0.5, -0.5])
         counts = counts_of([one_hot(0, 2), one_hot(1, 2)])
-        values, _ = batch_loss(config, z[None], counts[None], no_majority(1))
+        values, _ = batch_loss(config, z[None], counts[None])
         assert values[0] == pytest.approx(reference_polya([0, 1], list(z)), abs=1e-15)
 
 
@@ -344,10 +338,12 @@ class TestLossConfig:
 
 class TestExampleLoss:
     def test_hard_requires_majority(self):
+        # None, and the indices outside the class space: -1 and K.
         config = LossConfig(LossKind.HARD)
-        soft = CategoricalDist(np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            example_loss(config, np.zeros(2), [one_hot(0, 2)], soft, None)
+        soft = CategoricalDist(np.array([1.0, 0.0]))
+        for majority in (None, -1, 2):
+            with pytest.raises(ValueError, match="majority"):
+                example_loss(config, np.zeros(2), [one_hot(0, 2)], soft, majority)
 
     def test_dispatch_matches_direct_calls(self):
         rng = np.random.default_rng(5)
@@ -357,7 +353,9 @@ class TestExampleLoss:
         soft = soft_label(labels)
         for kind in LossKind:
             config = LossConfig.default_for(kind)
-            values, grad = batch_loss(config, z[None], counts_of(labels)[None], np.array([0]))
+            # hard trains on one label of the majority class.
+            counts = one_hot(0, k) if kind == LossKind.HARD else counts_of(labels)
+            values, grad = batch_loss(config, z[None], counts[None])
             got_value, got_grad = example_loss(config, z, labels, soft, majority=0)
             assert got_value == pytest.approx(values[0], abs=1e-12)
             np.testing.assert_array_equal(got_grad, grad[0])
@@ -381,8 +379,10 @@ def test_all_losses_permutation_equivariant():
             np.testing.assert_allclose(perm_grad, grad[perm], atol=1e-12)
 
 
-def random_batch(rng, b, k, max_labels):
-    """(B, K) logits and counts, (B,) majorities and the rows' label lists."""
+def random_batch(rng, kind, b, k, max_labels):
+    """(B, K) logits and counts, (B,) majorities and the rows' label lists.
+    For hard each row's M labels are vote-and-replaced: M at its drawn
+    majority, 0 elsewhere."""
     z = rng.normal(0.0, 2.0, size=(b, k))
     label_lists = []
     for _ in range(b):
@@ -390,6 +390,8 @@ def random_batch(rng, b, k, max_labels):
         label_lists.append([one_hot(int(c), k) for c in classes])
     counts = np.array([np.sum(labels, axis=0) for labels in label_lists])
     majority = rng.integers(0, k, size=b)
+    if kind == LossKind.HARD:
+        counts = counts.sum(axis=1, keepdims=True) * np.eye(k)[majority]
     return z, counts, majority, label_lists
 
 
@@ -438,8 +440,8 @@ class TestBatchLoss:
         rng = np.random.default_rng(101 + k)
         config = LossConfig.default_for(kind)
         for _ in range(3):
-            z, counts, majority, label_lists = random_batch(rng, b, k, max_labels)
-            values, grad = batch_loss(config, z, counts, majority)
+            z, counts, majority, label_lists = random_batch(rng, kind, b, k, max_labels)
+            values, grad = batch_loss(config, z, counts)
             assert values.shape == (b,) and grad.shape == (b, k)
             for row in range(b):
                 expected = reference_value(config, z[row], label_lists[row], majority[row])
@@ -450,12 +452,11 @@ class TestBatchLoss:
     def test_gradients_against_finite_differences(self, kind, b, k, max_labels):
         rng = np.random.default_rng(202 + k)
         config = LossConfig.default_for(kind)
-        z, counts, majority, _ = random_batch(rng, b, k, max_labels)
-        _, grad = batch_loss(config, z, counts, majority)
+        z, counts, _, _ = random_batch(rng, kind, b, k, max_labels)
+        _, grad = batch_loss(config, z, counts)
         for row in range(0, b, 4):
             def value(v, row=row):
-                return batch_loss(config, v[None], counts[row : row + 1],
-                                  majority[row : row + 1])[0][0]
+                return batch_loss(config, v[None], counts[row : row + 1])[0][0]
 
             assert_grad_close(grad[row], fd_gradient(value, z[row].copy()))
 
@@ -465,7 +466,7 @@ class TestBatchLoss:
         z = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         counts = np.array([[1, 1, 1], [2, 0, 1], [3, 0, 0], [0, 1, 0]])
         with pytest.raises(SingularityError, match=r"component 1 .* < 1") as info:
-            batch_loss(config, z, counts, np.full(4, -1))
+            batch_loss(config, z, counts)
         assert info.value.row == 1
 
     def test_diverging_row_is_inf_and_others_finite(self):
@@ -473,13 +474,12 @@ class TestBatchLoss:
         config = LossConfig(LossKind.DPN)
         z = np.array([[0.0, 0.0], [0.0, 1.0]])
         counts = np.array([[1, 1], [1, 0]])
-        values, grad = batch_loss(config, z, counts, np.full(2, -1))
+        values, grad = batch_loss(config, z, counts)
         assert values[0] == pytest.approx(0.0, abs=1e-12) and values[1] == math.inf
         assert np.all(np.isfinite(grad))
         # alpha_k == 1 exactly at both zero components: their terms drop out,
         # leaving -ln Dir((1, 0, 0) | 1, 1, 1) = -ln Gamma(3) = -ln 2.
-        values, grad = batch_loss(config, np.zeros((1, 3)), np.array([[3, 0, 0]]),
-                                  np.full(1, -1))
+        values, grad = batch_loss(config, np.zeros((1, 3)), np.array([[3, 0, 0]]))
         assert values[0] == pytest.approx(-math.log(2.0), abs=1e-12)
         assert np.all(np.isfinite(grad))
 
@@ -487,7 +487,7 @@ class TestBatchLoss:
         z = np.zeros((2, 3))
         counts = np.array([[1, 0, 0], [1, 1, 1]])
         with pytest.raises(ValueError, match="majority"):
-            batch_loss(LossConfig(LossKind.HARD), z, counts, np.array([0, -1]))
+            batch_loss(LossConfig(LossKind.HARD), z, counts)
 
     @pytest.mark.parametrize("z, counts, message", [
         (np.zeros(3), np.ones(3), "must be"),
@@ -499,30 +499,33 @@ class TestBatchLoss:
     def test_rejects_malformed_batches(self, z, counts, message):
         config = LossConfig.default_for(LossKind.SOFT_KL)
         with pytest.raises(ValueError, match=message):
-            batch_loss(config, z, counts, np.zeros(np.shape(z)[:1], dtype=int))
+            batch_loss(config, z, counts)
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_rejects_a_batch_without_rows(self, kind):
         config = LossConfig.default_for(kind)
         with pytest.raises(ValueError, match="the batch has no rows"):
-            batch_loss(config, np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0, dtype=int))
+            batch_loss(config, np.zeros((0, 4)), np.zeros((0, 4)))
 
     def test_polya_needs_integer_counts(self):
         config = LossConfig.default_for(LossKind.DPN_KL)
         with pytest.raises(ValueError, match="integer"):
-            batch_loss(config, np.zeros((1, 2)), np.array([[0.5, 0.5]]), np.array([-1]))
+            batch_loss(config, np.zeros((1, 2)), np.array([[0.5, 0.5]]))
 
 
 @st.composite
 def batches(draw, kind):
     """(B, K) logits in the clamp range, integer counts with at least one
-    label per row, and the majorities (each row's argmax for hard)."""
+    label per row (for hard, each row's vote-and-replace: all its labels
+    moved to its argmax) and a row permutation."""
     b, k = draw(st.integers(1, 16)), draw(st.integers(2, 10))
     z = draw(hnp.arrays(np.float64, (b, k), elements=st.floats(-LOGIT_CLAMP, LOGIT_CLAMP)))
     counts = draw(hnp.arrays(np.int64, (b, k), elements=st.integers(0, 6)))
     counts[np.arange(b), draw(hnp.arrays(np.int64, b, elements=st.integers(0, k - 1)))] += 1
-    majority = counts.argmax(axis=1) if kind == LossKind.HARD else no_majority(b)
-    return z, counts, majority, np.array(draw(st.permutations(range(b))), dtype=np.int64)
+    if kind == LossKind.HARD:
+        top = np.arange(k) == counts.argmax(axis=1)[:, None]
+        counts = counts.sum(axis=1, keepdims=True) * top
+    return z, counts, np.array(draw(st.permutations(range(b))), dtype=np.int64)
 
 
 def assert_relative(got, want, rel=1e-12):
@@ -536,14 +539,13 @@ def test_batch_rows_are_independent(kind, data):
     # Each row of a batch is that row's loss alone, and permuting the rows
     # permutes values and gradients: one example is a batch of one.
     config = LossConfig.default_for(kind)
-    z, counts, majority, perm = data.draw(batches(kind))
-    values, grad = batch_loss(config, z, counts, majority)
+    z, counts, perm = data.draw(batches(kind))
+    values, grad = batch_loss(config, z, counts)
     for row in range(z.shape[0]):
-        one_value, one_grad = batch_loss(config, z[row:row + 1], counts[row:row + 1],
-                                         majority[row:row + 1])
+        one_value, one_grad = batch_loss(config, z[row:row + 1], counts[row:row + 1])
         assert_relative(one_value[0], values[row])
         assert_relative(one_grad[0], grad[row])
-    perm_values, perm_grad = batch_loss(config, z[perm], counts[perm], majority[perm])
+    perm_values, perm_grad = batch_loss(config, z[perm], counts[perm])
     assert_relative(perm_values, values[perm])
     assert_relative(perm_grad, grad[perm])
 
@@ -572,8 +574,7 @@ class TestDpnKlAgainstMpmath:
     CONFIG = LossConfig.default_for(LossKind.DPN_KL)
 
     def check(self, z, counts):
-        values, grad = batch_loss(self.CONFIG, np.array([z]), np.array([counts]),
-                                  np.array([-1]))
+        values, grad = batch_loss(self.CONFIG, np.array([z]), np.array([counts]))
         value, expected_grad = mp_dpn_kl(z, counts, self.CONFIG.lam)
         assert abs(values[0] - value) <= 1e-12, (z, counts)
         np.testing.assert_allclose(grad[0], expected_grad, rtol=0, atol=1e-12)
@@ -628,7 +629,7 @@ class TestDpnAgainstMpmath:
             counts = rng.integers(0, 8, size=k)
             counts[rng.integers(0, k)] += 1
             config = LossConfig(LossKind.DPN, eps1=eps1, eps2=eps2)
-            values, grad = batch_loss(config, z[None], counts[None], no_majority(1))
+            values, grad = batch_loss(config, z[None], counts[None])
             value, expected_grad = mp_dpn(z, [int(n) for n in counts], eps1, eps2)
             case = (list(z), list(counts), eps1, eps2)
             assert abs(values[0] - value) <= 1e-11 * abs(value), case

@@ -339,17 +339,37 @@ def corpus_set(tmp_path_factory):
 
 
 class TestCorpusTraining:
+    SETTINGS = dict(learning_rate=5e-2, batch_size=16, epochs=2, seed=4, hidden=(5,))
+
+    def assert_same_training(self, a, b):
+        (params_a, losses_a), (params_b, losses_b) = a, b
+        assert losses_a == losses_b
+        for x, y in zip(params_a.weights + params_a.biases, params_b.weights + params_b.biases):
+            np.testing.assert_array_equal(x, y)
+
     def test_hard_drops_rows_without_majority(self, corpus_set):
         keep = corpus_set.majority >= 0
         assert 0 < keep.sum() < len(corpus_set)
         assert all((e.group == AgreementGroup.NONE) == (e.majority is None) for e in corpus_set)
-        config = TrainConfig(loss=LossConfig(LossKind.HARD), learning_rate=5e-2,
-                             batch_size=16, epochs=2, seed=4, hidden=(5,))
-        params_a, losses_a = train(corpus_set, config)
-        params_b, losses_b = train(corpus_set.select(keep), config)
-        assert losses_a == losses_b
-        for a, b in zip(params_a.weights + params_a.biases, params_b.weights + params_b.biases):
-            np.testing.assert_array_equal(a, b)
+        config = TrainConfig(loss=LossConfig(LossKind.HARD), **self.SETTINGS)
+        self.assert_same_training(train(corpus_set, config),
+                                  train(corpus_set.select(keep), config))
+
+    def test_hard_is_soft_on_vote_and_replaced_majority_rows(self, corpus_set):
+        # Vote-and-replace gives a majority row M labels of its majority
+        # class, whose soft label N/M is the hard one-hot target bit for bit.
+        with_majority = corpus_set.select(corpus_set.majority >= 0)
+        counts = with_majority.counts
+        assert (counts.max(axis=1) < counts.sum(axis=1)).any()  # some rows span classes
+        hard = train(corpus_set, TrainConfig(loss=LossConfig(LossKind.HARD), **self.SETTINGS))
+        soft = train(with_majority.replace_majorities(),
+                     TrainConfig(loss=LossConfig(LossKind.SOFT_KL), **self.SETTINGS))
+        self.assert_same_training(hard, soft)
+
+    def test_hard_is_unchanged_by_vote_and_replace(self, corpus_set):
+        config = TrainConfig(loss=LossConfig(LossKind.HARD), **self.SETTINGS)
+        self.assert_same_training(train(corpus_set, config),
+                                  train(corpus_set.replace_majorities(), config))
 
     def test_hard_without_any_majority_rejected(self, corpus_set):
         only_none = corpus_set.select(corpus_set.majority < 0)
