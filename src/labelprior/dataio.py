@@ -2,8 +2,8 @@
 evaluation reports, PR-curve CSVs and training logs.
 
 All writers are deterministic: rerunning a command with the same inputs
-produces byte-identical files.  Both dataset writers go through one encoder
-that makes the text of a block of records at a time.
+produces byte-identical files.  ``write_columns`` is the one dataset encoder, a
+block of a ``Corpus``'s records at a time; ``write_dataset`` converts to one.
 """
 
 from __future__ import annotations
@@ -58,54 +58,52 @@ _BLOCK = 128  # records parsed, checked or encoded at a time, so peak memory sta
 _HEAD = '{{"id":{},"split":{},"features":[{}],"evaluations":[['
 
 
-def _write_blocks(path: str, names, d: int, ids: list, splits: list, rows,
-                  tags: np.ndarray, tags_per_eval: np.ndarray, annotators: np.ndarray) -> None:
-    """Manifest line and one JSON record per id, encoded ``_BLOCK`` records at
-    a time before the file opens: ``splits`` holds JSON texts, ``rows`` feature
-    lists or a 2-D array, and the flat tag layout the evaluations."""
-    if (annotators < 1).any() or (tags_per_eval < 1).any():
+def write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
+    """Manifest line and one JSON record per row of ``corpus``, encoded ``_BLOCK``
+    rows at a time before the file opens; ids and features are written as given."""
+    if (corpus.annotators < 1).any() or (corpus.tags_per_eval < 1).any():
         raise ValueError("every record needs an evaluation and every evaluation a tag")
-    tokens = np.array([_compact(name) for name in names], dtype=object)
+    tokens = np.array([_compact(name) for name in space.names], dtype=object)
+    splits = np.where(corpus.train, '"train"', '"test"').tolist()
     # The offsets of every record's first evaluation and of every evaluation's first tag.
-    record_evals = np.concatenate([[0], np.cumsum(annotators)])
-    eval_tags = np.concatenate([[0], np.cumsum(tags_per_eval)])
+    record_evals = np.concatenate([[0], np.cumsum(corpus.annotators)])
+    eval_tags = np.concatenate([[0], np.cumsum(corpus.tags_per_eval)])
     record_tags = eval_tags[record_evals]
-    blocks = [_compact({"format_version": FORMAT_VERSION, "kind": "dataset",
-                        "classes": list(names), "feature_dim": d}) + "\n"]
-    for r0 in range(0, len(ids), _BLOCK):
-        r1 = min(r0 + _BLOCK, len(ids))
-        block = rows[r0:r1]
+    blocks = [_compact({"format_version": FORMAT_VERSION, "kind": "dataset", "classes":
+                        list(space.names), "feature_dim": corpus.features.shape[1]}) + "\n"]
+    for r0 in range(0, len(corpus), _BLOCK):
+        r1 = min(r0 + _BLOCK, len(corpus))
         # Feature lists hold only numbers, so "],[" falls between rows alone.
-        features = _compact(block if isinstance(block, list) else block.tolist())[2:-2]
-        heads = list(starmap(_HEAD.format, zip(_compact(ids[r0:r1])[1:-1].split(","),
+        features = _compact(corpus.features[r0:r1].tolist())[2:-2]
+        heads = list(starmap(_HEAD.format, zip(_compact(corpus.ids[r0:r1])[1:-1].split(","),
                                                splits[r0:r1], features.split("],["), strict=True)))
         t0, t1 = record_tags[r0], record_tags[r1]
         seps = np.full(t1 - t0, ",", dtype=object)
         seps[eval_tags[record_evals[r0] + 1:record_evals[r1] + 1] - t0 - 1] = "],["
         seps[record_tags[r0 + 1:r1 + 1] - t0 - 1] = "]]}\n"
-        pieces = np.stack([tokens[tags[t0:t1]], seps], axis=1).ravel()
+        pieces = np.stack([tokens[corpus.tags[t0:t1]], seps], axis=1).ravel()
         blocks.append("".join(np.insert(pieces, 2 * (record_tags[r0:r1] - t0), heads).tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(blocks)
 
 
-def write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
-    """Manifest line followed by one JSON record per row of ``corpus``."""
-    _write_blocks(path, space.names, corpus.features.shape[1], corpus.ids,
-                  np.where(corpus.train, '"train"', '"test"').tolist(), corpus.features,
-                  corpus.tags, corpus.tags_per_eval, corpus.annotators)
-
-
 def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
-    """Manifest line followed by one unchecked JSON record per utterance,
-    each evaluation's names in class order."""
+    """The records as a ``Corpus`` through ``write_columns``, each evaluation's
+    class indices put in class order.  A split other than "train" or "test", or
+    a class index outside ``space``, raises ValueError and writes no file."""
+    splits = [rec.split for rec in records]
+    if bad := sorted(set(splits) - _SPLITS, key=repr):
+        raise ValueError(f"splits {bad} are not 'train' or 'test'")
     evaluations = [ev for rec in records for ev in rec.evaluations]
-    _write_blocks(path, space.names, int(records[0].features.shape[0]) if records else 0,
-                  [rec.uid for rec in records], [_compact(rec.split) for rec in records],
-                  [np.asarray(rec.features, dtype=np.float64).tolist() for rec in records],
-                  np.array([t for ev in evaluations for t in sorted(ev)], dtype=np.int64),
-                  np.array(list(map(len, evaluations)), dtype=np.int64),
-                  np.array([len(rec.evaluations) for rec in records], dtype=np.int64))
+    tags = np.array([t for ev in evaluations for t in sorted(ev)], dtype=np.int64)
+    if outside := np.setdiff1d(tags, np.arange(space.k)).tolist():
+        raise ValueError(f"class indices {outside} are outside [0, {space.k})")
+    write_columns(path, space, Corpus.from_tags(
+        [rec.uid for rec in records], np.array([s == "train" for s in splits], dtype=bool),
+        # One (n, d) array: rows of different widths raise ValueError; no records, d = 0.
+        np.array([rec.features for rec in records] or np.empty((0, 0)), dtype=np.float64),
+        tags, np.array(list(map(len, evaluations)), dtype=np.int64),
+        np.array([len(rec.evaluations) for rec in records], dtype=np.int64), space.k))
 
 
 def _text(path: str) -> str:

@@ -276,6 +276,55 @@ class TestBlockEncoder:
             dataio.write_dataset(path, SPACE, [record])
         assert not path.exists()
 
+    @pytest.mark.parametrize("split, evaluations, match", [
+        ("dev", ((0,),), r"splits \['dev'\] are not 'train' or 'test'"),
+        ("train", ((-1,), (0,)), r"class indices \[-1\] are outside \[0, 3\)"),
+        ("train", ((0, 3),), r"class indices \[3\] are outside \[0, 3\)"),
+    ], ids=["split-dev", "class-minus-1", "class-3"])
+    def test_bad_split_or_class_writes_no_file(self, tmp_path, split, evaluations, match):
+        # Without the checks, "dev" would be written as "test" and -1 as the last class.
+        path = tmp_path / "data.jsonl"
+        records = [sample_records()[0], dataio.DatasetRecord(1, split, np.zeros(3), evaluations)]
+        with pytest.raises(ValueError, match=match):
+            dataio.write_dataset(path, SPACE, records)
+        assert not path.exists()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(written=written_corpora())
+    def test_dataset_of_the_rows_writes_the_columns_bytes(self, written):
+        space, corpus = written
+        records = [dataio.DatasetRecord(uid, "train" if train else "test", row,
+                                       tuple(map(tuple, evs)))
+                   for uid, train, row, evs in zip(
+                       corpus.ids, corpus.train.tolist(), corpus.features,
+                       tag_lists(corpus.tags, corpus.tags_per_eval, corpus.annotators))]
+        if not records:  # no records carry no feature width, so the file says d = 0
+            corpus = corpus_of([], k=space.k, features=np.empty((0, 0)))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_BLOCK", 2)
+            got, want = pathlib.Path(tmp, "got.jsonl"), pathlib.Path(tmp, "want.jsonl")
+            dataio.write_dataset(got, space, records)
+            dataio.write_columns(want, space, corpus)
+            assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("gen_args, config", [
+        ([], SynthConfig(n=2000, seed=42)),
+        (["--k", 10, "--d", 32, "--annotators", 20, "--multi-tag-prob", 0.2,
+          "--precisions", "300,40,15"],
+         SynthConfig(n=1000, k=10, d=32, annotators=20, multi_tag_prob=0.2,
+                     regime_precisions=(300, 40, 15), seed=42)),
+    ], ids=["paper", "crowd"])
+    def test_gen_writes_the_bytes_of_generated_records(self, tmp_path, gen_args, config):
+        got, want = tmp_path / "gen.jsonl", tmp_path / "records.jsonl"
+        assert cli.main(["gen", "--n", str(config.n), *map(str, gen_args),
+                         "--seed", str(config.seed), "--out", str(got)]) == 0
+        utterances, space = generate(config)
+        n_train = round(0.8 * config.n)  # gen's default --test-frac 0.2
+        dataio.write_dataset(want, space, [
+            dataio.DatasetRecord(u.uid, "train" if u.uid < n_train else "test", u.features,
+                                 u.evaluations) for u in utterances])
+        assert got.read_bytes() == want.read_bytes()
+
 
 def train_only(records):
     return [dataio.DatasetRecord(r.uid, "train", r.features, r.evaluations) for r in records]
