@@ -88,21 +88,24 @@ def write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
 
 
 def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
-    """The records as a ``Corpus`` through ``write_columns``, each evaluation's
-    class indices put in class order.  A split other than "train" or "test", or
-    a class index outside ``space``, raises ValueError and writes no file."""
-    splits = [rec.split for rec in records]
-    if bad := sorted(set(splits) - _SPLITS, key=repr):
+    """``records`` through ``write_columns``, ids and features as given.  A split not "train"
+    or "test", a class outside ``space`` or a repeated tag raises ValueError; no file opens."""
+    if bad := sorted({rec.split for rec in records} - _SPLITS, key=repr):
         raise ValueError(f"splits {bad} are not 'train' or 'test'")
     evaluations = [ev for rec in records for ev in rec.evaluations]
-    tags = np.array([t for ev in evaluations for t in sorted(ev)], dtype=np.int64)
+    tags_per_eval = np.array(list(map(len, evaluations)), dtype=np.int64)
+    tags = np.array(list(chain.from_iterable(evaluations)), dtype=np.int64)
     if outside := np.setdiff1d(tags, np.arange(space.k)).tolist():
         raise ValueError(f"class indices {outside} are outside [0, {space.k})")
+    # Sorted, these keys list each evaluation's classes in class order, a repeat by its twin.
+    keys = np.sort(np.repeat(np.arange(len(evaluations)) * space.k, tags_per_eval) + tags)
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("duplicate tags in evaluation")
     write_columns(path, space, Corpus.from_tags(
-        [rec.uid for rec in records], np.array([s == "train" for s in splits], dtype=bool),
+        [rec.uid for rec in records], np.array([rec.split == "train" for rec in records], bool),
         # One (n, d) array: rows of different widths raise ValueError; no records, d = 0.
         np.array([rec.features for rec in records] or np.empty((0, 0)), dtype=np.float64),
-        tags, np.array(list(map(len, evaluations)), dtype=np.int64),
+        keys % space.k, tags_per_eval,
         np.array([len(rec.evaluations) for rec in records], dtype=np.int64), space.k))
 
 

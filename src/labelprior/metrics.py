@@ -194,9 +194,9 @@ def build_report(
         return GroupMetrics(int(mask.sum()), float(np.mean(maxps[mask])),
                             float(np.mean(ents[mask])), float(np.mean(kls[mask])), wa, ua)
 
-    mixed = positive.any() and not positive.all()  # detect_report's AUPRs, on these scores
-    aupr_maxp = aupr(pr_curve(maxps, positive)) if mixed else None
-    aupr_ent = aupr(pr_curve(ents, positive, higher_is_positive=False)) if mixed else None
+    aupr_maxp = aupr_ent = None
+    if positive.any() and not positive.all():
+        _, _, aupr_maxp, aupr_ent = detect_report(groups, probs)
     whole = summary(np.ones(n, dtype=bool))
     return MetricsReport(whole.wa, whole.ua, whole.mean_kl, whole.mean_entropy, aupr_maxp,
                          aupr_ent, {group: summary(groups == group) for group in AgreementGroup})

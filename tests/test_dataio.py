@@ -280,9 +280,11 @@ class TestBlockEncoder:
         ("dev", ((0,),), r"splits \['dev'\] are not 'train' or 'test'"),
         ("train", ((-1,), (0,)), r"class indices \[-1\] are outside \[0, 3\)"),
         ("train", ((0, 3),), r"class indices \[3\] are outside \[0, 3\)"),
-    ], ids=["split-dev", "class-minus-1", "class-3"])
+        ("train", ((1,), (2, 0, 2)), "duplicate tags in evaluation"),
+    ], ids=["split-dev", "class-minus-1", "class-3", "repeat"])
     def test_bad_split_or_class_writes_no_file(self, tmp_path, split, evaluations, match):
-        # Without the checks, "dev" would be written as "test" and -1 as the last class.
+        # Without the checks, "dev" would be written as "test", -1 as the last class
+        # and a repeated tag twice, each a file the reader refuses or misreads.
         path = tmp_path / "data.jsonl"
         records = [sample_records()[0], dataio.DatasetRecord(1, split, np.zeros(3), evaluations)]
         with pytest.raises(ValueError, match=match):
@@ -307,17 +309,14 @@ class TestBlockEncoder:
             dataio.write_columns(want, space, corpus)
             assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.parametrize("gen_args, config", [
-        ([], SynthConfig(n=2000, seed=42)),
-        (["--k", 10, "--d", 32, "--annotators", 20, "--multi-tag-prob", 0.2,
-          "--precisions", "300,40,15"],
-         SynthConfig(n=1000, k=10, d=32, annotators=20, multi_tag_prob=0.2,
-                     regime_precisions=(300, 40, 15), seed=42)),
-    ], ids=["paper", "crowd"])
-    def test_gen_writes_the_bytes_of_generated_records(self, tmp_path, gen_args, config):
+    def test_gen_writes_the_bytes_of_generated_records(self, tmp_path):
+        # The crowd shape: multi-tag evaluations from 20 annotators over 10 classes.
+        config = SynthConfig(n=1000, k=10, d=32, annotators=20, multi_tag_prob=0.2,
+                             regime_precisions=(300, 40, 15), seed=42)
         got, want = tmp_path / "gen.jsonl", tmp_path / "records.jsonl"
-        assert cli.main(["gen", "--n", str(config.n), *map(str, gen_args),
-                         "--seed", str(config.seed), "--out", str(got)]) == 0
+        assert cli.main(["gen", "--n", "1000", "--k", "10", "--d", "32", "--annotators", "20",
+                         "--multi-tag-prob", "0.2", "--precisions", "300,40,15",
+                         "--seed", "42", "--out", str(got)]) == 0
         utterances, space = generate(config)
         n_train = round(0.8 * config.n)  # gen's default --test-frac 0.2
         dataio.write_dataset(want, space, [

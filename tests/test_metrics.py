@@ -326,15 +326,5 @@ class TestBuildReport:
         with pytest.raises(ValueError, match="no utterance without a majority label"):
             detect_report([AgreementGroup.FULL] * 4, preds)
 
-    def test_auprs_are_detect_reports(self):
-        # Mixed groups over five distinct predictions, so scores tie across groups.
-        rng = np.random.default_rng(7)
-        groups = rng.integers(0, 3, size=60).astype(np.int8)
-        preds = rng.dirichlet(np.ones(3), size=5)[rng.integers(0, 5, size=60)]
-        assert set(groups.tolist()) == {0, 1, 2}
-        majorities = np.where(groups == AgreementGroup.NONE, -1, preds.argmax(axis=1))
-        report = build_report(groups, majorities, preds, preds)
-        assert (report.aupr_maxp, report.aupr_ent) == detect_report(groups, preds)[2:]
-
     def test_predicted_class_tie_breaks_low(self):
         assert predicted_class(dist(0.4, 0.4, 0.2)) == 0
