@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -16,6 +16,7 @@ __all__ = [
     "AgreementGroup",
     "ClassSpace",
     "AnnotationSet",
+    "ordered_tags",
     "tag_counts",
     "tag_lists",
     "agreement",
@@ -54,6 +55,24 @@ class ClassSpace:
             return self.names.index(name)
         except ValueError:
             raise ValueError(f"unknown class name: {name!r}") from None
+
+
+def ordered_tags(tags, tags_per_eval, annotators, k: int) -> np.ndarray:
+    """The flat tag layout's tags, each evaluation's in class order: the one check
+    of the evaluation rules.  A record with no evaluation, an evaluation with no
+    tag, a class outside [0, k) or one an evaluation repeats raises ValueError."""
+    tags, tags_per_eval = np.asarray(tags, dtype=np.int64), np.asarray(tags_per_eval)
+    if (np.asarray(annotators) < 1).any():
+        raise ValueError("at least one evaluation is required")
+    if (tags_per_eval < 1).any():
+        raise ValueError("an evaluation must contain at least one tag")
+    if (outside := (tags < 0) | (tags >= k)).any():
+        raise ValueError(f"class indices {np.unique(tags[outside]).tolist()} are outside [0, {k})")
+    # Sorted, these keys list each evaluation's classes in class order, a repeat by its twin.
+    keys = np.sort(np.repeat(np.arange(len(tags_per_eval)) * k, tags_per_eval) + tags)
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("duplicate tags in evaluation")
+    return keys % k
 
 
 def tag_counts(tags: np.ndarray, tags_per_eval, annotators, k: int) -> np.ndarray:
@@ -101,20 +120,12 @@ class AnnotationSet:
     majority: Optional[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        evaluations = tuple(tuple(sorted(ev)) for ev in self.evaluations)
-        if len(evaluations) == 0:
-            raise ValueError("at least one evaluation is required")
-        for ev in evaluations:
-            if len(ev) == 0:
-                raise ValueError("an evaluation must contain at least one tag")
-            if len(set(ev)) != len(ev):
-                raise ValueError("duplicate tags in evaluation")
-            for tag in ev:
-                if not 0 <= tag < self.space.k:
-                    raise ValueError(f"tag index {tag} outside class space of size {self.space.k}")
-        annotators = [len(evaluations)]
-        counts = tag_counts(np.array([t for ev in evaluations for t in ev], dtype=np.int64),
-                            list(map(len, evaluations)), annotators, self.space.k)
+        per_eval = np.array(list(map(len, self.evaluations)), dtype=np.int64)
+        annotators = np.array([len(per_eval)])
+        tags = ordered_tags(list(chain.from_iterable(self.evaluations)), per_eval, annotators,
+                            self.space.k)
+        evaluations = tuple(map(tuple, next(tag_lists(tags, per_eval, annotators))))
+        counts = tag_counts(tags, per_eval, annotators, self.space.k)
         groups, majority = agreement(counts, annotators)
         object.__setattr__(self, "evaluations", evaluations)
         object.__setattr__(self, "counts", counts[0])

@@ -17,7 +17,7 @@ from itertools import chain, compress, starmap
 
 import numpy as np
 
-from .annotations import AgreementGroup, ClassSpace, agreement, tag_counts
+from .annotations import AgreementGroup, ClassSpace, agreement, ordered_tags, tag_counts
 from .dirichlet import CategoricalDist
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
@@ -60,9 +60,7 @@ _HEAD = '{{"id":{},"split":{},"features":[{}],"evaluations":[['
 
 def write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
     """Manifest line and one JSON record per row of ``corpus``, encoded ``_BLOCK``
-    rows at a time before the file opens; ids and features are written as given."""
-    if (corpus.annotators < 1).any() or (corpus.tags_per_eval < 1).any():
-        raise ValueError("every record needs an evaluation and every evaluation a tag")
+    rows at a time before the file opens; ids, features and checked tags are written as given."""
     tokens = np.array([_compact(name) for name in space.names], dtype=object)
     splits = np.where(corpus.train, '"train"', '"test"').tolist()
     # The offsets of every record's first evaluation and of every evaluation's first tag.
@@ -88,24 +86,18 @@ def write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
 
 
 def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
-    """``records`` through ``write_columns``, ids and features as given.  A split not "train"
-    or "test", a class outside ``space`` or a repeated tag raises ValueError; no file opens."""
+    """``records`` through ``Corpus.from_tags`` and ``write_columns``, ids and features as
+    given.  A split not "train" or "test", or an evaluation ``from_tags`` refuses, raises
+    ValueError; no file opens."""
     if bad := sorted({rec.split for rec in records} - _SPLITS, key=repr):
         raise ValueError(f"splits {bad} are not 'train' or 'test'")
     evaluations = [ev for rec in records for ev in rec.evaluations]
-    tags_per_eval = np.array(list(map(len, evaluations)), dtype=np.int64)
-    tags = np.array(list(chain.from_iterable(evaluations)), dtype=np.int64)
-    if outside := np.setdiff1d(tags, np.arange(space.k)).tolist():
-        raise ValueError(f"class indices {outside} are outside [0, {space.k})")
-    # Sorted, these keys list each evaluation's classes in class order, a repeat by its twin.
-    keys = np.sort(np.repeat(np.arange(len(evaluations)) * space.k, tags_per_eval) + tags)
-    if (keys[1:] == keys[:-1]).any():
-        raise ValueError("duplicate tags in evaluation")
     write_columns(path, space, Corpus.from_tags(
         [rec.uid for rec in records], np.array([rec.split == "train" for rec in records], bool),
         # One (n, d) array: rows of different widths raise ValueError; no records, d = 0.
         np.array([rec.features for rec in records] or np.empty((0, 0)), dtype=np.float64),
-        keys % space.k, tags_per_eval,
+        list(chain.from_iterable(evaluations)),
+        np.array(list(map(len, evaluations)), dtype=np.int64),
         np.array([len(rec.evaluations) for rec in records], dtype=np.int64), space.k))
 
 
@@ -152,8 +144,8 @@ class Corpus:
     evaluation whatever the file's order, ``tags_per_eval`` the number of
     tags of every evaluation and ``annotators`` the number of evaluations of
     every record; ``annotations.tag_lists`` turns them back into lists.
-    ``from_tags`` derives the rest: the vote ``counts``, and the ``groups``
-    (int8 codes) and ``majority`` of their agreement;
+    ``from_tags`` checks and orders them and derives the vote ``counts``, and
+    the ``groups`` (int8 codes) and ``majority`` of their agreement;
     ``replace_majorities`` sets them by the vote-and-replace rule.
     """
 
@@ -169,8 +161,10 @@ class Corpus:
 
     @classmethod
     def from_tags(cls, ids, train, features, tags, tags_per_eval, annotators, k: int) -> Corpus:
-        """The corpus of the flat tag layout over ``k`` classes: one count of
-        the tags and one agreement call derive every other column."""
+        """The corpus of the flat tag layout over ``k`` classes, its tags checked
+        and ordered by ``annotations.ordered_tags``: one count of the tags and
+        one agreement call derive every other column."""
+        tags = ordered_tags(tags, tags_per_eval, annotators, k)
         counts = tag_counts(tags, tags_per_eval, annotators, k)
         groups, majority = agreement(counts, annotators)
         return cls(ids=ids, train=train, features=features, counts=counts, annotators=annotators,
@@ -244,8 +238,7 @@ _decode = json.JSONDecoder().raw_decode
 def _corpus(lines: list, d: int, index: dict) -> Corpus | None:
     """The records of the numbered ``lines`` as columns, or None if any line
     has a fault.  Each check covers a whole column at once."""
-    ids, train, features, tags_per_eval, annotators = [], [], [np.empty((0, d))], [], []
-    tags, k = [np.empty(0, dtype=np.int64)], len(index)
+    ids, train, features, tags, tags_per_eval, annotators = [], [], [np.empty((0, d))], [], [], []
     try:
         for start in range(0, len(lines), _BLOCK):
             text = [line.strip(_BLANK) for _, line in lines[start:start + _BLOCK]]
@@ -258,32 +251,26 @@ def _corpus(lines: list, d: int, index: dict) -> Corpus | None:
                     and _LISTS.issuperset(map(type, rows)) and set(map(len, rows)) == {d}
                     and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))):
                 return None
-            per_record = list(map(len, evaluations))
+            annotators += map(len, evaluations)
             # A string or an object yields strings here, which the type check rejects.
             evaluations = list(chain.from_iterable(evaluations))
-            if min(per_record) == 0 or not _LISTS.issuperset(map(type, evaluations)):
+            if not _LISTS.issuperset(map(type, evaluations)):
                 return None
-            per_eval = list(map(len, evaluations))
+            tags_per_eval += map(len, evaluations)
             # Only class names are keys, so a lookup rejects every other value.
-            classes = list(map(index.__getitem__, chain.from_iterable(evaluations)))
-            # Sorted, these keys list each evaluation's classes in class order.
-            keys = np.sort(np.repeat(np.arange(len(per_eval)) * k, per_eval) + classes)
-            if min(per_eval) == 0 or (keys[1:] == keys[:-1]).any():
-                return None  # an empty evaluation, or one that repeats a tag
-            tags.append(keys % k)
+            tags += map(index.__getitem__, chain.from_iterable(evaluations))
             features.append(np.array(rows, dtype=np.float64))  # a huge integer overflows here
             ids += uid
             train += map("train".__eq__, split)
-            tags_per_eval += per_eval
-            annotators += per_record
         features = np.concatenate(features)
         if not (np.isfinite(features).all() and len(set(ids)) == len(ids)):
             return None
+        # from_tags refuses an empty record or evaluation and a repeated tag.
+        return Corpus.from_tags(ids, np.array(train, dtype=bool), features, tags,
+                                np.array(tags_per_eval, dtype=np.int64),
+                                np.array(annotators, dtype=np.int64), len(index))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         return None
-    return Corpus.from_tags(ids, np.array(train, dtype=bool), features, np.concatenate(tags),
-                            np.array(tags_per_eval, dtype=np.int64),
-                            np.array(annotators, dtype=np.int64), k)
 
 
 def _raise_first_fault(path: str, lines: list, d: int, index: dict) -> None:

@@ -184,7 +184,7 @@ class TestBatchAgreement:
     def test_bad_rows_rejected(self):
         with pytest.raises(ValueError, match="at least one evaluation is required"):
             [AnnotationSet(evs, ABC) for evs in [[(A,)], []]]
-        with pytest.raises(ValueError, match="tag index 3 outside class space of size 3"):
+        with pytest.raises(ValueError, match=r"class indices \[3\] are outside \[0, 3\)"):
             [AnnotationSet(evs, ABC) for evs in [[(A,)], [(3,)]]]
 
 

@@ -268,11 +268,14 @@ class TestBlockEncoder:
         reference_write_dataset(tmp_path / "want.jsonl", SPACE, records)
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
-    @pytest.mark.parametrize("evaluations", [(), ((0,), ())], ids=["no-evaluation", "no-tag"])
-    def test_record_without_a_tag_writes_no_file(self, tmp_path, evaluations):
+    @pytest.mark.parametrize("evaluations, match", [
+        ((), "at least one evaluation is required"),
+        (((0,), ()), "an evaluation must contain at least one tag"),
+    ], ids=["no-evaluation", "no-tag"])
+    def test_record_without_a_tag_writes_no_file(self, tmp_path, evaluations, match):
         path = tmp_path / "data.jsonl"
         record = dataio.DatasetRecord(0, "train", np.zeros(3), evaluations)
-        with pytest.raises(ValueError, match="every record needs an evaluation"):
+        with pytest.raises(ValueError, match=match):
             dataio.write_dataset(path, SPACE, [record])
         assert not path.exists()
 
@@ -323,6 +326,31 @@ class TestBlockEncoder:
             dataio.DatasetRecord(u.uid, "train" if u.uid < n_train else "test", u.features,
                                  u.evaluations) for u in utterances])
         assert got.read_bytes() == want.read_bytes()
+
+
+class TestFromTags:
+    """``Corpus.from_tags``, which ``corpus_of`` calls, checks every tag layout and puts
+    each evaluation in class order."""
+
+    @pytest.mark.parametrize("evaluations, match", [
+        ([[(0,)], [(-1,)]], r"class indices \[-1\] are outside \[0, 3\)"),
+        ([[(3,)], [(0,)]], r"class indices \[3\] are outside \[0, 3\)"),
+        ([[(1, 1)], [(0,)]], "duplicate tags in evaluation"),
+        ([[(0,), ()], [(0,)]], "an evaluation must contain at least one tag"),
+        ([[], [(0,)]], "at least one evaluation is required"),
+    ], ids=["tag-minus-1", "tag-k", "repeat", "empty-evaluation", "no-evaluation"])
+    def test_bad_layout_raises(self, evaluations, match):
+        # Unchecked, -1 counts as the previous record's C, 3 as the next record's A,
+        # and a repeat twice; the empty record would have no label.
+        with pytest.raises(ValueError, match=match):
+            corpus_of(evaluations)
+
+    def test_evaluation_is_put_in_class_order(self, tmp_path):
+        given, ordered = corpus_of([[(2, 0)]]), corpus_of([[(0, 2)]])
+        np.testing.assert_array_equal(given.tags, [0, 2])
+        dataio.write_columns(tmp_path / "given.jsonl", SPACE, given)
+        dataio.write_columns(tmp_path / "ordered.jsonl", SPACE, ordered)
+        assert (tmp_path / "given.jsonl").read_bytes() == (tmp_path / "ordered.jsonl").read_bytes()
 
 
 def train_only(records):
