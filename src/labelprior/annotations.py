@@ -59,13 +59,21 @@ class ClassSpace:
 
 def ordered_tags(tags, tags_per_eval, annotators, k: int) -> np.ndarray:
     """The flat tag layout's tags, each evaluation's in class order: the one check
-    of the evaluation rules.  A record with no evaluation, an evaluation with no
-    tag, a class outside [0, k) or one an evaluation repeats raises ValueError."""
+    of the evaluation rules.  A length that disagrees with the counts (tags with
+    ``tags_per_eval.sum()``, evaluations with ``annotators.sum()``), a record with no
+    evaluation, an evaluation with no tag, a class outside [0, k) or one an
+    evaluation repeats raises ValueError."""
     tags, tags_per_eval = np.asarray(tags, dtype=np.int64), np.asarray(tags_per_eval)
-    if (np.asarray(annotators) < 1).any():
+    annotators = np.asarray(annotators)
+    if (annotators < 1).any():
         raise ValueError("at least one evaluation is required")
+    if len(tags_per_eval) != annotators.sum():
+        raise ValueError(f"{len(tags_per_eval)} evaluations where annotators sums to "
+                         f"{annotators.sum()}")
     if (tags_per_eval < 1).any():
         raise ValueError("an evaluation must contain at least one tag")
+    if len(tags) != tags_per_eval.sum():
+        raise ValueError(f"{len(tags)} tags where tags_per_eval sums to {tags_per_eval.sum()}")
     if (outside := (tags < 0) | (tags >= k)).any():
         raise ValueError(f"class indices {np.unique(tags[outside]).tolist()} are outside [0, {k})")
     # Sorted, these keys list each evaluation's classes in class order, a repeat by its twin.

@@ -163,7 +163,11 @@ class Corpus:
     def from_tags(cls, ids, train, features, tags, tags_per_eval, annotators, k: int) -> Corpus:
         """The corpus of the flat tag layout over ``k`` classes, its tags checked
         and ordered by ``annotations.ordered_tags``: one count of the tags and
-        one agreement call derive every other column."""
+        one agreement call derive every other column.  ``ids``, ``train`` and
+        ``features`` need one row per record, or ValueError is raised."""
+        if not len(ids) == len(train) == len(features) == len(annotators):
+            raise ValueError(f"{len(ids)} ids, {len(train)} splits and {len(features)} feature "
+                             f"rows for {len(annotators)} records")
         tags = ordered_tags(tags, tags_per_eval, annotators, k)
         counts = tag_counts(tags, tags_per_eval, annotators, k)
         groups, majority = agreement(counts, annotators)
@@ -467,11 +471,10 @@ def read_report(path: str) -> dict:
 
 
 def write_curve(path: str, curve: PRCurve) -> None:
-    lines = ["threshold,precision,recall"]
-    for threshold, precision, recall in curve.points:
-        lines.append(f"{threshold:.6f},{precision:.6f},{recall:.6f}")
+    """A header and one 6-decimal row per curve point, all rows formatted by one ``%``."""
+    rows = "%.6f,%.6f,%.6f\n" * len(curve.points) % tuple(curve.points.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("threshold,precision,recall\n" + rows)
 
 
 def write_train_log(path: str, losses: Sequence[float]) -> None:

@@ -26,11 +26,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PRCurve:
-    """Precision-recall points swept over every distinct score."""
+    """Precision-recall points swept over every distinct score: one (n, 3)
+    float64 row of (threshold, precision, recall) per point.  Any (n, 3)
+    sequence converts; two curves are equal when their points are."""
 
-    points: tuple[tuple[float, float, float], ...]  # (threshold, precision, recall)
+    points: np.ndarray
+
+    def __post_init__(self) -> None:
+        points = np.asarray(self.points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"points must have shape (n, 3), got {points.shape}")
+        object.__setattr__(self, "points", points)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PRCurve):
+            return NotImplemented
+        return np.array_equal(self.points, other.points)
 
 
 @dataclass(frozen=True)
@@ -125,13 +138,12 @@ def pr_curve(
     starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
     seen = np.r_[starts[1:], scores.shape[0]]
     tp = np.cumsum(positive[order])[seen - 1]
-    points = zip(sorted_scores[starts].tolist(), (tp / seen).tolist(), (tp / n_pos).tolist())
-    return PRCurve(tuple(points))
+    return PRCurve(np.column_stack((sorted_scores[starts], tp / seen, tp / n_pos)))
 
 
 def aupr(curve: PRCurve) -> float:
     """Average precision: sum of precision times recall increments."""
-    _, precision, recall = np.asarray(curve.points, dtype=np.float64).reshape(-1, 3).T
+    precision, recall = curve.points[:, 1], curve.points[:, 2]
     # cumsum adds in order from 0, as a running total does.
     return float(np.cumsum(np.r_[0.0, np.diff(recall, prepend=0.0) * precision])[-1])
 

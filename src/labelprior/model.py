@@ -116,9 +116,11 @@ def _forward_cached(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, lis
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
+        # In place on the product, the only new array, so no temporary of its size.
+        h = h @ w
+        h += b
         if i < last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
             inputs.append(h)
     return h, inputs
 

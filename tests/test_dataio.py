@@ -345,6 +345,50 @@ class TestFromTags:
         with pytest.raises(ValueError, match=match):
             corpus_of(evaluations)
 
+    @pytest.mark.parametrize("tags, tags_per_eval, annotators, match", [
+        ([2], [1, 1], [1, 1], "1 tags where tags_per_eval sums to 2"),
+        ([0, 1, 2], [1, 1], [1, 1], "3 tags where tags_per_eval sums to 2"),
+        ([0, 1], [1, 1], [1, 2], "2 evaluations where annotators sums to 3"),
+    ], ids=["short-tags", "long-tags", "short-evaluations"])
+    def test_layout_lengths_must_chain(self, tags, tags_per_eval, annotators, match):
+        # Unchecked, the one tag [2] broadcast to both evaluations: tags [2, 2].
+        with pytest.raises(ValueError, match=match):
+            dataio.Corpus.from_tags([0, 1], np.ones(2, dtype=bool), np.zeros((2, 3)),
+                                    np.array(tags), np.array(tags_per_eval),
+                                    np.array(annotators), 3)
+
+    @pytest.mark.parametrize("ids, train, features, match", [
+        ([0, 1, 2], np.ones(2, dtype=bool), np.zeros((2, 3)), "3 ids, 2 splits and 2 feature"),
+        ([0, 1], np.ones(1, dtype=bool), np.zeros((2, 3)), "2 ids, 1 splits and 2 feature"),
+        ([0, 1], np.ones(2, dtype=bool), np.zeros((3, 3)), "2 ids, 2 splits and 3 feature"),
+    ], ids=["ids", "train", "features"])
+    def test_one_row_per_record(self, ids, train, features, match):
+        with pytest.raises(ValueError, match=match + " rows for 2 records"):
+            dataio.Corpus.from_tags(ids, train, features, np.array([0, 1]), np.array([1, 1]),
+                                    np.array([1, 1]), 3)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(written=written_corpora(), data=st.data())
+    def test_accepted_layout_round_trips(self, written, data):
+        space, corpus = written
+        # The same layout with every evaluation's tags in a drawn order, which from_tags sorts.
+        evals = np.repeat(np.arange(len(corpus.tags_per_eval)), corpus.tags_per_eval)
+        shuffle = data.draw(st.permutations(range(len(corpus.tags))))
+        tags = corpus.tags[np.lexsort((shuffle, evals))]
+        built = dataio.Corpus.from_tags(corpus.ids, corpus.train, corpus.features, tags,
+                                        corpus.tags_per_eval, corpus.annotators, space.k)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "data.jsonl")
+            dataio.write_columns(path, space, built)
+            read_space, read = dataio.read_dataset(path)
+        assert read_space == space
+        assert read.ids == built.ids
+        for name in ("train", "features", "counts", "annotators", "groups", "majority", "tags",
+                     "tags_per_eval"):
+            got, want = getattr(read, name), getattr(built, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
     def test_evaluation_is_put_in_class_order(self, tmp_path):
         given, ordered = corpus_of([[(2, 0)]]), corpus_of([[(0, 2)]])
         np.testing.assert_array_equal(given.tags, [0, 2])
@@ -549,7 +593,40 @@ class TestReport:
         assert doc["per_group"]["majority"]["mean_entropy"] is None
 
 
+def reference_write_curve(path, curve):
+    """The per-row encoder ``write_curve`` replaced: one f-string per point."""
+    lines = ["threshold,precision,recall"]
+    for threshold, precision, recall in curve.points.tolist():
+        lines.append(f"{threshold:.6f},{precision:.6f},{recall:.6f}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+CURVE_EDGES = [-0.0, 0.0, 4.9999995e-7, -4.9999995e-7, 5e-7, -5e-7, 0.9999995, 1.0,
+               1.5e6, 123456789.123456789, 1e300, 5e-324]
+
+
 class TestCurveAndLog:
+    @pytest.mark.parametrize("rows", [0, 1, 5000])
+    def test_curve_writes_the_reference_bytes(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        curve = PRCurve(np.column_stack((rng.normal(size=rows), rng.random(rows),
+                                         np.sort(rng.random(rows)))))
+        assert curve.points.shape == (rows, 3)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        dataio.write_curve(got, curve)
+        reference_write_curve(want, curve)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_curve_edge_values_write_the_reference_bytes(self, tmp_path):
+        edges = np.array(CURVE_EDGES)
+        curve = PRCurve(np.column_stack((edges, edges[::-1], np.roll(edges, 3))))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        dataio.write_curve(got, curve)
+        reference_write_curve(want, curve)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_text().splitlines()[1].startswith("-0.000000,")
+
     def test_curve_header_and_rows(self, tmp_path):
         curve = PRCurve(((0.9, 1.0, 0.5), (0.3, 0.75, 1.0)))
         path = tmp_path / "curve.csv"

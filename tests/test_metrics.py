@@ -13,6 +13,7 @@ import pytest
 from labelprior.annotations import AgreementGroup
 from labelprior.dirichlet import CategoricalDist
 from labelprior.metrics import (
+    PRCurve,
     aupr,
     build_report,
     detect_report,
@@ -143,8 +144,16 @@ class TestMeanKl:
 class TestPrCurve:
     def test_perfect_separation(self):
         curve = pr_curve([0.9, 0.8, 0.2, 0.1], [True, True, False, False])
-        assert curve.points[1] == (0.8, 1.0, 1.0)
+        assert tuple(curve.points[1]) == (0.8, 1.0, 1.0)
         assert aupr(curve) == pytest.approx(1.0)
+
+    def test_points_are_an_n_by_3_array(self):
+        curve = pr_curve([0.9, 0.8, 0.2, 0.1], [True, False, True, False])
+        assert curve.points.dtype == np.float64 and curve.points.shape == (4, 3)
+        assert PRCurve(curve.points.tolist()) == curve
+        assert PRCurve(curve.points[:-1]) != curve
+        with pytest.raises(ValueError, match=r"shape \(n, 3\), got \(3,\)"):
+            PRCurve((0.9, 1.0, 0.5))
 
     def test_all_scores_equal(self):
         curve = pr_curve([0.5] * 4, [True, False, False, True])

@@ -12,6 +12,7 @@ from labelprior.losses import LossConfig, LossKind, example_loss
 from labelprior.model import (
     ModelParams,
     TrainConfig,
+    _forward_cached,
     backward,
     forward,
     init,
@@ -93,6 +94,28 @@ class TestForward:
         rows = rng.normal(size=(9, 5))
         stacked = np.stack([forward(params, x) for x in rows])
         np.testing.assert_allclose(forward(params, rows), stacked, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5,), (9, 5)], ids=["row", "batch"])
+    def test_cached_pass_equals_out_of_place_reference(self, shape):
+        # Random biases and hidden units below zero exercise the bias and the ReLU.
+        rng = np.random.default_rng(8)
+        params = init(5, [7, 4], 3, seed=4)
+        params.biases[:] = [rng.normal(size=b.shape) for b in params.biases]
+        x = rng.normal(size=shape)
+        x_before = x.copy()
+        want_inputs, h = [x], x
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            h = np.maximum(h @ w + b, 0.0)
+            want_inputs.append(h)
+        want = h @ params.weights[-1] + params.biases[-1]
+        got, inputs = _forward_cached(params, x)
+        assert got.tobytes() == want.tobytes()
+        assert len(inputs) == len(want_inputs)
+        for a, b in zip(inputs, want_inputs):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert inputs[0] is x
+        assert x.tobytes() == x_before.tobytes()
+        assert any((a == 0.0).any() for a in inputs[1:])
 
 
 class TestBackward:
