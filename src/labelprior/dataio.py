@@ -18,7 +18,7 @@ from itertools import chain, compress, starmap
 import numpy as np
 
 from .annotations import AgreementGroup, ClassSpace, agreement, ordered_tags, tag_counts
-from .dirichlet import CategoricalDist
+from .dirichlet import CategoricalDist, _check_eps2
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
 from .model import LabelledExample, ModelParams, TrainConfig
@@ -357,10 +357,29 @@ def _dims(params: ModelParams) -> dict:
     return {"input": d_in, "hidden": hidden, "output": k}
 
 
+def _layout(values: np.ndarray, pad: str) -> str:
+    """A float vector or matrix as ``json.dumps(indent=1)`` lays out its list when
+    the list opens on a line indented by ``pad``.  The C encoder writes the compact
+    list in one call; numbers hold no comma or bracket, so only those are replaced."""
+    text = _compact(values.tolist())
+    if text == "[]":
+        return text
+    item = "\n" + pad + " "
+    if values.ndim == 1 or not values.size:  # numbers, or empty rows, "," apart
+        return "[" + item + text[1:-1].replace(",", "," + item) + "\n" + pad + "]"
+    number = item + " "
+    rows = (text[1:-1].replace(",", "," + number).replace("]," + number, "]," + item)
+            .replace("[", "[" + number).replace("]", item + "]"))
+    return "[" + item + rows + "\n" + pad + "]"
+
+
 def write_checkpoint(
     path: str, params: ModelParams, space: ClassSpace, config: TrainConfig
 ) -> None:
-    doc = {
+    """The bytes of ``json.dumps(doc, indent=1) + "\\n"``.  ``indent`` sends every
+    number through the pure-Python encoder, so only the header goes through it
+    and each weight matrix and bias through ``_layout``."""
+    head = {
         "format_version": FORMAT_VERSION,
         "kind": "checkpoint",
         "classes": list(space.names),
@@ -376,16 +395,15 @@ def write_checkpoint(
             "seed": config.seed,
             "hidden": list(config.hidden),
         },
-        "layers": [
-            {
-                "weights": np.asarray(w, dtype=np.float64).tolist(),
-                "bias": np.asarray(b, dtype=np.float64).tolist(),
-            }
-            for w, b in zip(params.weights, params.biases)
-        ],
     }
+    # "layers", the last key, opens at depth 1, each layer at 2 and its keys at 3.
+    layers = ",\n  ".join(
+        '{\n   "weights": ' + _layout(np.asarray(w, dtype=np.float64), "   ")
+        + ',\n   "bias": ' + _layout(np.asarray(b, dtype=np.float64), "   ") + "\n  }"
+        for w, b in zip(params.weights, params.biases))
+    text = json.dumps(head, indent=1)[:-2] + ',\n "layers": [\n  ' + layers + "\n ]\n}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1) + "\n")
+        fh.write(text)
 
 
 def _json(value, *types):
@@ -397,7 +415,12 @@ def _json(value, *types):
 
 
 def _reals(value) -> np.ndarray:
+    """``value`` as a float64 array; an element that is not a JSON number raises
+    TypeError, and an integer past the float range OverflowError.  The element
+    loop runs only to name the first offender."""
     items = np.asarray(value, dtype=object)
+    if _NUMBERS.issuperset(map(type, items.flat)):
+        return items.astype(np.float64)
     return np.array([float(_json(v, int, float)) for v in items.flat]).reshape(items.shape)
 
 
@@ -434,6 +457,10 @@ def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
         raise ValueError(f"{path}: dims or hidden do not match the layers {_dims(params)}")
     if params.dims[-1] != space.k:
         raise ValueError(f"{path}: last layer has {params.dims[-1]} units for {space.k} classes")
+    try:  # the head refuses it too, but without the file's name
+        _check_eps2(config.loss.eps2, space.k)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     if not all(np.isfinite(a).all() for a in params.weights + params.biases):
         raise ValueError(f"{path}: non-finite weight or bias")
     return params, space, config

@@ -4,6 +4,8 @@ logits, log-density and predictive mean."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
+import sys
 from typing import Optional
 
 import numpy as np
@@ -98,8 +100,17 @@ class DirichletParams:
         return self.alpha.shape[-1]
 
 
+def _check_eps2(eps2: float, k: int) -> None:
+    """alpha0 of the clamped head over K classes is at most K*(e^LOGIT_CLAMP + eps2);
+    an ``eps2`` that makes it overflow raises ValueError."""
+    if not math.isfinite(k * (math.exp(LOGIT_CLAMP) + eps2)):
+        raise ValueError(f"eps2 must keep K*(e^{LOGIT_CLAMP:g} + eps2) finite, so lie below "
+                         f"{sys.float_info.max / k:.4g} for K = {k}, got {eps2:g}")
+
+
 def _head(z: np.ndarray, eps2: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     # alpha = exp(clip(z)) + eps2 and d alpha / dz, which is 0 where the clamp holds.
+    _check_eps2(eps2, z.shape[-1])
     e = np.exp(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
     return e + eps2, e * (np.abs(z) < LOGIT_CLAMP)
 

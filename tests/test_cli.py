@@ -1,6 +1,7 @@
 """End-to-end CLI tests: every command, determinism of outputs, exit
 codes, and the transform pipeline."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -159,6 +160,49 @@ class TestTrain:
                        "--epochs", 3, "--seed", 5, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json.log").read_bytes() == (tmp_path / "b.json.log").read_bytes()
+
+    # sha256 of a paper-shape checkpoint holding model.init's seed-42 weights
+    # under each loss's trained header, recorded while write_checkpoint still
+    # sent every weight through json.dumps(doc, indent=1).  Trained weights and
+    # logs are not pinned: their last bits follow the host's SIMD exp and log
+    # and its BLAS kernel, while init's uniform draws round the same everywhere.
+    @pytest.mark.parametrize("loss, digest", [
+        ("hard", "cf1eccee5db2270109fbce0d1f73730857b2a093c04d101a41a3189b84241ccf"),
+        ("soft", "d28d196b42d99bc286739949a79901c3ed281ea537fe0bdab9105b4b69a0940e"),
+        ("dpn", "7ffad73b14c8dd82e6f2cfa68cbd69fbab3802a86c252a01ce3abd5c6b01ae6f"),
+        ("dpn-kl", "105dd7be0e8b5a4cb995872e8f88ce6a20cb47ddad2d3b1568841078f120b014"),
+    ])
+    def test_bytes_pinned(self, tmp_path, loss, digest):
+        data, ckpt = tmp_path / "data.jsonl", tmp_path / "m.json"
+        assert run("gen", "--n", 2000, "--seed", 42, "--out", data) == 0
+        assert run("train", "--data", data, "--loss", loss, "--epochs", 3, "--seed", 42,
+                   "--out", ckpt) == 0
+        trained = ckpt.read_text()
+        # The trained checkpoint is the indent=1 dump of its own document.
+        assert trained == json.dumps(json.loads(trained), indent=1) + "\n"
+        _, space, config = dataio.read_checkpoint(ckpt)
+        dataio.write_checkpoint(ckpt, init(16, (64,), 5, seed=42), space, config)
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == digest
+
+    # alpha0 of the dpn head is at most K*(e^60 + eps2), which overflows for
+    # eps2 >= 3.595e307 at K = 5; below that bound training itself diverges.
+    @pytest.mark.parametrize("eps2, code, err", [
+        ("3e307", 2, "numerical failure: epoch 0, batch 0, utterance 2: non-finite loss\n"),
+        ("4e307", 1, "error: eps2 must keep K*(e^60 + eps2) finite, so lie below 3.595e+307 "
+                     "for K = 5, got 4e+307\n"),
+        ("1e308", 1, "error: eps2 must keep K*(e^60 + eps2) finite, so lie below 3.595e+307 "
+                     "for K = 5, got 1e+308\n"),
+    ], ids=["3e307", "4e307", "1e308"])
+    def test_eps2_overflowing_alpha0_exits_naming_it(self, tmp_path, capsys, eps2, code, err):
+        data, out = tmp_path / "data.jsonl", tmp_path / "m.json"
+        assert run("gen", "--n", 200, "--seed", 1, "--out", data) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--data", data, "--loss", "dpn", "--eps2", eps2,
+                       "--out", out) == code
+        assert capsys.readouterr().err == err
+        assert not out.exists()
 
     @pytest.mark.parametrize("loss", ["hard", "soft", "dpn", "dpn-kl"])
     def test_log_has_one_line_per_epoch(self, small_dataset, tmp_path, loss):
@@ -436,6 +480,18 @@ class TestEval:
          "a layer needs a weight matrix and a matching bias vector"),
         (lambda doc: doc["layers"][-1].update(bias=[[v] for v in doc["layers"][-1]["bias"]]),
          "a layer needs a weight matrix and a matching bias vector"),
+        # The messages of the per-element check, recorded before the whole-layer one.
+        (lambda doc: doc["layers"][0]["weights"][2].__setitem__(5, True),
+         "field: TypeError('expected int or float, got True')"),
+        (lambda doc: doc["layers"][0]["weights"][0].__setitem__(0, "0.5"),
+         """field: TypeError("expected int or float, got '0.5'")"""),
+        (lambda doc: doc["layers"][-1]["weights"][7].__setitem__(1, 10**399),
+         "field: OverflowError('int too large to convert to float')"),
+        # A ragged matrix is a vector of rows, and its first row is the offender.
+        (lambda doc: doc["layers"][-1]["weights"][1].pop(),
+         "field: TypeError('expected int or float, got ["),
+        (lambda doc: doc["layers"][0]["bias"].__setitem__(3, {"a": 1}),
+         """field: TypeError("expected int or float, got {'a': 1}")"""),
     ])
     def test_bad_checkpoint_is_data_error(self, small_dataset, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "m.json"
@@ -449,6 +505,23 @@ class TestEval:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {ckpt}: ") and message in err
         assert not (tmp_path / "c_maxp.csv").exists()
+
+    def test_eps2_overflowing_alpha0_names_checkpoint(self, small_dataset, tmp_path, capsys):
+        ckpt = tmp_path / "m.json"
+        run("train", "--data", small_dataset, "--loss", "dpn", "--epochs", 1, "--out", ckpt)
+        doc = json.loads(ckpt.read_text())
+        doc["train_config"]["eps2"] = 1e308
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for command in (["eval", "--out", tmp_path / "r.json"],
+                        ["detect", "--out-prefix", tmp_path / "c"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(*command, "--data", small_dataset, "--ckpt", ckpt) == 1
+            assert capsys.readouterr().err == (
+                f"error: {ckpt}: eps2 must keep K*(e^60 + eps2) finite, so lie below "
+                "4.494e+307 for K = 4, got 1e+308\n")
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "c_maxp.csv").exists()
 
     @pytest.mark.parametrize("command, out", [("eval", "--out"), ("detect", "--out-prefix")])
     def test_non_finite_logits_are_numerical_failure(self, small_dataset, tmp_path, capsys,
@@ -762,6 +835,90 @@ def run_module(*args, cwd):
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, "-m", "labelprior", *map(str, args)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def parsed(parse, argv, capsys):
+    """What ``parse(argv)`` gives: its namespace or exit code, and its output."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exit_:
+        result = exit_.code
+    return result, capsys.readouterr()
+
+
+class TestParse:
+    """``cli._parse`` builds the parser of a leading command alone, and parses as
+    the full parser does."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["frobnicate"], ["-x", "train"],
+        *([command, "-h"] for command in ("gen", "stats", "train", "eval", "detect", "transform")),
+        ["gen", "--n", "3", "--out", "o"],
+        ["gen", "--n", "-3", "--out", "o", "--group-mix", "0.5,0.5"],
+        ["gen", "--n", "3", "--out", "o", "--group-mix", "a,b"],
+        ["gen", "--n", "3", "--out", "o", "--hel"],
+        ["stats", "--data", "d"], ["stats", "--dat", "d"], ["stats", "--data"],
+        ["stats", "--data", "d", "extra"],
+        ["train", "--data", "d", "--loss", "dpn", "--out", "o", "--hidden", "3,4",
+         "--lr", "-1e-3"],
+        ["train"], ["train", "--data", "d", "--loss", "x", "--out", "o"],
+        ["train", "--data", "d", "--loss", "dpn", "--out", "o", "--bogus"],
+        ["train", "--data", "d", "--loss", "dpn", "--out", "o", "--", "x"],
+        ["train", "--data", "d", "--loss", "dpn", "--out", "o", "--epochs", "x", "--zz"],
+        ["eval", "--data=d", "--ckpt", "c", "--out", "o"],
+        ["detect", "--data", "d", "--ckpt", "c", "--out-prefix", "p"],
+        ["transform", "--data", "d"], ["transform", "--data", "d", "--out", "o"],
+    ])
+    def test_parses_as_the_full_parser(self, capsys, argv):
+        full = parsed(lambda a: cli._build_parser().parse_args(a), argv, capsys)
+        assert parsed(cli._parse, argv, capsys) == full
+
+    @pytest.mark.parametrize("argv, built", [
+        (["stats", "--data", "d.jsonl"], 1),
+        (["train", "--help"], 1),
+        (["stats", "--data", "d.jsonl", "--bogus"], 8),  # its own, then the full 1 + 6
+        (["frobnicate"], 7),
+    ])
+    def test_builds_only_what_the_line_needs(self, monkeypatch, capsys, argv, built):
+        count = []
+        init_ = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            count.append(self)
+            init_(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        parsed(cli._parse, argv, capsys)
+        assert len(count) == built
+
+
+class TestRepeatedCalls:
+    """``cli.main`` runs one command per call, any number of times in one process."""
+
+    def test_help_prints_the_same_text_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            assert run("--help") == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith("usage: labelprior") and texts[0] == texts[1]
+
+    def test_eval_after_failed_calls_matches_a_fresh_process(self, small_dataset, tmp_path,
+                                                             capsys):
+        ckpt = tmp_path / "m.json"
+        assert run("train", "--data", small_dataset, "--loss", "dpn", "--epochs", 1,
+                   "--out", ckpt) == 0
+        assert run("frobnicate") == 1
+        assert run("--help") == 0
+        assert run("train", "--data", small_dataset, "--loss", "soft", "--lr", 1e300,
+                   "--epochs", 1, "--out", tmp_path / "diverged.json") == 2
+        capsys.readouterr()
+        assert run("eval", "--data", small_dataset, "--ckpt", ckpt,
+                   "--out", tmp_path / "here.json") == 0
+        out = capsys.readouterr().out
+        fresh = run_module("eval", "--data", small_dataset, "--ckpt", ckpt,
+                           "--out", tmp_path / "fresh.json", cwd=tmp_path)
+        assert fresh.returncode == 0 and fresh.stdout == out
+        assert (tmp_path / "here.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
 class TestModuleEntryPoint:

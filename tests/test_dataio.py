@@ -14,7 +14,7 @@ from labelprior import cli, dataio
 from labelprior.annotations import AgreementGroup, ClassSpace, tag_lists
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import GroupMetrics, MetricsReport, PRCurve
-from labelprior.model import TrainConfig, init
+from labelprior.model import ModelParams, TrainConfig, init
 from labelprior.synth import SynthConfig, generate, generate_columns
 
 from corpora import corpus_of
@@ -531,6 +531,97 @@ class TestCheckpointRoundTrip:
         dataio.write_checkpoint(path, params, SPACE, config)
         doc = json.loads(path.read_text())
         assert doc["format_version"] == 1
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 2)])
+    def test_layers_read_back_as_c_contiguous_float64(self, tmp_path, hidden):
+        params = init(3, list(hidden), 3, seed=4)
+        path = tmp_path / "m.json"
+        dataio.write_checkpoint(path, params, SPACE, TrainConfig(loss=LossConfig(LossKind.HARD),
+                                                                 hidden=hidden))
+        loaded = dataio.read_checkpoint(path)[0]
+        assert len(loaded.weights) == len(loaded.biases) == len(hidden) + 1
+        for got, want in zip(loaded.weights + loaded.biases, params.weights + params.biases):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+
+# The checkpoint writer that the row encoder replaced, verbatim: one
+# json.dumps with indent=1, which sends every number through the pure-Python encoder.
+def reference_write_checkpoint(path, params, space, config) -> None:
+    doc = {
+        "format_version": dataio.FORMAT_VERSION,
+        "kind": "checkpoint",
+        "classes": list(space.names),
+        "dims": dataio._dims(params),
+        "train_config": {
+            "loss": config.loss.kind.value,
+            "eps1": config.loss.eps1,
+            "eps2": config.loss.eps2,
+            "lambda": config.loss.lam,
+            "learning_rate": config.learning_rate,
+            "batch_size": config.batch_size,
+            "epochs": config.epochs,
+            "seed": config.seed,
+            "hidden": list(config.hidden),
+        },
+        "layers": [
+            {
+                "weights": np.asarray(w, dtype=np.float64).tolist(),
+                "bias": np.asarray(b, dtype=np.float64).tolist(),
+            }
+            for w, b in zip(params.weights, params.biases)
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
+
+
+WEIGHT_EDGES = EDGE_FLOATS + [1e-5, 2.0, -7.0, 1e22, float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def checkpoints(draw):
+    """Params of 1 to 3 layers of width 1 to 9 (``hidden=()`` for one), edge and
+    drawn weights, over classes with names that JSON escapes or that hold the
+    separators the writer places."""
+    # A class space needs two classes, so the last layer has two units or more.
+    dims = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)) + [draw(st.integers(2, 9))]
+    number = st.sampled_from(WEIGHT_EDGES) | st.floats()
+    def array(*shape):
+        return np.reshape(np.array(draw(st.lists(number, min_size=int(np.prod(shape)),
+                                                 max_size=int(np.prod(shape)))),
+                                   dtype=np.float64), shape)
+    params = ModelParams([array(a, b) for a, b in zip(dims, dims[1:])],
+                         [array(b) for b in dims[1:]])
+    names = draw(st.lists(st.sampled_from(AWKWARD_NAMES + [",", "}", "]"]) | st.text(min_size=1),
+                          min_size=dims[-1], max_size=dims[-1], unique=True))
+    loss = draw(st.sampled_from([LossConfig.default_for(kind) for kind in LossKind]))
+    config = TrainConfig(loss=loss, learning_rate=draw(st.sampled_from([1e-2, 1, 0.0])),
+                         hidden=tuple(dims[1:-1]))
+    return params, ClassSpace(tuple(names)), config
+
+
+class TestCheckpointWriter:
+    """``write_checkpoint`` writes the bytes of the indent=1 writer above."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(checkpoint=checkpoints())
+    def test_writes_the_reference_bytes(self, checkpoint):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = pathlib.Path(tmp, "got.json"), pathlib.Path(tmp, "want.json")
+            dataio.write_checkpoint(got, *checkpoint)
+            reference_write_checkpoint(want, *checkpoint)
+            assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("shapes", [[(0, 3)], [(2, 0), (0, 3)]], ids=["no-rows", "no-columns"])
+    def test_empty_layers_write_the_reference_bytes(self, tmp_path, shapes):
+        params = ModelParams([np.zeros(shape) for shape in shapes],
+                             [np.zeros(shape[1]) for shape in shapes])
+        config = TrainConfig(loss=LossConfig(LossKind.HARD), hidden=params.dims[1:-1])
+        dataio.write_checkpoint(tmp_path / "got.json", params, SPACE, config)
+        reference_write_checkpoint(tmp_path / "want.json", params, SPACE, config)
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 def sample_report():

@@ -78,6 +78,15 @@ class TestFromLogits:
         with pytest.raises(ValueError):
             from_logits(np.array([0.0, float("nan")]), 0.0)
 
+    @pytest.mark.parametrize("z", [np.zeros(5), np.zeros((3, 5))], ids=["row", "batch"])
+    def test_rejects_eps2_overflowing_alpha0(self, z):
+        # alpha0 is at most K*(e^60 + eps2); the largest eps2 that keeps it finite works.
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=r"eps2 must keep K\*\(e\^60 \+ eps2\) "
+                               r"finite, so lie below 3\.595e\+307 for K = 5, got 1e\+308"):
+                from_logits(z, 1e308)
+            assert np.isfinite(predictive_mean(from_logits(z, 3e307)).p).all()
+
 
 class TestLogPdf:
     def test_flat_dirichlet_k3(self):
