@@ -8,6 +8,8 @@ weight).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -33,94 +35,67 @@ def _comma(kind: type, noun: str):
     return parse
 
 
-_HELP = {
-    "gen": "generate a synthetic dataset",
-    "stats": "print label statistics of a dataset",
-    "train": "train a classifier on the train split",
-    "eval": "evaluate a checkpoint on the test split",
-    "detect": "PR curves for no-majority detection",
-    "transform": "apply vote-and-replace to a dataset",
-}
-
-
-def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
-    """Adds the arguments of ``command`` to ``p``, its parser."""
-    if command == "gen":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, default=5)
-        p.add_argument("--d", type=int, default=16)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--annotators", type=int, default=3)
-        p.add_argument("--multi-tag-prob", type=float, default=0.04)
-        p.add_argument("--noise-sigma", type=float, default=0.1)
-        p.add_argument("--group-mix", type=_comma(float, "floats"), default=(0.237, 0.513, 0.250))
-        p.add_argument("--precisions", type=_comma(float, "floats"), default=None)
-        p.add_argument("--test-frac", type=float, default=0.2)
-        p.add_argument("--out", required=True)
-    elif command == "train":
-        p.add_argument("--data", required=True)
-        p.add_argument("--loss", choices=sorted(_LOSS_NAMES), required=True)
-        p.add_argument("--eps1", type=float, default=None)
-        p.add_argument("--eps2", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--epochs", type=int, default=30)
-        p.add_argument("--lr", type=float, default=1e-2)
-        p.add_argument("--batch", type=int, default=32)
-        p.add_argument("--hidden", type=_comma(int, "integers"), default=(64,))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", required=True)
-        p.add_argument("--log", default=None, help="training log path (default: <out>.log)")
-    elif command == "stats":
-        p.add_argument("--data", required=True)
-    elif command == "eval":
-        p.add_argument("--data", required=True)
-        p.add_argument("--ckpt", required=True)
-        p.add_argument("--out", required=True)
-    elif command == "detect":
-        p.add_argument("--data", required=True)
-        p.add_argument("--ckpt", required=True)
-        p.add_argument("--out-prefix", required=True)
-    elif command == "transform":
-        p.add_argument("--data", required=True)
-        p.add_argument("--out", required=True)
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; each ``parse_args``
+    call fills a namespace of its own."""
     parser = argparse.ArgumentParser(
         prog="labelprior",
         description="Label-ambiguity modelling with per-utterance Dirichlet priors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_ in _HELP.items():
-        _add_arguments(sub.add_parser(command, help=help_), command)
+
+    gen = sub.add_parser("gen", help="generate a synthetic dataset")
+    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--k", type=int, default=5)
+    gen.add_argument("--d", type=int, default=16)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--annotators", type=int, default=3)
+    gen.add_argument("--multi-tag-prob", type=float, default=0.04)
+    gen.add_argument("--noise-sigma", type=float, default=0.1)
+    gen.add_argument("--group-mix", type=_comma(float, "floats"), default=(0.237, 0.513, 0.250))
+    gen.add_argument("--precisions", type=_comma(float, "floats"), default=None)
+    gen.add_argument("--test-frac", type=float, default=0.2)
+    gen.add_argument("--out", required=True)
+
+    st = sub.add_parser("stats", help="print label statistics of a dataset")
+    st.add_argument("--data", required=True)
+
+    tr = sub.add_parser("train", help="train a classifier on the train split")
+    tr.add_argument("--data", required=True)
+    tr.add_argument("--loss", choices=sorted(_LOSS_NAMES), required=True)
+    tr.add_argument("--eps1", type=float, default=None)
+    tr.add_argument("--eps2", type=float, default=None)
+    tr.add_argument("--lambda", dest="lam", type=float, default=None)
+    tr.add_argument("--epochs", type=int, default=30)
+    tr.add_argument("--lr", type=float, default=1e-2)
+    tr.add_argument("--batch", type=int, default=32)
+    tr.add_argument("--hidden", type=_comma(int, "integers"), default=(64,))
+    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--out", required=True)
+    tr.add_argument("--log", default=None, help="training log path (default: <out>.log)")
+
+    ev = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
+    ev.add_argument("--data", required=True)
+    ev.add_argument("--ckpt", required=True)
+    ev.add_argument("--out", required=True)
+
+    de = sub.add_parser("detect", help="PR curves for no-majority detection")
+    de.add_argument("--data", required=True)
+    de.add_argument("--ckpt", required=True)
+    de.add_argument("--out-prefix", required=True)
+
+    tf = sub.add_parser("transform", help="apply vote-and-replace to a dataset")
+    tf.add_argument("--data", required=True)
+    tf.add_argument("--out", required=True)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed as the full parser parses it, building only what it needs.
-    The full parser hands everything after a leading command name to that
-    command's parser, an ArgumentParser with prog "labelprior <command>", so that
-    parser alone reads such a line; only a line with arguments it does not know
-    goes to the full parser, whose error names them."""
-    if argv and argv[0] in _HELP:
-        own = argparse.ArgumentParser(prog=f"labelprior {argv[0]}")
-        _add_arguments(own, argv[0])
-        args, unknown = own.parse_known_args(argv[1:])
-        if not unknown:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
-
-
 def _loss_config(args: argparse.Namespace) -> LossConfig:
-    kind = _LOSS_NAMES[args.loss]
-    base = LossConfig.default_for(kind)
-    return LossConfig(
-        kind=kind,
-        eps1=base.eps1 if args.eps1 is None else args.eps1,
-        eps2=base.eps2 if args.eps2 is None else args.eps2,
-        lam=base.lam if args.lam is None else args.lam,
-    )
+    """The loss's stock settings, with the constants the line sets."""
+    given = {name: value for name in ("eps1", "eps2", "lam")
+             if (value := getattr(args, name)) is not None}
+    return dataclasses.replace(LossConfig.default_for(_LOSS_NAMES[args.loss]), **given)
 
 
 def _predict_dists(
@@ -262,7 +237,7 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args = _build_parser().parse_args(argv)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 1
     try:

@@ -61,6 +61,8 @@ class LossConfig:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, LossKind):
+            raise ValueError(f"unknown loss kind: {self.kind!r}")
         for name, value in (("eps1", self.eps1), ("eps2", self.eps2), ("lambda", self.lam)):
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -157,15 +159,13 @@ def batch_loss(
         return _kl(counts / m[:, None], z)
     if kind == LossKind.DPN:
         return _dpn(z, counts, m, config.eps1, config.eps2)
-    if kind == LossKind.DPN_KL:
-        if (counts != np.floor(counts)).any():
-            raise ValueError("the Polya term needs integer label counts")
-        value, grad = _polya(z, counts, m)
-        if config.lam:
-            kl_value, kl_grad = _kl(counts / m[:, None], z)
-            value, grad = value + config.lam * kl_value, grad + config.lam * kl_grad
-        return value, grad
-    raise ValueError(f"unknown loss kind: {kind!r}")
+    if (counts != np.floor(counts)).any():  # dpn-kl
+        raise ValueError("the Polya term needs integer label counts")
+    value, grad = _polya(z, counts, m)
+    if config.lam:
+        kl_value, kl_grad = _kl(counts / m[:, None], z)
+        value, grad = value + config.lam * kl_value, grad + config.lam * kl_grad
+    return value, grad
 
 
 def example_loss(

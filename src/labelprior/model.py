@@ -165,22 +165,25 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
     """Mini-batch gradient descent on every row of ``corpus``; returns params
     and per-epoch mean loss.
 
-    The hard loss trains on the utterances with a majority label, each
-    vote-and-replaced to M labels of that class (``replace_majorities``);
-    the other objectives train on everything.  Each mini-batch makes one forward
-    pass, one :func:`batch_loss` call and one backward pass.  A
+    The hard loss trains on the utterances with a majority label, each with
+    its one-hot majority vector as counts: the N/M target of the row
+    vote-and-replaced (``replace_majorities``).  The other objectives train on
+    everything.  Each mini-batch makes one forward pass, one
+    :func:`batch_loss` call and one backward pass.  A
     SingularityError from the Dirichlet term is re-raised with
     epoch/batch/utterance context, and so is a non-finite logit or loss, as
     a FloatingPointError.
     """
     if len(corpus) == 0:
         raise ValueError("training set is empty")
+    counts = corpus.counts
     if config.loss.kind == LossKind.HARD:
-        corpus = corpus.select(corpus.majority >= 0).replace_majorities()
+        corpus = corpus.select(corpus.majority >= 0)
         if len(corpus) == 0:
             raise ValueError("hard loss needs at least one utterance with a majority label")
+        counts = np.eye(counts.shape[1])[corpus.majority]
 
-    features, counts, uids = corpus.features, corpus.counts, corpus.ids
+    features, uids = corpus.features, corpus.ids
     params = init(features.shape[1], config.hidden, counts.shape[1], config.seed)
 
     n = len(corpus)

@@ -847,8 +847,7 @@ def parsed(parse, argv, capsys):
 
 
 class TestParse:
-    """``cli._parse`` builds the parser of a leading command alone, and parses as
-    the full parser does."""
+    """``cli.main`` parses every line with one parser, built once per process."""
 
     @pytest.mark.parametrize("argv", [
         [], ["-h"], ["frobnicate"], ["-x", "train"],
@@ -868,18 +867,16 @@ class TestParse:
         ["eval", "--data=d", "--ckpt", "c", "--out", "o"],
         ["detect", "--data", "d", "--ckpt", "c", "--out-prefix", "p"],
         ["transform", "--data", "d"], ["transform", "--data", "d", "--out", "o"],
+        ["gen", "--n", "3", "--out", "o"],
     ])
     def test_parses_as_the_full_parser(self, capsys, argv):
-        full = parsed(lambda a: cli._build_parser().parse_args(a), argv, capsys)
-        assert parsed(cli._parse, argv, capsys) == full
+        # The lines run in order through the one cached parser, so a line that
+        # left state behind would make a later line differ from a fresh parser:
+        # the last line, for one, must not see the --group-mix set above.
+        fresh = parsed(lambda a: cli._build_parser.__wrapped__().parse_args(a), argv, capsys)
+        assert parsed(cli._build_parser().parse_args, argv, capsys) == fresh
 
-    @pytest.mark.parametrize("argv, built", [
-        (["stats", "--data", "d.jsonl"], 1),
-        (["train", "--help"], 1),
-        (["stats", "--data", "d.jsonl", "--bogus"], 8),  # its own, then the full 1 + 6
-        (["frobnicate"], 7),
-    ])
-    def test_builds_only_what_the_line_needs(self, monkeypatch, capsys, argv, built):
+    def test_builds_the_parser_once(self, monkeypatch, capsys, small_dataset):
         count = []
         init_ = argparse.ArgumentParser.__init__
 
@@ -888,8 +885,16 @@ class TestParse:
             init_(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        parsed(cli._parse, argv, capsys)
-        assert len(count) == built
+        cli._build_parser.cache_clear()
+        codes, built = [], []
+        for argv in (["stats", "--data", small_dataset], ["frobnicate"],
+                     ["stats", "--data", small_dataset, "--bogus"], ["train", "--help"],
+                     ["stats", "--data", small_dataset]):
+            before = len(count)
+            codes.append(run(*argv))
+            built.append(len(count) - before)
+        assert codes == [0, 1, 1, 0, 0]
+        assert built == [7, 0, 0, 0, 0]  # the full parser and its six commands' parsers
 
 
 class TestRepeatedCalls:

@@ -335,6 +335,11 @@ class TestLossConfig:
                     LossConfig(kind, **{field: 1e-3})
         LossConfig.default_for(kind)
 
+    @pytest.mark.parametrize("kind, args", [("dpn", {"eps1": 1e-2}), ("soft", {}), (None, {})])
+    def test_rejects_a_kind_that_is_not_a_loss_kind(self, kind, args):
+        with pytest.raises(ValueError, match=f"^unknown loss kind: {kind!r}$"):
+            LossConfig(kind, **args)
+
 
 class TestExampleLoss:
     def test_hard_requires_majority(self):
