@@ -63,7 +63,7 @@ def ordered_tags(tags, tags_per_eval, annotators, k: int) -> np.ndarray:
     ``tags_per_eval.sum()``, evaluations with ``annotators.sum()``), a record with no
     evaluation, an evaluation with no tag, a class outside [0, k) or one an
     evaluation repeats raises ValueError."""
-    tags, tags_per_eval = np.asarray(tags, dtype=np.int64), np.asarray(tags_per_eval)
+    tags, tags_per_eval = np.array(tags, dtype=np.int64), np.asarray(tags_per_eval)
     annotators = np.asarray(annotators)
     if (annotators < 1).any():
         raise ValueError("at least one evaluation is required")
@@ -77,7 +77,11 @@ def ordered_tags(tags, tags_per_eval, annotators, k: int) -> np.ndarray:
     if (outside := (tags < 0) | (tags >= k)).any():
         raise ValueError(f"class indices {np.unique(tags[outside]).tolist()} are outside [0, {k})")
     # Sorted, these keys list each evaluation's classes in class order, a repeat by its twin.
-    keys = np.sort(np.repeat(np.arange(len(tags_per_eval)) * k, tags_per_eval) + tags)
+    # Keys that already rise strictly, as the writer's class order gives, need no sort.
+    keys = np.repeat(np.arange(len(tags_per_eval)) * k, tags_per_eval) + tags
+    if (keys[1:] > keys[:-1]).all():
+        return tags
+    keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise ValueError("duplicate tags in evaluation")
     return keys % k

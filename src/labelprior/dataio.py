@@ -8,12 +8,13 @@ block of a ``Corpus``'s records at a time; ``write_dataset`` converts to one.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import operator
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, compress, starmap
+from itertools import chain, compress, repeat, starmap
 
 import numpy as np
 
@@ -236,33 +237,38 @@ _BLANK = " \t\r"  # the JSON whitespace a line can hold; a line of only these is
 _LISTS, _INTS, _NUMBERS = frozenset((list,)), frozenset((int,)), frozenset((int, float))
 _SPLITS = frozenset(("train", "test"))
 _FIELDS = operator.itemgetter("id", "split", "features", "evaluations")
-_decode = json.JSONDecoder().raw_decode
+# The decoder's C scanner: (line, 0) gives (value, end) and a line that holds no
+# value raises StopIteration, which inside ``map`` ends the map without an error.
+_scan = json.JSONDecoder().scan_once
 
 
-def _corpus(lines: list, d: int, index: dict) -> Corpus | None:
-    """The records of the numbered ``lines`` as columns, or None if any line
-    has a fault.  Each check covers a whole column at once."""
+def _corpus(lines: list[str], d: int, index: dict) -> Corpus | None:
+    """The records of the stripped ``lines`` as columns, or None if any line
+    has a fault.  Each check covers a whole column of a block at once, and
+    no decoded list is copied."""
     ids, train, features, tags, tags_per_eval, annotators = [], [], [np.empty((0, d))], [], [], []
     try:
         for start in range(0, len(lines), _BLOCK):
-            text = [line.strip(_BLANK) for _, line in lines[start:start + _BLOCK]]
-            docs, ends = zip(*map(_decode, text))
+            text = lines[start:start + _BLOCK]
+            docs, ends = zip(*map(_scan, text, repeat(0)))
+            # Every line must give one record that ends where the line does: a
+            # map that stopped early leaves fewer ends than lines.
             if ends != tuple(map(len, text)):
                 return None
-            # A record that is not an object fails the lookup.
+            # A record that is not an object fails the lookup, and list.__len__
+            # raises on anything but a list.
             uid, split, rows, evaluations = zip(*map(_FIELDS, docs))
             if not (_INTS.issuperset(map(type, uid)) and _SPLITS.issuperset(split)
-                    and _LISTS.issuperset(map(type, rows)) and set(map(len, rows)) == {d}
+                    and set(map(list.__len__, rows)) == {d}
                     and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))):
                 return None
-            annotators += map(len, evaluations)
-            # A string or an object yields strings here, which the type check rejects.
-            evaluations = list(chain.from_iterable(evaluations))
-            if not _LISTS.issuperset(map(type, evaluations)):
+            annotators += map(list.__len__, evaluations)
+            # A string or an object would pass len and give strings to the lookup.
+            if not _LISTS.issuperset(map(type, chain.from_iterable(evaluations))):
                 return None
-            tags_per_eval += map(len, evaluations)
+            tags_per_eval += map(len, chain.from_iterable(evaluations))
             # Only class names are keys, so a lookup rejects every other value.
-            tags += map(index.__getitem__, chain.from_iterable(evaluations))
+            tags += map(index.__getitem__, chain.from_iterable(chain.from_iterable(evaluations)))
             features.append(np.array(rows, dtype=np.float64))  # a huge integer overflows here
             ids += uid
             train += map("train".__eq__, split)
@@ -336,18 +342,28 @@ def read_dataset(path: str) -> tuple[ClassSpace, Corpus]:
     time; only when a check fails are they checked again line by line, so
     the error names the first bad line.
     """
-    lines = [(no, line) for no, line in enumerate(_text(path).split("\n"), 1)
-             if line.strip(_BLANK)]
+    text = _text(path).split("\n")
+    lines = list(filter(None, map(str.strip, text, repeat(_BLANK))))
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    manifest = _parse(path, lines[0][1], "dataset")
+    # The manifest's line as written, so that a JSON error counts its indent.
+    manifest = _parse(path, next(line for line in text if line.strip(_BLANK)), "dataset")
     space, d = _class_space(path, manifest.get("classes")), manifest.get("feature_dim")
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise ValueError(f"{path}: manifest feature_dim must be an integer >= 0, got {d!r}")
     index = {name: i for i, name in enumerate(space.names)}
-    corpus = _corpus(lines[1:], d, index)
+    # The decoded records hold no cycles and each block drops them, so the
+    # collector's scans of them would find nothing.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        corpus = _corpus(lines[1:], d, index)
+    finally:
+        if collecting:
+            gc.enable()
     if corpus is None:
-        _raise_first_fault(path, lines[1:], d, index)
+        numbered = [(no, line) for no, line in enumerate(text, 1) if line.strip(_BLANK)]
+        _raise_first_fault(path, numbered[1:], d, index)
         raise RuntimeError(f"{path}: a record check failed that no line check names")
     return space, corpus
 

@@ -67,6 +67,32 @@ class TestEvaluation:
             AnnotationSet(((1, 1),), ABC)
 
 
+class TestOrderedTags:
+    """Tags already in class order skip the sort; others are sorted.  Both give
+    the same tags and refuse a repeat with the same message."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(evaluations=st.lists(st.sets(st.integers(0, 4), min_size=1), min_size=1, max_size=8),
+           data=st.data())
+    def test_shuffled_tags_give_the_class_ordered_tags(self, evaluations, data):
+        per_eval = np.array([len(ev) for ev in evaluations])
+        annotators = np.array([len(evaluations)])
+        ordered = [t for ev in evaluations for t in sorted(ev)]
+        shuffled = [t for ev in evaluations for t in data.draw(st.permutations(sorted(ev)))]
+        got = annotations.ordered_tags(ordered, per_eval, annotators, 5)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ordered)
+        np.testing.assert_array_equal(
+            annotations.ordered_tags(shuffled, per_eval, annotators, 5), ordered)
+
+    # The second evaluation repeats class 1: beside its twin, apart, and descending.
+    @pytest.mark.parametrize("tags", [[0, 1, 1, 2], [0, 1, 2, 1], [0, 2, 1, 1]],
+                             ids=["class-order", "shuffled", "descending"])
+    def test_repeat_is_refused_on_both_paths(self, tags):
+        with pytest.raises(ValueError, match="duplicate tags in evaluation"):
+            annotations.ordered_tags(tags, np.array([1, 3]), np.array([2]), 3)
+
+
 class TestLabels:
     # An utterance's one-hot labels come from its vote counts, grouped by class.
     def test_multi_tag_expansion(self):

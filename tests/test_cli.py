@@ -293,6 +293,16 @@ class TestTrain:
         assert "numerical failure" in err and "utterance" in err and "non-finite" in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_negative_e_notation_rate_joined_by_equals_is_checked(
+        self, small_dataset, tmp_path, capsys
+    ):
+        # Apart, argparse reads "-1e-3" as an option; joined, the value reaches the check.
+        code = run("train", "--data", small_dataset, "--loss", "soft", "--lr=-1e-3",
+                   "--epochs", 1, "--out", tmp_path / "m.json")
+        assert code == 1
+        assert "learning_rate must be finite and >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [small_dataset]
+
     @pytest.mark.parametrize("edit, message", [
         (lambda rec: rec.update(split="Train"), "split 'Train'"),
         (lambda rec: rec.update(id=0), "id 0 repeats the id on line 2"),

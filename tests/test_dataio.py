@@ -1,9 +1,11 @@
 """Round-trip and format tests for datasets, checkpoints, reports, curves
 and training logs."""
 
+import gc
 import json
 import pathlib
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -395,6 +397,89 @@ class TestFromTags:
         dataio.write_columns(tmp_path / "given.jsonl", SPACE, given)
         dataio.write_columns(tmp_path / "ordered.jsonl", SPACE, ordered)
         assert (tmp_path / "given.jsonl").read_bytes() == (tmp_path / "ordered.jsonl").read_bytes()
+
+
+def reference_read_dataset(path):
+    """The per-line reader: ``json.loads`` of every line that is not blank,
+    then one ``Corpus.from_tags`` of the columns they give."""
+    text = pathlib.Path(path).read_bytes().decode("utf-8")
+    manifest, *docs = map(json.loads, [line for line in text.split("\n") if line.strip(" \t\r")])
+    space = ClassSpace(tuple(manifest["classes"]))
+    index = {name: i for i, name in enumerate(space.names)}
+    evaluations = [ev for doc in docs for ev in doc["evaluations"]]
+    return space, dataio.Corpus.from_tags(
+        [doc["id"] for doc in docs], np.array([doc["split"] == "train" for doc in docs], bool),
+        np.array([doc["features"] for doc in docs], dtype=np.float64).reshape(
+            len(docs), manifest["feature_dim"]),
+        np.array([index[name] for ev in evaluations for name in ev], dtype=np.int64),
+        np.array([len(ev) for ev in evaluations], dtype=np.int64),
+        np.array([len(doc["evaluations"]) for doc in docs], dtype=np.int64), space.k)
+
+
+BLANK_LINES = ["", " ", "\t", "\r", " \t\r "]
+
+
+class TestReader:
+    """``read_dataset`` gives the columns of the per-line reader above."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(written=written_corpora(), data=st.data())
+    def test_reads_the_reference_columns(self, written, data):
+        space, corpus = written
+        # Every evaluation's tags in a drawn order, which write_columns keeps.
+        evals = np.repeat(np.arange(len(corpus.tags_per_eval)), corpus.tags_per_eval)
+        shuffle = data.draw(st.permutations(range(len(corpus.tags))))
+        corpus = replace(corpus, tags=corpus.tags[np.lexsort((shuffle, evals))])
+        cr = data.draw(st.sampled_from(["", "\r"]))  # LF or CRLF line ends
+        block = data.draw(st.sampled_from([2, 3]))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = pathlib.Path(tmp, "data.jsonl")
+            dataio.write_columns(path, space, corpus)
+            lines = []
+            for line in path.read_bytes().decode("utf-8").split("\n")[:-1]:
+                lines += data.draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2))
+                lines.append(line + cr)
+            lines += data.draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2))
+            path.write_bytes("\n".join(lines).encode("utf-8"))
+            mp.setattr(dataio, "_BLOCK", block)
+            got_space, got = dataio.read_dataset(path)
+            want_space, want = reference_read_dataset(path)
+        assert got_space == want_space == space
+        assert got.ids == want.ids and all(type(uid) is int for uid in got.ids)
+        for name in ("train", "features", "counts", "annotators", "groups", "majority", "tags",
+                     "tags_per_eval"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        assert got.features.tobytes() == want.features.tobytes()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("bad", [False, True], ids=["good", "bad-line"])
+    def test_collector_state_is_kept(self, tmp_path, monkeypatch, enabled, bad):
+        path = tmp_path / "data.jsonl"
+        dataio.write_dataset(path, SPACE, sample_records())
+        if bad:
+            path.write_text(path.read_text().replace('"split":"test"', '"split":"dev"'))
+        paused = []
+        real = dataio._corpus
+
+        def columns(*args):
+            paused.append(not gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(dataio, "_corpus", columns)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if bad:
+                with pytest.raises(ValueError, match="line 3: split 'dev'"):
+                    dataio.read_dataset(path)
+            else:
+                dataio.read_dataset(path)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert paused == [True]
 
 
 def train_only(records):
