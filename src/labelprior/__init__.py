@@ -22,9 +22,11 @@ from .dirichlet import (
     predictive_mean,
 )
 from .losses import (
+    LabelTerms,
     LossConfig,
     LossKind,
     batch_loss,
+    terms_loss,
 )
 from .metrics import (
     MetricsReport,

@@ -126,14 +126,22 @@ def from_logits(z: np.ndarray, eps2: float = 0.0) -> DirichletParams:
     return DirichletParams(_head(z, eps2)[0])
 
 
-def _log_density(alpha: np.ndarray, log_mu: np.ndarray, zero=False, name_row=False) -> np.ndarray:
-    """ln Dir(mu | alpha) along the last axis from ln mu, for log_pdf and the dpn loss.
+def _with_total(alpha: np.ndarray) -> np.ndarray:
+    # alpha with alpha0 appended along the last axis, for log_gamma and digamma at once.
+    return np.concatenate([alpha, alpha.sum(axis=-1, keepdims=True)], axis=-1)
+
+
+def _log_density(alpha_total: np.ndarray, log_mu: np.ndarray,
+                 zero: Optional[np.ndarray] = None, name_row=False) -> np.ndarray:
+    """ln Dir(mu | alpha) along the last axis from ln mu, for log_pdf and the dpn loss,
+    given alpha with alpha0 appended (``_with_total``).
     Where the mask ``zero`` marks mu_k = 0 (``log_mu`` 0 there) the term drops out if
     alpha_k == 1, the row is -inf if alpha_k > 1, and alpha_k < 1 raises a SingularityError
     naming the first such row in ``row`` (and in the message if ``name_row``)."""
-    lg = log_gamma(np.concatenate([alpha, alpha.sum(axis=-1, keepdims=True)], axis=-1))
+    alpha = alpha_total[..., :-1]
+    lg = log_gamma(alpha_total)
     value = lg[..., -1] - lg[..., :-1].sum(axis=-1) + np.sum((alpha - 1.0) * log_mu, axis=-1)
-    if not np.any(zero):
+    if zero is None or not zero.any():
         return value
     bad = np.argwhere(zero & (alpha < 1.0))
     if bad.size:
@@ -157,7 +165,7 @@ def log_pdf(params: DirichletParams, mu: CategoricalDist) -> float | np.ndarray:
         raise ValueError("dimension mismatch between mu and alpha")
     zero = p == 0.0
     log_p = np.log(p, where=~zero, out=np.zeros(p.shape))
-    return _log_density(params.alpha, log_p, zero, name_row=True)[()]
+    return _log_density(_with_total(params.alpha), log_p, zero, name_row=True)[()]
 
 
 def predictive_mean(params: DirichletParams) -> CategoricalDist:

@@ -1,9 +1,13 @@
 """The four training objectives and their analytic gradients w.r.t. logits.
 
-:func:`batch_loss` is the one implementation of every objective.  It takes
-a mini-batch of (B, K) logits and the (B, K) label counts N (N_k labels of
-class k, M = sum_k N_k labels in all), and returns (B,) values and (B, K)
-logit gradients.  Each objective reads the labels only through N and M:
+:func:`batch_loss` takes a mini-batch of (B, K) logits and the (B, K) label
+counts N (N_k labels of class k, M = sum_k N_k labels in all), and returns
+(B,) values and (B, K) logit gradients.  It is the checks of both arrays,
+then :meth:`LabelTerms.of`, which derives the terms that depend on the
+labels alone, then :func:`terms_loss`, the kernels that read the logits:
+the one implementation of every objective.  A training loop builds the
+terms of its whole corpus once and calls :func:`terms_loss` per batch.
+Each objective reads the labels only through N and M:
 
 - hard: KL to the one-hot target N/M of a row whose labels are all of one
   class, as vote-and-replace leaves every row with a majority;
@@ -30,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dirichlet import LOGIT_CLAMP, CategoricalDist, _head, _log_density
+from .dirichlet import LOGIT_CLAMP, CategoricalDist, _head, _log_density, _with_total
 from .specfun import digamma
 # Unused here, but bench/test_harness.py checks that tracing restores losses.log_gamma.
 from .specfun import log_gamma  # noqa: F401
@@ -39,8 +43,10 @@ __all__ = [
     "LossKind",
     "LossConfig",
     "LOGIT_CLAMP",
+    "LabelTerms",
     "batch_loss",
     "example_loss",
+    "terms_loss",
 ]
 
 
@@ -83,23 +89,77 @@ class LossConfig:
         return cls(kind)
 
 
-def _kl(target: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # KL(target || softmax(z)) per row, with the usual y - target gradient.
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_y = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    log_t = np.zeros_like(target)
-    np.log(target, where=target > 0.0, out=log_t)
-    return np.sum(target * (log_t - log_y), axis=1), np.exp(log_y) - target
+@dataclass(eq=False, slots=True)
+class LabelTerms:
+    """The label-only terms of one objective on the (B, K) label counts of
+    B rows, each field None where the objective does not read it:
+
+    - ``target``, N/M, and ``log_target``, its log (0 where N_k = 0), for
+      hard, soft and the lambda KL of dpn-kl;
+    - ``mean_log_mu``, the mean log of the eps1-smoothed labels, and
+      ``zero``, the mask of their zero components (at eps1 = 0 only), for dpn;
+    - ``counts`` and ``m``, N and M, for the Polya term of dpn-kl.
+
+    :meth:`of` builds them, with every check :func:`batch_loss` makes of
+    the counts, once for a whole training corpus.  ``terms[rows]`` takes
+    the rows of an index array or a slice, so a training loop gathers its
+    epoch's order once and slices each mini-batch out of that for
+    :func:`terms_loss`.
+    """
+
+    config: LossConfig
+    target: Optional[np.ndarray] = None
+    log_target: Optional[np.ndarray] = None
+    mean_log_mu: Optional[np.ndarray] = None
+    zero: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
+    m: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, config: LossConfig, counts: np.ndarray) -> "LabelTerms":
+        """The terms of ``config``'s objective on (B, K) label counts, for
+        hard all of one class on each row; ValueError with
+        :func:`batch_loss`'s message on counts it would refuse."""
+        counts = np.asarray(counts, dtype=np.float64)
+        if counts.ndim != 2 or counts.shape[0] == 0:
+            raise ValueError("label counts must be a (B, K) array with at least one row")
+        m = counts.sum(axis=1)
+        if counts.min() < 0.0 or m.min() <= 0.0:
+            raise ValueError("label counts must be non-negative with at least one label per row")
+        kind = config.kind
+        if kind == LossKind.HARD and (counts.max(axis=1) < m).any():
+            raise ValueError("hard loss needs every row's labels in its majority class")
+        if kind == LossKind.DPN:
+            mean_log_mu, zero = _dpn_terms(counts, m, config.eps1)
+            return cls(config, mean_log_mu=mean_log_mu, zero=zero)
+        target = counts / m[:, None]
+        log_target = np.zeros_like(target)
+        np.log(target, where=target > 0.0, out=log_target)
+        if kind != LossKind.DPN_KL:
+            return cls(config, target, log_target)
+        if (counts != np.floor(counts)).any():
+            raise ValueError("the Polya term needs integer label counts")
+        if not config.lam:
+            target = log_target = None
+        return cls(config, target, log_target, counts=counts, m=m)
+
+    def __getitem__(self, rows) -> "LabelTerms":
+        # Once per mini-batch in training, so each field is spelled out.
+        return LabelTerms(self.config, _take(self.target, rows), _take(self.log_target, rows),
+                          _take(self.mean_log_mu, rows), _take(self.zero, rows),
+                          _take(self.counts, rows), _take(self.m, rows))
 
 
-def _dpn(
-    z: np.ndarray, counts: np.ndarray, m: np.ndarray, eps1: float, eps2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    k = z.shape[1]
+def _take(column: Optional[np.ndarray], rows) -> Optional[np.ndarray]:
+    return None if column is None else column[rows]
+
+
+def _dpn_terms(
+    counts: np.ndarray, m: np.ndarray, eps1: float
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    k = counts.shape[1]
     if not 0.0 <= eps1 < 1.0 / (k - 1):
         raise ValueError(f"eps1 must lie in [0, 1/(K-1)) = [0, {1.0 / (k - 1):g})")
-    alpha, d_alpha = _head(z, eps2)
-
     # Smoothing maps a one-hot label to eps1 + (1 - K*eps1)*label, so N_k/M of a row's
     # labels have ln(1 - (K-1)*eps1) at class k and the rest ln eps1 (mu_k = 0, the zero
     # mask, at eps1 = 0).  The density is linear in ln mu: their mean is one density.
@@ -107,8 +167,24 @@ def _dpn(
     mean_log_mu = counts / m[:, None] * math.log(eps1 + (1.0 - k * eps1))
     if eps1 > 0.0:
         mean_log_mu += cold * math.log(eps1)
-    value = -_log_density(alpha, mean_log_mu, eps1 == 0.0 and cold > 0.0)
-    dg = digamma(np.concatenate([alpha, alpha.sum(axis=1, keepdims=True)], axis=1))
+        return mean_log_mu, None
+    return mean_log_mu, cold > 0.0
+
+
+def _kl(z: np.ndarray, target: np.ndarray, log_target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # KL(target || softmax(z)) per row, with the usual y - target gradient.
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_y = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return (target * (log_target - log_y)).sum(axis=1), np.exp(log_y) - target
+
+
+def _dpn(
+    z: np.ndarray, mean_log_mu: np.ndarray, zero: Optional[np.ndarray], eps2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    alpha, d_alpha = _head(z, eps2)
+    alpha_total = _with_total(alpha)  # for both log_gamma and digamma
+    value = -_log_density(alpha_total, mean_log_mu, zero)
+    dg = digamma(alpha_total)
     return value, (dg[:, :-1] - dg[:, -1:] - mean_log_mu) * d_alpha
 
 
@@ -117,19 +193,40 @@ def _polya(
 ) -> tuple[np.ndarray, np.ndarray]:
     # ln p(N) = sum_k sum_{j<N_k} ln(a_k + j) - sum_{j<M} ln(a0 + j), per label.
     alpha, d_alpha = _head(z)  # clamped, so always positive and finite
-    alpha0 = alpha.sum(axis=1)
     steps = np.arange(int(m.max()))
     own = steps < counts[:, :, None]  # class k has a (j+1)-th label
     pool = steps < m[:, None]  # the row has a (j+1)-th label
+    alpha_steps = alpha[:, :, None] + steps
+    alpha0_steps = alpha.sum(axis=1)[:, None] + steps
     # Boolean indexing is row-major, so both sides list each row's M terms
     # together; pairing them keeps every log near 0 when alpha is large,
     # where a difference of two sums of large logs would cancel.
-    ratio = (alpha[:, :, None] + steps)[own] / (alpha0[:, None] + steps)[pool]
-    rows = np.repeat(np.arange(z.shape[0]), m.astype(np.int64))
-    log_p = np.bincount(rows, weights=np.log(ratio), minlength=z.shape[0])
-    grad_alpha = (np.sum(own / (alpha[:, :, None] + steps), axis=2)
-                  - np.sum(pool / (alpha0[:, None] + steps), axis=1)[:, None])
+    ratio = alpha_steps[own] / alpha0_steps[pool]
+    log_p = np.bincount(pool.nonzero()[0], weights=np.log(ratio), minlength=z.shape[0])
+    grad_alpha = ((own / alpha_steps).sum(axis=2)
+                  - (pool / alpha0_steps).sum(axis=1)[:, None])
     return -log_p / m, -grad_alpha / m[:, None] * d_alpha
+
+
+def terms_loss(terms: LabelTerms, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values (B,) and logit gradients (B, K) of the objective of the B rows
+    of ``terms``, bit for bit those of :func:`batch_loss` on their counts.
+
+    It checks nothing: ``z`` must hold finite (B, K) float64 logits.  A
+    SingularityError from dpn with eps1 = 0 names the first singular row
+    in its ``row`` attribute.
+    """
+    config = terms.config
+    kind = config.kind
+    if kind == LossKind.DPN:
+        return _dpn(z, terms.mean_log_mu, terms.zero, config.eps2)
+    if kind != LossKind.DPN_KL:
+        return _kl(z, terms.target, terms.log_target)
+    value, grad = _polya(z, terms.counts, terms.m)
+    if config.lam:
+        kl_value, kl_grad = _kl(z, terms.target, terms.log_target)
+        value, grad = value + config.lam * kl_value, grad + config.lam * kl_grad
+    return value, grad
 
 
 def batch_loss(
@@ -138,8 +235,11 @@ def batch_loss(
     """Values (B,) and logit gradients (B, K) of one objective on a batch.
 
     ``z`` holds the (B, K) logits and ``counts`` the (B, K) label counts,
-    for hard all of one class on each row.  A SingularityError from dpn
-    with eps1 = 0 names the first singular row in its ``row`` attribute.
+    for hard all of one class on each row.  It checks both and is
+    :meth:`LabelTerms.of` on the counts followed by :func:`terms_loss`,
+    so a training loop that builds the terms of its corpus once gets the
+    same bits.  A SingularityError from dpn with eps1 = 0 names the first
+    singular row in its ``row`` attribute.
     """
     z = np.asarray(z, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.float64)
@@ -149,23 +249,7 @@ def batch_loss(
         raise ValueError("the batch has no rows")
     if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
-    m = counts.sum(axis=1)
-    if counts.min() < 0.0 or m.min() <= 0.0:
-        raise ValueError("label counts must be non-negative with at least one label per row")
-    kind = config.kind
-    if kind == LossKind.HARD and (counts.max(axis=1) < m).any():
-        raise ValueError("hard loss needs every row's labels in its majority class")
-    if kind == LossKind.HARD or kind == LossKind.SOFT_KL:
-        return _kl(counts / m[:, None], z)
-    if kind == LossKind.DPN:
-        return _dpn(z, counts, m, config.eps1, config.eps2)
-    if (counts != np.floor(counts)).any():  # dpn-kl
-        raise ValueError("the Polya term needs integer label counts")
-    value, grad = _polya(z, counts, m)
-    if config.lam:
-        kl_value, kl_grad = _kl(counts / m[:, None], z)
-        value, grad = value + config.lam * kl_value, grad + config.lam * kl_grad
-    return value, grad
+    return terms_loss(LabelTerms.of(config, counts), z)
 
 
 def example_loss(

@@ -3,9 +3,11 @@
 The network is an MLP with ReLU hidden layers and linear output logits.
 :func:`train` reads its utterances as the columns of a
 :class:`~labelprior.dataio.Corpus`: features and vote counts, the only
-label view the objectives need.  Each mini-batch takes one forward pass
-over its (B, d) feature matrix, one batched loss call and one backward
-pass.  Training is deterministic given the seed:
+label view the objectives need.  The label terms of the objective are
+built once per corpus and gathered with the features once per epoch; each
+mini-batch then takes one forward pass over its (B, d) feature matrix, one
+batched loss call and one backward pass, which runs the forward pass
+again.  Training is deterministic given the seed:
 initialisation and the per-epoch Fisher-Yates shuffle are fixed, so reruns
 on the same machine are byte-identical (the BLAS summation order may differ
 between machines in the last digit).
@@ -23,7 +25,7 @@ import numpy as np
 from . import rng
 from .annotations import AgreementGroup
 from .dirichlet import CategoricalDist, SingularityError
-from .losses import LossConfig, LossKind, batch_loss
+from .losses import LabelTerms, LossConfig, LossKind, terms_loss
 # Unused here, but bench/test_harness.py checks that tracing wraps model.example_loss.
 from .losses import example_loss  # noqa: F401
 
@@ -139,17 +141,25 @@ def backward(
     """Exact parameter gradients given the loss gradient at the logits.
 
     ``x`` and ``grad_z`` are one row each or (B, d) and (B, K) batches; the
-    gradients are summed over the rows.
+    gradients are summed over the rows.  The forward pass is run again to
+    recover each layer's input.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     grad = np.atleast_2d(np.asarray(grad_z, dtype=np.float64))
+    return _backward(params, x, grad)
+
+
+def _backward(
+    params: ModelParams, x: np.ndarray, grad: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    # backward on (B, d) float64 features and a (B, K) float64 gradient, unchecked.
     _, inputs = _forward_cached(params, x)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.weights)  # type: ignore[list-item]
     for i in range(len(params.weights) - 1, -1, -1):
         grads[i] = (inputs[i].T @ grad, grad.sum(axis=0))
         if i > 0:
             grad = grad @ params.weights[i].T
-            grad[inputs[i] <= 0.0] = 0.0  # ReLU gate
+            np.putmask(grad, inputs[i] <= 0.0, 0.0)  # ReLU gate
     return grads
 
 
@@ -168,9 +178,13 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
     The hard loss trains on the utterances with a majority label, each with
     its one-hot majority vector as counts: the N/M target of the row
     vote-and-replaced (``replace_majorities``).  The other objectives train on
-    everything.  Each mini-batch makes one forward pass, one
-    :func:`batch_loss` call and one backward pass.  A
-    SingularityError from the Dirichlet term is re-raised with
+    everything.  The label terms of the objective (:class:`LabelTerms`) are
+    built, and the counts checked, once before the first update.  Each epoch
+    puts every mini-batch's rows in ascending order and gathers the features
+    and label terms in that order once; each mini-batch then makes one
+    forward pass, one :func:`terms_loss` call, which gives the bits of
+    :func:`batch_loss`, and one backward pass, which runs the forward pass
+    again.  A SingularityError from the Dirichlet term is re-raised with
     epoch/batch/utterance context, and so is a non-finite logit or loss, as
     a FloatingPointError.
     """
@@ -185,36 +199,44 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
 
     features, uids = corpus.features, corpus.ids
     params = init(features.shape[1], config.hidden, counts.shape[1], config.seed)
+    terms = LabelTerms.of(config.loss, counts)
 
-    n = len(corpus)
+    n, size = len(corpus), config.batch_size
+    # Sorting batch * n + row puts the rows of each batch in ascending order.
+    batch_key = np.arange(n) // size * n
     epoch_losses: list[float] = []
     # Divergence shows up as non-finite logits or losses, reported below with
     # the utterance; numpy's overflow warnings would only precede that.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.fisher_yates(n, rng.stream(config.seed, rng.DOMAIN_SHUFFLE, epoch))
+            rows = np.sort(batch_key + order) % n
+            epoch_features, epoch_terms = features[rows], terms[rows]
             total = 0.0
-            for start in range(0, n, config.batch_size):
-                batch = np.sort(order[start : start + config.batch_size])
-                where = f"epoch {epoch}, batch {start // config.batch_size}, utterance"
-                x = features[batch]
-                z = forward(params, x)
-                row = _first_nonfinite(z)
-                if row is not None:
+            for start in range(0, n, size):
+                x = epoch_features[start : start + size]
+                z = _forward_cached(params, x)[0]
+                # A non-finite entry makes the sum non-finite; the row search then names
+                # its row, and finds none when only the sum overflowed.
+                if not math.isfinite(z.sum()) and (row := _first_nonfinite(z)) is not None:
                     raise FloatingPointError(
-                        f"{where} {uids[batch[row]]}: non-finite logits")
+                        f"{_where(epoch, start // size, uids[rows[start + row]])}: "
+                        "non-finite logits")
                 try:
-                    values, grad_z = batch_loss(config.loss, z, counts[batch])
+                    values, grad_z = terms_loss(epoch_terms[start : start + size], z)
                 except SingularityError as err:
                     raise SingularityError(
-                        f"{where} {uids[batch[err.row]]}: {err}") from err
-                row = _first_nonfinite(values, grad_z)
-                if row is not None:
+                        f"{_where(epoch, start // size, uids[rows[start + err.row]])}: "
+                        f"{err}") from err
+                batch_total = values.sum()
+                if (not math.isfinite(batch_total + grad_z.sum())
+                        and (row := _first_nonfinite(values, grad_z)) is not None):
                     raise FloatingPointError(
-                        f"{where} {uids[batch[row]]}: non-finite loss")
-                total += float(values.sum())
-                scale = config.learning_rate / len(batch)
-                for i, (gw, gb) in enumerate(backward(params, x, grad_z)):
+                        f"{_where(epoch, start // size, uids[rows[start + row]])}: "
+                        "non-finite loss")
+                total += float(batch_total)
+                scale = config.learning_rate / len(x)
+                for i, (gw, gb) in enumerate(_backward(params, x, grad_z)):
                     params.weights[i] -= scale * gw
                     params.biases[i] -= scale * gb
             epoch_losses.append(total / n)
@@ -222,3 +244,7 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
         raise FloatingPointError(
             f"epoch {config.epochs - 1}: non-finite weights after the last update")
     return params, epoch_losses
+
+
+def _where(epoch: int, batch: int, uid: int) -> str:
+    return f"epoch {epoch}, batch {batch}, utterance {uid}"

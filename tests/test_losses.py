@@ -21,10 +21,12 @@ from labelprior.annotations import soft_label
 from labelprior.dirichlet import CategoricalDist, SingularityError, from_logits, log_pdf
 from labelprior.losses import (
     LOGIT_CLAMP,
+    LabelTerms,
     LossConfig,
     LossKind,
     batch_loss,
     example_loss,
+    terms_loss,
 )
 
 FD_STEP = 1e-5
@@ -639,3 +641,72 @@ class TestDpnAgainstMpmath:
             case = (list(z), list(counts), eps1, eps2)
             assert abs(values[0] - value) <= 1e-11 * abs(value), case
             np.testing.assert_allclose(grad[0], expected_grad, rtol=1e-11, atol=0, err_msg=str(case))
+
+
+@st.composite
+def corpus_batches(draw):
+    """An objective's config, (B, K) logits reaching past the clamp, integer
+    counts of 1 to 40 labels per row (for hard all of one class), a row
+    order and a batch [start, stop) of that order."""
+    kind = draw(st.sampled_from(list(LossKind)))
+    if kind == LossKind.DPN:
+        config = LossConfig(kind, eps1=draw(st.sampled_from([0.0, 1e-2])), eps2=1e-8)
+    elif kind == LossKind.DPN_KL:
+        config = LossConfig(kind, lam=draw(st.sampled_from([0.0, 20.0])))
+    else:
+        config = LossConfig(kind)
+    b, k, m = draw(st.integers(1, 40)), draw(st.integers(2, 10)), draw(st.integers(1, 40))
+    z = draw(hnp.arrays(np.float64, (b, k),
+                        elements=st.floats(-LOGIT_CLAMP - 5, LOGIT_CLAMP + 5)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = gen.integers(1, m + 1, size=b)
+    if kind == LossKind.HARD:
+        counts = labels[:, None] * (np.arange(k) == gen.integers(0, k, size=b)[:, None])
+    else:
+        counts = gen.multinomial(labels, gen.dirichlet(np.ones(k), size=b))
+    order = np.array(draw(st.permutations(range(b))), dtype=np.int64)
+    start = draw(st.integers(0, b - 1))
+    return config, z, counts, order, start, draw(st.integers(start + 1, b))
+
+
+def outcome(loss):
+    """The bytes of values and gradients, or the SingularityError raised."""
+    try:
+        values, grad = loss()
+    except SingularityError as err:
+        return "singular", str(err), err.row
+    return values.tobytes(), grad.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=corpus_batches())
+def test_terms_loss_is_batch_loss_bit_for_bit(case):
+    # Terms of a whole corpus, gathered in an epoch's order, then one batch of it.
+    config, z, counts, order, start, stop = case
+    terms = LabelTerms.of(config, counts)
+    assert outcome(lambda: terms_loss(terms, z)) == outcome(lambda: batch_loss(config, z, counts))
+    batch = order[start:stop]
+    assert (outcome(lambda: terms_loss(terms[order][start:stop], z[batch]))
+            == outcome(lambda: batch_loss(config, z[batch], counts[batch])))
+
+
+@pytest.mark.parametrize("config, counts", [
+    (SOFT, [[1, 0], [0, 0]]),                          # a row without labels
+    (LossConfig(LossKind.DPN), [[2, -1, 0]]),          # a negative count
+    (HARD, [[3, 0, 0], [1, 1, 0]]),                    # a row across classes
+    (POLYA, [[1, 0], [0.5, 0.5]]),                     # counts that are not integers
+    (LossConfig(LossKind.DPN, eps1=0.5), [[1, 0, 0]]),  # eps1 >= 1/(K-1)
+], ids=["no-label", "negative", "hard-split", "non-integer", "eps1"])
+def test_terms_raise_batch_loss_messages(config, counts):
+    counts = np.array(counts, dtype=np.float64)
+    with pytest.raises(ValueError) as want:
+        batch_loss(config, np.zeros(counts.shape), counts)
+    with pytest.raises(ValueError) as got:
+        LabelTerms.of(config, counts)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("counts", [np.ones(3), np.zeros((0, 3))], ids=["1-d", "no-rows"])
+def test_terms_need_a_count_matrix_with_rows(counts):
+    with pytest.raises(ValueError, match=r"^label counts must be a \(B, K\) array"):
+        LabelTerms.of(SOFT, counts)

@@ -1,14 +1,17 @@
 """Tests for the MLP: initialisation, forward/backward, and training."""
 
+import itertools
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 
+from labelprior import model, rng
 from labelprior.annotations import AgreementGroup, ClassSpace
-from labelprior.dataio import DatasetRecord, read_dataset, write_dataset
+from labelprior.dataio import Corpus, DatasetRecord, read_dataset, write_dataset
 from labelprior.dirichlet import CategoricalDist, SingularityError
-from labelprior.losses import LossConfig, LossKind, example_loss
+from labelprior.losses import LossConfig, LossKind, batch_loss, example_loss
 from labelprior.model import (
     ModelParams,
     TrainConfig,
@@ -19,6 +22,7 @@ from labelprior.model import (
     train,
 )
 from labelprior.rng import DOMAIN_SHUFFLE, fisher_yates, stream
+from labelprior.synth import SynthConfig, generate_columns
 
 
 def one_hot(index, k):
@@ -466,3 +470,273 @@ def test_end_to_end_gradient_through_network():
                     denom = max(abs(numeric), 1e-8)
                     assert abs(g[idx] - numeric) / denom <= 1e-4, (kind, layer, idx)
                     it.iternext()
+
+
+# -- train against the per-batch loop it replaced ---------------------------
+
+def _first_nonfinite(*columns: np.ndarray) -> Optional[int]:
+    if all(np.isfinite(c).all() for c in columns):
+        return None
+    return int(np.flatnonzero(~np.isfinite(np.column_stack(columns)).all(axis=1))[0])
+
+
+def reference_train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]]:
+    """The training loop as it was before the label terms were built once per
+    corpus: per batch, a sort, fancy-indexed features and counts, the public
+    forward and backward, and one checked batch_loss call."""
+    if len(corpus) == 0:
+        raise ValueError("training set is empty")
+    counts = corpus.counts
+    if config.loss.kind == LossKind.HARD:
+        corpus = corpus.select(corpus.majority >= 0)
+        if len(corpus) == 0:
+            raise ValueError("hard loss needs at least one utterance with a majority label")
+        counts = np.eye(counts.shape[1])[corpus.majority]
+
+    features, uids = corpus.features, corpus.ids
+    params = init(features.shape[1], config.hidden, counts.shape[1], config.seed)
+
+    n = len(corpus)
+    epoch_losses: list[float] = []
+    # Divergence shows up as non-finite logits or losses, reported below with
+    # the utterance; numpy's overflow warnings would only precede that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.fisher_yates(n, rng.stream(config.seed, rng.DOMAIN_SHUFFLE, epoch))
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                batch = np.sort(order[start : start + config.batch_size])
+                where = f"epoch {epoch}, batch {start // config.batch_size}, utterance"
+                x = features[batch]
+                z = forward(params, x)
+                row = _first_nonfinite(z)
+                if row is not None:
+                    raise FloatingPointError(
+                        f"{where} {uids[batch[row]]}: non-finite logits")
+                try:
+                    values, grad_z = batch_loss(config.loss, z, counts[batch])
+                except SingularityError as err:
+                    raise SingularityError(
+                        f"{where} {uids[batch[err.row]]}: {err}") from err
+                row = _first_nonfinite(values, grad_z)
+                if row is not None:
+                    raise FloatingPointError(
+                        f"{where} {uids[batch[row]]}: non-finite loss")
+                total += float(values.sum())
+                scale = config.learning_rate / len(batch)
+                for i, (gw, gb) in enumerate(backward(params, x, grad_z)):
+                    params.weights[i] -= scale * gw
+                    params.biases[i] -= scale * gb
+            epoch_losses.append(total / n)
+    if not all(np.all(np.isfinite(a)) for a in params.weights + params.biases):
+        raise FloatingPointError(
+            f"epoch {config.epochs - 1}: non-finite weights after the last update")
+    return params, epoch_losses
+
+
+def synth_corpus(n: int, **settings) -> Corpus:
+    """A generated corpus with ids from 1000, so a row index in a message shows."""
+    config = SynthConfig(n=n, seed=7, **settings)
+    features, _, tags, tags_per_eval, annotators = generate_columns(config)
+    return Corpus.from_tags(list(range(1000, 1000 + n)), np.ones(n, dtype=bool), features,
+                            tags, tags_per_eval, annotators, config.k)
+
+
+CORPORA = {
+    "paper": dict(n=60, k=5, d=16),
+    # K = 10 with multi-tag evaluations: about 24 labels per row.
+    "crowd": dict(n=50, k=10, d=12, annotators=20, multi_tag_prob=0.2,
+                  regime_precisions=(300.0, 40.0, 15.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    return {name: synth_corpus(**settings) for name, settings in CORPORA.items()}
+
+
+def assert_bitwise_same(got, want):
+    (params, losses), (ref_params, ref_losses) = got, want
+    assert np.array_equal(losses, ref_losses)
+    assert len(params.weights) == len(ref_params.weights)
+    for a, b in zip(params.weights + params.biases, ref_params.weights + ref_params.biases):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestTrainMatchesReferenceLoop:
+    @pytest.mark.parametrize("hidden", [(), (6,), (8, 4)], ids=str)
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 80])
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("shape", sorted(CORPORA))
+    def test_weights_and_losses_bit_for_bit(self, corpora, shape, kind, batch_size, hidden):
+        corpus = corpora[shape]
+        if kind == LossKind.HARD:  # hard drops the rows without a majority
+            assert 0 < (corpus.majority < 0).sum() < len(corpus)
+        if shape == "crowd":
+            assert 20 <= corpus.counts.sum(axis=1).mean() <= 28
+        config = TrainConfig(loss=LossConfig.default_for(kind), learning_rate=5e-2,
+                             batch_size=batch_size, epochs=3, seed=11, hidden=hidden)
+        assert_bitwise_same(train(corpus, config), reference_train(corpus, config))
+
+    def test_dpn_without_smoothing(self):
+        # With eps1 = 0 every row has zero label components, which are finite
+        # only at alpha_k = 1: zero features and no update keep every logit 0.
+        corpus = synth_corpus(30, k=4, d=6)
+        corpus = Corpus(**{**vars(corpus), "features": np.zeros_like(corpus.features)})
+        config = TrainConfig(loss=LossConfig(LossKind.DPN), learning_rate=0.0,
+                             batch_size=7, epochs=2, seed=3, hidden=(5,))
+        got = train(corpus, config)
+        assert all(math.isfinite(v) for v in got[1])
+        assert_bitwise_same(got, reference_train(corpus, config))
+
+
+def inject_logits(monkeypatch, at_pass: int, row: int, values) -> None:
+    """Forward pass ``at_pass`` (counted from 0; each batch makes two, the
+    loss's first) returns ``values`` in logit row ``row``."""
+    real = model._forward_cached
+    passes = itertools.count()
+
+    def injected(params, x):
+        z, inputs = real(params, x)
+        if next(passes) == at_pass:
+            z = z.copy()
+            z[row] = values
+        return z, inputs
+
+    monkeypatch.setattr(model, "_forward_cached", injected)
+
+
+def failure(monkeypatch, trainer, corpus, config, epoch, batch, row, values):
+    """The exception ``trainer`` raises when logit row ``row`` of the given
+    epoch and batch is replaced by ``values``."""
+    with monkeypatch.context() as patch:
+        inject_logits(patch, 2 * (epoch * batches(corpus, config) + batch), row, values)
+        with pytest.raises((FloatingPointError, SingularityError)) as info:
+            trainer(corpus, config)
+    return info.value
+
+
+def trained_rows(corpus: Corpus, config: TrainConfig) -> Corpus:
+    if config.loss.kind == LossKind.HARD:
+        return corpus.select(corpus.majority >= 0)
+    return corpus
+
+
+def batches(corpus: Corpus, config: TrainConfig) -> int:
+    return -(-len(trained_rows(corpus, config)) // config.batch_size)
+
+
+class TestTrainErrorContract:
+    # (epoch, batch, row): batch -1 is the last, partial batch.
+    AT = [(1, -1, 2), (2, 1, 0)]
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # 20 rows with a majority and 4 without: batches of 7 leave a partial
+        # last batch for every objective, hard included.
+        corpus = synth_corpus(60, k=3, d=4, annotators=2)
+        assert (corpus.majority < 0).sum() >= 4
+        keep = np.zeros(len(corpus), dtype=bool)
+        keep[np.flatnonzero(corpus.majority >= 0)[:20]] = True
+        keep[np.flatnonzero(corpus.majority < 0)[:4]] = True
+        return corpus.select(keep)
+
+    @pytest.fixture(scope="class")
+    def flat(self, corpus):
+        # Zero features, and no update: every logit stays 0, so dpn with
+        # eps1 = 0 only fails where a row is injected.
+        return Corpus(**{**vars(corpus), "features": np.zeros_like(corpus.features)})
+
+    def expect_same_failure(self, monkeypatch, corpus, config, at, values, kind, message):
+        epoch, batch, row = at
+        rows, size = trained_rows(corpus, config), config.batch_size
+        assert len(rows) % size
+        batch %= batches(corpus, config)
+        got = failure(monkeypatch, train, corpus, config, epoch, batch, row, values)
+        want = failure(monkeypatch, reference_train, corpus, config, epoch, batch, row, values)
+        assert type(got) is type(want) is kind
+        assert str(got) == str(want)
+        order = fisher_yates(len(rows), stream(config.seed, DOMAIN_SHUFFLE, epoch))
+        uid = rows.ids[np.sort(order[batch * size : (batch + 1) * size])[row]]
+        assert str(got).startswith(f"epoch {epoch}, batch {batch}, utterance {uid}: {message}")
+
+    @pytest.mark.parametrize("at", AT)
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_non_finite_logits(self, monkeypatch, corpus, kind, at):
+        config = TrainConfig(loss=LossConfig.default_for(kind), batch_size=7, epochs=3,
+                             seed=5, hidden=(4,))
+        self.expect_same_failure(monkeypatch, corpus, config, at, [0.0, np.nan, 1.0],
+                                 FloatingPointError, "non-finite logits")
+
+    @pytest.mark.parametrize("at", AT)
+    @pytest.mark.parametrize("kind", [LossKind.HARD, LossKind.SOFT_KL, LossKind.DPN_KL])
+    def test_non_finite_loss(self, monkeypatch, corpus, kind, at):
+        # Finite logits whose softmax underflows: the KL is not finite.
+        config = TrainConfig(loss=LossConfig.default_for(kind), batch_size=7, epochs=3,
+                             seed=5, hidden=(4,))
+        self.expect_same_failure(monkeypatch, corpus, config, at, [1e308, -1e308, -1e308],
+                                 FloatingPointError, "non-finite loss")
+
+    @pytest.mark.parametrize("at", AT)
+    def test_non_finite_dpn_loss(self, monkeypatch, flat, at):
+        # eps1 = 0: alpha_k > 1 at a zero label component makes the density 0.
+        config = TrainConfig(loss=LossConfig(LossKind.DPN), learning_rate=0.0, batch_size=7,
+                             epochs=3, seed=5, hidden=(4,))
+        self.expect_same_failure(monkeypatch, flat, config, at, [1.0, 1.0, 1.0],
+                                 FloatingPointError, "non-finite loss")
+
+    @pytest.mark.parametrize("at", AT)
+    def test_singularity(self, monkeypatch, flat, at):
+        config = TrainConfig(loss=LossConfig(LossKind.DPN), learning_rate=0.0, batch_size=7,
+                             epochs=3, seed=5, hidden=(4,))
+        self.expect_same_failure(monkeypatch, flat, config, at, [-1.0, -1.0, -1.0],
+                                 SingularityError, "label component ")
+
+
+    def test_finite_logits_whose_sum_overflows_train_on(self, monkeypatch, corpus):
+        # Every logit and loss is finite, so neither loop raises.
+        config = TrainConfig(loss=LossConfig(LossKind.SOFT_KL), batch_size=7, epochs=3,
+                             seed=5, hidden=(4,))
+        results = []
+        for trainer in (train, reference_train):
+            with monkeypatch.context() as patch:
+                inject_logits(patch, 2 * (batches(corpus, config) + 1), 0, [1e308, 1e308, 0.0])
+                results.append(trainer(corpus, config))
+        assert all(math.isfinite(v) for v in results[0][1])
+        assert_bitwise_same(*results)
+
+
+class TestTrainChecksCountsFirst:
+    """A hand-built corpus whose last row breaks a count rule: train raises
+    batch_loss's message before the first update."""
+
+    @pytest.mark.parametrize("kind, bad_row", [
+        (LossKind.SOFT_KL, [0, 0, 0]),         # no label
+        (LossKind.DPN, [3, -1, 0]),            # a negative count
+        (LossKind.DPN_KL, [1.5, 0.5, 1.0]),    # counts that are not integers
+    ], ids=["no-label", "negative", "non-integer"])
+    def test_bad_counts_raise_before_any_update(self, monkeypatch, kind, bad_row):
+        n, k = 20, 3
+        counts = np.vstack([np.eye(k)[np.arange(n - 1) % k] * 3, [bad_row]])
+        corpus = Corpus(ids=list(range(n)), train=np.ones(n, dtype=bool),
+                        features=np.random.default_rng(1).normal(size=(n, 4)), counts=counts,
+                        annotators=np.full(n, 3), groups=np.zeros(n, dtype=np.int8),
+                        majority=np.arange(n) % k, tags=np.zeros(0, dtype=np.int64),
+                        tags_per_eval=np.zeros(0, dtype=np.int64))
+        config = TrainConfig(loss=LossConfig.default_for(kind), batch_size=4, epochs=2,
+                             seed=2, hidden=(5,))
+        built = []
+
+        def recording_init(*args):
+            built.append(init(*args))
+            return built[-1]
+
+        monkeypatch.setattr(model, "init", recording_init)
+        with pytest.raises(ValueError) as want:
+            batch_loss(config.loss, np.zeros((n, k)), counts)
+        with pytest.raises(ValueError) as got:
+            train(corpus, config)
+        assert str(got.value) == str(want.value)
+        fresh = init(4, (5,), k, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            built[0].weights + built[0].biases, fresh.weights + fresh.biases))
