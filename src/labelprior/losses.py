@@ -69,9 +69,11 @@ class LossConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, LossKind):
             raise ValueError(f"unknown loss kind: {self.kind!r}")
-        for name, value in (("eps1", self.eps1), ("eps2", self.eps2), ("lambda", self.lam)):
-            if not 0.0 <= value < math.inf:
+        for name, field in (("eps1", "eps1"), ("eps2", "eps2"), ("lambda", "lam")):
+            value = getattr(self, field)
+            if isinstance(value, (bool, np.bool_)) or not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            object.__setattr__(self, field, float(value))  # as a checkpoint reads it back
         # A constant the objective ignores would still reach eval (eps2
         # shifts the predictive mean), so train and eval would disagree.
         if self.kind != LossKind.DPN and (self.eps1 or self.eps2):
@@ -92,28 +94,23 @@ class LossConfig:
 @dataclass(eq=False, slots=True)
 class LabelTerms:
     """The label-only terms of one objective on the (B, K) label counts of
-    B rows, each field None where the objective does not read it:
+    B rows: ``columns``, the (B,) and (B, K) arrays its kernel reads, in
+    the kernel's argument order:
 
-    - ``target``, N/M, and ``log_target``, its log (0 where N_k = 0), for
-      hard, soft and the lambda KL of dpn-kl;
-    - ``mean_log_mu``, the mean log of the eps1-smoothed labels, and
-      ``zero``, the mask of their zero components (at eps1 = 0 only), for dpn;
-    - ``counts`` and ``m``, N and M, for the Polya term of dpn-kl.
+    - hard and soft: N/M and its log (0 where N_k = 0);
+    - dpn: the mean log of the eps1-smoothed labels, and at eps1 = 0 the
+      mask of their zero components;
+    - dpn-kl: N and M for the Polya term, then N/M and its log when lambda > 0.
 
     :meth:`of` builds them, with every check :func:`batch_loss` makes of
-    the counts, once for a whole training corpus.  ``terms[rows]`` takes
-    the rows of an index array or a slice, so a training loop gathers its
-    epoch's order once and slices each mini-batch out of that for
-    :func:`terms_loss`.
+    the counts, once for a whole training corpus.  ``terms[rows]`` gathers
+    each column at the rows of an index array or a slice, so a training
+    loop gathers its epoch's order once and slices each mini-batch out of
+    that for :func:`terms_loss`.
     """
 
     config: LossConfig
-    target: Optional[np.ndarray] = None
-    log_target: Optional[np.ndarray] = None
-    mean_log_mu: Optional[np.ndarray] = None
-    zero: Optional[np.ndarray] = None
-    counts: Optional[np.ndarray] = None
-    m: Optional[np.ndarray] = None
+    columns: tuple[np.ndarray, ...]
 
     @classmethod
     def of(cls, config: LossConfig, counts: np.ndarray) -> "LabelTerms":
@@ -123,6 +120,8 @@ class LabelTerms:
         counts = np.asarray(counts, dtype=np.float64)
         if counts.ndim != 2 or counts.shape[0] == 0:
             raise ValueError("label counts must be a (B, K) array with at least one row")
+        if not np.isfinite(counts).all():
+            raise ValueError("label counts must be finite")
         m = counts.sum(axis=1)
         if counts.min() < 0.0 or m.min() <= 0.0:
             raise ValueError("label counts must be non-negative with at least one label per row")
@@ -130,33 +129,21 @@ class LabelTerms:
         if kind == LossKind.HARD and (counts.max(axis=1) < m).any():
             raise ValueError("hard loss needs every row's labels in its majority class")
         if kind == LossKind.DPN:
-            mean_log_mu, zero = _dpn_terms(counts, m, config.eps1)
-            return cls(config, mean_log_mu=mean_log_mu, zero=zero)
+            return cls(config, _dpn_terms(counts, m, config.eps1))
         target = counts / m[:, None]
         log_target = np.zeros_like(target)
         np.log(target, where=target > 0.0, out=log_target)
         if kind != LossKind.DPN_KL:
-            return cls(config, target, log_target)
+            return cls(config, (target, log_target))
         if (counts != np.floor(counts)).any():
             raise ValueError("the Polya term needs integer label counts")
-        if not config.lam:
-            target = log_target = None
-        return cls(config, target, log_target, counts=counts, m=m)
+        return cls(config, (counts, m, target, log_target) if config.lam else (counts, m))
 
     def __getitem__(self, rows) -> "LabelTerms":
-        # Once per mini-batch in training, so each field is spelled out.
-        return LabelTerms(self.config, _take(self.target, rows), _take(self.log_target, rows),
-                          _take(self.mean_log_mu, rows), _take(self.zero, rows),
-                          _take(self.counts, rows), _take(self.m, rows))
+        return LabelTerms(self.config, tuple([column[rows] for column in self.columns]))
 
 
-def _take(column: Optional[np.ndarray], rows) -> Optional[np.ndarray]:
-    return None if column is None else column[rows]
-
-
-def _dpn_terms(
-    counts: np.ndarray, m: np.ndarray, eps1: float
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _dpn_terms(counts: np.ndarray, m: np.ndarray, eps1: float) -> tuple[np.ndarray, ...]:
     k = counts.shape[1]
     if not 0.0 <= eps1 < 1.0 / (k - 1):
         raise ValueError(f"eps1 must lie in [0, 1/(K-1)) = [0, {1.0 / (k - 1):g})")
@@ -167,7 +154,7 @@ def _dpn_terms(
     mean_log_mu = counts / m[:, None] * math.log(eps1 + (1.0 - k * eps1))
     if eps1 > 0.0:
         mean_log_mu += cold * math.log(eps1)
-        return mean_log_mu, None
+        return (mean_log_mu,)
     return mean_log_mu, cold > 0.0
 
 
@@ -179,7 +166,7 @@ def _kl(z: np.ndarray, target: np.ndarray, log_target: np.ndarray) -> tuple[np.n
 
 
 def _dpn(
-    z: np.ndarray, mean_log_mu: np.ndarray, zero: Optional[np.ndarray], eps2: float
+    z: np.ndarray, eps2: float, mean_log_mu: np.ndarray, zero: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     alpha, d_alpha = _head(z, eps2)
     alpha_total = _with_total(alpha)  # for both log_gamma and digamma
@@ -210,21 +197,21 @@ def _polya(
 
 def terms_loss(terms: LabelTerms, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values (B,) and logit gradients (B, K) of the objective of the B rows
-    of ``terms``, bit for bit those of :func:`batch_loss` on their counts.
+    of ``terms``: its kernel on ``z`` and the terms' columns, bit for bit
+    :func:`batch_loss` on their counts.
 
     It checks nothing: ``z`` must hold finite (B, K) float64 logits.  A
     SingularityError from dpn with eps1 = 0 names the first singular row
     in its ``row`` attribute.
     """
-    config = terms.config
-    kind = config.kind
-    if kind == LossKind.DPN:
-        return _dpn(z, terms.mean_log_mu, terms.zero, config.eps2)
-    if kind != LossKind.DPN_KL:
-        return _kl(z, terms.target, terms.log_target)
-    value, grad = _polya(z, terms.counts, terms.m)
+    config, columns = terms.config, terms.columns
+    if config.kind == LossKind.DPN:
+        return _dpn(z, config.eps2, *columns)
+    if config.kind != LossKind.DPN_KL:
+        return _kl(z, *columns)
+    value, grad = _polya(z, *columns[:2])
     if config.lam:
-        kl_value, kl_grad = _kl(z, terms.target, terms.log_target)
+        kl_value, kl_grad = _kl(z, *columns[2:])
         value, grad = value + config.lam * kl_value, grad + config.lam * kl_grad
     return value, grad
 
@@ -242,8 +229,7 @@ def batch_loss(
     singular row in its ``row`` attribute.
     """
     z = np.asarray(z, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.float64)
-    if z.ndim != 2 or counts.shape != z.shape:
+    if z.ndim != 2 or np.shape(counts) != z.shape:
         raise ValueError("logits and label counts must be (B, K) arrays of one shape")
     if z.shape[0] == 0:
         raise ValueError("the batch has no rows")

@@ -16,6 +16,7 @@ between machines in the last digit).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -77,9 +78,17 @@ class TrainConfig:
     hidden: tuple[int, ...] = (64,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden", tuple(self.hidden))
+        hidden = tuple(self.hidden)
+        # Kept as the float and ints a checkpoint round-trips: JSON writes a bool as true.
+        numbers = (self.learning_rate, self.batch_size, self.epochs, self.seed, *hidden)
+        if any(isinstance(v, (bool, np.bool_)) for v in numbers):
+            raise ValueError(f"TrainConfig numbers must not be bool, got {numbers}")
+        for name in ("batch_size", "epochs", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "hidden", tuple(map(operator.index, hidden)))
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        object.__setattr__(self, "learning_rate", float(self.learning_rate))
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.epochs < 1:
@@ -212,6 +221,9 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
             order = rng.fisher_yates(n, rng.stream(config.seed, rng.DOMAIN_SHUFFLE, epoch))
             rows = np.sort(batch_key + order) % n
             epoch_features, epoch_terms = features[rows], terms[rows]
+
+            def where(start: int, row: int) -> str:  # row ``row`` of the batch at ``start``
+                return f"epoch {epoch}, batch {start // size}, utterance {uids[rows[start + row]]}"
             total = 0.0
             for start in range(0, n, size):
                 x = epoch_features[start : start + size]
@@ -219,21 +231,15 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
                 # A non-finite entry makes the sum non-finite; the row search then names
                 # its row, and finds none when only the sum overflowed.
                 if not math.isfinite(z.sum()) and (row := _first_nonfinite(z)) is not None:
-                    raise FloatingPointError(
-                        f"{_where(epoch, start // size, uids[rows[start + row]])}: "
-                        "non-finite logits")
+                    raise FloatingPointError(f"{where(start, row)}: non-finite logits")
                 try:
                     values, grad_z = terms_loss(epoch_terms[start : start + size], z)
                 except SingularityError as err:
-                    raise SingularityError(
-                        f"{_where(epoch, start // size, uids[rows[start + err.row]])}: "
-                        f"{err}") from err
+                    raise SingularityError(f"{where(start, err.row)}: {err}") from err
                 batch_total = values.sum()
                 if (not math.isfinite(batch_total + grad_z.sum())
                         and (row := _first_nonfinite(values, grad_z)) is not None):
-                    raise FloatingPointError(
-                        f"{_where(epoch, start // size, uids[rows[start + row]])}: "
-                        "non-finite loss")
+                    raise FloatingPointError(f"{where(start, row)}: non-finite loss")
                 total += float(batch_total)
                 scale = config.learning_rate / len(x)
                 for i, (gw, gb) in enumerate(_backward(params, x, grad_z)):
@@ -244,7 +250,3 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
         raise FloatingPointError(
             f"epoch {config.epochs - 1}: non-finite weights after the last update")
     return params, epoch_losses
-
-
-def _where(epoch: int, batch: int, uid: int) -> str:
-    return f"epoch {epoch}, batch {batch}, utterance {uid}"

@@ -617,6 +617,49 @@ class TestCheckpointRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["format_version"] == 1
 
+    # Every field as an int, a float or a numpy scalar: the configs store the
+    # float and ints that JSON writes and read_checkpoint reads back.
+    @pytest.mark.parametrize("config", [
+        TrainConfig(loss=LossConfig(LossKind.DPN_KL, lam=20), learning_rate=1, batch_size=16,
+                    epochs=2, seed=5, hidden=[4]),
+        TrainConfig(loss=LossConfig(LossKind.DPN, eps1=np.float32(0.01), eps2=np.float64(1e-8)),
+                    learning_rate=np.float32(0.05), batch_size=np.int64(8), epochs=np.int32(3),
+                    seed=np.uint64(2**63), hidden=(np.int64(4),)),
+        TrainConfig(loss=LossConfig(LossKind.SOFT_KL, eps1=0, eps2=0, lam=0), learning_rate=0,
+                    hidden=(np.int16(4),)),
+    ], ids=["python-ints", "numpy-scalars", "zero-ints"])
+    def test_every_config_round_trips(self, tmp_path, config):
+        for value in (config.loss.eps1, config.loss.eps2, config.loss.lam, config.learning_rate):
+            assert type(value) is float
+        for value in (config.batch_size, config.epochs, config.seed, *config.hidden):
+            assert type(value) is int
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        dataio.write_checkpoint(first, init(3, config.hidden, 3, seed=1), SPACE, config)
+        params, space, loaded = dataio.read_checkpoint(first)
+        assert loaded == config
+        dataio.write_checkpoint(second, params, space, loaded)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: LossConfig(LossKind.DPN_KL, lam=True),
+        lambda: LossConfig(LossKind.DPN, eps1=np.True_),
+        lambda: LossConfig(LossKind.DPN, eps2=False),
+        lambda: TrainConfig(loss=LossConfig(LossKind.HARD), learning_rate=True),
+        lambda: TrainConfig(loss=LossConfig(LossKind.HARD), batch_size=True),
+        lambda: TrainConfig(loss=LossConfig(LossKind.HARD), epochs=np.True_),
+        lambda: TrainConfig(loss=LossConfig(LossKind.HARD), seed=False),
+        lambda: TrainConfig(loss=LossConfig(LossKind.HARD), hidden=(4, True)),
+    ], ids=["lambda", "eps1", "eps2", "learning_rate", "batch_size", "epochs", "seed", "hidden"])
+    def test_configs_refuse_bool(self, make):
+        # JSON would write true, which read_checkpoint refuses as mistyped.
+        with pytest.raises(ValueError, match="bool|got (True|False)"):
+            make()
+
+    @pytest.mark.parametrize("field", ["batch_size", "epochs", "seed"])
+    def test_integer_fields_refuse_fractions(self, field):
+        with pytest.raises(TypeError):
+            TrainConfig(loss=LossConfig(LossKind.HARD), **{field: 2.5})
+
     @pytest.mark.parametrize("hidden", [(), (4,), (5, 2)])
     def test_layers_read_back_as_c_contiguous_float64(self, tmp_path, hidden):
         params = init(3, list(hidden), 3, seed=4)

@@ -690,13 +690,29 @@ def test_terms_loss_is_batch_loss_bit_for_bit(case):
             == outcome(lambda: batch_loss(config, z[batch], counts[batch])))
 
 
+# A NaN or an infinite count, under each objective.
+NON_FINITE = [
+    pytest.param(config, counts, id=f"{name}-{fault}")
+    for name, config in [("hard", HARD), ("soft", SOFT),
+                         ("dpn", LossConfig.default_for(LossKind.DPN)),
+                         ("dpn-eps1-0", LossConfig(LossKind.DPN)),
+                         ("polya", POLYA), ("dpn-kl", LossConfig.default_for(LossKind.DPN_KL))]
+    for fault, counts in [("nan", [[2, 0, 0], [math.nan, 0, 0]]),
+                          ("nan-total", [[1, 1, 0], [math.nan, 1, 1]]),
+                          ("inf", [[1, 0, 0], [math.inf, 0, 0]]),
+                          ("minus-inf", [[1, 0, 0], [0, -math.inf, 0]]),
+                          ("both-infs", [[1, 1, 0], [math.inf, -math.inf, 1]])]
+]
+
+
 @pytest.mark.parametrize("config, counts", [
     (SOFT, [[1, 0], [0, 0]]),                          # a row without labels
     (LossConfig(LossKind.DPN), [[2, -1, 0]]),          # a negative count
     (HARD, [[3, 0, 0], [1, 1, 0]]),                    # a row across classes
     (POLYA, [[1, 0], [0.5, 0.5]]),                     # counts that are not integers
     (LossConfig(LossKind.DPN, eps1=0.5), [[1, 0, 0]]),  # eps1 >= 1/(K-1)
-], ids=["no-label", "negative", "hard-split", "non-integer", "eps1"])
+] + NON_FINITE, ids=["no-label", "negative", "hard-split", "non-integer", "eps1"] + [
+    param.id for param in NON_FINITE])
 def test_terms_raise_batch_loss_messages(config, counts):
     counts = np.array(counts, dtype=np.float64)
     with pytest.raises(ValueError) as want:
@@ -704,6 +720,13 @@ def test_terms_raise_batch_loss_messages(config, counts):
     with pytest.raises(ValueError) as got:
         LabelTerms.of(config, counts)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("config, counts", NON_FINITE)
+def test_terms_refuse_non_finite_counts(config, counts):
+    # Before the sign and total checks, which a NaN passes and an infinity can.
+    with pytest.raises(ValueError, match="^label counts must be finite$"):
+        LabelTerms.of(config, np.array(counts))
 
 
 @pytest.mark.parametrize("counts", [np.ones(3), np.zeros((0, 3))], ids=["1-d", "no-rows"])

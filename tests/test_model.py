@@ -566,15 +566,19 @@ def assert_bitwise_same(got, want):
 class TestTrainMatchesReferenceLoop:
     @pytest.mark.parametrize("hidden", [(), (6,), (8, 4)], ids=str)
     @pytest.mark.parametrize("batch_size", [1, 7, 32, 80])
-    @pytest.mark.parametrize("kind", list(LossKind))
+    # The stock settings, plus dpn-kl at lambda = 0, whose terms hold only N and M.
+    @pytest.mark.parametrize(
+        "loss",
+        [LossConfig.default_for(kind) for kind in LossKind] + [LossConfig(LossKind.DPN_KL, lam=0.0)],
+        ids=[str(kind) for kind in LossKind] + ["LossKind.DPN_KL-lambda0"])
     @pytest.mark.parametrize("shape", sorted(CORPORA))
-    def test_weights_and_losses_bit_for_bit(self, corpora, shape, kind, batch_size, hidden):
+    def test_weights_and_losses_bit_for_bit(self, corpora, shape, loss, batch_size, hidden):
         corpus = corpora[shape]
-        if kind == LossKind.HARD:  # hard drops the rows without a majority
+        if loss.kind == LossKind.HARD:  # hard drops the rows without a majority
             assert 0 < (corpus.majority < 0).sum() < len(corpus)
         if shape == "crowd":
             assert 20 <= corpus.counts.sum(axis=1).mean() <= 28
-        config = TrainConfig(loss=LossConfig.default_for(kind), learning_rate=5e-2,
+        config = TrainConfig(loss=loss, learning_rate=5e-2,
                              batch_size=batch_size, epochs=3, seed=11, hidden=hidden)
         assert_bitwise_same(train(corpus, config), reference_train(corpus, config))
 
