@@ -111,7 +111,7 @@ def _check_eps2(eps2: float, k: int) -> None:
 def _head(z: np.ndarray, eps2: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     # alpha = exp(clip(z)) + eps2 and d alpha / dz, which is 0 where the clamp holds.
     _check_eps2(eps2, z.shape[-1])
-    e = np.exp(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
+    e = np.exp(z.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
     return e + eps2, e * (np.abs(z) < LOGIT_CLAMP)
 
 

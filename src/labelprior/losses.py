@@ -22,7 +22,10 @@ Each objective reads the labels only through N and M:
   taken per label.  Unlike the point-mass density it is finite and bounded
   for one-hot labels with no smoothing constant.  The counts are integers,
   so each log-gamma difference is a sum of logs over a rising factorial,
-  exact at any logit inside the clamp (no special function).
+  exact at any logit inside the clamp (no special function).  The kernel
+  reads one entry per label, in the order of a sum over (B, K, max M) padded
+  steps: its values keep that sum's bits, and so do its gradients while a
+  batch's M is below 8 (numpy sums 8 or more steps pairwise).
 """
 
 from __future__ import annotations
@@ -97,20 +100,23 @@ class LabelTerms:
     B rows: ``columns``, the (B,) and (B, K) arrays its kernel reads, in
     the kernel's argument order:
 
-    - hard and soft: N/M and its log (0 where N_k = 0);
+    - hard, soft, and dpn-kl at lambda > 0: N/M and its log (0 where N_k = 0);
     - dpn: the mean log of the eps1-smoothed labels, and at eps1 = 0 the
-      mask of their zero components;
-    - dpn-kl: N and M for the Polya term, then N/M and its log when lambda > 0.
+      mask of their zero components.
 
+    dpn-kl's Polya term reads ``labels``: the (B + 1,) offsets of each row's
+    labels, then per label its class, its step j in that class and its step
+    in its row (int32), row by row and in class order within a row.
     :meth:`of` builds them, with every check :func:`batch_loss` makes of
     the counts, once for a whole training corpus.  ``terms[rows]`` gathers
-    each column at the rows of an index array or a slice, so a training
-    loop gathers its epoch's order once and slices each mini-batch out of
-    that for :func:`terms_loss`.
+    them at the rows of an index array or a slice (views, for consecutive
+    rows), so a training loop gathers its epoch's order once and slices each
+    mini-batch out of that for :func:`terms_loss`.
     """
 
     config: LossConfig
     columns: tuple[np.ndarray, ...]
+    labels: tuple[np.ndarray, ...] = ()
 
     @classmethod
     def of(cls, config: LossConfig, counts: np.ndarray) -> "LabelTerms":
@@ -122,7 +128,9 @@ class LabelTerms:
             raise ValueError("label counts must be a (B, K) array with at least one row")
         if not np.isfinite(counts).all():
             raise ValueError("label counts must be finite")
-        m = counts.sum(axis=1)
+        with np.errstate(over="ignore"):  # finite counts may overflow their row total
+            if not np.isfinite(m := counts.sum(axis=1)).all():
+                raise ValueError("label counts must have a finite total on every row")
         if counts.min() < 0.0 or m.min() <= 0.0:
             raise ValueError("label counts must be non-negative with at least one label per row")
         kind = config.kind
@@ -137,10 +145,30 @@ class LabelTerms:
             return cls(config, (target, log_target))
         if (counts != np.floor(counts)).any():
             raise ValueError("the Polya term needs integer label counts")
-        return cls(config, (counts, m, target, log_target) if config.lam else (counts, m))
+        n, m = counts.ravel().astype(np.intp), m.astype(np.intp)  # N_k and M, row by row
+        label_class = np.tile(np.arange(counts.shape[1], dtype=np.int32), len(m)).repeat(n)
+        labels = (np.concatenate(([0], np.cumsum(m))), label_class, _steps(n), _steps(m))
+        return cls(config, (target, log_target) if config.lam else (), labels)
 
     def __getitem__(self, rows) -> "LabelTerms":
-        return LabelTerms(self.config, tuple([column[rows] for column in self.columns]))
+        columns = tuple([column[rows] for column in self.columns])
+        if not self.labels:
+            return LabelTerms(self.config, columns)
+        offsets, *per_label = self.labels
+        if isinstance(rows, slice) and (span := range(len(offsets) - 1)[rows]).step == 1:
+            offsets = offsets[span.start : max(span.start, span.stop) + 1]
+            at = slice(offsets[0], offsets[-1])  # consecutive rows: views
+        else:
+            lengths, starts = np.diff(offsets)[rows], offsets[:-1][rows]
+            at = _steps(lengths) + np.repeat(starts, lengths)
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+        return LabelTerms(self.config, columns, (offsets - offsets[0], *[c[at] for c in per_label]))
+
+
+def _steps(lengths: np.ndarray) -> np.ndarray:
+    # The int32 step of each entry within its run, for runs of these lengths end to end.
+    steps = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return steps.astype(np.int32)
 
 
 def _dpn_terms(counts: np.ndarray, m: np.ndarray, eps1: float) -> tuple[np.ndarray, ...]:
@@ -175,29 +203,25 @@ def _dpn(
     return value, (dg[:, :-1] - dg[:, -1:] - mean_log_mu) * d_alpha
 
 
-def _polya(
-    z: np.ndarray, counts: np.ndarray, m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _polya(z: np.ndarray, offsets: np.ndarray, label_class: np.ndarray, own_step: np.ndarray,
+           pool_step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # ln p(N) = sum_k sum_{j<N_k} ln(a_k + j) - sum_{j<M} ln(a0 + j), per label.
     alpha, d_alpha = _head(z)  # clamped, so always positive and finite
-    steps = np.arange(int(m.max()))
-    own = steps < counts[:, :, None]  # class k has a (j+1)-th label
-    pool = steps < m[:, None]  # the row has a (j+1)-th label
-    alpha_steps = alpha[:, :, None] + steps
-    alpha0_steps = alpha.sum(axis=1)[:, None] + steps
-    # Boolean indexing is row-major, so both sides list each row's M terms
-    # together; pairing them keeps every log near 0 when alpha is large,
-    # where a difference of two sums of large logs would cancel.
-    ratio = alpha_steps[own] / alpha0_steps[pool]
-    log_p = np.bincount(pool.nonzero()[0], weights=np.log(ratio), minlength=z.shape[0])
-    grad_alpha = ((own / alpha_steps).sum(axis=2)
-                  - (pool / alpha0_steps).sum(axis=1)[:, None])
+    (b, k), m = z.shape, offsets[1:] - offsets[:-1]
+    row = np.arange(b).repeat(m)
+    own = row * k + label_class  # flat (row, class) index
+    alpha_own = alpha.ravel()[own] + own_step
+    alpha0_pool = alpha.sum(axis=1)[row] + pool_step
+    # Paired sides keep each log near 0 at large alpha, where two sums of large logs cancel.
+    log_p = np.bincount(row, weights=np.log(alpha_own / alpha0_pool), minlength=b)
+    grad_alpha = (np.bincount(own, weights=1.0 / alpha_own, minlength=b * k).reshape(b, k)
+                  - np.bincount(row, weights=1.0 / alpha0_pool, minlength=b)[:, None])
     return -log_p / m, -grad_alpha / m[:, None] * d_alpha
 
 
 def terms_loss(terms: LabelTerms, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values (B,) and logit gradients (B, K) of the objective of the B rows
-    of ``terms``: its kernel on ``z`` and the terms' columns, bit for bit
+    of ``terms``: its kernel on ``z`` and the terms' arrays, bit for bit
     :func:`batch_loss` on their counts.
 
     It checks nothing: ``z`` must hold finite (B, K) float64 logits.  A
@@ -209,9 +233,9 @@ def terms_loss(terms: LabelTerms, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return _dpn(z, config.eps2, *columns)
     if config.kind != LossKind.DPN_KL:
         return _kl(z, *columns)
-    value, grad = _polya(z, *columns[:2])
+    value, grad = _polya(z, *terms.labels)
     if config.lam:
-        kl_value, kl_grad = _kl(z, *columns[2:])
+        kl_value, kl_grad = _kl(z, *columns)
         value, grad = value + config.lam * kl_value, grad + config.lam * kl_grad
     return value, grad
 

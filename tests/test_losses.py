@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from labelprior.annotations import soft_label
-from labelprior.dirichlet import CategoricalDist, SingularityError, from_logits, log_pdf
+from labelprior.dirichlet import CategoricalDist, SingularityError, _head, from_logits, log_pdf
 from labelprior.losses import (
     LOGIT_CLAMP,
     LabelTerms,
     LossConfig,
     LossKind,
+    _kl,
     batch_loss,
     example_loss,
     terms_loss,
@@ -644,11 +645,11 @@ class TestDpnAgainstMpmath:
 
 
 @st.composite
-def corpus_batches(draw):
-    """An objective's config, (B, K) logits reaching past the clamp, integer
-    counts of 1 to 40 labels per row (for hard all of one class), a row
-    order and a batch [start, stop) of that order."""
-    kind = draw(st.sampled_from(list(LossKind)))
+def corpus_batches(draw, kinds=tuple(LossKind)):
+    """The config of one of ``kinds``, (B, K) logits reaching past the clamp,
+    integer counts of 1 to 40 labels per row (for hard all of one class), a
+    row order and a batch [start, stop) of that order."""
+    kind = draw(st.sampled_from(kinds))
     if kind == LossKind.DPN:
         config = LossConfig(kind, eps1=draw(st.sampled_from([0.0, 1e-2])), eps2=1e-8)
     elif kind == LossKind.DPN_KL:
@@ -679,15 +680,87 @@ def outcome(loss):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(case=corpus_batches())
-def test_terms_loss_is_batch_loss_bit_for_bit(case):
-    # Terms of a whole corpus, gathered in an epoch's order, then one batch of it.
+@given(case=corpus_batches(), size=st.integers(1, 40))
+def test_terms_loss_is_batch_loss_bit_for_bit(case, size):
+    # Terms of a whole corpus, gathered in an epoch's order, then batches of it:
+    # the drawn one, one row, the last (partial) batch of ``size`` rows and all rows.
     config, z, counts, order, start, stop = case
     terms = LabelTerms.of(config, counts)
     assert outcome(lambda: terms_loss(terms, z)) == outcome(lambda: batch_loss(config, z, counts))
-    batch = order[start:stop]
-    assert (outcome(lambda: terms_loss(terms[order][start:stop], z[batch]))
-            == outcome(lambda: batch_loss(config, z[batch], counts[batch])))
+    epoch, b = terms[order], len(order)
+    for a, e in [(start, stop), (start, start + 1), ((b - 1) // size * size, b), (0, b)]:
+        batch, fresh = order[a:e], LabelTerms.of(config, counts[order[a:e]])
+        assert (outcome(lambda: terms_loss(epoch[a:e], z[batch]))
+                == outcome(lambda: terms_loss(fresh, z[batch]))
+                == outcome(lambda: batch_loss(config, z[batch], counts[batch])))
+        # dpn-kl's label layout too, each array with its dtype (int32 per label).
+        for got, want in zip(epoch[a:e].labels, fresh.labels, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def mask_polya(
+    z: np.ndarray, counts: np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # ln p(N) = sum_k sum_{j<N_k} ln(a_k + j) - sum_{j<M} ln(a0 + j), per label.
+    alpha, d_alpha = _head(z)  # clamped, so always positive and finite
+    steps = np.arange(int(m.max()))
+    own = steps < counts[:, :, None]  # class k has a (j+1)-th label
+    pool = steps < m[:, None]  # the row has a (j+1)-th label
+    alpha_steps = alpha[:, :, None] + steps
+    alpha0_steps = alpha.sum(axis=1)[:, None] + steps
+    # Boolean indexing is row-major, so both sides list each row's M terms
+    # together; pairing them keeps every log near 0 when alpha is large,
+    # where a difference of two sums of large logs would cancel.
+    ratio = alpha_steps[own] / alpha0_steps[pool]
+    log_p = np.bincount(pool.nonzero()[0], weights=np.log(ratio), minlength=z.shape[0])
+    grad_alpha = ((own / alpha_steps).sum(axis=2)
+                  - (pool / alpha0_steps).sum(axis=1)[:, None])
+    return -log_p / m, -grad_alpha / m[:, None] * d_alpha
+
+
+def mask_dpn_kl(config, z, counts):
+    """dpn-kl values and logit gradients with the Polya term summed over
+    (B, K, max M) padded steps (``mask_polya``, the kernel the per-label
+    layout replaced), for valid logits and counts."""
+    counts = np.asarray(counts, dtype=np.float64)
+    m = counts.sum(axis=1)
+    value, grad = mask_polya(z, counts, m)
+    if config.lam:
+        target = counts / m[:, None]
+        log_target = np.zeros_like(target)
+        np.log(target, where=target > 0.0, out=log_target)
+        kl_value, kl_grad = _kl(z, target, log_target)
+        value, grad = value + config.lam * kl_value, grad + config.lam * kl_grad
+    return value, grad
+
+
+def polya_gradient_scale(z, counts):
+    """Per logit, |d alpha/dz| / M times the sum of the magnitudes of the
+    1/(a_k + j) and 1/(a0 + t) terms that the Polya gradient adds up: the
+    scale of its rounding error, as the two sums can cancel to near 0."""
+    alpha, d_alpha = _head(z)
+    m = counts.sum(axis=1)
+    steps = np.arange(int(m.max()))
+    own = (steps < counts[:, :, None]) / (alpha[:, :, None] + steps)
+    pool = (steps < m[:, None]) / (alpha.sum(axis=1)[:, None] + steps)
+    return (own.sum(axis=2) + pool.sum(axis=1)[:, None]) / m[:, None] * d_alpha
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=corpus_batches(kinds=(LossKind.DPN_KL,)))
+def test_polya_layout_keeps_the_mask_kernel_bits(case):
+    # One entry per label, added in the padded kernel's row-major order: the same
+    # values bit for bit.  The gradient's sums over the padded steps ran in sequence
+    # below 8 steps and pairwise from 8 on, where only its last bits may move.
+    config, z, counts = case[:3]
+    values, grad = batch_loss(config, z, counts)
+    want_values, want_grad = mask_dpn_kl(config, z, counts)
+    assert values.tobytes() == want_values.tobytes()
+    if counts.sum(axis=1).max() < 8:
+        assert grad.tobytes() == want_grad.tobytes()
+    else:
+        bound = 1e-12 * (polya_gradient_scale(z, counts) + np.abs(want_grad))
+        assert (np.abs(grad - want_grad) <= bound).all()
 
 
 # A NaN or an infinite count, under each objective.
@@ -704,6 +777,13 @@ NON_FINITE = [
                           ("both-infs", [[1, 1, 0], [math.inf, -math.inf, 1]])]
 ]
 
+# Finite counts whose row total overflows to infinity.
+OVERFLOW = [
+    pytest.param(config, [[1, 0, 0], [1e308, 1e308, 0]], id=f"{name}-total-overflow")
+    for name, config in [("hard", HARD), ("soft", SOFT), ("polya", POLYA),
+                         ("dpn-kl", LossConfig.default_for(LossKind.DPN_KL))]
+]
+
 
 @pytest.mark.parametrize("config, counts", [
     (SOFT, [[1, 0], [0, 0]]),                          # a row without labels
@@ -711,8 +791,8 @@ NON_FINITE = [
     (HARD, [[3, 0, 0], [1, 1, 0]]),                    # a row across classes
     (POLYA, [[1, 0], [0.5, 0.5]]),                     # counts that are not integers
     (LossConfig(LossKind.DPN, eps1=0.5), [[1, 0, 0]]),  # eps1 >= 1/(K-1)
-] + NON_FINITE, ids=["no-label", "negative", "hard-split", "non-integer", "eps1"] + [
-    param.id for param in NON_FINITE])
+] + NON_FINITE + OVERFLOW, ids=["no-label", "negative", "hard-split", "non-integer", "eps1"] + [
+    param.id for param in NON_FINITE + OVERFLOW])
 def test_terms_raise_batch_loss_messages(config, counts):
     counts = np.array(counts, dtype=np.float64)
     with pytest.raises(ValueError) as want:
@@ -733,3 +813,11 @@ def test_terms_refuse_non_finite_counts(config, counts):
 def test_terms_need_a_count_matrix_with_rows(counts):
     with pytest.raises(ValueError, match=r"^label counts must be a \(B, K\) array"):
         LabelTerms.of(SOFT, counts)
+
+
+@pytest.mark.parametrize("config, counts", OVERFLOW)
+def test_terms_refuse_a_row_total_that_overflows(config, counts):
+    # Before any check or layout that reads the total.
+    message = "^label counts must have a finite total on every row$"
+    with pytest.raises(ValueError, match=message):
+        LabelTerms.of(config, np.array(counts))
