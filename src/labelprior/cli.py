@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataio, metrics, model, synth
 from .annotations import ClassSpace
-from .dirichlet import CategoricalDist, SingularityError, from_logits, predictive_mean
+from .dirichlet import CategoricalDist, SingularityError, _head
 from .losses import LossConfig, LossKind
 
 __all__ = ["main"]
@@ -45,33 +45,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic dataset")
+    # A gen or train setting the line leaves out is absent from the namespace,
+    # so its config class's default applies (see _settings).
+    gen = sub.add_parser("gen", help="generate a synthetic dataset",
+                         argument_default=argparse.SUPPRESS)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--k", type=int, default=5)
-    gen.add_argument("--d", type=int, default=16)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--annotators", type=int, default=3)
-    gen.add_argument("--multi-tag-prob", type=float, default=0.04)
-    gen.add_argument("--noise-sigma", type=float, default=0.1)
-    gen.add_argument("--group-mix", type=_comma(float, "floats"), default=(0.237, 0.513, 0.250))
-    gen.add_argument("--precisions", type=_comma(float, "floats"), default=None)
+    gen.add_argument("--k", type=int)
+    gen.add_argument("--d", type=int)
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--annotators", type=int)
+    gen.add_argument("--multi-tag-prob", type=float)
+    gen.add_argument("--noise-sigma", type=float)
+    gen.add_argument("--group-mix", type=_comma(float, "floats"))
+    gen.add_argument("--precisions", dest="regime_precisions", metavar="PRECISIONS",
+                     type=_comma(float, "floats"))
     gen.add_argument("--test-frac", type=float, default=0.2)
     gen.add_argument("--out", required=True)
 
     st = sub.add_parser("stats", help="print label statistics of a dataset")
     st.add_argument("--data", required=True)
 
-    tr = sub.add_parser("train", help="train a classifier on the train split")
+    tr = sub.add_parser("train", help="train a classifier on the train split",
+                        argument_default=argparse.SUPPRESS)
     tr.add_argument("--data", required=True)
     tr.add_argument("--loss", choices=sorted(_LOSS_NAMES), required=True)
-    tr.add_argument("--eps1", type=float, default=None)
-    tr.add_argument("--eps2", type=float, default=None)
-    tr.add_argument("--lambda", dest="lam", type=float, default=None)
-    tr.add_argument("--epochs", type=int, default=30)
-    tr.add_argument("--lr", type=float, default=1e-2)
-    tr.add_argument("--batch", type=int, default=32)
-    tr.add_argument("--hidden", type=_comma(int, "integers"), default=(64,))
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--eps1", type=float)
+    tr.add_argument("--eps2", type=float)
+    tr.add_argument("--lambda", dest="lam", type=float)
+    tr.add_argument("--epochs", type=int)
+    tr.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
+    tr.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int)
+    tr.add_argument("--hidden", type=_comma(int, "integers"))
+    tr.add_argument("--seed", type=int)
     tr.add_argument("--out", required=True)
     tr.add_argument("--log", default=None, help="training log path (default: <out>.log)")
 
@@ -91,11 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _loss_config(args: argparse.Namespace) -> LossConfig:
-    """The loss's stock settings, with the constants the line sets."""
-    given = {name: value for name in ("eps1", "eps2", "lam")
-             if (value := getattr(args, name)) is not None}
-    return dataclasses.replace(LossConfig.default_for(_LOSS_NAMES[args.loss]), **given)
+def _settings(args: argparse.Namespace, config: type, **fixed) -> dict:
+    """The fields of dataclass ``config`` that the line sets, then ``fixed``;
+    a field the line leaves out keeps the class's default."""
+    return {**{field.name: getattr(args, field.name) for field in dataclasses.fields(config)
+               if hasattr(args, field.name)}, **fixed}
 
 
 def _predict_dists(
@@ -111,22 +116,13 @@ def _predict_dists(
         raise FloatingPointError("non-finite logits", row)
     if loss.kind in (LossKind.HARD, LossKind.SOFT_KL):
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return CategoricalDist(e / e.sum(axis=1, keepdims=True))
-    return predictive_mean(from_logits(logits, loss.eps2))
+    else:  # alpha of the head; its mean alpha / alpha0 is dirichlet.predictive_mean's
+        e = _head(logits, loss.eps2)[0]
+    return CategoricalDist(e / e.sum(axis=1, keepdims=True))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    config = synth.SynthConfig(
-        n=args.n,
-        k=args.k,
-        d=args.d,
-        annotators=args.annotators,
-        seed=args.seed,
-        group_mix=args.group_mix,
-        regime_precisions=args.precisions,
-        multi_tag_prob=args.multi_tag_prob,
-        noise_sigma=args.noise_sigma,
-    )
+    config = synth.SynthConfig(**_settings(args, synth.SynthConfig))
     if not 0.0 <= args.test_frac <= 1.0:
         raise ValueError("test-frac must lie in [0, 1]")
     features, _, *layout = synth.generate_columns(config)
@@ -156,14 +152,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     space, corpus = dataio.read_dataset(args.data)
     if not corpus.train.any():
         raise ValueError(f"{args.data}: no 'train' split records")
-    config = model.TrainConfig(
-        loss=_loss_config(args),
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        seed=args.seed,
-        hidden=args.hidden,
-    )
+    # The loss starts from its stock constants, not from LossConfig's field defaults.
+    loss = dataclasses.replace(LossConfig.default_for(_LOSS_NAMES[args.loss]),
+                               **_settings(args, LossConfig))
+    config = model.TrainConfig(**_settings(args, model.TrainConfig, loss=loss))
     params, losses = model.train(corpus.select(corpus.train), config)
     dataio.write_checkpoint(args.out, params, space, config)
     dataio.write_train_log(args.log if args.log else f"{args.out}.log", losses)

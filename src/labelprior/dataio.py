@@ -283,9 +283,10 @@ def _corpus(lines: list[str], d: int, index: dict) -> Corpus | None:
         return None
 
 
-def _raise_first_fault(path: str, lines: list, d: int, index: dict) -> None:
+def _raise_first_fault(path: str, lines: list, d: int, space: ClassSpace) -> None:
     """Check each numbered line in full before the next and raise ValueError
-    naming the first bad one."""
+    naming the first bad one.  A record's evaluations are checked by
+    ``annotations.ordered_tags``, the rules' one owner, on that record alone."""
     id_lines: dict[int, int] = {}
     for no, line in lines:
         try:
@@ -301,14 +302,8 @@ def _raise_first_fault(path: str, lines: list, d: int, index: dict) -> None:
             evaluations = raw["evaluations"]
             if not (type(evaluations) is list and _LISTS.issuperset(map(type, evaluations))):
                 raise TypeError("each evaluation must be a list of class names")
-            for names in evaluations:
-                for name in names:
-                    if type(name) is not str or name not in index:
-                        raise ValueError(f"unknown class name: {name!r}")
-                if not names:
-                    raise ValueError("an evaluation must contain at least one tag")
-                if len(set(names)) != len(names):
-                    raise ValueError("duplicate tags in evaluation")
+            ordered_tags(list(map(space.index, chain.from_iterable(evaluations))),
+                         list(map(len, evaluations)), [len(evaluations)], space.k)
             uid = raw["id"]
             if type(uid) is not int:
                 raise TypeError(f"id must be an integer, got {uid!r}")
@@ -321,8 +316,6 @@ def _raise_first_fault(path: str, lines: list, d: int, index: dict) -> None:
             raise ValueError(f"{path}: line {no}: non-finite feature")
         if not numbers:
             raise ValueError(f"{path}: line {no}: features must be JSON numbers")
-        if not evaluations:
-            raise ValueError(f"{path}: line {no}: at least one evaluation is required")
         if split != "train" and split != "test":
             raise ValueError(
                 f"{path}: line {no}: split {str(split)!r} is not 'train' or 'test'")
@@ -363,7 +356,7 @@ def read_dataset(path: str) -> tuple[ClassSpace, Corpus]:
             gc.enable()
     if corpus is None:
         numbered = [(no, line) for no, line in enumerate(text, 1) if line.strip(_BLANK)]
-        _raise_first_fault(path, numbered[1:], d, index)
+        _raise_first_fault(path, numbered[1:], d, space)
         raise RuntimeError(f"{path}: a record check failed that no line check names")
     return space, corpus
 

@@ -145,6 +145,8 @@ class LabelTerms:
             return cls(config, (target, log_target))
         if (counts != np.floor(counts)).any():
             raise ValueError("the Polya term needs integer label counts")
+        if m.max() >= 2**31:  # its layout's steps are int32
+            raise ValueError("the Polya term needs fewer than 2**31 labels on every row")
         n, m = counts.ravel().astype(np.intp), m.astype(np.intp)  # N_k and M, row by row
         label_class = np.tile(np.arange(counts.shape[1], dtype=np.int32), len(m)).repeat(n)
         labels = (np.concatenate(([0], np.cumsum(m))), label_class, _steps(n), _steps(m))

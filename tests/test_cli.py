@@ -18,10 +18,10 @@ import pytest
 import labelprior
 from labelprior import annotations, cli, dataio, synth
 from labelprior.annotations import AgreementGroup, AnnotationSet, ClassSpace
-from labelprior.dirichlet import CategoricalDist
+from labelprior.dirichlet import CategoricalDist, from_logits, predictive_mean
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import entropy as dist_entropy
-from labelprior.model import LabelledExample, TrainConfig, init
+from labelprior.model import LabelledExample, TrainConfig, forward, init
 
 from corpora import corpus_of
 
@@ -204,6 +204,13 @@ class TestTrain:
         assert capsys.readouterr().err == err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
+    def test_line_without_settings_trains_with_the_config_defaults(self, small_dataset,
+                                                                   tmp_path, kind):
+        ckpt = tmp_path / "m.json"
+        assert run("train", "--data", small_dataset, "--loss", kind.value, "--out", ckpt) == 0
+        assert dataio.read_checkpoint(ckpt)[2] == TrainConfig(LossConfig.default_for(kind))
+
     @pytest.mark.parametrize("loss", ["hard", "soft", "dpn", "dpn-kl"])
     def test_log_has_one_line_per_epoch(self, small_dataset, tmp_path, loss):
         ckpt = tmp_path / "m.json"
@@ -234,7 +241,9 @@ class TestTrain:
         (lambda rec: rec.pop("id"), "id"),
         (lambda rec: rec.update(features="0.5"), "feature shape"),
         (lambda rec: rec.update(evaluations=["A", "B"]), "list of class names"),
-        (lambda rec: rec.update(evaluations=[]), "at least one evaluation is required"),
+        # ordered_tags's rule, named before the line's feature checks as its siblings are.
+        (lambda rec: rec.update(evaluations=[]),
+         "line 5: bad record: ValueError('at least one evaluation is required')"),
         (lambda rec: rec["features"].__setitem__(0, True), "features must be JSON numbers"),
         (lambda rec: rec["features"].__setitem__(1, "0.12"), "features must be JSON numbers"),
     ])
@@ -640,6 +649,20 @@ class TestScoringHead:
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("kind, eps2", [(LossKind.DPN_KL, 0.0), (LossKind.DPN, 0.0),
+                                            (LossKind.DPN, 1e-8), (LossKind.DPN, 1e-6)])
+    def test_dirichlet_head_is_the_predictive_mean_bit_for_bit(self, kind, eps2):
+        # Identity weights pass the features through as logits, some at +-701,
+        # where the exponential of an unclamped logit overflows.
+        k = 4
+        z = np.random.default_rng(0).normal(0.0, 30.0, (64, k))
+        z[::3, 0], z[1::3, 1], z[::5, 2:] = 701.0, -701.0, -701.0
+        params = init(k, [], k, seed=0)
+        params.weights[0][:] = np.eye(k)
+        np.testing.assert_array_equal(forward(params, z), z)
+        got = cli._predict_dists(params, z, LossConfig(kind, eps2=eps2)).p
+        assert got.tobytes() == predictive_mean(from_logits(z, eps2)).p.tobytes()
+
     def test_dirichlet_objective_sees_a_logit_shift(self, small_dataset, tmp_path):
         ckpt = tmp_path / "m.json"
         assert run("train", "--data", small_dataset, "--loss", "dpn", "--epochs", 3,
@@ -885,6 +908,22 @@ class TestParse:
         # the last line, for one, must not see the --group-mix set above.
         fresh = parsed(lambda a: cli._build_parser.__wrapped__().parse_args(a), argv, capsys)
         assert parsed(cli._build_parser().parse_args, argv, capsys) == fresh
+
+    @pytest.mark.parametrize("argv, namespace", [
+        (["gen", "--n", "5", "--out", "o"], {"n": 5, "out": "o", "test_frac": 0.2}),
+        (["gen", "--n", "5", "--out", "o", "--precisions", "9,8,7"],
+         {"n": 5, "out": "o", "test_frac": 0.2, "regime_precisions": (9.0, 8.0, 7.0)}),
+        *((["train", "--data", "d", "--loss", loss, "--out", "o"],
+           {"data": "d", "loss": loss, "out": "o", "log": None}) for loss in sorted(cli._LOSS_NAMES)),
+        (["train", "--data", "d", "--loss", "soft", "--out", "o", "--lr", "0.5", "--batch", "7"],
+         {"data": "d", "loss": "soft", "out": "o", "log": None, "learning_rate": 0.5,
+          "batch_size": 7}),
+    ])
+    def test_namespace_holds_only_the_settings_the_line_sets(self, argv, namespace):
+        # Every other setting takes its config class's default, not one of the parser's;
+        # a flag not named as its field reaches the field's name.
+        args = cli._build_parser().parse_args(argv)
+        assert vars(args) == {"command": argv[0], **namespace}
 
     def test_builds_the_parser_once(self, monkeypatch, capsys, small_dataset):
         count = []

@@ -9,6 +9,7 @@ denominator floored at 1e-8.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -821,3 +822,15 @@ def test_terms_refuse_a_row_total_that_overflows(config, counts):
     message = "^label counts must have a finite total on every row$"
     with pytest.raises(ValueError, match=message):
         LabelTerms.of(config, np.array(counts))
+
+
+@pytest.mark.parametrize("config", [POLYA, LossConfig.default_for(LossKind.DPN_KL)],
+                         ids=["lambda-0", "stock"])
+@pytest.mark.parametrize("counts", [[[1e20, 0.0]], [[2.0**31, 0.0]], [[1, 0], [2.0**30, 2.0**30]]],
+                         ids=["1e20", "2**31", "row-total-2**31"])
+def test_polya_terms_refuse_counts_past_their_int32_layout(config, counts):
+    # Named before the layout is built, which for 2**31 labels would take tens of GB.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the Polya term needs fewer than 2\*\*31 labels"):
+            LabelTerms.of(config, np.array(counts))
