@@ -22,8 +22,6 @@ from .losses import LossConfig, LossKind
 
 __all__ = ["main"]
 
-_LOSS_NAMES = {kind.value: kind for kind in LossKind}
-
 
 def _comma(kind: type, noun: str):
     """argparse type for a comma-separated list of ``kind`` values."""
@@ -68,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train a classifier on the train split",
                         argument_default=argparse.SUPPRESS)
     tr.add_argument("--data", required=True)
-    tr.add_argument("--loss", choices=sorted(_LOSS_NAMES), required=True)
+    tr.add_argument("--loss", choices=sorted(kind.value for kind in LossKind), required=True)
     tr.add_argument("--eps1", type=float)
     tr.add_argument("--eps2", type=float)
     tr.add_argument("--lambda", dest="lam", type=float)
@@ -153,7 +151,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not corpus.train.any():
         raise ValueError(f"{args.data}: no 'train' split records")
     # The loss starts from its stock constants, not from LossConfig's field defaults.
-    loss = dataclasses.replace(LossConfig.default_for(_LOSS_NAMES[args.loss]),
+    loss = dataclasses.replace(LossConfig.default_for(LossKind(args.loss)),
                                **_settings(args, LossConfig))
     config = model.TrainConfig(**_settings(args, model.TrainConfig, loss=loss))
     params, losses = model.train(corpus.select(corpus.train), config)

@@ -110,7 +110,7 @@ def _check_eps2(eps2: float, k: int) -> None:
 
 def _head(z: np.ndarray, eps2: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     # alpha = exp(clip(z)) + eps2 and d alpha / dz, which is 0 where the clamp holds.
-    _check_eps2(eps2, z.shape[-1])
+    # It checks nothing: callers have passed eps2 through _check_eps2 for this K.
     e = np.exp(z.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
     return e + eps2, e * (np.abs(z) < LOGIT_CLAMP)
 
@@ -123,6 +123,7 @@ def from_logits(z: np.ndarray, eps2: float = 0.0) -> DirichletParams:
         raise ValueError("logits must be finite")
     if eps2 < 0.0:
         raise ValueError("eps2 must be non-negative")
+    _check_eps2(eps2, z.shape[-1])
     return DirichletParams(_head(z, eps2)[0])
 
 

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dirichlet import LOGIT_CLAMP, CategoricalDist, _head, _log_density, _with_total
+from .dirichlet import LOGIT_CLAMP, CategoricalDist, _check_eps2, _head, _log_density, _with_total
 from .specfun import digamma
 # Unused here, but bench/test_harness.py checks that tracing restores losses.log_gamma.
 from .specfun import log_gamma  # noqa: F401
@@ -90,7 +90,7 @@ class LossConfig:
         if kind == LossKind.DPN:
             return cls(kind, eps1=1e-2, eps2=1e-8)
         if kind == LossKind.DPN_KL:
-            return cls(kind, eps1=0.0, eps2=0.0, lam=20.0)
+            return cls(kind, lam=20.0)
         return cls(kind)
 
 
@@ -108,10 +108,10 @@ class LabelTerms:
     labels, then per label its class, its step j in that class and its step
     in its row (int32), row by row and in class order within a row.
     :meth:`of` builds them, with every check :func:`batch_loss` makes of
-    the counts, once for a whole training corpus.  ``terms[rows]`` gathers
-    them at the rows of an index array or a slice (views, for consecutive
-    rows), so a training loop gathers its epoch's order once and slices each
-    mini-batch out of that for :func:`terms_loss`.
+    the counts and of dpn's eps2, once for a whole training corpus.
+    ``terms[rows]`` gathers them at the rows of an index array or a slice
+    (views, for consecutive rows), so a training loop gathers its epoch's
+    rows once and slices each mini-batch out of that for :func:`terms_loss`.
     """
 
     config: LossConfig
@@ -122,7 +122,7 @@ class LabelTerms:
     def of(cls, config: LossConfig, counts: np.ndarray) -> "LabelTerms":
         """The terms of ``config``'s objective on (B, K) label counts, for
         hard all of one class on each row; ValueError with
-        :func:`batch_loss`'s message on counts it would refuse."""
+        :func:`batch_loss`'s message on counts or constants it would refuse."""
         counts = np.asarray(counts, dtype=np.float64)
         if counts.ndim != 2 or counts.shape[0] == 0:
             raise ValueError("label counts must be a (B, K) array with at least one row")
@@ -137,7 +137,7 @@ class LabelTerms:
         if kind == LossKind.HARD and (counts.max(axis=1) < m).any():
             raise ValueError("hard loss needs every row's labels in its majority class")
         if kind == LossKind.DPN:
-            return cls(config, _dpn_terms(counts, m, config.eps1))
+            return cls(config, _dpn_terms(counts, m, config))
         target = counts / m[:, None]
         log_target = np.zeros_like(target)
         np.log(target, where=target > 0.0, out=log_target)
@@ -173,10 +173,11 @@ def _steps(lengths: np.ndarray) -> np.ndarray:
     return steps.astype(np.int32)
 
 
-def _dpn_terms(counts: np.ndarray, m: np.ndarray, eps1: float) -> tuple[np.ndarray, ...]:
-    k = counts.shape[1]
+def _dpn_terms(counts: np.ndarray, m: np.ndarray, config: LossConfig) -> tuple[np.ndarray, ...]:
+    k, eps1 = counts.shape[1], config.eps1
     if not 0.0 <= eps1 < 1.0 / (k - 1):
         raise ValueError(f"eps1 must lie in [0, 1/(K-1)) = [0, {1.0 / (k - 1):g})")
+    _check_eps2(config.eps2, k)  # the one check of the eps2 that _dpn's head adds
     # Smoothing maps a one-hot label to eps1 + (1 - K*eps1)*label, so N_k/M of a row's
     # labels have ln(1 - (K-1)*eps1) at class k and the rest ln eps1 (mu_k = 0, the zero
     # mask, at eps1 = 0).  The density is linear in ln mu: their mean is one density.
@@ -226,9 +227,9 @@ def terms_loss(terms: LabelTerms, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     of ``terms``: its kernel on ``z`` and the terms' arrays, bit for bit
     :func:`batch_loss` on their counts.
 
-    It checks nothing: ``z`` must hold finite (B, K) float64 logits.  A
-    SingularityError from dpn with eps1 = 0 names the first singular row
-    in its ``row`` attribute.
+    It checks nothing (:meth:`LabelTerms.of` checked the counts and eps2):
+    ``z`` must hold finite (B, K) float64 logits.  A SingularityError from
+    dpn with eps1 = 0 names the first singular row in its ``row`` attribute.
     """
     config, columns = terms.config, terms.columns
     if config.kind == LossKind.DPN:
@@ -248,11 +249,11 @@ def batch_loss(
     """Values (B,) and logit gradients (B, K) of one objective on a batch.
 
     ``z`` holds the (B, K) logits and ``counts`` the (B, K) label counts,
-    for hard all of one class on each row.  It checks both and is
-    :meth:`LabelTerms.of` on the counts followed by :func:`terms_loss`,
-    so a training loop that builds the terms of its corpus once gets the
-    same bits.  A SingularityError from dpn with eps1 = 0 names the first
-    singular row in its ``row`` attribute.
+    for hard all of one class on each row.  It checks the logits, then is
+    :meth:`LabelTerms.of` (the checks of the counts and eps2) followed by
+    :func:`terms_loss`, so a training loop that builds the terms of its
+    corpus once gets the same bits.  A SingularityError from dpn with
+    eps1 = 0 names the first singular row in its ``row`` attribute.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or np.shape(counts) != z.shape:

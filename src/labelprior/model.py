@@ -4,13 +4,13 @@ The network is an MLP with ReLU hidden layers and linear output logits.
 :func:`train` reads its utterances as the columns of a
 :class:`~labelprior.dataio.Corpus`: features and vote counts, the only
 label view the objectives need.  The label terms of the objective are
-built once per corpus and gathered with the features once per epoch; each
-mini-batch then takes one forward pass over its (B, d) feature matrix, one
-batched loss call and one backward pass, which runs the forward pass
-again.  Training is deterministic given the seed:
-initialisation and the per-epoch Fisher-Yates shuffle are fixed, so reruns
-on the same machine are byte-identical (the BLAS summation order may differ
-between machines in the last digit).
+built and checked once per corpus and gathered, at the rows that gather
+the features, once per epoch; each mini-batch then takes one forward pass
+over its (B, d) feature matrix, one batched loss call and one backward
+pass, which runs the forward pass again.  Training is deterministic given
+the seed: initialisation and the per-epoch Fisher-Yates shuffle are fixed,
+so reruns on the same machine are byte-identical (the BLAS summation order
+may differ between machines in the last digit).
 """
 
 from __future__ import annotations
@@ -188,12 +188,12 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
     its one-hot majority vector as counts: the N/M target of the row
     vote-and-replaced (``replace_majorities``).  The other objectives train on
     everything.  The label terms of the objective (:class:`LabelTerms`) are
-    built, and the counts checked, once before the first update.  Each epoch
-    puts every mini-batch's rows in ascending order and gathers the features,
-    and the terms from the last epoch's order, once; each mini-batch then
-    makes one forward pass, one :func:`terms_loss` call, which gives the bits
-    of :func:`batch_loss`, and one backward pass, which runs the forward pass
-    again.  A SingularityError from the Dirichlet term is re-raised with
+    built, and the counts and loss constants checked, once before the first
+    update.  Each epoch puts every mini-batch's rows in ascending order and
+    gathers the features and the terms at those rows once; each mini-batch
+    then makes one forward pass, one :func:`terms_loss` call, which gives the
+    bits of :func:`batch_loss`, and one backward pass, which runs the forward
+    pass again.  A SingularityError from the Dirichlet term is re-raised with
     epoch/batch/utterance context, and so is a non-finite logit or loss, as
     a FloatingPointError.
     """
@@ -210,10 +210,9 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
     params = init(features.shape[1], config.hidden, counts.shape[1], config.seed)
     terms = LabelTerms.of(config.loss, counts)
 
-    n, size = len(corpus), config.batch_size
+    n, size = len(corpus), min(config.batch_size, len(corpus))
     # Sorting batch * n + row puts the rows of each batch in ascending order.
     batch_key = np.arange(n) // size * n
-    at = np.arange(n)  # where ``terms`` holds each corpus row: one order at a time
     epoch_losses: list[float] = []
     # Divergence shows up as non-finite logits or losses, reported below with
     # the utterance; numpy's overflow warnings would only precede that.
@@ -221,8 +220,7 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
         for epoch in range(config.epochs):
             order = rng.fisher_yates(n, rng.stream(config.seed, rng.DOMAIN_SHUFFLE, epoch))
             rows = np.sort(batch_key + order) % n
-            epoch_features, terms = features[rows], terms[at[rows]]
-            at[rows] = np.arange(n)
+            epoch_features, epoch_terms = features[rows], terms[rows]
 
             def where(start: int, row: int) -> str:  # row ``row`` of the batch at ``start``
                 return f"epoch {epoch}, batch {start // size}, utterance {uids[rows[start + row]]}"
@@ -235,7 +233,7 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
                 if not math.isfinite(z.sum()) and (row := _first_nonfinite(z)) is not None:
                     raise FloatingPointError(f"{where(start, row)}: non-finite logits")
                 try:
-                    values, grad_z = terms_loss(terms[start : start + size], z)
+                    values, grad_z = terms_loss(epoch_terms[start : start + size], z)
                 except SingularityError as err:
                     raise SingularityError(f"{where(start, err.row)}: {err}") from err
                 batch_total = values.sum()

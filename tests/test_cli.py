@@ -914,7 +914,8 @@ class TestParse:
         (["gen", "--n", "5", "--out", "o", "--precisions", "9,8,7"],
          {"n": 5, "out": "o", "test_frac": 0.2, "regime_precisions": (9.0, 8.0, 7.0)}),
         *((["train", "--data", "d", "--loss", loss, "--out", "o"],
-           {"data": "d", "loss": loss, "out": "o", "log": None}) for loss in sorted(cli._LOSS_NAMES)),
+           {"data": "d", "loss": loss, "out": "o", "log": None})
+          for loss in sorted(kind.value for kind in LossKind)),
         (["train", "--data", "d", "--loss", "soft", "--out", "o", "--lr", "0.5", "--batch", "7"],
          {"data": "d", "loss": "soft", "out": "o", "log": None, "learning_rate": 0.5,
           "batch_size": 7}),

@@ -824,6 +824,25 @@ def test_terms_refuse_a_row_total_that_overflows(config, counts):
         LabelTerms.of(config, np.array(counts))
 
 
+@pytest.mark.parametrize("config, counts, message", [
+    # At K = 5, alpha0 <= K*(e^60 + eps2) overflows for eps2 >= 3.595e307.
+    (LossConfig(LossKind.DPN, eps2=4e307), [[1, 0, 0, 0, 0], [0, 0, 3, 0, 0]],
+     r"^eps2 must keep K\*\(e\^60 \+ eps2\) finite, so lie below 3\.595e\+307 for K = 5, "
+     r"got 4e\+307$"),
+    (LossConfig(LossKind.DPN, eps2=4e307), [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+     "^label counts must be non-negative with at least one label per row$"),
+    (LossConfig(LossKind.DPN, eps1=0.5, eps2=4e307), [[1, 0, 0, 0, 0]],
+     r"^eps1 must lie in \[0, 1/\(K-1\)\)"),
+], ids=["eps2", "counts-first", "eps1-first"])
+def test_dpn_terms_refuse_an_eps2_that_overflows_alpha0(config, counts, message):
+    # Checked with the terms, once per corpus, after the counts and eps1.
+    counts = np.array(counts, dtype=np.float64)
+    for refuse in (lambda: LabelTerms.of(config, counts),
+                   lambda: batch_loss(config, np.zeros(counts.shape), counts)):
+        with pytest.raises(ValueError, match=message):
+            refuse()
+
+
 @pytest.mark.parametrize("config", [POLYA, LossConfig.default_for(LossKind.DPN_KL)],
                          ids=["lambda-0", "stock"])
 @pytest.mark.parametrize("counts", [[[1e20, 0.0]], [[2.0**31, 0.0]], [[1, 0], [2.0**30, 2.0**30]]],

@@ -1,5 +1,6 @@
 """Tests for the MLP: initialisation, forward/backward, and training."""
 
+import dataclasses
 import itertools
 import math
 from typing import Optional
@@ -7,7 +8,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from labelprior import model, rng
+from labelprior import dirichlet, losses, model, rng
 from labelprior.annotations import AgreementGroup, ClassSpace
 from labelprior.dataio import Corpus, DatasetRecord, read_dataset, write_dataset
 from labelprior.dirichlet import CategoricalDist, SingularityError
@@ -614,6 +615,15 @@ class TestTrainMatchesReferenceLoop:
         assert all(math.isfinite(v) for v in got[1])
         assert_bitwise_same(got, reference_train(corpus, config))
 
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
+    def test_batch_past_the_corpus_is_one_batch(self, corpora, kind):
+        # A batch of 2**64 rows, past int64, trains as the batch of every row.
+        corpus = corpora["paper"]
+        config = TrainConfig(loss=LossConfig.default_for(kind), learning_rate=5e-2,
+                             batch_size=len(corpus), epochs=3, seed=11, hidden=(6,))
+        assert_bitwise_same(train(corpus, dataclasses.replace(config, batch_size=2**64)),
+                            train(corpus, config))
+
 
 def inject_logits(monkeypatch, at_pass: int, row: int, values) -> None:
     """Forward pass ``at_pass`` (counted from 0; each batch makes two, the
@@ -765,3 +775,44 @@ class TestTrainChecksCountsFirst:
         fresh = init(4, (5,), k, 2)
         assert all(np.array_equal(a, b) for a, b in zip(
             built[0].weights + built[0].biases, fresh.weights + fresh.biases))
+
+
+class TestTrainChecksEps2Once:
+    """eps2's bound is checked with the label terms, once per corpus, and the
+    per-batch kernels check nothing."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = dirichlet._check_eps2
+
+        def counting(eps2, k):
+            calls.append((eps2, k))
+            check(eps2, k)
+
+        for module in (dirichlet, losses):  # wherever either binds it
+            monkeypatch.setattr(module, "_check_eps2", counting, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("kind, count", [
+        (LossKind.HARD, 0), (LossKind.SOFT_KL, 0), (LossKind.DPN, 1), (LossKind.DPN_KL, 0)],
+        ids=lambda v: v.value if isinstance(v, LossKind) else None)
+    def test_one_train_checks_dpn_once(self, corpora, checks, kind, count):
+        config = TrainConfig(loss=LossConfig.default_for(kind), batch_size=7, epochs=3,
+                             seed=2, hidden=(5,))
+        train(corpora["paper"], config)
+        assert checks == [(config.loss.eps2, 5)] * count
+
+    def test_overflowing_eps2_raises_before_any_update(self, monkeypatch, corpora, checks):
+        corpus = corpora["paper"]
+        config = TrainConfig(loss=LossConfig(LossKind.DPN, eps1=1e-2, eps2=4e307),
+                             batch_size=7, epochs=2, seed=2, hidden=(5,))
+        passes = []
+        monkeypatch.setattr(model, "_forward_cached", lambda *args: passes.append(args))
+        with pytest.raises(ValueError) as want:
+            batch_loss(config.loss, np.zeros(corpus.counts.shape), corpus.counts)
+        with pytest.raises(ValueError) as got:
+            train(corpus, config)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("eps2 must keep K*(e^60 + eps2) finite")
+        assert passes == [] and checks == [(4e307, 5)] * 2
