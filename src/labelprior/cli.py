@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataio, metrics, model, synth
 from .annotations import ClassSpace
-from .dirichlet import CategoricalDist, SingularityError, _head
+from .dirichlet import SingularityError, _head
 from .losses import LossConfig, LossKind
 
 __all__ = ["main"]
@@ -101,22 +101,15 @@ def _settings(args: argparse.Namespace, config: type, **fixed) -> dict:
                if hasattr(args, field.name)}, **fixed}
 
 
-def _predict_dists(
-    params: model.ModelParams, features: Sequence[np.ndarray], loss: LossConfig
-) -> CategoricalDist:
-    """Predictive distributions, one (N, K) batch for N feature vectors, through
-    the head ``loss`` trained: softmax for hard and soft, the Dirichlet mean of
-    the clamped exponential head for dpn and dpn-kl.  A non-finite logit
-    raises FloatingPointError("non-finite logits", its row)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        logits = model.forward(params, features)
-    if (row := model._first_nonfinite(logits)) is not None:
-        raise FloatingPointError("non-finite logits", row)
+def _predictive(logits: np.ndarray, loss: LossConfig) -> np.ndarray:
+    """The (N, K) probabilities of finite (N, K) logits through the head ``loss``
+    trained: softmax for hard and soft, the Dirichlet mean alpha / alpha0 of the
+    clamped exponential head for dpn and dpn-kl."""
     if loss.kind in (LossKind.HARD, LossKind.SOFT_KL):
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
     else:  # alpha of the head; its mean alpha / alpha0 is dirichlet.predictive_mean's
         e = _head(logits, loss.eps2)[0]
-    return CategoricalDist(e / e.sum(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -163,7 +156,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _test_views(args: argparse.Namespace):
-    """The test split's records and predictions."""
+    """The test split of ``args.data`` and its (N, K) predictive probabilities
+    under the checkpoint ``args.ckpt``.  A non-finite logit raises
+    FloatingPointError naming the checkpoint and the utterance of its row."""
     space, corpus = dataio.read_dataset(args.data)
     test = corpus.select(~corpus.train)
     if not len(test):
@@ -176,17 +171,16 @@ def _test_views(args: argparse.Namespace):
     if params.dims[0] != width:
         raise ValueError(f"{args.ckpt}: input width {params.dims[0]} differs from "
                          f"the dataset's feature width {width}")
-    try:
-        preds = _predict_dists(params, test.features, config.loss)
-    except FloatingPointError as err:
-        raise FloatingPointError(f"{args.ckpt}: utterance {test.ids[err.args[1]]}: "
-                                 f"{err.args[0]}") from err
-    return test, preds
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        logits = model.forward(params, test.features)
+    if (row := model._first_nonfinite(logits)) is not None:
+        raise FloatingPointError(f"{args.ckpt}: utterance {test.ids[row]}: non-finite logits")
+    return test, _predictive(logits, config.loss)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     test, preds = _test_views(args)
-    soft = CategoricalDist(test.counts / test.counts.sum(axis=1, keepdims=True))
+    soft = test.counts / test.counts.sum(axis=1, keepdims=True)
     report = metrics.build_report(test.groups, test.majority, soft, preds)
     dataio.write_report(args.out, report)
     # The report file's rule: None and non-finite values print as null.

@@ -119,6 +119,8 @@ def from_logits(z: np.ndarray, eps2: float = 0.0) -> DirichletParams:
     """alpha_k = exp(clip(z_k, +-LOGIT_CLAMP)) + eps2, the exponential output
     function of training, for a (K,) logit row or an (N, K) batch."""
     z = np.asarray(z, dtype=np.float64)
+    if z.ndim not in (1, 2):
+        raise ValueError("logits must be a (K,) vector or (N, K) batch")
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     if eps2 < 0.0:
@@ -162,6 +164,8 @@ def log_pdf(params: DirichletParams, mu: CategoricalDist) -> float | np.ndarray:
     the rules of :func:`_log_density` (``row`` is None for a single row).
     """
     p = np.asarray(mu, dtype=np.float64)
+    if p.ndim not in (1, 2):
+        raise ValueError("mu must be a (K,) vector or (N, K) batch")
     if p.shape[-1] != params.k:
         raise ValueError("dimension mismatch between mu and alpha")
     zero = p == 0.0

@@ -175,6 +175,8 @@ def _steps(lengths: np.ndarray) -> np.ndarray:
 
 def _dpn_terms(counts: np.ndarray, m: np.ndarray, config: LossConfig) -> tuple[np.ndarray, ...]:
     k, eps1 = counts.shape[1], config.eps1
+    if k < 2:  # a Dirichlet needs two classes, as DirichletParams says
+        raise ValueError(f"the dpn loss needs K >= 2 classes, got K = {k}")
     if not 0.0 <= eps1 < 1.0 / (k - 1):
         raise ValueError(f"eps1 must lie in [0, 1/(K-1)) = [0, {1.0 / (k - 1):g})")
     _check_eps2(config.eps2, k)  # the one check of the eps2 that _dpn's head adds

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import string
 from dataclasses import dataclass
 from itertools import accumulate
@@ -52,6 +53,13 @@ class SynthConfig:
     noise_sigma: float = 0.1
 
     def __post_init__(self) -> None:
+        # TrainConfig's rule: no bool passes for a number, and the counts and seed are ints.
+        numbers = (self.n, self.k, self.d, self.annotators, self.seed, *self.group_mix,
+                   *(self.regime_precisions or ()), self.multi_tag_prob, self.noise_sigma)
+        if any(isinstance(v, (bool, np.bool_)) for v in numbers):
+            raise ValueError(f"SynthConfig numbers must not be bool, got {numbers}")
+        for name in ("n", "k", "d", "annotators", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "group_mix", tuple(float(v) for v in self.group_mix))
         precisions = self.regime_precisions
         if precisions is None:

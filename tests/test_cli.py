@@ -369,8 +369,8 @@ class TestEval:
         assert doc["mean_entropy"] == pytest.approx(math.log(4), abs=1e-6)
         params, _, config = dataio.read_checkpoint(ckpt)
         corpus = dataio.read_dataset(small_dataset)[1]
-        preds = cli._predict_dists(params, corpus.features[~corpus.train], config.loss)
-        assert preds.p.shape == (30, 4)
+        preds = cli._predictive(forward(params, corpus.features[~corpus.train]), config.loss)
+        assert preds.shape == (30, 4)
         assert (dist_entropy(preds) == math.log(4)).all()
 
     def test_group_counts_match_dataset(self, small_dataset, tmp_path):
@@ -560,6 +560,28 @@ class TestEval:
         assert err.startswith(f"numerical failure: {ckpt}: utterance {first}: non-finite logits")
         assert not (tmp_path / "r").exists() and not (tmp_path / "r_maxp.csv").exists()
 
+    @pytest.mark.parametrize("command, out", [("eval", "--out"), ("detect", "--out-prefix")])
+    def test_non_finite_logits_name_the_later_record_that_overflows(
+        self, small_dataset, tmp_path, capsys, command, out
+    ):
+        # With first-layer weights of 1.0, only the test record whose features
+        # are 1e308 overflows; the error names it, not the first test record.
+        ckpt, data = tmp_path / "m.json", tmp_path / "data.jsonl"
+        run("train", "--data", small_dataset, "--loss", "dpn", "--epochs", 1, "--out", ckpt)
+        doc = json.loads(ckpt.read_text())
+        first = doc["layers"][0]
+        first["weights"] = [[1.0] * len(row) for row in first["weights"]]
+        ckpt.write_text(json.dumps(doc))
+        space, corpus = dataio.read_dataset(small_dataset)
+        row = np.flatnonzero(~corpus.train)[5]
+        corpus.features[row] = 1e308
+        dataio.write_columns(data, space, corpus)
+        capsys.readouterr()
+        assert run(command, "--data", data, "--ckpt", ckpt, out, tmp_path / "r") == 2
+        assert capsys.readouterr().err == (
+            f"numerical failure: {ckpt}: utterance {corpus.ids[row]}: non-finite logits\n")
+        assert not (tmp_path / "r").exists() and not (tmp_path / "r_maxp.csv").exists()
+
 
 class TestDetect:
     def test_writes_curves_and_matches_eval(self, small_dataset, tmp_path, capsys):
@@ -591,7 +613,7 @@ class TestDetect:
         _, corpus = dataio.read_dataset(small_dataset)
         groups = corpus.groups[~corpus.train]
 
-        def oracle(params, features, loss):
+        def oracle(logits, loss):
             dists = []
             for g in groups:
                 if g == AgreementGroup.NONE:
@@ -600,7 +622,7 @@ class TestDetect:
                     dists.append(CategoricalDist(np.array([0.97, 0.01, 0.01, 0.01])))
             return dists
 
-        monkeypatch.setattr(cli, "_predict_dists", oracle)
+        monkeypatch.setattr(cli, "_predictive", oracle)
         capsys.readouterr()
         assert run("detect", "--data", small_dataset, "--ckpt", ckpt,
                    "--out-prefix", tmp_path / "c") == 0
@@ -660,7 +682,7 @@ class TestScoringHead:
         params = init(k, [], k, seed=0)
         params.weights[0][:] = np.eye(k)
         np.testing.assert_array_equal(forward(params, z), z)
-        got = cli._predict_dists(params, z, LossConfig(kind, eps2=eps2)).p
+        got = cli._predictive(forward(params, z), LossConfig(kind, eps2=eps2))
         assert got.tobytes() == predictive_mean(from_logits(z, eps2)).p.tobytes()
 
     def test_dirichlet_objective_sees_a_logit_shift(self, small_dataset, tmp_path):

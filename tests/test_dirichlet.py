@@ -225,6 +225,15 @@ class TestBatches:
         params = from_logits(np.vstack([self.Z[:2], [0.0, 701.0, -701.0]]), 1e-8)
         np.testing.assert_array_equal(params.alpha[2], np.exp([0.0, 60.0, -60.0]) + 1e-8)
 
+    @pytest.mark.parametrize("shape", [(), (2, 2, 3)])
+    def test_only_rows_and_batches(self, shape):
+        with pytest.raises(ValueError, match=r"^logits must be a \(K,\) vector or \(N, K\) batch$"):
+            from_logits(np.ones(shape))
+        with pytest.raises(ValueError, match=r"^mu must be a \(K,\) vector or \(N, K\) batch$"):
+            log_pdf(DirichletParams(np.ones(3)), np.full(shape, 1.0 / 3.0))
+        with pytest.raises(ValueError, match="^dimension mismatch between mu and alpha$"):
+            log_pdf(DirichletParams(np.ones(3)), np.full((2, 2), 0.5))
+
     def test_dists_are_array_like(self):
         rows = [CategoricalDist(p) for p in predictive_mean(from_logits(self.Z)).p]
         np.testing.assert_array_equal(np.asarray(rows), predictive_mean(from_logits(self.Z)))

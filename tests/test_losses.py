@@ -843,6 +843,19 @@ def test_dpn_terms_refuse_an_eps2_that_overflows_alpha0(config, counts, message)
             refuse()
 
 
+@pytest.mark.parametrize("config", [LossConfig.default_for(LossKind.DPN),
+                                    LossConfig(LossKind.DPN)], ids=["stock", "eps1-0"])
+def test_dpn_needs_two_classes(config):
+    # One class leaves eps1's range 1/(K-1) undefined; no Dirichlet has K = 1.
+    message = "^the dpn loss needs K >= 2 classes, got K = 1$"
+    for refuse in (lambda: LabelTerms.of(config, np.ones((1, 1))),
+                   lambda: batch_loss(config, np.zeros((1, 1)), np.ones((1, 1))),
+                   lambda: example_loss(config, np.zeros(1), [np.ones(1)],
+                                        CategoricalDist(np.ones(1)), None)):
+        with pytest.raises(ValueError, match=message):
+            refuse()
+
+
 @pytest.mark.parametrize("config", [POLYA, LossConfig.default_for(LossKind.DPN_KL)],
                          ids=["lambda-0", "stock"])
 @pytest.mark.parametrize("counts", [[[1e20, 0.0]], [[2.0**31, 0.0]], [[1, 0], [2.0**30, 2.0**30]]],

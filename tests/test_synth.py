@@ -72,6 +72,22 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(n=10, multi_tag_prob=1.0)
 
+    @pytest.mark.parametrize("settings", [
+        {"n": True}, {"n": 5, "k": np.bool_(True)}, {"n": 3, "seed": False},
+        {"n": 3, "noise_sigma": True}, {"n": 3, "multi_tag_prob": False},
+        {"n": 3, "group_mix": (0.5, 0.5, False)}, {"n": 3, "regime_precisions": (120.0, 12.0, True)},
+    ])
+    def test_rejects_bool_numbers(self, settings):
+        with pytest.raises(ValueError, match="^SynthConfig numbers must not be bool"):
+            SynthConfig(**settings)
+
+    @pytest.mark.parametrize("field", ["n", "k", "d", "annotators", "seed"])
+    def test_counts_and_seed_are_integers(self, field):
+        with pytest.raises(TypeError):
+            SynthConfig(**{"n": 5, "k": 2, field: 2.5})
+        config = SynthConfig(**{"n": 5, "k": 2, field: np.int64(2)})
+        assert type(getattr(config, field)) is int and getattr(config, field) == 2
+
 
 class TestGenerate:
     def test_deterministic(self):
