@@ -1,8 +1,9 @@
 """Command-line entry points: gen, stats, train, eval, detect, transform.
 
-Exit codes: 0 on success, 1 on usage or configuration errors, 2 on
-numerical failure (a Dirichlet singularity or a non-finite logit, loss or
-weight).
+Each command keeps to its arguments and files: ``synth.corpus`` builds gen's
+split corpus and ``model.predict`` the predictions of eval and detect.  Exit
+codes: 0 on success, 1 on usage or configuration errors, 2 on numerical
+failure (a Dirichlet singularity or a non-finite logit, loss or weight).
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import dataio, metrics, model, synth
 from .annotations import ClassSpace
-from .dirichlet import SingularityError, _head
+from .dirichlet import SingularityError
 from .losses import LossConfig, LossKind
 
 __all__ = ["main"]
@@ -57,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--group-mix", type=_comma(float, "floats"))
     gen.add_argument("--precisions", dest="regime_precisions", metavar="PRECISIONS",
                      type=_comma(float, "floats"))
-    gen.add_argument("--test-frac", type=float, default=0.2)
+    gen.add_argument("--test-frac", type=float)
     gen.add_argument("--out", required=True)
 
     st = sub.add_parser("stats", help="print label statistics of a dataset")
@@ -101,36 +100,21 @@ def _settings(args: argparse.Namespace, config: type, **fixed) -> dict:
                if hasattr(args, field.name)}, **fixed}
 
 
-def _predictive(logits: np.ndarray, loss: LossConfig) -> np.ndarray:
-    """The (N, K) probabilities of finite (N, K) logits through the head ``loss``
-    trained: softmax for hard and soft, the Dirichlet mean alpha / alpha0 of the
-    clamped exponential head for dpn and dpn-kl."""
-    if loss.kind in (LossKind.HARD, LossKind.SOFT_KL):
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    else:  # alpha of the head; its mean alpha / alpha0 is dirichlet.predictive_mean's
-        e = _head(logits, loss.eps2)[0]
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    config = synth.SynthConfig(**_settings(args, synth.SynthConfig))
-    if not 0.0 <= args.test_frac <= 1.0:
-        raise ValueError("test-frac must lie in [0, 1]")
-    features, _, *layout = synth.generate_columns(config)
-    n_train = round(config.n * (1.0 - args.test_frac))
-    corpus = dataio.Corpus.from_tags(list(range(config.n)), np.arange(config.n) < n_train,
-                                     features, *layout, config.k)
-    dataio.write_columns(args.out, ClassSpace(synth.default_class_names(config.k)), corpus)
+    space, corpus = synth.corpus(synth.SynthConfig(**_settings(args, synth.SynthConfig)))
+    dataio.write_columns(args.out, space, corpus)
     print(synth.count_stats(corpus).format_table())
-    print(f"wrote {config.n} records to {args.out}")
+    print(f"wrote {len(corpus)} records to {args.out}")
     return 0
 
 
-def _records(path: str) -> tuple[ClassSpace, dataio.Corpus]:
-    """The class space and corpus of ``path``, which must hold a record."""
+def _records(path: str, split: Optional[str] = None) -> tuple[ClassSpace, dataio.Corpus]:
+    """The class space and records of ``path``, or of its ``split`` alone; one at least."""
     space, corpus = dataio.read_dataset(path)
+    if split is not None:
+        corpus = corpus.select(corpus.train == (split == "train"))
     if not len(corpus):
-        raise ValueError(f"{path}: no records")
+        raise ValueError(f"{path}: no {f'{split!r} split ' if split else ''}records")
     return space, corpus
 
 
@@ -140,14 +124,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    space, corpus = dataio.read_dataset(args.data)
-    if not corpus.train.any():
-        raise ValueError(f"{args.data}: no 'train' split records")
+    space, corpus = _records(args.data, "train")
     # The loss starts from its stock constants, not from LossConfig's field defaults.
     loss = dataclasses.replace(LossConfig.default_for(LossKind(args.loss)),
                                **_settings(args, LossConfig))
     config = model.TrainConfig(**_settings(args, model.TrainConfig, loss=loss))
-    params, losses = model.train(corpus.select(corpus.train), config)
+    params, losses = model.train(corpus, config)
     dataio.write_checkpoint(args.out, params, space, config)
     dataio.write_train_log(args.log if args.log else f"{args.out}.log", losses)
     print(f"trained {config.loss.kind.value} for {config.epochs} epochs; "
@@ -159,23 +141,19 @@ def _test_views(args: argparse.Namespace):
     """The test split of ``args.data`` and its (N, K) predictive probabilities
     under the checkpoint ``args.ckpt``.  A non-finite logit raises
     FloatingPointError naming the checkpoint and the utterance of its row."""
-    space, corpus = dataio.read_dataset(args.data)
-    test = corpus.select(~corpus.train)
-    if not len(test):
-        raise ValueError(f"{args.data}: no 'test' split records")
+    space, test = _records(args.data, "test")
     params, ckpt_space, config = dataio.read_checkpoint(args.ckpt)
     if ckpt_space.names != space.names:
         raise ValueError(f"{args.ckpt}: classes {list(ckpt_space.names)} differ from "
                          f"the dataset's {list(space.names)}")
-    width = corpus.features.shape[1]
+    width = test.features.shape[1]
     if params.dims[0] != width:
         raise ValueError(f"{args.ckpt}: input width {params.dims[0]} differs from "
                          f"the dataset's feature width {width}")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        logits = model.forward(params, test.features)
-    if (row := model._first_nonfinite(logits)) is not None:
-        raise FloatingPointError(f"{args.ckpt}: utterance {test.ids[row]}: non-finite logits")
-    return test, _predictive(logits, config.loss)
+    try:
+        return test, model.predict(params, test, config.loss)
+    except FloatingPointError as err:
+        raise FloatingPointError(f"{args.ckpt}: {err}") from err
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

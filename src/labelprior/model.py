@@ -10,7 +10,8 @@ over its (B, d) feature matrix, one batched loss call and one backward
 pass, which runs the forward pass again.  Training is deterministic given
 the seed: initialisation and the per-epoch Fisher-Yates shuffle are fixed,
 so reruns on the same machine are byte-identical (the BLAS summation order
-may differ between machines in the last digit).
+may differ between machines in the last digit).  :func:`predict` gives the
+(N, K) predictive probabilities of a trained model on a corpus's rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .annotations import AgreementGroup
-from .dirichlet import CategoricalDist, SingularityError
+from .dirichlet import CategoricalDist, SingularityError, _head
 from .losses import LabelTerms, LossConfig, LossKind, terms_loss
 # Unused here, but bench/test_harness.py checks that tracing wraps model.example_loss.
 from .losses import example_loss  # noqa: F401
@@ -41,6 +42,7 @@ __all__ = [
     "forward",
     "backward",
     "train",
+    "predict",
 ]
 
 
@@ -250,3 +252,16 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[ModelParams, list[float]
         raise FloatingPointError(
             f"epoch {config.epochs - 1}: non-finite weights after the last update")
     return params, epoch_losses
+
+
+def predict(params: ModelParams, corpus: Corpus, loss: LossConfig) -> np.ndarray:
+    """The (N, K) probabilities of ``corpus``'s rows through the head ``loss`` trained: the
+    softmax for hard and soft, bit for bit ``predictive_mean(from_logits(z, eps2))`` for dpn
+    and dpn-kl.  A non-finite logit raises FloatingPointError naming its utterance."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below; exp(-inf) = 0 is exact
+        logits = forward(params, corpus.features)
+        if (row := _first_nonfinite(logits)) is not None:
+            raise FloatingPointError(f"utterance {corpus.ids[row]}: non-finite logits")
+        e = (np.exp(logits - logits.max(axis=1, keepdims=True))
+             if loss.kind in (LossKind.HARD, LossKind.SOFT_KL) else _head(logits, loss.eps2)[0])
+        return e / e.sum(axis=1, keepdims=True)

@@ -8,8 +8,9 @@ an independent random stream keyed by (seed, utterance id), so corpora are
 reproducible and utterance i is the same whatever n is.  ``generate_columns``
 writes the corpus straight into columns, in the flat tag layout every other
 layer counts from: it draws each utterance in stream order, then picks the
-tags of a block of utterances at once from the uniforms drawn.  ``generate``
-is a per-utterance view of those columns.
+tags of a block of utterances at once from the uniforms drawn.  ``corpus``
+is those columns as the split ``Corpus`` that ``gen`` writes, and
+``generate`` is a per-utterance view of them.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import numpy as np
 
 from . import rng
 from .annotations import AgreementGroup, ClassSpace, tag_lists
+from .dataio import Corpus
 
 __all__ = ["SynthConfig", "SynthUtterance", "CorpusStats", "default_class_names",
-           "generate_columns", "generate", "count_stats"]
+           "generate_columns", "corpus", "generate", "count_stats"]
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,13 @@ class SynthConfig:
     regime_precisions: tuple[float, float, float] | None = None
     multi_tag_prob: float = 0.04
     noise_sigma: float = 0.1
+    test_frac: float = 0.2  # the share of utterances, the last ones, in the test split
 
     def __post_init__(self) -> None:
         # TrainConfig's rule: no bool passes for a number, and the counts and seed are ints.
         numbers = (self.n, self.k, self.d, self.annotators, self.seed, *self.group_mix,
-                   *(self.regime_precisions or ()), self.multi_tag_prob, self.noise_sigma)
+                   *(self.regime_precisions or ()), self.multi_tag_prob, self.noise_sigma,
+                   self.test_frac)
         if any(isinstance(v, (bool, np.bool_)) for v in numbers):
             raise ValueError(f"SynthConfig numbers must not be bool, got {numbers}")
         for name in ("n", "k", "d", "annotators", "seed"):
@@ -85,6 +89,8 @@ class SynthConfig:
             raise ValueError("multi_tag_prob must lie in [0, 1)")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.test_frac <= 1.0:
+            raise ValueError("test-frac must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +177,15 @@ def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
             raise OverflowError(f"utterance {finite.argmin()}: features overflow")
     return (features, true_mu, np.concatenate(tags).astype(np.int64),
             np.concatenate(tags_per_eval).astype(np.int64), np.full(n, annotators, dtype=np.int64))
+
+
+def corpus(config: SynthConfig) -> tuple[ClassSpace, Corpus]:
+    """The class space and the ``Corpus`` of ``generate_columns``, ids 0 to n - 1,
+    with the first ``round(n * (1 - test_frac))`` utterances in the train split."""
+    features, _, *layout = generate_columns(config)
+    n_train = round(config.n * (1.0 - config.test_frac))
+    return ClassSpace(default_class_names(config.k)), Corpus.from_tags(
+        list(range(config.n)), np.arange(config.n) < n_train, features, *layout, config.k)
 
 
 def generate(config: SynthConfig) -> tuple[list[SynthUtterance], ClassSpace]:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import labelprior
-from labelprior import annotations, cli, dataio, synth
+from labelprior import annotations, cli, dataio, model, synth
 from labelprior.annotations import AgreementGroup, AnnotationSet, ClassSpace
 from labelprior.dirichlet import CategoricalDist, from_logits, predictive_mean
 from labelprior.losses import LossConfig, LossKind
@@ -369,7 +369,7 @@ class TestEval:
         assert doc["mean_entropy"] == pytest.approx(math.log(4), abs=1e-6)
         params, _, config = dataio.read_checkpoint(ckpt)
         corpus = dataio.read_dataset(small_dataset)[1]
-        preds = cli._predictive(forward(params, corpus.features[~corpus.train]), config.loss)
+        preds = model.predict(params, corpus.select(~corpus.train), config.loss)
         assert preds.shape == (30, 4)
         assert (dist_entropy(preds) == math.log(4)).all()
 
@@ -610,19 +610,17 @@ class TestDetect:
         ckpt = tmp_path / "m.json"
         run("train", "--data", small_dataset, "--loss", "soft", "--epochs", 1,
             "--out", ckpt)
-        _, corpus = dataio.read_dataset(small_dataset)
-        groups = corpus.groups[~corpus.train]
 
-        def oracle(logits, loss):
+        def oracle(params, corpus, loss):
             dists = []
-            for g in groups:
+            for g in corpus.groups:
                 if g == AgreementGroup.NONE:
                     dists.append(CategoricalDist(np.full(4, 0.25)))
                 else:
                     dists.append(CategoricalDist(np.array([0.97, 0.01, 0.01, 0.01])))
             return dists
 
-        monkeypatch.setattr(cli, "_predictive", oracle)
+        monkeypatch.setattr(model, "predict", oracle)
         capsys.readouterr()
         assert run("detect", "--data", small_dataset, "--ckpt", ckpt,
                    "--out-prefix", tmp_path / "c") == 0
@@ -681,9 +679,36 @@ class TestScoringHead:
         z[::3, 0], z[1::3, 1], z[::5, 2:] = 701.0, -701.0, -701.0
         params = init(k, [], k, seed=0)
         params.weights[0][:] = np.eye(k)
+        corpus = corpus_of([[[0]]] * len(z), k=k, features=z)
         np.testing.assert_array_equal(forward(params, z), z)
-        got = cli._predictive(forward(params, z), LossConfig(kind, eps2=eps2))
+        got = model.predict(params, corpus, LossConfig(kind, eps2=eps2))
         assert got.tobytes() == predictive_mean(from_logits(z, eps2)).p.tobytes()
+
+    @pytest.mark.parametrize("kind", [LossKind.HARD, LossKind.SOFT_KL],
+                             ids=lambda kind: kind.value)
+    def test_logits_farther_apart_than_float64_allows_score_silently(
+            self, small_dataset, tmp_path, capsys, kind):
+        # The logits 1.7e308 and -1.7e308 differ by more than the float64 maximum, so
+        # the softmax's shift overflows to -inf, whose exponential, 0, is exact.
+        space, corpus = dataio.read_dataset(small_dataset)
+        params = init(8, [4], 4, seed=0)
+        for w in params.weights:
+            w[:] = 0.0
+        params.biases[-1][:] = [1.7e308, -1.7e308, 0.0, 0.0]
+        ckpt = tmp_path / "m.json"
+        config = TrainConfig(loss=LossConfig(kind), hidden=(4,))
+        dataio.write_checkpoint(ckpt, params, space, config)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("eval", "--data", small_dataset, "--ckpt", ckpt,
+                       "--out", tmp_path / "r.json") == 0
+            assert run("detect", "--data", small_dataset, "--ckpt", ckpt,
+                       "--out-prefix", tmp_path / "c") == 0
+            preds = model.predict(params, corpus.select(~corpus.train), config.loss)
+        assert capsys.readouterr().err == ""
+        assert all((tmp_path / name).exists() for name in ("r.json", "c_maxp.csv", "c_ent.csv"))
+        assert preds.tobytes() == np.eye(4)[[0] * 30].tobytes()
 
     def test_dirichlet_objective_sees_a_logit_shift(self, small_dataset, tmp_path):
         ckpt = tmp_path / "m.json"
@@ -932,9 +957,9 @@ class TestParse:
         assert parsed(cli._build_parser().parse_args, argv, capsys) == fresh
 
     @pytest.mark.parametrize("argv, namespace", [
-        (["gen", "--n", "5", "--out", "o"], {"n": 5, "out": "o", "test_frac": 0.2}),
+        (["gen", "--n", "5", "--out", "o"], {"n": 5, "out": "o"}),
         (["gen", "--n", "5", "--out", "o", "--precisions", "9,8,7"],
-         {"n": 5, "out": "o", "test_frac": 0.2, "regime_precisions": (9.0, 8.0, 7.0)}),
+         {"n": 5, "out": "o", "regime_precisions": (9.0, 8.0, 7.0)}),
         *((["train", "--data", "d", "--loss", loss, "--out", "o"],
            {"data": "d", "loss": loss, "out": "o", "log": None})
           for loss in sorted(kind.value for kind in LossKind)),

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelprior import cli, dataio
+from labelprior import cli, dataio, synth
 from labelprior.annotations import AgreementGroup, ClassSpace, tag_lists
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import GroupMetrics, MetricsReport, PRCurve
 from labelprior.model import ModelParams, TrainConfig, init
-from labelprior.synth import SynthConfig, generate, generate_columns
+from labelprior.synth import SynthConfig, generate
 
 from corpora import corpus_of
 
@@ -112,10 +112,7 @@ class TestDatasetRoundTrip:
                          "--precisions", ",".join(map(str, config.regime_precisions)),
                          "--test-frac", str(test_frac), "--seed", str(config.seed),
                          "--out", str(path)]) == 0
-        features, _, *layout = generate_columns(config)
-        n_train = round(config.n * (1.0 - test_frac))
-        built = dataio.Corpus.from_tags(list(range(config.n)), np.arange(config.n) < n_train,
-                                        features, *layout, config.k)
+        built = synth.corpus(replace(config, test_frac=test_frac))[1]
         read = dataio.read_dataset(path)[1]
         assert built.ids == read.ids
         for name in ("train", "features", "counts", "annotators", "groups", "majority", "tags",
@@ -323,7 +320,7 @@ class TestBlockEncoder:
                          "--multi-tag-prob", "0.2", "--precisions", "300,40,15",
                          "--seed", "42", "--out", str(got)]) == 0
         utterances, space = generate(config)
-        n_train = round(0.8 * config.n)  # gen's default --test-frac 0.2
+        n_train = round(config.n * (1.0 - config.test_frac))
         dataio.write_dataset(want, space, [
             dataio.DatasetRecord(u.uid, "train" if u.uid < n_train else "test", u.features,
                                  u.evaluations) for u in utterances])

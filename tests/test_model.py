@@ -816,3 +816,30 @@ class TestTrainChecksEps2Once:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("eps2 must keep K*(e^60 + eps2) finite")
         assert passes == [] and checks == [(4e307, 5)] * 2
+
+
+class TestPredict:
+    """``predict`` maps a corpus's rows through ``forward`` to the head's probabilities."""
+
+    @pytest.mark.parametrize("kind", [LossKind.HARD, LossKind.SOFT_KL],
+                             ids=lambda kind: kind.value)
+    def test_softmax_rows_are_the_max_shifted_softmax_of_forward(self, corpora, kind):
+        corpus = corpora["crowd"]
+        params = init(corpus.features.shape[1], (6,), 10, seed=3)
+        params.biases[-1][:] = np.linspace(-40.0, 40.0, 10)
+        z = forward(params, corpus.features)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        got = model.predict(params, corpus, LossConfig.default_for(kind))
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert got.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+
+    def test_non_finite_logits_name_the_utterance_of_their_row(self, corpora):
+        # Unit weights sum a row's features, so only the row of 1e308s overflows.
+        corpus = corpora["paper"]
+        features = corpus.features.copy()
+        features[37] = 1e308
+        params = init(features.shape[1], (), 5, seed=0)
+        params.weights[0][:] = 1.0
+        with pytest.raises(FloatingPointError, match=r"^utterance 1037: non-finite logits$"):
+            model.predict(params, dataclasses.replace(corpus, features=features),
+                          LossConfig(LossKind.SOFT_KL))

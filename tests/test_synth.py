@@ -18,7 +18,6 @@ from labelprior.annotations import (
     agreement,
     soft_label,
 )
-from labelprior.dataio import Corpus
 from labelprior.synth import (
     SynthConfig,
     SynthUtterance,
@@ -42,9 +41,7 @@ EXPECTED_DEFAULT_FRACTIONS = {
 
 def column_stats(config):
     """The gen table's statistics of the corpus ``config`` generates."""
-    features, _, *layout = generate_columns(config)
-    return count_stats(Corpus.from_tags(list(range(config.n)), np.ones(config.n, dtype=bool),
-                                        features, *layout, config.k))
+    return count_stats(synth.corpus(config)[1])
 
 
 class TestSynthConfig:
@@ -81,12 +78,43 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match="^SynthConfig numbers must not be bool"):
             SynthConfig(**settings)
 
+    @pytest.mark.parametrize("test_frac, message", [
+        (-0.1, r"^test-frac must lie in \[0, 1\]$"), (1.5, r"^test-frac must lie in \[0, 1\]$"),
+        (math.nan, r"^test-frac must lie in \[0, 1\]$"),
+        (True, "^SynthConfig numbers must not be bool"),
+    ])
+    def test_rejects_test_frac_outside_the_unit_interval(self, test_frac, message):
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(n=10, test_frac=test_frac)
+
     @pytest.mark.parametrize("field", ["n", "k", "d", "annotators", "seed"])
     def test_counts_and_seed_are_integers(self, field):
         with pytest.raises(TypeError):
             SynthConfig(**{"n": 5, "k": 2, field: 2.5})
         config = SynthConfig(**{"n": 5, "k": 2, field: np.int64(2)})
         assert type(getattr(config, field)) is int and getattr(config, field) == 2
+
+
+class TestCorpus:
+    """``synth.corpus``: gen's corpus, its first ``round(n * (1 - test_frac))`` rows in
+    the train split."""
+
+    @pytest.mark.parametrize("test_frac, n_train", [(0.0, 40), (1.0, 0), (0.25, 30), (0.2, 32)])
+    def test_the_first_rows_are_the_train_split(self, test_frac, n_train):
+        space, corpus = synth.corpus(SynthConfig(n=40, k=3, d=4, seed=1, test_frac=test_frac))
+        assert space.names == ("A", "B", "C")
+        assert corpus.ids == list(range(40))
+        assert corpus.train.dtype == bool
+        np.testing.assert_array_equal(corpus.train, np.arange(40) < n_train)
+
+    def test_columns_are_generate_columns(self):
+        config = SynthConfig(n=300, seed=3)
+        features, _, tags, tags_per_eval, annotators = generate_columns(config)
+        corpus = synth.corpus(config)[1]
+        for got, want in [(corpus.features, features), (corpus.tags, tags),
+                          (corpus.tags_per_eval, tags_per_eval),
+                          (corpus.annotators, annotators)]:
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGenerate:
