@@ -10,6 +10,7 @@ from .annotations import (
     AgreementGroup,
     AnnotationSet,
     ClassSpace,
+    LabelledExample,
     agreement,
     soft_label,
 )
@@ -40,7 +41,6 @@ from .metrics import (
     wa_ua,
 )
 from .model import (
-    LabelledExample,
     ModelParams,
     TrainConfig,
     backward,

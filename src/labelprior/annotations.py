@@ -1,11 +1,12 @@
-"""Multi-annotator evaluations: vote counts, agreement groups, majority
-votes and soft labels."""
+"""Multi-annotator evaluations: vote counts, agreement groups, majority votes and
+soft labels, and the ``Corpus`` and ``LabelledExample`` rows whose labels they derive."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -20,6 +21,8 @@ __all__ = [
     "tag_counts",
     "tag_lists",
     "agreement",
+    "LabelledExample",
+    "Corpus",
     "soft_label",
 ]
 
@@ -117,6 +120,114 @@ def agreement(counts: np.ndarray, annotators: np.ndarray) -> tuple[np.ndarray, n
     has_majority = full | (unique & (top >= 2))
     groups = np.where(full, 0, np.where(has_majority, 1, 2)).astype(np.int8)
     return groups, np.where(has_majority, counts.argmax(axis=1), -1)
+
+
+@dataclass(frozen=True, eq=False)
+class LabelledExample:
+    """One training utterance: features plus every label view of it."""
+
+    features: np.ndarray
+    labels: tuple[np.ndarray, ...]
+    soft: CategoricalDist
+    group: AgreementGroup
+    majority: Optional[int]
+    uid: int = -1
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A dataset's records as columns, one row per record in file order.
+
+    ``tags`` holds the class index of every tag, in class order within each
+    evaluation whatever the file's order, ``tags_per_eval`` the number of
+    tags of every evaluation and ``annotators`` the number of evaluations of
+    every record; ``annotations.tag_lists`` turns them back into lists.
+    ``from_tags`` checks and orders them and derives the vote ``counts``, and
+    the ``groups`` (int8 codes) and ``majority`` of their agreement;
+    ``replace_majorities`` sets them by the vote-and-replace rule.
+    """
+
+    ids: list[int]
+    train: np.ndarray          # (n,) bool, False for the test split
+    features: np.ndarray       # (n, d) float64
+    counts: np.ndarray         # (n, K) votes per class
+    annotators: np.ndarray     # (n,)
+    groups: np.ndarray         # (n,) int8 AgreementGroup codes
+    majority: np.ndarray       # (n,) class index, -1 where there is none
+    tags: np.ndarray
+    tags_per_eval: np.ndarray
+
+    @classmethod
+    def from_tags(cls, ids, train, features, tags, tags_per_eval, annotators, k: int) -> Corpus:
+        """The corpus of the flat tag layout over ``k`` classes, its tags checked
+        and ordered by ``annotations.ordered_tags``: one count of the tags and
+        one agreement call derive every other column.  ``ids``, ``train`` and
+        ``features`` need one row per record, or ValueError is raised."""
+        if not len(ids) == len(train) == len(features) == len(annotators):
+            raise ValueError(f"{len(ids)} ids, {len(train)} splits and {len(features)} feature "
+                             f"rows for {len(annotators)} records")
+        tags = ordered_tags(tags, tags_per_eval, annotators, k)
+        counts = tag_counts(tags, tags_per_eval, annotators, k)
+        groups, majority = agreement(counts, annotators)
+        return cls(ids=ids, train=train, features=features, counts=counts, annotators=annotators,
+                   groups=groups, majority=majority, tags=tags, tags_per_eval=tags_per_eval)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    # Indexing builds one row on demand for per-row callers, and iterating
+    # indexes until IndexError; model.train reads the columns.
+    def __getitem__(self, i: int) -> LabelledExample:
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise TypeError("Corpus indices must be integers; select takes a boolean mask") from None
+        counts = self.counts[i]
+        major = int(self.majority[i])
+        return LabelledExample(
+            features=self.features[i],
+            labels=tuple(np.repeat(np.eye(len(counts)), counts, axis=0)),
+            soft=CategoricalDist(counts / counts.sum()),
+            group=AgreementGroup(self.groups[i]),
+            majority=None if major < 0 else major,
+            uid=self.ids[i],
+        )
+
+    def select(self, rows: np.ndarray) -> Corpus:
+        """The records a boolean (n,) mask selects, in order."""
+        if getattr(rows, "dtype", None) != bool or rows.shape != (len(self),):
+            raise ValueError(f"select takes a boolean mask of shape ({len(self)},)")
+        evals = np.repeat(rows, self.annotators)
+        return Corpus(
+            ids=list(compress(self.ids, rows.tolist())),
+            train=self.train[rows],
+            features=self.features[rows],
+            counts=self.counts[rows],
+            annotators=self.annotators[rows],
+            groups=self.groups[rows],
+            majority=self.majority[rows],
+            tags=self.tags[np.repeat(evals, self.tags_per_eval)],
+            tags_per_eval=self.tags_per_eval[evals],
+        )
+
+    def replace_majorities(self) -> Corpus:
+        """Vote-and-replace: a record with a majority class gets M single-tag
+        evaluations of it, M being its number of tags, and so becomes FULL;
+        the records without one are kept as they are."""
+        kept, m = self.majority < 0, self.counts.sum(axis=1)
+        kept_evals = np.repeat(kept, self.annotators)
+        one_hot = np.arange(self.counts.shape[1]) == self.majority[:, None]
+        return replace(
+            self,
+            counts=np.where(kept[:, None], self.counts, m[:, None] * one_hot),
+            annotators=np.where(kept, self.annotators, m),
+            groups=np.where(kept, self.groups, np.int8(AgreementGroup.FULL)),
+            # Every record keeps its M tags, so each keeps its offsets.
+            tags=np.where(np.repeat(kept, m), self.tags, np.repeat(self.majority, m)),
+            # A replaced evaluation of t tags becomes t evaluations of one tag.
+            tags_per_eval=np.repeat(np.where(kept_evals, self.tags_per_eval, 1),
+                                    np.where(kept_evals, 1, self.tags_per_eval)),
+        )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import dataio, metrics, model, synth
-from .annotations import ClassSpace
+from .annotations import ClassSpace, Corpus
 from .dirichlet import SingularityError
 from .losses import LossConfig, LossKind
 
@@ -108,7 +108,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _records(path: str, split: Optional[str] = None) -> tuple[ClassSpace, dataio.Corpus]:
+def _records(path: str, split: Optional[str] = None) -> tuple[ClassSpace, Corpus]:
     """The class space and records of ``path``, or of its ``split`` alone; one at least."""
     space, corpus = dataio.read_dataset(path)
     if split is not None:

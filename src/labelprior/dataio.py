@@ -1,9 +1,9 @@
-"""File formats: line-delimited datasets, JSON checkpoints, 6-decimal
+"""File formats only: line-delimited datasets, JSON checkpoints, 6-decimal
 evaluation reports, PR-curve CSVs and training logs.
 
-All writers are deterministic: rerunning a command with the same inputs
-produces byte-identical files.  ``write_columns`` is the one dataset encoder, a
-block of a ``Corpus``'s records at a time; ``write_dataset`` converts to one.
+All writers are deterministic: rerunning a command with the same inputs produces
+byte-identical files.  ``write_columns`` is the one dataset encoder, a block of an
+``annotations.Corpus``'s records at a time; ``write_dataset`` converts to one.
 """
 
 from __future__ import annotations
@@ -11,21 +11,20 @@ from __future__ import annotations
 import gc
 import json
 import math
-import operator
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
-from itertools import chain, compress, repeat, starmap
+from dataclasses import asdict, dataclass
+from itertools import chain, repeat, starmap
+from operator import itemgetter
 
 import numpy as np
 
-from .annotations import AgreementGroup, ClassSpace, agreement, ordered_tags, tag_counts
-from .dirichlet import CategoricalDist, _check_eps2
+from .annotations import ClassSpace, Corpus, ordered_tags
+from .dirichlet import _check_eps2
 from .losses import LossConfig, LossKind
 from .metrics import MetricsReport, PRCurve
-from .model import LabelledExample, ModelParams, TrainConfig
+from .model import ModelParams, TrainConfig
 
 __all__ = [
-    "Corpus",
     "DatasetRecord",
     "write_columns",
     "write_dataset",
@@ -137,106 +136,10 @@ def _class_space(path: str, classes) -> ClassSpace:
         raise ValueError(f"{path}: bad classes: {err}") from err
 
 
-@dataclass(frozen=True, eq=False)
-class Corpus:
-    """A dataset's records as columns, one row per record in file order.
-
-    ``tags`` holds the class index of every tag, in class order within each
-    evaluation whatever the file's order, ``tags_per_eval`` the number of
-    tags of every evaluation and ``annotators`` the number of evaluations of
-    every record; ``annotations.tag_lists`` turns them back into lists.
-    ``from_tags`` checks and orders them and derives the vote ``counts``, and
-    the ``groups`` (int8 codes) and ``majority`` of their agreement;
-    ``replace_majorities`` sets them by the vote-and-replace rule.
-    """
-
-    ids: list[int]
-    train: np.ndarray          # (n,) bool, False for the test split
-    features: np.ndarray       # (n, d) float64
-    counts: np.ndarray         # (n, K) votes per class
-    annotators: np.ndarray     # (n,)
-    groups: np.ndarray         # (n,) int8 AgreementGroup codes
-    majority: np.ndarray       # (n,) class index, -1 where there is none
-    tags: np.ndarray
-    tags_per_eval: np.ndarray
-
-    @classmethod
-    def from_tags(cls, ids, train, features, tags, tags_per_eval, annotators, k: int) -> Corpus:
-        """The corpus of the flat tag layout over ``k`` classes, its tags checked
-        and ordered by ``annotations.ordered_tags``: one count of the tags and
-        one agreement call derive every other column.  ``ids``, ``train`` and
-        ``features`` need one row per record, or ValueError is raised."""
-        if not len(ids) == len(train) == len(features) == len(annotators):
-            raise ValueError(f"{len(ids)} ids, {len(train)} splits and {len(features)} feature "
-                             f"rows for {len(annotators)} records")
-        tags = ordered_tags(tags, tags_per_eval, annotators, k)
-        counts = tag_counts(tags, tags_per_eval, annotators, k)
-        groups, majority = agreement(counts, annotators)
-        return cls(ids=ids, train=train, features=features, counts=counts, annotators=annotators,
-                   groups=groups, majority=majority, tags=tags, tags_per_eval=tags_per_eval)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    # Indexing builds one row on demand for per-row callers, and iterating
-    # indexes until IndexError; model.train reads the columns.
-    def __getitem__(self, i: int) -> LabelledExample:
-        try:
-            i = operator.index(i)
-        except TypeError:
-            raise TypeError("Corpus indices must be integers; select takes a boolean mask") from None
-        counts = self.counts[i]
-        major = int(self.majority[i])
-        return LabelledExample(
-            features=self.features[i],
-            labels=tuple(np.repeat(np.eye(len(counts)), counts, axis=0)),
-            soft=CategoricalDist(counts / counts.sum()),
-            group=AgreementGroup(self.groups[i]),
-            majority=None if major < 0 else major,
-            uid=self.ids[i],
-        )
-
-    def select(self, rows: np.ndarray) -> Corpus:
-        """The records a boolean (n,) mask selects, in order."""
-        if getattr(rows, "dtype", None) != bool or rows.shape != (len(self),):
-            raise ValueError(f"select takes a boolean mask of shape ({len(self)},)")
-        evals = np.repeat(rows, self.annotators)
-        return Corpus(
-            ids=list(compress(self.ids, rows.tolist())),
-            train=self.train[rows],
-            features=self.features[rows],
-            counts=self.counts[rows],
-            annotators=self.annotators[rows],
-            groups=self.groups[rows],
-            majority=self.majority[rows],
-            tags=self.tags[np.repeat(evals, self.tags_per_eval)],
-            tags_per_eval=self.tags_per_eval[evals],
-        )
-
-    def replace_majorities(self) -> Corpus:
-        """Vote-and-replace: a record with a majority class gets M single-tag
-        evaluations of it, M being its number of tags, and so becomes FULL;
-        the records without one are kept as they are."""
-        kept, m = self.majority < 0, self.counts.sum(axis=1)
-        kept_evals = np.repeat(kept, self.annotators)
-        one_hot = np.arange(self.counts.shape[1]) == self.majority[:, None]
-        return replace(
-            self,
-            counts=np.where(kept[:, None], self.counts, m[:, None] * one_hot),
-            annotators=np.where(kept, self.annotators, m),
-            groups=np.where(kept, self.groups, np.int8(AgreementGroup.FULL)),
-            # Every record keeps its M tags, so each keeps its offsets.
-            tags=np.where(np.repeat(kept, m), self.tags, np.repeat(self.majority, m)),
-            # A replaced evaluation of t tags becomes t evaluations of one tag.
-            tags_per_eval=np.repeat(np.where(kept_evals, self.tags_per_eval, 1),
-                                    np.where(kept_evals, 1, self.tags_per_eval)),
-        )
-
-
 _BLANK = " \t\r"  # the JSON whitespace a line can hold; a line of only these is blank
 _LISTS, _INTS, _NUMBERS = frozenset((list,)), frozenset((int,)), frozenset((int, float))
 _SPLITS = frozenset(("train", "test"))
-_FIELDS = operator.itemgetter("id", "split", "features", "evaluations")
+_FIELDS = itemgetter("id", "split", "features", "evaluations")
 # The decoder's C scanner: (line, 0) gives (value, end) and a line that holds no
 # value raises StopIteration, which inside ``map`` ends the map without an error.
 _scan = json.JSONDecoder().scan_once
@@ -479,15 +382,11 @@ def _fmt_json_6dp(obj, indent: int = 0) -> str:
     # Floats at fixed 6 decimal places; non-finite values become null.
     pad = " " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         inner = ",\n".join(
             f'{pad} "{key}": {_fmt_json_6dp(value, indent + 1)}'
             for key, value in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_fmt_json_6dp(v, indent) for v in obj) + "]"
     if isinstance(obj, float):
         return f"{obj:.6f}" if math.isfinite(obj) else "null"
     return json.dumps(obj)

@@ -2,7 +2,7 @@
 
 The network is an MLP with ReLU hidden layers and linear output logits.
 :func:`train` reads its utterances as the columns of a
-:class:`~labelprior.dataio.Corpus`: features and vote counts, the only
+:class:`~labelprior.annotations.Corpus`: features and vote counts, the only
 label view the objectives need.  The label terms of the objective are
 built and checked once per corpus and gathered, at the rows that gather
 the features, once per epoch; each mini-batch then takes one forward pass
@@ -20,24 +20,21 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import rng
-from .annotations import AgreementGroup
-from .dirichlet import CategoricalDist, SingularityError, _head
+# LabelledExample is unused here, but bench/probes.py builds model.LabelledExample rows.
+from .annotations import Corpus, LabelledExample  # noqa: F401
+from .dirichlet import SingularityError, _check_eps2, _head
 from .losses import LabelTerms, LossConfig, LossKind, terms_loss
 # Unused here, but bench/test_harness.py checks that tracing wraps model.example_loss.
 from .losses import example_loss  # noqa: F401
 
-if TYPE_CHECKING:
-    from .dataio import Corpus
-
 __all__ = [
     "ModelParams",
     "TrainConfig",
-    "LabelledExample",
     "init",
     "forward",
     "backward",
@@ -95,18 +92,6 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-
-
-@dataclass(frozen=True, eq=False)
-class LabelledExample:
-    """One training utterance: features plus every label view of it."""
-
-    features: np.ndarray
-    labels: tuple[np.ndarray, ...]
-    soft: CategoricalDist
-    group: AgreementGroup
-    majority: Optional[int]
-    uid: int = -1
 
 
 def init(d_in: int, hidden: Sequence[int], k_out: int, seed: int) -> ModelParams:
@@ -258,6 +243,7 @@ def predict(params: ModelParams, corpus: Corpus, loss: LossConfig) -> np.ndarray
     """The (N, K) probabilities of ``corpus``'s rows through the head ``loss`` trained: the
     softmax for hard and soft, bit for bit ``predictive_mean(from_logits(z, eps2))`` for dpn
     and dpn-kl.  A non-finite logit raises FloatingPointError naming its utterance."""
+    _check_eps2(loss.eps2, len(params.biases[-1]))  # from_logits' bound on eps2 and its error
     with np.errstate(over="ignore", invalid="ignore"):  # checked below; exp(-inf) = 0 is exact
         logits = forward(params, corpus.features)
         if (row := _first_nonfinite(logits)) is not None:

@@ -25,8 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import rng
-from .annotations import AgreementGroup, ClassSpace, tag_lists
-from .dataio import Corpus
+from .annotations import AgreementGroup, ClassSpace, Corpus, tag_lists
 
 __all__ = ["SynthConfig", "SynthUtterance", "CorpusStats", "default_class_names",
            "generate_columns", "corpus", "generate", "count_stats"]
@@ -222,7 +221,7 @@ class CorpusStats:
 
 def count_stats(corpus) -> CorpusStats:
     """Corpus-level label statistics, in the usual table schema, of a
-    ``dataio.Corpus``."""
+    ``Corpus``."""
     if len(corpus) == 0:
         raise ValueError("stats requires a non-empty corpus")
     n_labels = corpus.counts.sum(axis=1)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from labelprior.dataio import Corpus
+from labelprior.annotations import Corpus
 
 
 def corpus_of(evaluations, k=3, features=None, train=None, ids=None):

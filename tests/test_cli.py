@@ -17,11 +17,11 @@ import pytest
 
 import labelprior
 from labelprior import annotations, cli, dataio, model, synth
-from labelprior.annotations import AgreementGroup, AnnotationSet, ClassSpace
+from labelprior.annotations import AgreementGroup, AnnotationSet, ClassSpace, LabelledExample
 from labelprior.dirichlet import CategoricalDist, from_logits, predictive_mean
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import entropy as dist_entropy
-from labelprior.model import LabelledExample, TrainConfig, forward, init
+from labelprior.model import TrainConfig, forward, init
 
 from corpora import corpus_of
 
@@ -130,6 +130,13 @@ class TestStats:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run("stats", "--data", tmp_path / "nope.jsonl") == 1
 
+    def test_file_of_blank_lines_is_data_error(self, tmp_path, capsys):
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text("\n  \n\t\r\n\n")
+        assert run("stats", "--data", blank) == 1
+        assert capsys.readouterr() == ("", f"error: {blank}: empty dataset file\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["blank.jsonl"]
+
 
 def rewrite_record(path, tmp_path, index, edit):
     """Copy of a dataset with ``edit`` applied to record ``index`` (0-based)."""
@@ -222,6 +229,17 @@ class TestTrain:
             value = line.split(",", 1)[1]
             assert "np." not in value
             assert math.isfinite(float(value))
+
+    def test_log_flag_writes_the_default_log_at_its_path(self, small_dataset, tmp_path):
+        default, custom = tmp_path / "default", tmp_path / "custom"
+        default.mkdir()
+        custom.mkdir()
+        args = ["train", "--data", small_dataset, "--loss", "dpn", "--epochs", 3]
+        assert run(*args, "--out", default / "m.json") == 0
+        assert run(*args, "--out", custom / "m.json", "--log", custom / "custom.log") == 0
+        assert sorted(path.name for path in custom.iterdir()) == ["custom.log", "m.json"]
+        assert (custom / "custom.log").read_bytes() == (default / "m.json.log").read_bytes()
+        assert (custom / "m.json").read_bytes() == (default / "m.json").read_bytes()
 
     @pytest.mark.parametrize("flag, loss", [("--lambda", "hard"), ("--lambda", "soft"),
                                             ("--lambda", "dpn"), ("--eps1", "dpn-kl"),
@@ -511,6 +529,9 @@ class TestEval:
          "field: TypeError('expected int or float, got ["),
         (lambda doc: doc["layers"][0]["bias"].__setitem__(3, {"a": 1}),
          """field: TypeError("expected int or float, got {'a': 1}")"""),
+        # JSON's NaN, which the reader parses as a float.
+        (lambda doc: doc["layers"][0]["weights"][2].__setitem__(5, float("nan")),
+         "non-finite weight or bias"),
     ])
     def test_bad_checkpoint_is_data_error(self, small_dataset, tmp_path, capsys, edit, message):
         ckpt = tmp_path / "m.json"
@@ -847,12 +868,11 @@ class TestAgreementCalls:
                    "--out", ckpt) == 0
         calls = []
         rule = annotations.agreement
-        for module in (annotations, dataio):
-            monkeypatch.setattr(module, "agreement", lambda *args: calls.append(1) or rule(*args))
+        monkeypatch.setattr(annotations, "agreement", lambda *args: calls.append(1) or rule(*args))
         assert run(command, *command_args(command, small_dataset, ckpt, tmp_path / "out")) == 0
         assert len(calls) == 1
         # Every other module reaches the rule through ``annotations``.
-        assert not hasattr(cli, "agreement") and not hasattr(synth, "agreement")
+        assert not any(hasattr(module, "agreement") for module in (cli, dataio, synth))
 
     @pytest.mark.parametrize("command", ["gen", "stats", "train", "eval", "detect", "transform"])
     def test_no_per_record_objects(self, small_dataset, tmp_path, monkeypatch, command):
@@ -894,6 +914,23 @@ def test_non_finite_setting_is_usage_error(small_dataset, tmp_path, capsys, args
     assert run(*args, *extra, "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gen", "--n", 0], "n must be at least 1"),
+    (["gen", "--n", 10, "--k", 1], "k must be at least 2"),
+    (["gen", "--n", 10, "--annotators", 0], "need at least one annotator"),
+    (["gen", "--n", 10, "--precisions", "1,2"], "regime_precisions must have three entries"),
+    (["train", "--loss", "soft", "--batch", 0], "batch size must be at least 1"),
+    (["train", "--loss", "soft", "--epochs", 0], "epochs must be at least 1"),
+])
+def test_setting_below_its_range_is_refused(small_dataset, tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    extra = [] if args[0] == "gen" else ["--data", small_dataset]
+    capsys.readouterr()
+    assert run(*args, *extra, "--out", out) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelprior import cli, dataio, synth
-from labelprior.annotations import AgreementGroup, ClassSpace, tag_lists
+from labelprior import annotations, cli, dataio, synth
+from labelprior.annotations import AgreementGroup, ClassSpace, Corpus, tag_lists
 from labelprior.losses import LossConfig, LossKind
 from labelprior.metrics import GroupMetrics, MetricsReport, PRCurve
 from labelprior.model import ModelParams, TrainConfig, init
@@ -63,7 +63,7 @@ class TestDatasetRoundTrip:
     def test_columns(self, tmp_path):
         path = tmp_path / "sample.jsonl"
         # The sample records, but record 0's second evaluation lists B before A.
-        dataio.write_columns(path, SPACE, dataio.Corpus.from_tags(
+        dataio.write_columns(path, SPACE, Corpus.from_tags(
             [0, 1], np.array([True, False]), np.array([[0.25, -1.5, 3.125], [0.0, 0.5, 1.0]]),
             np.array([0, 1, 0, 2, 1]), np.array([1, 2, 1, 1]), np.array([3, 1]), 3))
         corpus = dataio.read_dataset(path)[1]
@@ -202,7 +202,7 @@ def _write_records(path: str, names, d: int, ids, splits, rows, evaluations) -> 
         fh.write("\n".join(lines) + "\n")
 
 
-def reference_write_columns(path: str, space: ClassSpace, corpus: dataio.Corpus) -> None:
+def reference_write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
     """Manifest line followed by one JSON record per row of ``corpus``."""
     names = np.array(space.names, dtype=object)[corpus.tags]
     _write_records(path, space.names, corpus.features.shape[1], corpus.ids,
@@ -352,9 +352,9 @@ class TestFromTags:
     def test_layout_lengths_must_chain(self, tags, tags_per_eval, annotators, match):
         # Unchecked, the one tag [2] broadcast to both evaluations: tags [2, 2].
         with pytest.raises(ValueError, match=match):
-            dataio.Corpus.from_tags([0, 1], np.ones(2, dtype=bool), np.zeros((2, 3)),
-                                    np.array(tags), np.array(tags_per_eval),
-                                    np.array(annotators), 3)
+            Corpus.from_tags([0, 1], np.ones(2, dtype=bool), np.zeros((2, 3)),
+                             np.array(tags), np.array(tags_per_eval),
+                             np.array(annotators), 3)
 
     @pytest.mark.parametrize("ids, train, features, match", [
         ([0, 1, 2], np.ones(2, dtype=bool), np.zeros((2, 3)), "3 ids, 2 splits and 2 feature"),
@@ -363,8 +363,8 @@ class TestFromTags:
     ], ids=["ids", "train", "features"])
     def test_one_row_per_record(self, ids, train, features, match):
         with pytest.raises(ValueError, match=match + " rows for 2 records"):
-            dataio.Corpus.from_tags(ids, train, features, np.array([0, 1]), np.array([1, 1]),
-                                    np.array([1, 1]), 3)
+            Corpus.from_tags(ids, train, features, np.array([0, 1]), np.array([1, 1]),
+                             np.array([1, 1]), 3)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(written=written_corpora(), data=st.data())
@@ -374,8 +374,8 @@ class TestFromTags:
         evals = np.repeat(np.arange(len(corpus.tags_per_eval)), corpus.tags_per_eval)
         shuffle = data.draw(st.permutations(range(len(corpus.tags))))
         tags = corpus.tags[np.lexsort((shuffle, evals))]
-        built = dataio.Corpus.from_tags(corpus.ids, corpus.train, corpus.features, tags,
-                                        corpus.tags_per_eval, corpus.annotators, space.k)
+        built = Corpus.from_tags(corpus.ids, corpus.train, corpus.features, tags,
+                                 corpus.tags_per_eval, corpus.annotators, space.k)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp, "data.jsonl")
             dataio.write_columns(path, space, built)
@@ -404,7 +404,7 @@ def reference_read_dataset(path):
     space = ClassSpace(tuple(manifest["classes"]))
     index = {name: i for i, name in enumerate(space.names)}
     evaluations = [ev for doc in docs for ev in doc["evaluations"]]
-    return space, dataio.Corpus.from_tags(
+    return space, Corpus.from_tags(
         [doc["id"] for doc in docs], np.array([doc["split"] == "train" for doc in docs], bool),
         np.array([doc["features"] for doc in docs], dtype=np.float64).reshape(
             len(docs), manifest["feature_dim"]),
@@ -530,8 +530,8 @@ class TestCorpusRows:
         path = tmp_path / "sample.jsonl"
         dataio.write_dataset(path, SPACE, sample_records())
         calls = []
-        rule = dataio.agreement
-        monkeypatch.setattr(dataio, "agreement",
+        rule = annotations.agreement
+        monkeypatch.setattr(annotations, "agreement",
                             lambda *args: calls.append(1) or rule(*args))
         assert len(dataio.read_dataset(path)[1]) == 2
         assert len(calls) == 1
@@ -539,7 +539,7 @@ class TestCorpusRows:
     def test_columns_of_the_train_rows(self, tmp_path):
         corpus = read_sample(tmp_path, sample_records())
         examples = corpus.select(corpus.train)
-        assert isinstance(examples, dataio.Corpus)
+        assert isinstance(examples, Corpus)
         np.testing.assert_array_equal(examples.features, [[0.25, -1.5, 3.125]])
         np.testing.assert_array_equal(examples.counts, [[2, 1, 1]])
         assert examples.groups.tolist() == [AgreementGroup.MAJORITY]
@@ -564,7 +564,7 @@ class TestCorpusRows:
         for example, rec in zip(examples, kept, strict=True):
             counts = np.bincount([t for ev in rec.evaluations for t in ev],
                                  minlength=space.k)
-            groups, majority = dataio.agreement(counts[None], [len(rec.evaluations)])
+            groups, majority = annotations.agreement(counts[None], [len(rec.evaluations)])
             labels = np.repeat(eye, counts, axis=0)
             assert example.uid == rec.uid
             np.testing.assert_array_equal(example.features, rec.features)

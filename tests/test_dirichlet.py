@@ -43,6 +43,11 @@ class TestCategoricalDist:
         with pytest.raises(ValueError):
             CategoricalDist(np.array([0.5, 0.4]))
 
+    def test_rejects_a_scalar(self):
+        with pytest.raises(ValueError, match=r"^a categorical distribution must be a \(K,\) "
+                           r"vector or \(N, K\) batch$"):
+            CategoricalDist(np.float64(1.0))
+
 
 class TestDirichletParams:
     def test_alpha0_computed(self):
@@ -52,6 +57,11 @@ class TestDirichletParams:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             DirichletParams(np.array([1.0, 0.0]))
+
+    def test_rejects_a_single_class(self):
+        with pytest.raises(ValueError, match=r"^alpha must be a \(K,\) vector or \(N, K\) "
+                           r"batch with K >= 2$"):
+            DirichletParams(np.ones(1))
 
 
 class TestFromLogits:
@@ -77,6 +87,10 @@ class TestFromLogits:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             from_logits(np.array([0.0, float("nan")]), 0.0)
+
+    def test_rejects_negative_eps2(self):
+        with pytest.raises(ValueError, match="^eps2 must be non-negative$"):
+            from_logits(np.zeros(3), -1.0)
 
     @pytest.mark.parametrize("z", [np.zeros(5), np.zeros((3, 5))], ids=["row", "batch"])
     def test_rejects_eps2_overflowing_alpha0(self, z):

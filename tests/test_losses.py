@@ -354,6 +354,12 @@ class TestExampleLoss:
             with pytest.raises(ValueError, match="majority"):
                 example_loss(config, np.zeros(2), [one_hot(0, 2)], soft, majority)
 
+    def test_soft_label_must_be_the_labels_mean(self):
+        labels = [one_hot(0, 2), one_hot(1, 2)]
+        with pytest.raises(ValueError, match="^the soft label is not the mean of the labels$"):
+            example_loss(LossConfig(LossKind.SOFT_KL), np.zeros(2), labels,
+                         CategoricalDist(np.array([0.75, 0.25])), None)
+
     def test_dispatch_matches_direct_calls(self):
         rng = np.random.default_rng(5)
         k = 4

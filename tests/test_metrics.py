@@ -140,6 +140,10 @@ class TestMeanKl:
     def test_infinite_when_pred_misses_support(self):
         assert kl_divergence(dist(0.5, 0.5), dist(1.0, 0.0)) == float("inf")
 
+    def test_rejects_a_class_count_mismatch(self):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            kl_divergence(np.full(2, 0.5), np.full(3, 1.0 / 3.0))
+
 
 class TestPrCurve:
     def test_perfect_separation(self):
@@ -184,6 +188,11 @@ class TestPrCurve:
             pr_curve([0.1, 0.2], [True, True])
         with pytest.raises(ValueError):
             pr_curve([0.1, 0.2], [False, False])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^scores and is_positive must be parallel 1-d sequences$"):
+            pr_curve([0.1, 0.2], [True])
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(42)
@@ -232,6 +241,12 @@ class TestDetectReport:
         _, _, aupr_maxp, aupr_ent = detect_report(groups, preds)
         assert aupr_maxp == pytest.approx(1.0)
         assert aupr_ent == pytest.approx(1.0)
+
+    def test_unequal_lengths_rejected(self):
+        groups = [AgreementGroup.FULL, AgreementGroup.NONE, AgreementGroup.FULL]
+        with pytest.raises(ValueError, match="^groups and preds must be equal-length and "
+                           "non-empty$"):
+            detect_report(groups, [dist(0.6, 0.4), dist(0.5, 0.5)])
 
     def test_identical_predictions_give_prevalence(self):
         groups = [AgreementGroup.FULL] * 3 + [AgreementGroup.NONE] * 1
@@ -283,6 +298,11 @@ class TestBuildReport:
         assert 0.0 <= report.ua <= 1.0
         assert 0.0 <= report.mean_entropy <= math.log(2.0) + 1e-12
         assert report.mean_kl >= 0.0
+
+    def test_unequal_lengths_rejected(self):
+        groups, majorities, softs, preds = self._inputs()
+        with pytest.raises(ValueError, match="^all inputs must be equal-length and non-empty$"):
+            build_report(groups, majorities, softs, preds[:3])
 
     def test_wa_ua_only_on_majority_groups(self):
         report = build_report(*self._inputs())

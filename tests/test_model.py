@@ -8,9 +8,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from labelprior import dirichlet, losses, model, rng
-from labelprior.annotations import AgreementGroup, ClassSpace
-from labelprior.dataio import Corpus, DatasetRecord, read_dataset, write_dataset
+from labelprior import dirichlet, losses, model, rng, synth
+from labelprior.annotations import AgreementGroup, ClassSpace, Corpus
+from labelprior.dataio import DatasetRecord, read_dataset, write_dataset
 from labelprior.dirichlet import CategoricalDist, SingularityError
 from labelprior.losses import LossConfig, LossKind, batch_loss, example_loss
 from labelprior.model import (
@@ -68,6 +68,16 @@ class TestInit:
         params = init(4, [6, 3], 2, seed=9)
         for b in params.biases:
             np.testing.assert_array_equal(b, np.zeros_like(b))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ModelParams([], []), "weights and biases must be non-empty and parallel"),
+        (lambda: ModelParams([np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)]),
+         "consecutive layer dimensions do not chain"),
+        (lambda: init(0, [], 5, 0), "all layer sizes must be positive"),
+    ], ids=["no-layers", "unchained", "zero-width-input"])
+    def test_rejects_malformed_layers(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 class TestForward:
@@ -843,3 +853,10 @@ class TestPredict:
         with pytest.raises(FloatingPointError, match=r"^utterance 1037: non-finite logits$"):
             model.predict(params, dataclasses.replace(corpus, features=features),
                           LossConfig(LossKind.SOFT_KL))
+
+    def test_eps2_overflowing_alpha0_is_refused_as_from_logits_refuses_it(self):
+        # Unchecked, the head's alpha0 overflows and every row comes out as zeros.
+        corpus = synth.corpus(SynthConfig(n=4))[1]
+        with pytest.raises(ValueError, match=r"^eps2 must keep K\*\(e\^60 \+ eps2\) finite"):
+            model.predict(init(16, [], 5, 0), corpus,
+                          LossConfig(LossKind.DPN, eps1=1e-2, eps2=4e307))
