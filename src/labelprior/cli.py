@@ -161,8 +161,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     soft = test.counts / test.counts.sum(axis=1, keepdims=True)
     report = metrics.build_report(test.groups, test.majority, soft, preds)
     dataio.write_report(args.out, report)
-    # The report file's rule: None and non-finite values print as null.
-    wa, ua, mean_kl, mean_entropy, aupr_maxp, aupr_ent = map(dataio._fmt_json_6dp, (
+    # The report file's number rule: None and non-finite values print as null.
+    wa, ua, mean_kl, mean_entropy, aupr_maxp, aupr_ent = map(dataio._six, (
         report.wa, report.ua, report.mean_kl, report.mean_entropy, report.aupr_maxp,
         report.aupr_ent))
     print(f"wa {wa}  ua {ua}  mean_kl {mean_kl}  mean_entropy {mean_entropy}")

@@ -4,6 +4,8 @@ evaluation reports, PR-curve CSVs and training logs.
 All writers are deterministic: rerunning a command with the same inputs produces
 byte-identical files.  ``write_columns`` is the one dataset encoder, a block of an
 ``annotations.Corpus``'s records at a time; ``write_dataset`` converts to one.
+Checkpoints and reports share one indented layout, ``_indented``, and differ only
+in their number rule.  ``write_checkpoint`` refuses what ``read_checkpoint`` refuses.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat, starmap
+from itertools import chain, count, repeat, starmap
 from operator import itemgetter
 
 import numpy as np
@@ -50,8 +52,7 @@ class DatasetRecord:
     evaluations: tuple[tuple[int, ...], ...]
 
 
-def _compact(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 _BLOCK = 128  # records parsed, checked or encoded at a time, so peak memory stays flat
@@ -269,33 +270,46 @@ def _dims(params: ModelParams) -> dict:
     return {"input": d_in, "hidden": hidden, "output": k}
 
 
-def _layout(values: np.ndarray, pad: str) -> str:
-    """A float vector or matrix as ``json.dumps(indent=1)`` lays out its list when
-    the list opens on a line indented by ``pad``.  The C encoder writes the compact
-    list in one call; numbers hold no comma or bracket, so only those are replaced."""
-    text = _compact(values.tolist())
-    if text == "[]":
-        return text
+def _indented(obj, real, pad: str = "") -> str:
+    """``obj`` as ``json.dumps(obj, indent=1)`` lays it out when it opens on a line
+    indented by ``pad``, but with each float written by ``real`` and a float vector's
+    numbers by one C-encoder call split on commas, which no number holds."""
+    if isinstance(obj, dict):
+        ends, items = "{}", [_compact(key) + ": " + _indented(value, real, pad + " ")
+                             for key, value in obj.items()]
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1:
+        ends, items = "[]", _compact(obj.tolist())[1:-1].split(",") if len(obj) else []
+    elif isinstance(obj, (list, np.ndarray)):
+        ends, items = "[]", [_indented(value, real, pad + " ") for value in obj]
+    else:
+        return real(obj) if isinstance(obj, float) else _compact(obj)
     item = "\n" + pad + " "
-    if values.ndim == 1 or not values.size:  # numbers, or empty rows, "," apart
-        return "[" + item + text[1:-1].replace(",", "," + item) + "\n" + pad + "]"
-    number = item + " "
-    rows = (text[1:-1].replace(",", "," + number).replace("]," + number, "]," + item)
-            .replace("[", "[" + number).replace("]", item + "]"))
-    return "[" + item + rows + "\n" + pad + "]"
+    return ends[0] + item + ("," + item).join(items) + "\n" + pad + ends[1] if items else ends
+
+
+def _check_fit(params: ModelParams, space: ClassSpace, config: TrainConfig, dims: dict) -> None:
+    """Raise ValueError unless ``dims`` and ``config.hidden`` describe the layers, the
+    last layer has one unit per class and ``config``'s eps2 suits that many classes."""
+    if dims != _dims(params) or config.hidden != params.dims[1:-1]:
+        raise ValueError(f"dims or hidden do not match the layers {_dims(params)}")
+    if params.dims[-1] != space.k:
+        raise ValueError(f"last layer has {params.dims[-1]} units for {space.k} classes")
+    _check_eps2(config.loss.eps2, space.k)
 
 
 def write_checkpoint(
     path: str, params: ModelParams, space: ClassSpace, config: TrainConfig
 ) -> None:
-    """The bytes of ``json.dumps(doc, indent=1) + "\\n"``.  ``indent`` sends every
-    number through the pure-Python encoder, so only the header goes through it
-    and each weight matrix and bias through ``_layout``."""
-    head = {
+    """The bytes of ``json.dumps(doc, indent=1) + "\\n"``, each matrix laid out a row
+    per C-encoder call.  Params that ``read_checkpoint`` would refuse under these
+    classes and settings raise its ValueError; no file opens."""
+    dims = _dims(params)
+    _check_fit(params, space, config, dims)
+    doc = {
         "format_version": FORMAT_VERSION,
         "kind": "checkpoint",
         "classes": list(space.names),
-        "dims": _dims(params),
+        "dims": dims,
         "train_config": {
             "loss": config.loss.kind.value,
             "eps1": config.loss.eps1,
@@ -307,13 +321,10 @@ def write_checkpoint(
             "seed": config.seed,
             "hidden": list(config.hidden),
         },
+        "layers": [{"weights": np.asarray(w, np.float64), "bias": np.asarray(b, np.float64)}
+                   for w, b in zip(params.weights, params.biases)],
     }
-    # "layers", the last key, opens at depth 1, each layer at 2 and its keys at 3.
-    layers = ",\n  ".join(
-        '{\n   "weights": ' + _layout(np.asarray(w, dtype=np.float64), "   ")
-        + ',\n   "bias": ' + _layout(np.asarray(b, dtype=np.float64), "   ") + "\n  }"
-        for w, b in zip(params.weights, params.biases))
-    text = json.dumps(head, indent=1)[:-2] + ',\n "layers": [\n  ' + layers + "\n ]\n}\n"
+    text = _indented(doc, _compact) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -365,12 +376,8 @@ def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
         )
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: missing or mistyped field: {err!r}") from err
-    if dims != _dims(params) or config.hidden != params.dims[1:-1]:
-        raise ValueError(f"{path}: dims or hidden do not match the layers {_dims(params)}")
-    if params.dims[-1] != space.k:
-        raise ValueError(f"{path}: last layer has {params.dims[-1]} units for {space.k} classes")
-    try:  # the head refuses it too, but without the file's name
-        _check_eps2(config.loss.eps2, space.k)
+    try:
+        _check_fit(params, space, config, dims)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
     if not all(np.isfinite(a).all() for a in params.weights + params.biases):
@@ -378,27 +385,18 @@ def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
     return params, space, config
 
 
-def _fmt_json_6dp(obj, indent: int = 0) -> str:
-    # Floats at fixed 6 decimal places; non-finite values become null.
-    pad = " " * indent
-    if isinstance(obj, dict):
-        inner = ",\n".join(
-            f'{pad} "{key}": {_fmt_json_6dp(value, indent + 1)}'
-            for key, value in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, float):
-        return f"{obj:.6f}" if math.isfinite(obj) else "null"
-    return json.dumps(obj)
+def _six(value) -> str:
+    """A report number: 6 decimal places, or null for None or a non-finite value."""
+    return f"{value:.6f}" if value is not None and math.isfinite(value) else "null"
 
 
 def write_report(path: str, report: MetricsReport) -> None:
-    """The eval report as JSON with every value at 6 decimal places; the
+    """The eval report as indented JSON with every float through ``_six``; the
     report's field order is the file's key order."""
     doc = {"format_version": FORMAT_VERSION, "kind": "report", **asdict(report)}
     doc["per_group"] = {group.name.lower(): gm for group, gm in doc["per_group"].items()}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_fmt_json_6dp(doc) + "\n")
+        fh.write(_indented(doc, _six) + "\n")
 
 
 def read_report(path: str) -> dict:
@@ -413,8 +411,6 @@ def write_curve(path: str, curve: PRCurve) -> None:
 
 
 def write_train_log(path: str, losses: Sequence[float]) -> None:
-    lines = ["epoch,mean_loss"]
-    for epoch, value in enumerate(losses):
-        lines.append(f"{epoch},{value!r}")
+    """A header and one line per epoch: its index and the repr of its mean loss."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("epoch,mean_loss\n" + "".join(map("{},{!r}\n".format, count(), losses)))

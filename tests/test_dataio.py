@@ -3,9 +3,11 @@ and training logs."""
 
 import gc
 import json
+import math
 import pathlib
+import re
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -608,7 +610,7 @@ class TestCheckpointRoundTrip:
 
     def test_version_field_present(self, tmp_path):
         params = init(3, [4], 3, seed=1)
-        config = TrainConfig(loss=LossConfig(LossKind.HARD))
+        config = TrainConfig(loss=LossConfig(LossKind.HARD), hidden=(4,))
         path = tmp_path / "m.json"
         dataio.write_checkpoint(path, params, SPACE, config)
         doc = json.loads(path.read_text())
@@ -656,6 +658,21 @@ class TestCheckpointRoundTrip:
     def test_integer_fields_refuse_fractions(self, field):
         with pytest.raises(TypeError):
             TrainConfig(loss=LossConfig(LossKind.HARD), **{field: 2.5})
+
+    # Each setting read_checkpoint refuses for these layers, with its message.
+    @pytest.mark.parametrize("k, names, config, message", [
+        (3, ("A", "B", "C"), TrainConfig(loss=LossConfig(LossKind.HARD), hidden=(5,)),
+         "dims or hidden do not match the layers {'input': 4, 'hidden': [8], 'output': 3}"),
+        (3, ("A", "B"), TrainConfig(loss=LossConfig(LossKind.HARD), hidden=(8,)),
+         "last layer has 3 units for 2 classes"),
+        (5, tuple("ABCDE"), TrainConfig(loss=LossConfig(LossKind.DPN, eps2=4e307), hidden=(8,)),
+         "eps2 must keep K*(e^60 + eps2) finite, so lie below 3.595e+307 for K = 5, got 4e+307"),
+    ], ids=["hidden", "classes", "eps2"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, k, names, config, message):
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataio.write_checkpoint(path, init(4, (8,), k, seed=0), ClassSpace(names), config)
+        assert not path.exists()
 
     @pytest.mark.parametrize("hidden", [(), (4,), (5, 2)])
     def test_layers_read_back_as_c_contiguous_float64(self, tmp_path, hidden):
@@ -807,6 +824,77 @@ class TestReport:
         doc = dataio.read_report(path)
         assert doc["per_group"]["majority"]["count"] == 0
         assert doc["per_group"]["majority"]["mean_entropy"] is None
+
+
+# The report writer that the one JSON layout replaced, verbatim: a second
+# hand-written indent=1 writer with every float at 6 decimal places.
+def _fmt_json_6dp(obj, indent: int = 0) -> str:
+    # Floats at fixed 6 decimal places; non-finite values become null.
+    pad = " " * indent
+    if isinstance(obj, dict):
+        inner = ",\n".join(
+            f'{pad} "{key}": {_fmt_json_6dp(value, indent + 1)}'
+            for key, value in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, float):
+        return f"{obj:.6f}" if math.isfinite(obj) else "null"
+    return json.dumps(obj)
+
+
+def reference_write_report(path, report) -> None:
+    doc = {"format_version": dataio.FORMAT_VERSION, "kind": "report", **asdict(report)}
+    doc["per_group"] = {group.name.lower(): gm for group, gm in doc["per_group"].items()}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_fmt_json_6dp(doc) + "\n")
+
+
+# The training-log writer that the one-pass writer replaced, verbatim.
+def reference_write_train_log(path, losses) -> None:
+    lines = ["epoch,mean_loss"]
+    for epoch, value in enumerate(losses):
+        lines.append(f"{epoch},{value!r}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+REPORT_EDGES = [-0.0, 5e-324, 0.9999995, 1e16, float("nan"), float("inf"), float("-inf")]
+REALS = st.sampled_from(REPORT_EDGES) | st.floats()
+
+
+@st.composite
+def reports(draw):
+    """Edge and drawn values in every float field, None in the optional ones, and
+    counts up to 2**40."""
+    optional = REALS | st.none()
+    def metrics():
+        return GroupMetrics(draw(st.integers(0, 2**40)), draw(REALS), draw(REALS), draw(REALS),
+                            draw(optional), draw(optional))
+    return MetricsReport(draw(optional), draw(optional), draw(REALS), draw(REALS),
+                         draw(optional), draw(optional),
+                         {group: metrics() for group in AgreementGroup})
+
+
+class TestReportAndLogWriters:
+    """``write_report`` and ``write_train_log`` write the bytes of the writers above."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(report=reports())
+    def test_report_writes_the_reference_bytes(self, report):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = pathlib.Path(tmp, "got.json"), pathlib.Path(tmp, "want.json")
+            dataio.write_report(got, report)
+            reference_write_report(want, report)
+            assert got.read_bytes() == want.read_bytes()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(losses=st.lists(REALS, max_size=50))
+    def test_train_log_writes_the_reference_bytes(self, losses):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = pathlib.Path(tmp, "got.csv"), pathlib.Path(tmp, "want.csv")
+            dataio.write_train_log(got, losses)
+            reference_write_train_log(want, losses)
+            assert got.read_bytes() == want.read_bytes()
 
 
 def reference_write_curve(path, curve):

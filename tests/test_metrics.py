@@ -156,6 +156,11 @@ class TestPrCurve:
         assert curve.points.dtype == np.float64 and curve.points.shape == (4, 3)
         assert PRCurve(curve.points.tolist()) == curve
         assert PRCurve(curve.points[:-1]) != curve
+        # A non-curve is left to the other operand, so it is never equal.
+        zeros = PRCurve(np.zeros((1, 3)))
+        assert zeros.__eq__("curve") is NotImplemented
+        assert zeros != "curve"
+        assert not (zeros == "curve")
         with pytest.raises(ValueError, match=r"shape \(n, 3\), got \(3,\)"):
             PRCurve((0.9, 1.0, 0.5))
 
