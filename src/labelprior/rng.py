@@ -6,7 +6,8 @@ id or an epoch index) are folded into the 128-bit Philox key with a
 SplitMix64-style mixer, so streams are independent by construction and a
 corpus or training run is reproducible from its seed alone.  ``streams``
 gives the streams of many ids in one domain from a single rekeyed Philox,
-which is how a corpus draws one stream per utterance.
+with every id's key mixed in one uint64 array pass; that is how a corpus
+draws one stream per utterance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ DOMAIN_INIT = 2
 DOMAIN_SHUFFLE = 3
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    # ``z`` is an int below 2**64 or a uint64 array, whose arithmetic wraps
+    # modulo 2**64 already, so the masks change nothing there.
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -49,18 +52,22 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 def streams(seed: int, domain: int, ids: Iterable[int]) -> Iterator[np.random.Generator]:
     """For each id, a generator whose draws equal ``stream(seed, domain, id)``'s.
 
-    One Philox takes each id's key through its ``state`` setter, which also
-    resets the counter, the output buffer and the buffered 32-bit half.  The
-    same generator is yielded every time; it is valid until the next yield.
+    Every id's key is mixed in one uint64 array pass.  One Philox then takes
+    each key through its ``state`` setter, from one state dict in which only
+    the key changes; the setter also resets the counter, the output buffer
+    and the buffered 32-bit half.  The same generator is yielded every time;
+    it is valid until the next yield.
     """
     low = seed & _MASK64
     h = _splitmix64(_splitmix64(low) ^ (domain & _MASK64))
+    keys = _splitmix64(np.array([i & _MASK64 for i in ids], dtype=np.uint64) ^ h).tolist()
     gen = np.random.Generator(np.random.Philox(0))  # its state is replaced before any draw
-    for i in ids:
-        gen.bit_generator.state = {
-            "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
-            "uinteger": 0,
-            "state": {"counter": [0] * 4, "key": [low, _splitmix64(h ^ (i & _MASK64))]}}
+    key = [low, 0]
+    state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0, "state": {"counter": [0] * 4, "key": key}}
+    for mixed in keys:
+        key[1] = mixed
+        gen.bit_generator.state = state
         yield gen
 
 

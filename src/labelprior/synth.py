@@ -7,10 +7,12 @@ from orthogonal class centroids plus Gaussian noise.  Every utterance owns
 an independent random stream keyed by (seed, utterance id), so corpora are
 reproducible and utterance i is the same whatever n is.  ``generate_columns``
 writes the corpus straight into columns, in the flat tag layout every other
-layer counts from: it draws each utterance in stream order, then picks the
-tags of a block of utterances at once from the uniforms drawn.  ``corpus``
-is those columns as the split ``Corpus`` that ``gen`` writes, and
-``generate`` is a per-utterance view of them.
+layer counts from: it draws each utterance in stream order, its true
+distribution as the gamma draws ``gen.dirichlet`` makes, then scales a block
+of utterances to sum to one in ``gen.dirichlet``'s sum order and picks their
+tags at once from the uniforms drawn.  ``corpus`` is those columns as the
+split ``Corpus`` that ``gen`` writes, and ``generate`` is a per-utterance
+view of them.
 """
 
 from __future__ import annotations
@@ -120,6 +122,28 @@ def _sample_rows(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.minimum(below, weights.shape[1] - 1)
 
 
+def _draw_gamma_parts(gen: np.random.Generator, row: np.ndarray, c, shape: float) -> None:
+    # The gammas ``gen.dirichlet`` draws, in class order, for unit alphas but
+    # ``shape`` at class c (gamma shape 1 is numpy's standard exponential),
+    # written into ``row`` without its per-call argument checks; the scaling
+    # is ``_scale_to_one``'s, a block at a time.  A unit alpha keeps max
+    # alpha >= 1, so numpy's stick-breaking branch for alphas all below 0.1
+    # is never the reference.
+    gen.standard_exponential(out=row[:c])
+    gen.standard_gamma(shape, out=row[c:c + 1])
+    gen.standard_exponential(out=row[c + 1:])
+
+
+def _scale_to_one(rows: np.ndarray) -> None:
+    # ``gen.dirichlet``'s normalisation of each row in place: its sum in class
+    # order by column adds (np.sum adds pairwise and Python's sum compensates
+    # from 3.12), then one multiply by 1 / the sum.
+    acc = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        acc += rows[:, j]
+    rows *= (1.0 / acc)[:, None]
+
+
 def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
     """The corpus as columns in id order, deterministic given the config:
     (n, d) features, (n, K) true label distributions, and ``Corpus``'s flat
@@ -131,9 +155,9 @@ def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
     # Unit base concentration everywhere, remaining precision on the
     # dominant class; at precision k this degenerates to the flat Dirichlet
     # and for precision -> inf the mean approaches the dominant one-hot.
-    alphas = np.ones((3, k, k))
-    alphas[:, range(k), range(k)] = np.subtract(config.regime_precisions, k - 1)[:, None]
+    shapes = [a0 - (k - 1) for a0 in config.regime_precisions]
     features, noise = np.zeros((n, config.d)), np.zeros((n, config.d))
+    mu = features[:, :k]
     tags, tags_per_eval = [], []
     streams = rng.streams(config.seed, rng.DOMAIN_UTTERANCE, range(n))
     for start in range(0, n, _BLOCK):
@@ -142,7 +166,7 @@ def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
             # Draw order is fixed: regime, dominant class, true distribution,
             # per-annotator tags, then feature noise.
             regime = min(bisect.bisect_right(regime_cum, gen.random() * regime_cum[-1]), 2)
-            features[uid, :k] = gen.dirichlet(alphas[regime, gen.integers(k)])
+            _draw_gamma_parts(gen, mu[uid], gen.integers(k), shapes[regime])
             # Each annotator takes two uniforms, three with a second tag. Drawing
             # two per annotator ahead and one more per second tag takes exactly
             # those, so the feature noise that follows is drawn as before.
@@ -156,8 +180,9 @@ def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
                 i += 2
             if config.noise_sigma > 0.0:
                 gen.standard_normal(out=noise[uid])
+        _scale_to_one(mu[start:uid + 1])
         uniforms, at = np.array(uniforms), np.array(at)
-        weights = np.repeat(features[start:uid + 1, :k], annotators, axis=0)
+        weights = np.repeat(mu[start:uid + 1], annotators, axis=0)
         first = _sample_rows(uniforms[at], weights)
         multi, second = uniforms[at + 1] < p, first.copy()
         # When no other class has mass the draw can land on ``first``.
@@ -167,7 +192,6 @@ def generate_columns(config: SynthConfig) -> tuple[np.ndarray, ...]:
         pairs = np.sort(np.stack([first, second], axis=1))
         tags.append(pairs[np.stack([np.ones_like(two), two], axis=1)])
         tags_per_eval.append(1 + two)
-    mu = features[:, :k]
     true_mu = mu / mu.sum(axis=1, keepdims=True)
     if config.noise_sigma > 0.0:
         with np.errstate(over="ignore"):  # checked below

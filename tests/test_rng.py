@@ -64,3 +64,16 @@ def test_streams_equal_stream_draw_for_draw(seed):
         state = gen.bit_generator.state
         assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
     assert got == want
+
+
+@pytest.mark.parametrize("seed", [42, 2**64 + 3])
+def test_streams_of_ids_past_64_bits_and_of_an_iterator(seed):
+    ids = [2**64 + 5, 2**65 - 1, 2**64, 5, -(2**64) - 1]
+    want = [mixed_draws(stream(seed, DOMAIN_UTTERANCE, uid), uid) for uid in ids]
+    for given in (ids, (uid for uid in ids)):
+        got = [mixed_draws(gen, uid) for uid, gen in zip(ids, streams(seed, DOMAIN_UTTERANCE, given))]
+        assert got == want
+    # 2**64 + 5 keys as 5 does: only the low 64 bits of an id are mixed.
+    assert want[0] == mixed_draws(stream(seed, DOMAIN_UTTERANCE, 5), 2**64 + 5)
+    assert list(streams(seed, DOMAIN_UTTERANCE, [])) == []
+    assert list(streams(seed, DOMAIN_UTTERANCE, iter(()))) == []

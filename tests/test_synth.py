@@ -322,9 +322,7 @@ def gen_configs(draw):
     )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(config=gen_configs())
-def test_columns_draw_what_the_per_utterance_generator_drew(config):
+def assert_columns_are_the_per_utterance_draws(config: SynthConfig) -> None:
     regime_cum = list(accumulate(config.group_mix))
     want = [_generate_one(config, regime_cum, uid) for uid in range(config.n)]
     evaluations = [ev for u in want for ev in u.evaluations]
@@ -339,3 +337,42 @@ def test_columns_draw_what_the_per_utterance_generator_drew(config):
     assert annotators.tolist() == [config.annotators] * config.n
     view, _ = generate(config)
     assert [(u.uid, u.evaluations) for u in view] == [(u.uid, u.evaluations) for u in want]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(config=gen_configs())
+def test_columns_draw_what_the_per_utterance_generator_drew(config):
+    assert_columns_are_the_per_utterance_draws(config)
+
+
+# The default precisions (120, 12, 5), each raised to k where below it: the
+# none regime is exactly flat at k = 5, and raised to the flat 10 at k = 10.
+@pytest.mark.parametrize("config", [SynthConfig(n=600, seed=42),
+                                    SynthConfig(n=600, k=10, d=12, seed=1729, multi_tag_prob=0.2)],
+                         ids=["k5", "k10"])
+def test_columns_at_the_default_precisions_are_the_per_utterance_draws(config):
+    assert_columns_are_the_per_utterance_draws(config)
+
+
+@pytest.mark.parametrize("k", [2, 5, 10])
+def test_gamma_parts_scaled_to_one_are_what_dirichlet_draws(k):
+    # Dominant shapes a0 - (k - 1) from the least above 0 through 1 (the flat
+    # prior) to far above, with the dominant class first, in the middle and
+    # last, so that a unit-alpha run before or after it can be empty.
+    precisions = [math.nextafter(k - 1, math.inf), k - 0.5, float(k), k + 0.5, 120.0]
+    n = 10_000
+    cases = [(precisions[i % 5] - (k - 1), (0, k // 2, k - 1)[i // 5 % 3]) for i in range(n)]
+    want, want_next = [], []
+    for (shape, c), gen in zip(cases, rng.streams(42, rng.DOMAIN_UTTERANCE, range(n))):
+        alpha = np.ones(k)
+        alpha[c] = shape
+        want.append(gen.dirichlet(alpha))
+        want_next.append(gen.random())
+    got, got_next = np.zeros((n, k)), []
+    for (shape, c), row, gen in zip(cases, got, rng.streams(42, rng.DOMAIN_UTTERANCE, range(n))):
+        synth._draw_gamma_parts(gen, row, c, shape)
+        got_next.append(gen.random())
+    synth._scale_to_one(got)
+    assert got.tobytes() == np.array(want).tobytes()
+    # The stream is left where gen.dirichlet leaves it.
+    assert got_next == want_next
