@@ -4,15 +4,22 @@ evaluation reports, PR-curve CSVs and training logs.
 All writers are deterministic: rerunning a command with the same inputs produces
 byte-identical files.  ``write_columns`` is the one dataset encoder, a block of an
 ``annotations.Corpus``'s records at a time; ``write_dataset`` converts to one.
-Checkpoints and reports share one indented layout, ``_indented``, and differ only
-in their number rule.  ``write_checkpoint`` refuses what ``read_checkpoint`` refuses.
+Beside each dataset it writes ``<path>.cols``, a cache of the file's columns
+under the SHA-256 of the file's bytes; ``read_dataset`` uses it only when that
+digest matches and parses the file otherwise, so the JSONL stays the one format
+and the cache is safe to delete.  Checkpoints and reports share one indented
+layout, ``_indented``, and differ only in their number rule.  ``write_columns``
+and ``write_checkpoint`` refuse what ``read_dataset`` and ``read_checkpoint`` refuse.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import hashlib
 import json
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from itertools import chain, count, repeat, starmap
@@ -61,7 +68,11 @@ _HEAD = '{{"id":{},"split":{},"features":[{}],"evaluations":[['
 
 def write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
     """Manifest line and one JSON record per row of ``corpus``, encoded ``_BLOCK``
-    rows at a time before the file opens; ids, features and checked tags are written as given."""
+    rows at a time before the file opens; ids, features and checked tags are written
+    as given, and then their columns to ``<path>.cols`` (see ``_write_cache``).  An id
+    that is not an int or repeats one, or a non-finite feature, raises the reader's
+    ValueError without path and line; no file opens."""
+    _check_rows(corpus.ids, corpus.features)
     tokens = np.array([_compact(name) for name in space.names], dtype=object)
     splits = np.where(corpus.train, '"train"', '"test"').tolist()
     # The offsets of every record's first evaluation and of every evaluation's first tag.
@@ -82,14 +93,87 @@ def write_columns(path: str, space: ClassSpace, corpus: Corpus) -> None:
         seps[record_tags[r0 + 1:r1 + 1] - t0 - 1] = "]]}\n"
         pieces = np.stack([tokens[corpus.tags[t0:t1]], seps], axis=1).ravel()
         blocks.append("".join(np.insert(pieces, 2 * (record_tags[r0:r1] - t0), heads).tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(blocks)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for block in blocks:
+            data = block.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    _write_cache(path, digest.hexdigest(), space, corpus)
+
+
+def _check_rows(ids: list, features: np.ndarray) -> None:
+    """Raise ValueError, in ``read_dataset``'s words, for an id that is not an int
+    (a bool is not), a non-finite feature or an id that repeats an earlier one."""
+    if not _INTS.issuperset(map(type, ids)):
+        uid = next(uid for uid in ids if type(uid) is not int)
+        raise ValueError(f"id must be an integer, got {uid!r}")
+    if not np.isfinite(features).all():
+        raise ValueError("non-finite feature")
+    if len(set(ids)) != len(ids):
+        first: dict[int, int] = {}
+        for row, uid in enumerate(ids):
+            if first.setdefault(uid, row) != row:
+                raise ValueError(f"id {uid} repeats the id of record {first[uid]}")
+
+
+# The cached columns in file order, each with the dtype and dimension the parse gives it.
+_CACHED = ((np.int64, 1), (np.bool_, 1), (np.float64, 2), (np.int64, 1), (np.int64, 1),
+           (np.int64, 1))
+
+
+def _write_cache(path: str, digest: str, space: ClassSpace, corpus: Corpus) -> None:
+    """``<path>.cols``: a JSON header line with the dataset's SHA-256 ``digest`` and
+    classes, then the ids, train, features, tags, tags_per_eval and annotators
+    columns, each by ``np.lib.format.write_array``.  It goes through a temporary file
+    and ``os.replace``.  An id past int64 skips it, and an OSError leaves none,
+    since the dataset is already complete."""
+    try:
+        ids = np.array(corpus.ids, dtype=np.int64)
+    except OverflowError:
+        return
+    header = _compact({"format_version": FORMAT_VERSION, "kind": "columns", "sha256": digest,
+                       "classes": list(space.names)}) + "\n"
+    columns = (ids, corpus.train, corpus.features, corpus.tags, corpus.tags_per_eval,
+               corpus.annotators)
+    temp = f"{path}.cols.{os.getpid()}.tmp"
+    try:
+        with open(temp, "wb") as fh:
+            fh.write(header.encode("utf-8"))
+            for column, (dtype, _) in zip(columns, _CACHED):
+                np.lib.format.write_array(fh, np.ascontiguousarray(column, dtype),
+                                          allow_pickle=False)
+        os.replace(temp, f"{path}.cols")
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+
+
+def _read_cache(path: str, data: bytes) -> tuple[ClassSpace, Corpus] | None:
+    """The class space and corpus of ``<path>.cols``, or None unless it opens, names
+    the SHA-256 of ``data``, the dataset's bytes, and holds columns of the parse's
+    types that pass its checks, ``_checked``."""
+    try:
+        with open(f"{path}.cols", "rb") as fh:
+            header = _parse(path, fh.readline().decode("utf-8"), "columns")
+            if header.get("sha256") != hashlib.sha256(data).hexdigest():
+                return None
+            space = _class_space(path, header.get("classes"))
+            columns = [np.lib.format.read_array(fh, allow_pickle=False) for _ in _CACHED]
+    except (OSError, ValueError):
+        return None
+    if not all(column.dtype == dtype and column.ndim == ndim
+               for column, (dtype, ndim) in zip(columns, _CACHED)):
+        return None
+    ids, *rest = columns
+    corpus = _checked(ids.tolist(), *rest, space.k)
+    return None if corpus is None else (space, corpus)
 
 
 def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]) -> None:
     """``records`` through ``Corpus.from_tags`` and ``write_columns``, ids and features as
-    given.  A split not "train" or "test", or an evaluation ``from_tags`` refuses, raises
-    ValueError; no file opens."""
+    given.  A split not "train" or "test", an evaluation ``from_tags`` refuses, or an id
+    or feature ``write_columns`` refuses raises ValueError; no file opens."""
     if bad := sorted({rec.split for rec in records} - _SPLITS, key=repr):
         raise ValueError(f"splits {bad} are not 'train' or 'test'")
     evaluations = [ev for rec in records for ev in rec.evaluations]
@@ -102,10 +186,14 @@ def write_dataset(path: str, space: ClassSpace, records: Sequence[DatasetRecord]
         np.array([len(rec.evaluations) for rec in records], dtype=np.int64), space.k))
 
 
-def _text(path: str) -> str:
-    """The file's text; a byte that is not UTF-8 raises ValueError naming its line."""
+def _bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def _text(path: str, data: bytes) -> str:
+    """The text of ``data``, the file's bytes; a byte that is not UTF-8 raises
+    ValueError naming its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -176,14 +264,23 @@ def _corpus(lines: list[str], d: int, index: dict) -> Corpus | None:
             features.append(np.array(rows, dtype=np.float64))  # a huge integer overflows here
             ids += uid
             train += map("train".__eq__, split)
-        features = np.concatenate(features)
-        if not (np.isfinite(features).all() and len(set(ids)) == len(ids)):
-            return None
-        # from_tags refuses an empty record or evaluation and a repeated tag.
-        return Corpus.from_tags(ids, np.array(train, dtype=bool), features, tags,
-                                np.array(tags_per_eval, dtype=np.int64),
-                                np.array(annotators, dtype=np.int64), len(index))
+        return _checked(ids, np.array(train, dtype=bool), np.concatenate(features), tags,
+                        np.array(tags_per_eval, dtype=np.int64),
+                        np.array(annotators, dtype=np.int64), len(index))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        return None
+
+
+def _checked(ids: list[int], train, features, tags, tags_per_eval, annotators,
+             k: int) -> Corpus | None:
+    """The corpus of parsed or cached columns, or None unless the features are
+    finite, the ids unique and ``Corpus.from_tags`` takes the rest: it refuses an
+    empty record or evaluation, a repeated tag and columns that do not fit together."""
+    if not (np.isfinite(features).all() and len(set(ids)) == len(ids)):
+        return None
+    try:
+        return Corpus.from_tags(ids, train, features, tags, tags_per_eval, annotators, k)
+    except ValueError:
         return None
 
 
@@ -237,9 +334,13 @@ def read_dataset(path: str) -> tuple[ClassSpace, Corpus]:
     "test", every id a unique integer and every record's evaluations
     non-empty.  The records are parsed and checked a whole column at a
     time; only when a check fails are they checked again line by line, so
-    the error names the first bad line.
+    the error names the first bad line.  When ``<path>.cols`` holds the columns
+    of exactly these bytes (see ``_read_cache``), they stand in for the parse.
     """
-    text = _text(path).split("\n")
+    data = _bytes(path)
+    if (cached := _read_cache(path, data)) is not None:
+        return cached
+    text = _text(path, data).split("\n")
     lines = list(filter(None, map(str.strip, text, repeat(_BLANK))))
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
@@ -350,7 +451,7 @@ def _reals(value) -> np.ndarray:
 def read_checkpoint(path: str) -> tuple[ModelParams, ClassSpace, TrainConfig]:
     """Params, classes and settings; a malformed checkpoint raises ValueError naming
     the file.  ``dims`` and ``hidden`` describe the layers, the last one per class."""
-    doc = _parse(path, _text(path), "checkpoint")
+    doc = _parse(path, _text(path, _bytes(path)), "checkpoint")
     space = _class_space(path, doc.get("classes"))
     try:
         raw = doc["train_config"]
@@ -400,7 +501,7 @@ def write_report(path: str, report: MetricsReport) -> None:
 
 
 def read_report(path: str) -> dict:
-    return _parse(path, _text(path), "report")
+    return _parse(path, _text(path, _bytes(path)), "report")
 
 
 def write_curve(path: str, curve: PRCurve) -> None:

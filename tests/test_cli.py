@@ -328,7 +328,8 @@ class TestTrain:
                    "--epochs", 1, "--out", tmp_path / "m.json")
         assert code == 1
         assert "learning_rate must be finite and >= 0" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [small_dataset]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.jsonl",
+                                                                     "data.jsonl.cols"]
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rec: rec.update(split="Train"), "split 'Train'"),
@@ -855,7 +856,8 @@ class TestEmptyDataset:
         code = run(command, *command_args(command, empty, tmp_path / "m.json", out))
         assert code == 1
         assert capsys.readouterr().err == f"error: {empty}: {message}\n"
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.jsonl", "empty.jsonl"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "data.jsonl", "data.jsonl.cols", "empty.jsonl"]
 
 
 class TestAgreementCalls:

@@ -2,6 +2,7 @@
 and training logs."""
 
 import gc
+import hashlib
 import json
 import math
 import pathlib
@@ -329,6 +330,213 @@ class TestBlockEncoder:
         assert got.read_bytes() == want.read_bytes()
 
 
+class TestWriterRefusals:
+    """The writer refuses, before any file opens and in the reader's words, every id
+    and feature column that ``read_dataset`` would refuse."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda recs: recs.append(replace(recs[1], uid=1)), "id 1 repeats the id of record 1"),
+        (lambda recs: recs.__setitem__(0, replace(recs[0], features=np.array([0.0, np.nan, 1.0]))),
+         "non-finite feature"),
+        (lambda recs: recs.__setitem__(1, replace(recs[1], uid=True)),
+         "id must be an integer, got True"),
+    ], ids=["repeated-id", "nan-feature", "bool-id"])
+    def test_writes_no_file(self, tmp_path, edit, message):
+        path = tmp_path / "data.jsonl"
+        records = sample_records()
+        edit(records)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataio.write_dataset(path, SPACE, records)
+        assert list(tmp_path.iterdir()) == []
+
+
+def assert_same_corpus(got, want):
+    (got_space, got), (want_space, want) = got, want
+    assert got_space == want_space
+    assert got.ids == want.ids and all(type(uid) is int for uid in got.ids)
+    for name in ("train", "features", "counts", "annotators", "groups", "majority", "tags",
+                 "tags_per_eval"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def read_or_error(path):
+    try:
+        return dataio.read_dataset(path)
+    except ValueError as err:
+        return str(err)
+
+
+def assert_reads_as_without_cache(path):
+    """``read_dataset`` of ``path`` gives the corpus or error text it gives once
+    ``<path>.cols`` is moved away."""
+    cache = pathlib.Path(f"{path}.cols")
+    got = read_or_error(path)
+    cache.rename(f"{path}.moved")
+    try:
+        want = read_or_error(path)
+    finally:
+        pathlib.Path(f"{path}.moved").rename(cache)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_corpus(got, want)
+
+
+def write_cache(path, names, columns):
+    """A ``<path>.cols`` written by hand: the header under the SHA-256 of ``path``,
+    then each column by ``np.lib.format.write_array``."""
+    digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    with open(f"{path}.cols", "wb") as fh:
+        fh.write((_compact({"format_version": 1, "kind": "columns", "sha256": digest,
+                            "classes": list(names)}) + "\n").encode())
+        for column in columns:
+            np.lib.format.write_array(fh, np.asarray(column))
+
+
+UNPICKLED = []
+
+
+def unpickle():
+    UNPICKLED.append(1)
+
+
+class Unpickled:
+    def __reduce__(self):
+        return unpickle, ()
+
+
+def cached_columns(corpus):
+    return [np.array(corpus.ids, dtype=np.int64), corpus.train, corpus.features, corpus.tags,
+            corpus.tags_per_eval, corpus.annotators]
+
+
+CACHE_SHAPES = {
+    "paper-42": SynthConfig(n=2000, seed=42),
+    "paper-1729": SynthConfig(n=2000, seed=1729),
+    "crowd-42": SynthConfig(n=1500, k=10, d=32, annotators=20, multi_tag_prob=0.2,
+                            regime_precisions=(300, 40, 15), test_frac=0.4, seed=42),
+    "crowd-1729": SynthConfig(n=1500, k=10, d=32, annotators=20, multi_tag_prob=0.2,
+                              regime_precisions=(300, 40, 15), test_frac=0.4, seed=1729),
+    "all-train": SynthConfig(n=200, test_frac=0.0),
+    "all-test": SynthConfig(n=200, test_frac=1.0),
+    "k2-d2": SynthConfig(n=600, k=2, d=2),
+}
+
+
+class TestColumnCache:
+    """``<path>.cols`` stands in for the parse of exactly the bytes it was written
+    with, and in every other case the file is parsed as if it were absent."""
+
+    @pytest.mark.parametrize("replaced", [False, True], ids=["as-generated", "vote-replaced"])
+    @pytest.mark.parametrize("shape", CACHE_SHAPES)
+    def test_cache_reads_the_parsed_corpus(self, tmp_path, shape, replaced):
+        space, corpus = synth.corpus(CACHE_SHAPES[shape])
+        path = tmp_path / "data.jsonl"
+        dataio.write_columns(path, space, corpus.replace_majorities() if replaced else corpus)
+        cached = dataio.read_dataset(path)
+        (tmp_path / "data.jsonl.cols").unlink()
+        assert_same_corpus(cached, dataio.read_dataset(path))
+
+    def test_hit_parses_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        dataio.write_dataset(path, SPACE, sample_records())
+        monkeypatch.setattr(dataio, "_corpus", None)
+        assert dataio.read_dataset(path)[1].ids == [0, 1]
+
+    def test_rewrites_are_byte_identical(self, tmp_path):
+        space, corpus = synth.corpus(SynthConfig(n=300, seed=42))
+        for name in ("a.jsonl", "b.jsonl"):
+            dataio.write_columns(tmp_path / name, space, corpus)
+        assert (tmp_path / "a.jsonl.cols").read_bytes() == (tmp_path / "b.jsonl.cols").read_bytes()
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        dataio.write_columns(path, *synth.corpus(SynthConfig(n=300, seed=42)))
+        return path
+
+    @pytest.mark.parametrize("old, new", [
+        ('"split":"test"', '"split":"tset"'),  # an error the parse names
+        ('"features":[0.', '"features":[1.'),  # a corpus that reads
+    ], ids=["bad-split", "other-feature"])
+    def test_edit_at_the_same_length(self, written, old, new):
+        data = written.read_bytes()
+        edited = data.replace(old.encode(), new.encode(), 1)
+        assert len(edited) == len(data) and edited != data
+        written.write_bytes(edited)
+        assert_reads_as_without_cache(written)
+
+    @pytest.mark.parametrize("keep", [0, 40, -1, -8, -1000])
+    def test_truncated_cache(self, written, keep):
+        cache = pathlib.Path(f"{written}.cols")
+        data = cache.read_bytes()
+        cache.write_bytes(data[:keep] if keep >= 0 else data[:len(data) + keep])
+        assert_reads_as_without_cache(written)
+
+    def test_cache_of_another_dataset(self, written, tmp_path):
+        other = tmp_path / "other.jsonl"
+        dataio.write_columns(other, *synth.corpus(SynthConfig(n=300, seed=43)))
+        pathlib.Path(f"{written}.cols").write_bytes(pathlib.Path(f"{other}.cols").read_bytes())
+        assert_reads_as_without_cache(written)
+
+    @pytest.mark.parametrize("edit", ["nan-feature", "repeated-id", "float-ids", "short-tags",
+                                      "bad-classes", "pickled"])
+    def test_hand_written_cache_with_the_right_digest(self, written, monkeypatch, edit):
+        space, corpus = dataio.read_dataset(written)
+        columns, names = cached_columns(corpus), list(space.names)
+        if edit == "nan-feature":
+            columns[2] = columns[2].copy()
+            columns[2][3, 1] = np.nan
+        elif edit == "repeated-id":
+            columns[0] = columns[0].copy()
+            columns[0][5] = columns[0][4]
+        elif edit == "float-ids":
+            columns[0] = columns[0].astype(np.float64)
+        elif edit == "short-tags":
+            columns[3] = columns[3][:-1]
+        elif edit == "bad-classes":
+            names = names[:1]
+        else:  # a pickle is never loaded, so its code never runs
+            columns[0] = np.array([Unpickled()] * len(corpus), dtype=object)
+        write_cache(written, names, columns)
+        assert_reads_as_without_cache(written)
+        assert UNPICKLED == []
+        # The same file with an honest hand-written cache is a hit: nothing is parsed.
+        write_cache(written, space.names, cached_columns(corpus))
+        monkeypatch.setattr(dataio, "_corpus", None)
+        assert_same_corpus(dataio.read_dataset(written), (space, corpus))
+
+    def test_cache_path_that_is_a_directory(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        (tmp_path / "data.jsonl.cols").mkdir()
+        assert cli.main(["gen", "--n", "60", "--out", str(path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.cols"]
+        assert (tmp_path / "data.jsonl.cols").is_dir()
+        assert_same_corpus(dataio.read_dataset(path), reference_read_dataset(path))
+
+    def test_ids_past_int64_write_no_cache(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        records = sample_records()
+        records[1] = replace(records[1], uid=2**63)
+        dataio.write_dataset(path, SPACE, records)
+        assert list(tmp_path.iterdir()) == [path]
+        assert dataio.read_dataset(path)[1].ids == [0, 2**63]
+
+    @pytest.mark.parametrize("command", ["stats", "train", "eval", "detect"])
+    def test_reading_commands_write_no_cache(self, written, tmp_path, command):
+        ckpt = tmp_path / "m.json"
+        assert cli.main(["train", "--data", str(written), "--loss", "soft", "--epochs", "1",
+                         "--out", str(ckpt)]) == 0
+        pathlib.Path(f"{written}.cols").unlink()
+        argv = {"stats": [], "train": ["--loss", "soft", "--epochs", "1", "--out", str(ckpt)],
+                "eval": ["--ckpt", str(ckpt), "--out", str(tmp_path / "r.json")],
+                "detect": ["--ckpt", str(ckpt), "--out-prefix", str(tmp_path / "c")]}[command]
+        assert cli.main([command, "--data", str(written), *argv]) == 0
+        assert not pathlib.Path(f"{written}.cols").exists()
+
+
 class TestFromTags:
     """``Corpus.from_tags``, which ``corpus_of`` calls, checks every tag layout and puts
     each evaluation in class order."""
@@ -440,6 +648,8 @@ class TestReader:
                 lines.append(line + cr)
             lines += data.draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2))
             path.write_bytes("\n".join(lines).encode("utf-8"))
+            # Unchanged bytes would read from the column cache; this test is of the parse.
+            pathlib.Path(f"{path}.cols").unlink(missing_ok=True)
             mp.setattr(dataio, "_BLOCK", block)
             got_space, got = dataio.read_dataset(path)
             want_space, want = reference_read_dataset(path)
@@ -453,11 +663,14 @@ class TestReader:
         assert got.features.tobytes() == want.features.tobytes()
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("bad", [False, True], ids=["good", "bad-line"])
-    def test_collector_state_is_kept(self, tmp_path, monkeypatch, enabled, bad):
+    @pytest.mark.parametrize("case", ["good", "bad-line", "cached"])
+    def test_collector_state_is_kept(self, tmp_path, monkeypatch, enabled, case):
+        # The collector is paused only around the parse, which a cache hit skips.
         path = tmp_path / "data.jsonl"
         dataio.write_dataset(path, SPACE, sample_records())
-        if bad:
+        if case != "cached":
+            (tmp_path / "data.jsonl.cols").unlink()
+        if case == "bad-line":
             path.write_text(path.read_text().replace('"split":"test"', '"split":"dev"'))
         paused = []
         real = dataio._corpus
@@ -470,7 +683,7 @@ class TestReader:
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
-            if bad:
+            if case == "bad-line":
                 with pytest.raises(ValueError, match="line 3: split 'dev'"):
                     dataio.read_dataset(path)
             else:
@@ -478,7 +691,7 @@ class TestReader:
             assert gc.isenabled() == enabled
         finally:
             (gc.enable if was else gc.disable)()
-        assert paused == [True]
+        assert paused == ([] if case == "cached" else [True])
 
 
 def train_only(records):
